@@ -20,8 +20,6 @@ from math import lcm
 from typing import Optional
 
 from .enclosures import (
-    DEFAULT_BITS,
-    MAX_BITS,
     box_conj,
     box_div,
     box_pow,
@@ -29,7 +27,9 @@ from .enclosures import (
     decide_order,
     interval_sqrt,
     poly_root_enclosures,
+    precision_ladder,
     real_part_sign,
+    real_root_enclosures,
 )
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
@@ -41,6 +41,7 @@ __all__ = ["DominantTerm", "DominantSpectrum", "Classification",
            "dominant_spectrum", "classify_limit_points", "limit_points_sample"]
 
 DEFAULT_Q_CAP = 10 ** 6
+_BOUNDS_BITS = 256  # fixed precision of the reported lambda_bounds
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,7 @@ def _positive_real_candidates(p: IntPolynomial):
             if r > 0:
                 out.append(_RealCandidate(("rat", r), lambda bits, r=r: (r, r), mult))
             continue
-        for idx, e in enumerate(poly_root_enclosures(g)):
-            if not e.is_real:
-                continue
+        for idx, e in enumerate(real_root_enclosures(g)):
             if e.real_sign() > 0:
                 out.append(_RealCandidate(
                     (tuple(g.coeffs), idx),
@@ -134,7 +133,7 @@ def dominant_spectrum(es: ExponentialSum, q_cap: int = DEFAULT_Q_CAP) -> Dominan
         count += cand.multiplicity
         indices = _dominant_root_indices(poly, cand)
         dominant.append(DominantTerm(poly=poly, chi=chi, root_indices=indices))
-    s_lo, s_hi = overall.interval(2 * DEFAULT_BITS)
+    s_lo, s_hi = overall.interval(_BOUNDS_BITS)
     lam_lo, lam_hi = interval_sqrt(max(s_lo, Fraction(0)), s_hi)
     lam = math.sqrt((float(s_lo) + float(s_hi)) / 2)
     return DominantSpectrum(lam=lam, lam_bounds=(lam_lo, lam_hi), count=count,
@@ -146,14 +145,12 @@ def _dominant_root_indices(poly: IntPolynomial, cand: _RealCandidate) -> tuple:
     non-dominant roots separate under refinement, so refine until exactly
     ``multiplicity`` survivors remain."""
     encl = poly_root_enclosures(poly)
-    bits = DEFAULT_BITS
-    while bits <= MAX_BITS:
+    for bits in precision_ladder():
         s_lo, s_hi = cand.interval(bits)
         alive = [i for i, e in enumerate(encl)
                  if e.modsq(bits)[1] >= s_lo and e.modsq(bits)[0] <= s_hi]
         if len(alive) == cand.multiplicity:
             return tuple(alive)
-        bits *= 2
     raise PrecisionError(
         f"could not isolate the dominant roots of {poly.coeffs}")
 
@@ -177,8 +174,7 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
         b = encl[idx].box(bits)
         return box_div(b, box_conj(b))
 
-    bits = DEFAULT_BITS
-    while bits <= MAX_BITS:
+    for bits in precision_ladder():
         rb = ratio_box(bits)
         alive = []
         for g, root, point in factor_roots:
@@ -190,7 +186,6 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
                 alive.append(g)
         if len(alive) == 1:
             return cyclotomic_order(alive[0])
-        bits *= 2
     raise PrecisionError("could not identify the conjugate ratio among the "
                          "ratio polynomial roots")
 

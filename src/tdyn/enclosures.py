@@ -25,6 +25,7 @@ __all__ = [
     "Box",
     "RootEnclosure",
     "poly_root_enclosures",
+    "real_root_enclosures",
     "box_conj",
     "box_mul",
     "box_pow",
@@ -34,16 +35,27 @@ __all__ = [
     "interval_sqrt",
     "decide_order",
     "real_part_sign",
-    "DEFAULT_BITS",
+    "precision_ladder",
+    "START_BITS",
     "MAX_BITS",
 ]
 
 Box = tuple  # (re_lo, re_hi, im_lo, im_hi), all Fraction
 
-DEFAULT_BITS = 128
+# refinement starts coarse and doubles: most comparisons settle at 8 bits,
+# and the ladder still passes every power of two up to the ceiling
+START_BITS = 8
 MAX_BITS = 1024
 # undecided comparisons below this width are reported, not refined further
 CEILING_WIDTH = Fraction(1, 10 ** 30)
+
+
+def precision_ladder():
+    """The doubling precisions START_BITS, 2*START_BITS, ... <= MAX_BITS."""
+    bits = START_BITS
+    while bits <= MAX_BITS:
+        yield bits
+        bits *= 2
 
 
 def _frac(x) -> Fraction:
@@ -123,25 +135,32 @@ class RootEnclosure:
         """Exact sign of a real root (the root must be nonzero)."""
         if not self.is_real:
             raise InputError("real_sign of a non-real root")
-        bits = DEFAULT_BITS
-        while bits <= MAX_BITS:
+        for bits in precision_ladder():
             lo, hi, _, _ = self.box(bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits *= 2
         raise PrecisionError("could not separate a real root from zero")
 
 
 def poly_root_enclosures(p: IntPolynomial) -> list:
-    """Enclosures for the distinct roots of p, in sympy's canonical order
-    (real roots ascending, then complex by real part with conjugates adjacent,
-    negative imaginary part first)."""
+    """Enclosures for all roots of p, one entry per root counted with
+    multiplicity (p.degree entries), in sympy's canonical order: real roots
+    ascending, then complex by real part with conjugates adjacent, negative
+    imaginary part first."""
     if p.is_zero or p.degree < 1:
         return []
-    n_distinct = len(to_sympy(p).all_roots(radicals=False))
-    return [RootEnclosure(p, i) for i in range(n_distinct)]
+    return [RootEnclosure(p, i) for i in range(p.degree)]
+
+
+def real_root_enclosures(p: IntPolynomial) -> list:
+    """The real entries of poly_root_enclosures(p), with the same indices:
+    real roots come first in sympy's order, so only they are isolated."""
+    if p.is_zero or p.degree < 1:
+        return []
+    n_real = len(to_sympy(p).real_roots(radicals=False))
+    return [RootEnclosure(p, i) for i in range(n_real)]
 
 
 def _imul(a: Box, b: Box, i: int, j: int):
@@ -223,16 +242,14 @@ def interval_sqrt(lo: Fraction, hi: Fraction, bits: int = 64):
     return sqrt_lower(lo), sqrt_upper(hi)
 
 
-def decide_order(fa: Callable, fb: Callable,
-                 start_bits: int = DEFAULT_BITS, max_bits: int = MAX_BITS) -> int:
+def decide_order(fa: Callable, fb: Callable) -> int:
     """Strict order of two refinable real intervals: -1 (a < b) or 1 (a > b).
 
     fa/fb map a bit precision to rational (lo, hi).  Raises PrecisionError
     when the intervals still overlap at the ceiling (values equal, or closer
     than the certification limit).
     """
-    bits = start_bits
-    while bits <= max_bits:
+    for bits in precision_ladder():
         alo, ahi = fa(bits)
         blo, bhi = fb(bits)
         if ahi < blo:
@@ -241,21 +258,17 @@ def decide_order(fa: Callable, fb: Callable,
             return 1
         if (ahi - alo) < CEILING_WIDTH and (bhi - blo) < CEILING_WIDTH:
             break
-        bits *= 2
     raise PrecisionError(
         "intervals overlap at the precision ceiling; values are equal or "
         "indistinguishable below width 1e-30")
 
 
-def real_part_sign(box_fn: Callable, start_bits: int = DEFAULT_BITS,
-                   max_bits: int = MAX_BITS) -> int:
+def real_part_sign(box_fn: Callable) -> int:
     """Sign of the real part of a box-valued quantity known to be nonzero."""
-    bits = start_bits
-    while bits <= max_bits:
+    for bits in precision_ladder():
         b = box_fn(bits)
         if b[0] > 0:
             return 1
         if b[1] < 0:
             return -1
-        bits *= 2
     raise PrecisionError("could not determine the sign of a real part")

@@ -258,12 +258,26 @@ def builtin_example(key: str) -> NilpotentSystem:
 
 
 def _matrix_from_json(rows, what: str) -> RatMatrix:
-    if not isinstance(rows, list) or not rows:
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(row, list) for row in rows)):
         raise InputError(f"{what}: expected a non-empty list of rows")
     try:
         return RatMatrix.from_rows([[Fraction(str(x)) for x in row] for row in rows])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{what}: bad rational entry ({exc})") from exc
+
+
+def _int_from_json(value, what: str) -> int:
+    """A JSON integer or decimal string; floats and booleans are rejected
+    rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{what}: expected an integer, got {value!r}")
 
 
 def system_from_json(doc) -> NilpotentSystem:
@@ -273,7 +287,10 @@ def system_from_json(doc) -> NilpotentSystem:
     "psi" defaults to the identity and "primes" to the empty set.
     """
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:
+            raise InputError(f"bad JSON descriptor: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("descriptor must be a JSON object")
     sections = []
@@ -281,14 +298,19 @@ def system_from_json(doc) -> NilpotentSystem:
     if not isinstance(raw_sections, list) or not raw_sections:
         raise InputError("descriptor needs a non-empty 'sections' list")
     for k, raw in enumerate(raw_sections, start=1):
+        if not isinstance(raw, dict):
+            raise InputError(f"section {k}: expected a JSON object")
         if "rank" not in raw or "phi" not in raw:
             raise InputError(f"section {k} needs 'rank' and 'phi'")
-        rank = int(raw["rank"])
+        rank = _int_from_json(raw["rank"], f"section {k} rank")
         phi = _matrix_from_json(raw["phi"], f"section {k} phi")
         psi = None
         if "psi" in raw and raw["psi"] is not None:
             psi = _matrix_from_json(raw["psi"], f"section {k} psi")
-        primes = raw.get("primes", [])
+        raw_primes = raw.get("primes", [])
+        if not isinstance(raw_primes, list):
+            raise InputError(f"section {k} primes: expected a list of integers")
+        primes = [_int_from_json(p, f"section {k} primes") for p in raw_primes]
         sections.append(section(rank, phi, psi, primes,
                                 triangularizable_asserted=bool(
                                     raw.get("triangularizable", True))))

@@ -18,7 +18,6 @@ from typing import Optional, Union
 import sympy
 
 from .enclosures import (
-    DEFAULT_BITS,
     box_mul,
     decide_order,
     interval_sqrt,
@@ -339,7 +338,7 @@ def growth_rate(system: NilpotentSystem, N: int = 40) -> GrowthReport:
                         empirical=empirical, agreement=agreement)
 
 
-def entropy_dual_torus(A, bits: int = DEFAULT_BITS) -> float:
+def entropy_dual_torus(A) -> float:
     """Topological entropy of the toral endomorphism dual to x -> Ax on Z^d:
     the sum of log max(|xi|, 1) over the eigenvalues of the integer matrix A.
 

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,40 @@ def test_json_input_file(tmp_path):
     code, out, err = run_capture(["rseq", "--input", str(path), "--n", "3"])
     assert code == 0
     assert out.strip() == "2 8 26"
+
+
+@pytest.mark.parametrize("sections, names", [
+    ([1], "section 1"),
+    ([{"rank": "abc", "phi": [["2"]]}], "section 1 rank"),
+    ([{"rank": 1.5, "phi": [["2"]]}], "section 1 rank"),
+    ([{"rank": 1, "phi": [["2"]], "primes": ["x"]}], "section 1 primes"),
+    ([{"rank": 1, "phi": [["2"]], "primes": 2}], "section 1 primes"),
+    ([{"rank": 1, "phi": [["2"]], "primes": [True]}], "section 1 primes"),
+    ([{"rank": 1, "phi": [2]}], "section 1 phi"),
+])
+def test_malformed_descriptor_is_an_input_error(tmp_path, sections, names):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sections": sections}))
+    code, out, err = run_capture(["validate", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and names in err
+
+
+RANK5_TORUS = ("torus_matrix:0,0,0,0,-1,1,0,0,0,1,0,1,0,0,-1,"
+               "0,0,1,0,2,0,0,0,1,3")
+
+
+def test_classify_rank5_torus():
+    # bounded only if the |root|^2 candidates isolate real roots alone: the
+    # complex roots of the degree-100 product polynomial take minutes
+    doc = run_json(["classify", "--builtin", RANK5_TORUS])
+    assert doc["count"] == 1
+    assert doc["classification"]["kind"] == "periodic"
+    lo, hi = (float(Fraction(b)) for b in doc["lambda_bounds"])
+    numeric = run_json(["growth", "--builtin", RANK5_TORUS])["growth"]["numeric"]
+    slack = numeric * 1e-12  # numeric is a float, the bounds are exact
+    assert lo - slack <= numeric <= hi + slack
 
 
 def test_json_output_reparses_exactly():

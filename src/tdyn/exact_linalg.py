@@ -2,7 +2,8 @@
 
 Everything here is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Determinants use
-fraction-free Bareiss elimination, characteristic polynomials use
+fraction-free Bareiss elimination, the iterated determinants det(phi^n - psi^n)
+run on scaled integer matrices, characteristic polynomials use
 Faddeev-LeVerrier over exact rationals, and the Smith normal form keeps full
 unimodular transforms so callers can recheck U*A*V = D.
 """
@@ -86,14 +87,23 @@ class BigIntMatrix:
         return self.rows == self.cols
 
     def mul(self, other: "BigIntMatrix") -> "BigIntMatrix":
+        """Matrix product that skips zero entries of both factors, so powers
+        of block-diagonal matrices cost the sum of the cubes of the blocks."""
         if self.cols != other.rows:
             raise InputError("dimension mismatch in matrix product")
+        n, p = self.cols, other.cols
+        # the nonzero (column, entry) pairs of each row of other, sliced once
+        other_rows = [[(j, b) for j, b in enumerate(other.entries[k * p:(k + 1) * p])
+                       if b] for k in range(n)]
         out = []
         for i in range(self.rows):
-            ri = self.entries[i * self.cols:(i + 1) * self.cols]
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.get(k, j) for k in range(self.cols)))
-        return BigIntMatrix(self.rows, other.cols, tuple(out))
+            acc = [0] * p
+            for a, row in zip(self.entries[i * n:(i + 1) * n], other_rows):
+                if a:
+                    for j, b in row:
+                        acc[j] += a * b
+            out.extend(acc)
+        return BigIntMatrix(self.rows, p, tuple(out))
 
     def sub(self, other: "BigIntMatrix") -> "BigIntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -263,6 +273,32 @@ def det_rat(A: RatMatrix) -> Fraction:
         raise InputError("determinant of a non-square matrix")
     B, L = A.scaled_integer()
     return Fraction(det_exact(B), L ** A.rows)
+
+
+def power_difference_determinants(phi: RatMatrix, psi: RatMatrix):
+    """Yield det(phi^n - psi^n) for n = 1, 2, ... as exact Fractions.
+
+    With phi = B/L and psi = C/M for integer B, C, the n-th value is
+    det(B^n M^n - C^n L^n) / (L M)^(n d): one integer matrix product per
+    factor and step, none for psi when psi is the identity.
+    """
+    if not (phi.is_square and (psi.rows, psi.cols) == (phi.rows, phi.cols)):
+        raise InputError("power differences need two square matrices of one size")
+    d = phi.rows
+    B, L = phi.scaled_integer()
+    C, M = psi.scaled_integer()
+    psi_identity = psi.is_identity()
+    Bn = Cn = BigIntMatrix.identity(d)
+    Ln = Mn = 1
+    while True:
+        Bn = Bn.mul(B)
+        Ln *= L
+        if not psi_identity:
+            Cn = Cn.mul(C)
+            Mn *= M
+        diff = BigIntMatrix(d, d, tuple(b * Mn - c * Ln
+                                        for b, c in zip(Bn.entries, Cn.entries)))
+        yield Fraction(det_exact(diff), (Ln * Mn) ** d)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 from typing import Optional, Sequence
 
 import sympy
 
 from .errors import InputError
-from .exact_linalg import RatMatrix, det_rat
+from .exact_linalg import RatMatrix, det_rat, power_difference_determinants
 
 __all__ = [
     "AbelianSection",
@@ -139,12 +140,14 @@ def _tameness_bound(max_rank: int) -> int:
     n = 1 .. 2*max{such m} is enough (the factor 2 is lcm safety).
     """
     budget = max_rank * max_rank
-    # totient(m) >= sqrt(m/2), so m <= 2*budget^2 exhausts all candidates
-    best = 1
-    for m in range(1, 2 * budget * budget + 2):
-        if sympy.totient(m) <= budget:
-            best = m
-    return 2 * best
+    # totient(m) >= sqrt(m/2), so m <= 2*budget^2 + 1 exhausts all candidates
+    limit = 2 * budget * budget + 1
+    totient = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if totient[p] == p:  # p is prime: no smaller prime has touched it
+            for m in range(p, limit + 1, p):
+                totient[m] -= totient[m] // p
+    return 2 * max(m for m in range(1, limit + 1) if totient[m] <= budget)
 
 
 def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
@@ -159,15 +162,13 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
         raise InputError("; ".join(problems))
     max_rank = max(sec.rank for sec in system.sections)
     bound = _tameness_bound(max_rank)
-    powers_phi = [RatMatrix.identity(sec.rank) for sec in system.sections]
-    powers_psi = [RatMatrix.identity(sec.rank) for sec in system.sections]
-    for n in range(1, bound + 1):
-        for k, sec in enumerate(system.sections):
-            powers_phi[k] = powers_phi[k].mul(sec.phi)
-            powers_psi[k] = powers_psi[k].mul(sec.psi)
-            if det_rat(powers_phi[k].sub(powers_psi[k])) == 0:
+    dets = [power_difference_determinants(sec.phi, sec.psi)
+            for sec in system.sections]
+    for n, row in enumerate(islice(zip(*dets), bound), start=1):
+        for k, det in enumerate(row, start=1):
+            if det == 0:
                 return TamenessVerdict(tame=False, witness_n=n,
-                                       witness_section=k + 1, checked_up_to=bound)
+                                       witness_section=k, checked_up_to=bound)
     return TamenessVerdict(tame=True, witness_n=None, witness_section=None,
                            checked_up_to=bound)
 

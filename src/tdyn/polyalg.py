@@ -59,20 +59,8 @@ def is_squarefree(p: IntPolynomial) -> bool:
     return gcd_int(p, p.derivative()).degree == 0
 
 
-def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
-    """Whether p divides q over the rationals."""
-    _, rem = sympy.div(to_sympy(q), to_sympy(p), domain=sympy.QQ)
-    return rem.is_zero
-
-
 def cyclotomic(m: int) -> IntPolynomial:
     return from_sympy_int(sympy.Poly(sympy.cyclotomic_poly(m, _X), _X))
-
-
-def totient_values_up_to(budget: int):
-    """All m with totient(m) <= budget (complete: totient(m) >= sqrt(m/2))."""
-    return [m for m in range(1, 2 * budget * budget + 2)
-            if sympy.totient(m) <= budget]
 
 
 def cyclotomic_order(p: IntPolynomial) -> Optional[int]:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InputError
-from .exact_linalg import RatMatrix, det_rat, mat_pow, smith_normal_form
+from .exact_linalg import (det_rat, mat_pow, power_difference_determinants,
+                           smith_normal_form)
 from .group_model import AbelianSection, NilpotentSystem, validate
 from .padic import ord_p
 
@@ -124,27 +126,18 @@ def coincidence_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequenc
         raise InputError("; ".join(problems))
     if N < 1:
         raise InputError("sequence length must be >= 1")
+    primes = [sorted(sec.prime_support) for sec in system.sections]
+    dets = [power_difference_determinants(sec.phi, sec.psi)
+            for sec in system.sections]
     values = []
-    # incremental powers: one matrix product per section per n
-    powers = [(sec, RatMatrix.identity(sec.rank), RatMatrix.identity(sec.rank))
-              for sec in system.sections]
-    for n in range(1, N + 1):
+    for row in islice(zip(*dets), N):
+        if any(det == 0 for det in row):
+            values.append(INFINITY)
+            continue
         total = 1
-        infinite = False
-        next_powers = []
-        for sec, ph, ps in powers:
-            ph = ph.mul(sec.phi)
-            ps = ps.mul(sec.psi)
-            next_powers.append((sec, ph, ps))
-            if infinite:
-                continue
-            det = det_rat(ph.sub(ps))
-            if det == 0:
-                infinite = True
-            else:
-                total *= _adelic_value(det, sorted(sec.prime_support))
-        powers = next_powers
-        values.append(INFINITY if infinite else total)
+        for det, support in zip(row, primes):
+            total *= _adelic_value(det, support)
+        values.append(total)
     return ReidemeisterSequence(values=tuple(values), system_name=system.name,
                                 kind="reidemeister")
 

@@ -266,10 +266,6 @@ def expand(rf: RationalFunction, N: int) -> list:
     return [a[n] - b[n] for n in range(1, N + 1)]
 
 
-def _series_coeffs_of_quotient(u: IntPolynomial, v: IntPolynomial, N: int) -> list:
-    return _series_div(list(u.coeffs), v.coeffs, N)
-
-
 def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     """Exponents chi_alpha per irreducible factor of v for the sequence with
     sum_{n>=1} a_n z^n = series of u/v; exact linear algebra on power sums.
@@ -298,7 +294,7 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
         tilde.append(w)
     root_polys = [w.reverse() for w in tilde]
     r = v.degree
-    a = _series_coeffs_of_quotient(u, v, r)[1:]  # a_1 .. a_r
+    a = _series_div(list(u.coeffs), v.coeffs, r)[1:]  # a_1 .. a_r
     sums = [power_sums(p, r) for p in root_polys]
     rows = [[Fraction(sums[j][n]) for j in range(len(root_polys))]
             for n in range(r)]

@@ -198,6 +198,27 @@ def test_classify_rank5_torus():
     assert lo - slack <= numeric <= hi + slack
 
 
+def _selmer_torus(r):
+    """Companion torus of x^r - x - 1 (irreducible, no root of unity)."""
+    rows = [[0] * r for _ in range(r)]
+    for i in range(1, r):
+        rows[i][i - 1] = 1
+    rows[0][r - 1] = rows[1][r - 1] = 1
+    return "torus_matrix:" + ",".join(str(v) for row in rows for v in row)
+
+
+def test_tame_rank7_torus():
+    # the full range of 420 iterates on integer matrices
+    doc = run_json(["tame", "--builtin", _selmer_torus(7)])
+    assert doc["tame"] is True and doc["witness_n"] is None
+    assert doc["checked_up_to"] == 420
+
+
+def test_realize_rank6_torus():
+    doc = run_json(["realize", "--builtin", _selmer_torus(6)])
+    assert doc["trace_check_passed"] is True
+
+
 def test_json_output_reparses_exactly():
     doc = run_json(["rseq", "--builtin", "z_times_d:2", "--n", "64"])
     values = [int(s) for s in doc["sequence"]]

@@ -1,0 +1,197 @@
+"""The integer power-difference loop against the independent routes.
+
+``coincidence_sequence`` and ``tameness_check`` both read det(phi^n - psi^n)
+from ``power_difference_determinants``, which works on scaled integer
+matrices.  The oracles here recompute each value from scratch over Fraction
+(``mat_pow`` + ``det_rat``) or from the Smith normal form.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from tdyn.exact_linalg import (
+    BigIntMatrix,
+    RatMatrix,
+    det_rat,
+    mat_pow,
+    power_difference_determinants,
+)
+from tdyn.group_model import (
+    NilpotentSystem,
+    TamenessVerdict,
+    _tameness_bound,
+    section,
+    tameness_check,
+    z_pair,
+)
+from tdyn.reidemeister import (
+    INFINITY,
+    coincidence_sequence,
+    is_infinite,
+    section_coincidence_number,
+    section_coincidence_number_snf,
+)
+
+PRIMES = (2, 3)
+
+
+@st.composite
+def rationals(draw, primes):
+    """Small rationals whose denominators lie in the prime support."""
+    num = draw(st.integers(min_value=-3, max_value=3))
+    den = 1
+    for p in primes:
+        den *= p ** draw(st.integers(min_value=0, max_value=2))
+    return Fraction(num, den)
+
+
+@st.composite
+def sections(draw, max_rank=4, integer=False):
+    """One section with phi and psi drawn from: psi the identity, psi equal
+    to phi or to -phi (infinite values), or an unrelated psi, which almost
+    never commutes with phi."""
+    d = draw(st.integers(min_value=1, max_value=max_rank))
+    primes = () if integer else tuple(
+        p for p in PRIMES if draw(st.booleans()))
+    entry = rationals(primes)
+
+    def matrix():
+        return RatMatrix.from_rows(
+            [[draw(entry) for _ in range(d)] for _ in range(d)])
+
+    phi = matrix()
+    kind = draw(st.sampled_from(("identity", "equal", "negated", "other")))
+    psi = {"identity": lambda: RatMatrix.identity(d),
+           "equal": lambda: phi,
+           "negated": lambda: phi.scale(-1),
+           "other": matrix}[kind]()
+    return section(d, phi, psi, primes=primes)
+
+
+def systems(max_rank=4, integer=False):
+    return st.lists(sections(max_rank, integer), min_size=1, max_size=2).map(
+        lambda secs: NilpotentSystem(name="drawn", sections=tuple(secs)))
+
+
+def product_oracle(system, n):
+    """The product formula over section_coincidence_number."""
+    total = 1
+    for sec in system.sections:
+        value = section_coincidence_number(sec, n)
+        if is_infinite(value):
+            return INFINITY
+        total *= value
+    return total
+
+
+# ---------------------------------------------------------------- sequences
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.integers(min_value=1, max_value=6))
+def test_sequence_matches_section_route(system, N):
+    seq = coincidence_sequence(system, N)
+    assert list(seq.values) == [product_oracle(system, n) for n in range(1, N + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sections(integer=True), st.integers(min_value=1, max_value=6))
+def test_sequence_matches_snf_route_on_integer_sections(sec, N):
+    seq = coincidence_sequence(NilpotentSystem(name="drawn", sections=(sec,)), N)
+    assert list(seq.values) == [section_coincidence_number_snf(sec, n)
+                                for n in range(1, N + 1)]
+
+
+def test_infinite_cases():
+    # phi = psi is infinite at every n; 2x against -2x at every even n
+    phi = RatMatrix.from_rows([[1, Fraction(1, 2)], [3, -1]])
+    equal = NilpotentSystem(name="equal", sections=(section(2, phi, phi, primes=[2]),))
+    assert coincidence_sequence(equal, 4).values == (INFINITY,) * 4
+    seq = coincidence_sequence(z_pair(2, -2), 6)
+    assert seq.values == (4, INFINITY, 16, INFINITY, 64, INFINITY)
+    assert list(seq.values) == [product_oracle(z_pair(2, -2), n) for n in range(1, 7)]
+
+
+def test_determinants_are_exact():
+    phi = RatMatrix.from_rows([[Fraction(1, 2), 1], [0, 3]])
+    psi = RatMatrix.from_rows([[1, 0], [Fraction(1, 3), 2]])
+    dets = power_difference_determinants(phi, psi)
+    for n in range(1, 8):
+        assert next(dets) == det_rat(mat_pow(phi, n).sub(mat_pow(psi, n)))
+
+
+# ---------------------------------------------------------------- tameness
+
+def reference_tameness(system):
+    """The iterative check with every power recomputed over Fraction."""
+    bound = _tameness_bound(max(sec.rank for sec in system.sections))
+    for n in range(1, bound + 1):
+        for k, sec in enumerate(system.sections, start=1):
+            if det_rat(mat_pow(sec.phi, n).sub(mat_pow(sec.psi, n))) == 0:
+                return TamenessVerdict(False, n, k, bound)
+    return TamenessVerdict(True, None, None, bound)
+
+
+# rank 3 at most: the reference recomputes every power up to 120 times at rank 4
+@settings(max_examples=25, deadline=None)
+@given(systems(max_rank=3))
+def test_tameness_matches_reference_loop(system):
+    assert tameness_check(system) == reference_tameness(system)
+
+
+def test_tameness_matches_reference_loop_rank4():
+    # rotation by a primitive 8th root of unity: the witness lies past every
+    # power of smaller order
+    rot = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    system = NilpotentSystem(name="rot8", sections=(
+        section(1, [[2]]), section(4, rot)))
+    verdict = tameness_check(system)
+    assert verdict == reference_tameness(system)
+    assert (verdict.witness_n, verdict.witness_section) == (8, 2)
+    # a tame rational pair that does not commute runs the whole range
+    phi = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    psi = [[Fraction(1, 2), 1, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [0, 1, 0, -2]]
+    system = NilpotentSystem(name="tame4", sections=(
+        section(4, phi, psi, primes=[2]),))
+    verdict = tameness_check(system)
+    assert verdict == reference_tameness(system)
+    assert verdict.tame and verdict.checked_up_to == 120
+
+
+def test_tameness_bound_matches_sympy_totient():
+    expected = []
+    for r in range(1, 8):
+        budget = r * r
+        best = max(m for m in range(1, 2 * budget * budget + 2)
+                   if sympy.totient(m) <= budget)
+        expected.append(2 * best)
+    assert expected == [4, 24, 60, 120, 180, 252, 420]
+    assert [_tameness_bound(r) for r in range(1, 8)] == expected
+
+
+# ---------------------------------------------------------------- products
+
+@st.composite
+def sparse_pairs(draw):
+    """Two conformable integer matrices, at least half of each entry zero."""
+    r, k, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+
+    def sparse(rows, cols):
+        size = rows * cols
+        entries = draw(st.lists(ints, min_size=size, max_size=size))
+        for i in draw(st.permutations(range(size)))[:(size + 1) // 2]:
+            entries[i] = 0
+        return BigIntMatrix(rows, cols, tuple(entries))
+
+    return sparse(r, k), sparse(k, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_pairs())
+def test_bigint_mul_matches_triple_loop(pair):
+    A, B = pair
+    naive = [[sum(A.get(i, k) * B.get(k, j) for k in range(A.cols))
+              for j in range(B.cols)] for i in range(A.rows)]
+    assert A.mul(B) == BigIntMatrix.from_rows(naive)

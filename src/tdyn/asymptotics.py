@@ -106,7 +106,7 @@ def _max_candidate(cands):
     return best
 
 
-def dominant_spectrum(es: ExponentialSum, q_cap: int = DEFAULT_Q_CAP) -> DominantSpectrum:
+def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
     """lambda, the number of roots on the circle |z| = lambda, and which
     roots of which terms are dominant.
 

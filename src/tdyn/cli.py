@@ -162,9 +162,9 @@ def _cmd_realize(config, system):
     seq, rf, es = _zeta_payload(config, _checked(system))
     br = zeta.realize_bouquet(es)
     check_n = 2 * (br.a_even.rows + br.a_odd.rows) + 5
-    need = max(check_n, len(seq.values))
-    long_seq = _seq_of(config, system, need)
-    ok = br.lefschetz_values(check_n) == list(long_seq.values[:check_n])
+    if check_n > len(seq.values):
+        seq = _seq_of(config, system, check_n)
+    ok = br.lefschetz_values(check_n) == list(seq.values[:check_n])
     return {
         "realization": {"A_e": _matrix_strs(br.a_even),
                         "A_o": _matrix_strs(br.a_odd)},

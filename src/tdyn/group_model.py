@@ -43,19 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AbelianSection:
-    """One abelian factor of the isolated lower central series.
-
-    ``triangularizable_asserted`` records the user's claim that the pair of
-    induced rational maps is simultaneously triangularizable; the library
-    never verifies it (there is no general exact test), it only relies on it
-    where eigenvalue pairings matter.
-    """
+    """One abelian factor of the isolated lower central series."""
 
     rank: int
     phi: RatMatrix
     psi: RatMatrix
     prime_support: frozenset = field(default_factory=frozenset)
-    triangularizable_asserted: bool = True
 
 
 @dataclass(frozen=True)
@@ -84,8 +77,7 @@ class TamenessVerdict:
     checked_up_to: int
 
 
-def section(rank: int, phi, psi=None, primes: Sequence[int] = (),
-            triangularizable_asserted: bool = True) -> AbelianSection:
+def section(rank: int, phi, psi=None, primes: Sequence[int] = ()) -> AbelianSection:
     """Build a section from nested lists; psi defaults to the identity."""
     phi_m = phi if isinstance(phi, RatMatrix) else RatMatrix.from_rows(phi)
     if psi is None:
@@ -93,8 +85,7 @@ def section(rank: int, phi, psi=None, primes: Sequence[int] = (),
     else:
         psi_m = psi if isinstance(psi, RatMatrix) else RatMatrix.from_rows(psi)
     return AbelianSection(rank=rank, phi=phi_m, psi=psi_m,
-                          prime_support=frozenset(int(p) for p in primes),
-                          triangularizable_asserted=triangularizable_asserted)
+                          prime_support=frozenset(int(p) for p in primes))
 
 
 def _denominator_primes(m: RatMatrix):
@@ -285,7 +276,9 @@ def system_from_json(doc) -> NilpotentSystem:
     """Parse the JSON system descriptor.
 
     Matrix entries are strings parsed as exact rationals ("3", "-1/2");
-    "psi" defaults to the identity and "primes" to the empty set.
+    "psi" defaults to the identity and "primes" to the empty set.  The
+    optional "triangularizable" key of older descriptors is accepted and
+    ignored.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -312,9 +305,7 @@ def system_from_json(doc) -> NilpotentSystem:
         if not isinstance(raw_primes, list):
             raise InputError(f"section {k} primes: expected a list of integers")
         primes = [_int_from_json(p, f"section {k} primes") for p in raw_primes]
-        sections.append(section(rank, phi, psi, primes,
-                                triangularizable_asserted=bool(
-                                    raw.get("triangularizable", True))))
+        sections.append(section(rank, phi, psi, primes))
     return NilpotentSystem(name=str(doc.get("name", "unnamed")),
                            sections=tuple(sections))
 

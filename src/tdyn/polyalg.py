@@ -51,6 +51,14 @@ def factor_int(p: IntPolynomial):
     return int(unit), out
 
 
+def exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p / q over Z; InputError unless q divides p exactly."""
+    quo, rem = sympy.div(to_sympy(p), to_sympy(q))
+    if not rem.is_zero:
+        raise InputError("divisor does not divide the polynomial exactly")
+    return from_sympy_int(quo)
+
+
 def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return from_sympy_int(sympy.gcd(to_sympy(p), to_sympy(q)))
 

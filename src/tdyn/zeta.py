@@ -43,7 +43,7 @@ from .exact_linalg import (
     mat_pow,
     rat_solve,
 )
-from .polyalg import factor_int, gcd_int, is_squarefree
+from .polyalg import exact_quotient, factor_int, gcd_int, is_squarefree
 from .reidemeister import ReidemeisterSequence, is_infinite
 
 __all__ = [
@@ -176,9 +176,84 @@ def power_sums(poly: IntPolynomial, N: int) -> list:
     return ps
 
 
+# a prime near the word size: reductions that lose the recurrence, and so
+# fall back to the Fraction loop, need coefficients or terms of that size
+_BM_PRIME = (1 << 61) - 1
+
+
 def berlekamp_massey(seq: Sequence) -> list:
     """Minimal connection polynomial over Q: returns C (ascending Fractions,
-    C[0] = 1, length L+1) with sum_j C[j] * seq[n-j] = 0 for L <= n < len."""
+    C[0] = 1, length L+1) with sum_j C[j] * seq[n-j] = 0 for L <= n < len.
+
+    An integer window is first run modulo p = 2^61 - 1 (Massey, IEEE Trans.
+    IT 15, 1969) and the result lifted to symmetric residues C, of length
+    L = L_p.  The lift is returned only if 2L <= N = len(seq) and the
+    recurrence holds over Z on the whole window; it then equals what the
+    Fraction loop returns:
+
+    * the exact check gives L_Q <= L_p, so 2 L_Q <= N as well, and a
+      connection polynomial of length at most N/2 is unique (Massey);
+    * C has integer coefficients and C[0] = 1, so it extends the window to
+      an integer sequence t.  The Q-minimal polynomial C_Q also generates t,
+      because two recurrences of lengths L_Q + L_p <= N that agree on N
+      terms agree forever.  So C_Q is the minimal polynomial of the integer
+      sequence t, which is integral by Fatou's lemma;
+    * reduced mod p, C_Q generates the window mod p, so L_p <= L_Q.  Hence
+      L_p = L_Q, and by uniqueness C = C_Q.
+
+    Otherwise (rational entries, terms that vanish mod p, a lift that does
+    not hold over Z, 2L > N) the Fraction loop runs.
+    """
+    s = [Fraction(v) for v in seq]
+    if all(x.denominator == 1 for x in s):
+        ints = [x.numerator for x in s]
+        C = _berlekamp_massey_mod(ints, _BM_PRIME)
+        L = len(C) - 1
+        if 2 * L <= len(ints) and _generates(C, ints):
+            return [Fraction(c) for c in C]
+    return _berlekamp_massey_rational(s)
+
+
+def _berlekamp_massey_mod(seq: Sequence[int], p: int) -> list:
+    """Minimal connection polynomial of seq mod p, lifted to symmetric
+    residues; ascending ints, C[0] = 1, length L_p + 1."""
+    s = [v % p for v in seq]
+    C = [1]
+    B = [1]
+    L, m, b = 0, 1, 1
+    for n in range(len(s)):
+        d = s[n]
+        for i in range(1, min(L, len(C) - 1) + 1):
+            d += C[i] * s[n - i]
+        d %= p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * pow(b, -1, p) % p
+        T = C[:] if 2 * L <= n else None
+        if len(C) < len(B) + m:
+            C = C + [0] * (len(B) + m - len(C))
+        for i in range(len(B)):
+            C[i + m] = (C[i + m] - coef * B[i]) % p
+        if T is not None:
+            L, B, b, m = n + 1 - L, T, d, 1
+        else:
+            m += 1
+    C = (C + [0] * (L + 1 - len(C)))[:L + 1]
+    half = p // 2
+    return [c - p if c > half else c for c in C]
+
+
+def _generates(C: Sequence[int], seq: Sequence[int]) -> bool:
+    """sum_j C[j] * seq[n-j] == 0 over Z for every len(C)-1 <= n < len(seq)."""
+    taps = [(j, c) for j, c in enumerate(C) if c]
+    return all(sum(c * seq[n - j] for j, c in taps) == 0
+               for n in range(len(C) - 1, len(seq)))
+
+
+def _berlekamp_massey_rational(seq: Sequence) -> list:
+    """berlekamp_massey over Fraction: the fallback of the modular pass and
+    its test oracle."""
     s = [Fraction(v) for v in seq]
     C = [Fraction(1)]
     B = [Fraction(1)]
@@ -233,10 +308,8 @@ def minimal_recurrence(seq: SequenceLike, max_order: Optional[int] = None):
     # exponential sums have no transient (every base is nonzero), so the
     # recurrence must hold from the very first full window; sequences that
     # need a transient are not in the admissible normal form
-    L = v.degree
-    for j in range(L, len(values)):
-        if sum(v.coeffs[i] * values[j - i] for i in range(L + 1)) != 0:
-            return None
+    if not _generates(v.coeffs, values):
+        return None
     return v
 
 
@@ -266,6 +339,40 @@ def expand(rf: RationalFunction, N: int) -> list:
     return [a[n] - b[n] for n in range(1, N + 1)]
 
 
+# exponents split off first by _factor_by_exponent_class: no other value
+# occurs on the perfbench corpus, and any other lands in the remainder
+_EXPONENT_CLASSES = (1, -1, 2, -2)
+
+
+def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial) -> list:
+    """factor_int(v)[1] for a squarefree v coprime to u, one exponent class
+    at a time.
+
+    At a root z0 = 1/lambda of v, u/v has the simple pole of
+    chi/(1 - lambda z), so u(z0) = -chi * z0 * v'(z0): the roots with
+    exponent c are exactly the roots of gcd(v, u + c z v') (Rothstein-Trager).
+    v is split by these exact gcds for c in _EXPONENT_CLASSES, each part and
+    the remainder are factored, and the factors are sorted by sympy's
+    factor_list key (degree, multiplicity, coefficients from the leading
+    one), so the result does not depend on which classes are tried.
+    """
+    zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
+    parts = []
+    rest = v
+    for c in _EXPONENT_CLASSES:
+        if rest.degree == 0:
+            break
+        g = gcd_int(rest, u + IntPolynomial.of(c * x for x in zdv.coeffs))
+        if g.degree > 0:
+            parts.append(g)
+            rest = exact_quotient(rest, g)
+    parts.append(rest)
+    factors = [f for part in parts if part.degree > 0
+               for f in factor_int(part)[1]]
+    return sorted(factors,
+                  key=lambda fm: (len(fm[0].coeffs), fm[1], fm[0].coeffs[::-1]))
+
+
 def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     """Exponents chi_alpha per irreducible factor of v for the sequence with
     sum_{n>=1} a_n z^n = series of u/v; exact linear algebra on power sums.
@@ -283,9 +390,8 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
         raise NotSquareFreeError(
             "recurrence denominator has a repeated factor; the sequence is "
             "not a plain integer exponential sum")
-    _, factors = factor_int(v)
     tilde = []
-    for w, mult in factors:
+    for w, mult in _factor_by_exponent_class(u, v):
         assert mult == 1
         if w.constant == -1:
             w = -w

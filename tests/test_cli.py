@@ -242,3 +242,27 @@ def test_stdout_stderr_separation():
     code, out, err = run_capture(["growth", "--builtin", "z_times_d:1"])
     assert out == ""
     assert err != ""
+
+
+def test_zeta_rank7_torus():
+    # the degree-126 recurrence denominator is factored one exponent class
+    # at a time, in two parts of degree 63
+    doc = run_json(["zeta", "--builtin", _selmer_torus(7)])
+    assert doc["window"] == 260
+    degrees = [len(t["poly"]) - 1 for t in doc["exponential_sum"]]
+    assert degrees == [7, 7, 21, 21, 35, 35]
+
+
+def test_realize_computes_the_sequence_once(monkeypatch):
+    from tdyn import reidemeister
+    calls = []
+    original = reidemeister.coincidence_sequence
+
+    def counting(system, n):
+        calls.append(n)
+        return original(system, n)
+
+    monkeypatch.setattr(reidemeister, "coincidence_sequence", counting)
+    doc = run_json(["realize", "--builtin", _selmer_torus(3)])
+    assert doc["trace_check_up_to"] == 17 and doc["trace_check_passed"] is True
+    assert calls == [40]

@@ -145,6 +145,16 @@ def test_json_roundtrip():
     assert again.sections[0].psi == sys_.sections[0].psi
 
 
+def test_json_triangularizable_key_is_ignored():
+    doc = {"name": "tri", "sections": [
+        {"rank": 2, "phi": [["1", "1"], ["0", "2"]],
+         "psi": [["3", "0"], ["1", "5"]], "triangularizable": False}]}
+    sys_ = system_from_json(doc)
+    assert system_from_json(system_to_json(sys_)) == sys_
+    del doc["sections"][0]["triangularizable"]
+    assert system_from_json(doc) == sys_
+
+
 def test_json_rational_entries_and_defaults():
     doc = {"sections": [{"rank": 1, "phi": [["-1/2"]], "primes": [2]}]}
     sys_ = system_from_json(doc)

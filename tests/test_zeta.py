@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from tdyn.errors import (
     InfiniteValueError,
@@ -11,7 +12,9 @@ from tdyn.errors import (
     NotSquareFreeError,
 )
 from tdyn.exact_linalg import IntPolynomial, companion_matrix, mat_pow
+from tdyn import zeta
 from tdyn.group_model import z_pair, z_times_d
+from tdyn.polyalg import factor_int
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
     RationalFunction,
@@ -23,6 +26,7 @@ from tdyn.zeta import (
     residue_exponents,
     zeta_from_sequence,
 )
+from tdyn.zeta import _berlekamp_massey_rational, _factor_by_exponent_class
 
 
 # ---------------------------------------------------------------- oracles
@@ -368,3 +372,103 @@ def test_berlekamp_massey_rational_sequences():
     seq = [Fraction(1, 2) ** n for n in range(10)]
     C = berlekamp_massey(seq)
     assert C == [Fraction(1), Fraction(-1, 2)]
+
+
+# ---------------------------------------------------------------- modular BM
+
+P61 = 2 ** 61 - 1
+
+# monic integer polynomials with nonzero constant term, ascending coefficients
+root_polys = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-4, 4), min_size=d - 1, max_size=d - 1),
+    st.integers(-4, 4).filter(bool),
+)).map(lambda t: IntPolynomial.of([t[1]] + t[0] + [1]))
+
+exponential_sums = st.lists(
+    st.tuples(root_polys, st.integers(-3, 3).filter(bool)),
+    min_size=1, max_size=4)
+
+
+def exponential_sum_values(terms, N):
+    sums = [(chi, power_sums(poly, N)) for poly, chi in terms]
+    return [sum(chi * ps[n] for chi, ps in sums) for n in range(N)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponential_sums, st.integers(-4, 6))
+def test_berlekamp_massey_matches_fraction_loop_on_exponential_sums(terms, extra):
+    order = sum(poly.degree for poly, _ in terms)
+    seq = exponential_sum_values(terms, max(1, 2 * order + extra))
+    assert berlekamp_massey(seq) == _berlekamp_massey_rational(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6) | st.integers(-2 ** 70, 2 ** 70), max_size=12))
+def test_berlekamp_massey_matches_fraction_loop_on_short_lists(seq):
+    assert berlekamp_massey(seq) == _berlekamp_massey_rational(seq)
+
+
+@pytest.mark.parametrize("seq, expected, falls_back", [
+    # every term a multiple of p: zero mod p, so the lift has length 0
+    ([P61 * 2 ** n for n in range(8)], [1, -2], True),
+    # connection coefficients above 2^60: their symmetric residues are wrong
+    ([(2 ** 60 + 3) ** n for n in range(6)], [1, -(2 ** 60 + 3)], True),
+    ([(2 ** 62) ** n + (-3) ** n for n in range(8)],
+     [1, 3 - 2 ** 62, -3 * 2 ** 62], True),
+    # windows with 2L > N
+    ([0, 0, 0, 1], [1, 0, 0, 0, -1], True),
+    ([1, 2, 4, 9, 20], [1, -2, 0, -1], True),
+    ([1, 3, 2, 7, 1], [1, Fraction(1, 7), Fraction(-139, 49), Fraction(60, 49)], True),
+    # a fractional fit of an integer window
+    ([4, 2, 1], [1, Fraction(-1, 2)], True),
+    # 2^n + 1 is proved by the modular pass alone
+    ([2, 3, 5, 9, 17, 33], [1, -3, 2], False),
+])
+def test_berlekamp_massey_fallback_cases(monkeypatch, seq, expected, falls_back):
+    oracle = _berlekamp_massey_rational(seq)
+    calls = []
+
+    def counting(s):
+        calls.append(len(s))
+        return _berlekamp_massey_rational(s)
+
+    monkeypatch.setattr(zeta, "_berlekamp_massey_rational", counting)
+    assert berlekamp_massey(seq) == oracle == [Fraction(c) for c in expected]
+    assert calls == ([len(seq)] if falls_back else [])
+
+
+# ---------------------------------------------------------------- class split
+
+def _numerator(values, v):
+    """u with sum_{n>=1} a_n z^n = u/v, built as zeta_from_sequence does."""
+    L = v.degree
+    return IntPolynomial.of([0] + [
+        sum(v.coeffs[i] * values[j - i] for i in range(j + 1)) for j in range(L)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponential_sums)
+def test_class_split_factorization_matches_factor_int(terms):
+    order = sum(poly.degree for poly, _ in terms)
+    values = exponential_sum_values(terms, 2 * order + 4)
+    v = minimal_recurrence(values)
+    if v is None or v.degree == 0:
+        return  # the exponents cancelled
+    u = _numerator(values, v)
+    assert _factor_by_exponent_class(u, v) == factor_int(v)[1]
+
+
+@pytest.mark.parametrize("terms", [
+    # exponent 3 is in no tried class: (1 - 2z) is the remainder
+    [(IntPolynomial.of([-2, 1]), 3), (IntPolynomial.of([3, 1]), -1)],
+    # classes -2 and 4 plus a quadratic factor of exponent 1
+    [(IntPolynomial.of([5, 1]), -2), (IntPolynomial.of([-7, 1]), 4),
+     (IntPolynomial.of([-1, -1, 1]), 1)],
+])
+def test_class_split_remainder(terms):
+    order = sum(poly.degree for poly, _ in terms)
+    values = exponential_sum_values(terms, 2 * order + 4)
+    v = minimal_recurrence(values)
+    u = _numerator(values, v)
+    assert _factor_by_exponent_class(u, v) == factor_int(v)[1]
+    assert dict(residue_exponents(u, v).terms) == dict(terms)

@@ -50,7 +50,6 @@ class RunConfig:
     builtin: Optional[str] = None
     input_path: Optional[str] = None
     n: int = 40
-    precision_bits: int = 128
     output_format: str = "table"
     prime: Optional[int] = None
     section: int = 1
@@ -62,8 +61,6 @@ class RunConfig:
             raise InputError(f"unknown command {self.command!r}")
         if self.n < 1:
             raise InputError("--n must be >= 1")
-        if self.precision_bits < 64:
-            raise InputError("--precision must be >= 64")
         if self.output_format not in ("table", "json"):
             raise InputError("--format must be table or json")
 
@@ -216,10 +213,7 @@ def _cmd_growth(config, system):
 
 
 def _cmd_entropy(config, system):
-    system = _checked(system)
-    gap = growth.verify_entropy_identity(system, N=config.n)
-    entropies = [growth.entropy_dual_torus(sec.phi)
-                 for sec in system.sections]
+    entropies, gap = growth.entropy_identity(_checked(system), N=config.n)
     return {"section_entropies": entropies, "entropy_sum": sum(entropies),
             "identity_gap": gap, "hypotheses_note":
             "expansiveness and specification of the dual maps are assumed"}
@@ -372,11 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON system descriptor")
         p.add_argument("--n", type=int, default=40,
                        help="sequence length / congruence range (default 40)")
-        p.add_argument("--precision", dest="precision_bits", type=int,
-                       default=128,
-                       help="checked to be >= 64 but changes no result: "
-                            "certified refinement always starts at 8 bits "
-                            "and doubles as needed")
         p.add_argument("--format", dest="output_format", default="table",
                        choices=("table", "json"))
         if name in ("zeta", "realize", "congruence", "classify"):
@@ -405,7 +394,6 @@ def main(argv=None) -> int:
             builtin=args.builtin,
             input_path=args.input_path,
             n=args.n,
-            precision_bits=args.precision_bits,
             output_format=args.output_format,
             prime=getattr(args, "prime", None),
             section=getattr(args, "section", 1),

@@ -570,43 +570,16 @@ class RatPolynomial:
         return IntPolynomial.of(int(c * L) for c in self.coeffs), L
 
 
-def rat_solve(A: RatMatrix, b: Sequence[Fraction]):
-    """One exact solution x of A x = b, or None if the system is inconsistent."""
-    m, n = A.rows, A.cols
-    aug = [list(A.entries[i * n:(i + 1) * n]) + [_as_fraction(b[i])] for i in range(m)]
+def _rref(rows: list, pivot_cols: int) -> list:
+    """Gauss-Jordan elimination of the Fraction rows in place, pivoting only
+    in the first ``pivot_cols`` columns; returns the pivot column of each
+    leading row.  Rows past the pivots are zero in those columns."""
+    m = len(rows)
     pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(pivot_cols):
+        r = len(pivots)
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row, c in enumerate(pivots):
-        x[c] = aug[row][n]
-    return x
-
-
-def rat_kernel_basis(A: RatMatrix) -> list:
-    """Basis of the right kernel {v : A v = 0} as tuples of Fractions."""
-    m, n = A.rows, A.cols
-    rows = A.row_lists()
-    pivots = []
-    r = 0
-    for c in range(n):
         pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -618,16 +591,35 @@ def rat_kernel_basis(A: RatMatrix) -> list:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    return pivots
+
+
+def rat_solve(A: RatMatrix, b: Sequence[Fraction]):
+    """One exact solution x of A x = b, or None if the system is inconsistent."""
+    n = A.cols
+    aug = [row + [_as_fraction(b[i])] for i, row in enumerate(A.row_lists())]
+    pivots = _rref(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
+    return x
+
+
+def rat_kernel_basis(A: RatMatrix) -> list:
+    """Basis of the right kernel {v : A v = 0} as tuples of Fractions."""
+    n = A.cols
+    rows = A.row_lists()
+    pivots = _rref(rows, n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for row, c in enumerate(pivots):
-            v[c] = -rows[row][fc]
+        for row, c in zip(rows, pivots):
+            v[c] = -row[fc]
         basis.append(tuple(v))
     return basis
 

@@ -20,8 +20,17 @@ from typing import Optional, Sequence
 
 import sympy
 
-from .errors import InputError
-from .exact_linalg import RatMatrix, det_rat, power_difference_determinants
+from .errors import InputError, UnsupportedPairingError
+from .exact_linalg import (
+    RatMatrix,
+    char_poly,
+    det_rat,
+    poly_at_matrix,
+    power_difference_determinants,
+    rat_kernel_basis,
+    restrict_to_invariant_subspace,
+)
+from .polyalg import factor_rat, is_squarefree
 
 __all__ = [
     "AbelianSection",
@@ -30,6 +39,7 @@ __all__ = [
     "section",
     "validate",
     "tameness_check",
+    "joint_blocks",
     "builtin_example",
     "z_times_d",
     "z_pair",
@@ -162,6 +172,36 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
                                        witness_section=k, checked_up_to=bound)
     return TamenessVerdict(tame=True, witness_n=None, witness_section=None,
                            checked_up_to=bound)
+
+
+def joint_blocks(sec: AbelianSection) -> list:
+    """Joint invariant blocks of a commuting pair, the eigenvalue pairing
+    shared by the archimedean place and every prime.
+
+    One (f, phi_f, psi_f, g) per monic irreducible factor f of char(phi),
+    in factor_rat's order: phi_f and psi_f are phi and psi restricted to
+    ker f(phi), so char(phi_f) = f, and g = char(psi_f).  Raises
+    UnsupportedPairingError unless phi and psi commute and both
+    characteristic polynomials are square-free, because the pairing is
+    certified only for simultaneously diagonalizable maps.
+    """
+    phi, psi = sec.phi, sec.psi
+    if phi.mul(psi) != psi.mul(phi):
+        raise UnsupportedPairingError(
+            "phi and psi do not commute; the eigenvalue pairing is not certified")
+    char_phi = char_poly(phi)
+    for cp in (char_phi, char_poly(psi)):
+        if not is_squarefree(cp.clear_denominators()[0]):
+            raise UnsupportedPairingError(
+                "characteristic polynomial is not square-free; simultaneous "
+                "diagonalizability cannot be certified")
+    blocks = []
+    for f, _ in factor_rat(char_phi):
+        basis = rat_kernel_basis(poly_at_matrix(f, phi))
+        psi_f = restrict_to_invariant_subspace(psi, basis)
+        blocks.append((f, restrict_to_invariant_subspace(phi, basis), psi_f,
+                       char_poly(psi_f)))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import sympy
-
 from .enclosures import (
     box_mul,
     decide_order,
@@ -32,24 +30,15 @@ from .errors import (
     RootOfUnityError,
     UnsupportedPairingError,
 )
-from .exact_linalg import (
-    BigIntMatrix,
-    IntPolynomial,
-    RatMatrix,
-    RatPolynomial,
-    char_poly,
-    poly_at_matrix,
-    rat_kernel_basis,
-    rat_solve,
-    restrict_to_invariant_subspace,
-)
-from .group_model import AbelianSection, NilpotentSystem, tameness_check
+from .exact_linalg import BigIntMatrix, RatMatrix, RatPolynomial, char_poly, rat_solve
+from .group_model import AbelianSection, NilpotentSystem, joint_blocks, tameness_check
 from .padic import padic_growth_factor
-from .polyalg import cyclotomic_factors, factor_int, to_sympy
+from .polyalg import cyclotomic_factors, factor_int, factor_rat
 from .reidemeister import coincidence_sequence
 
 __all__ = ["RationalLog", "AlgebraicLog", "PadicLog", "GrowthReport",
-           "growth_rate", "entropy_dual_torus", "verify_entropy_identity"]
+           "growth_rate", "entropy_dual_torus", "entropy_identity",
+           "verify_entropy_identity"]
 
 _VALUE_BITS = 192  # fixed working precision for reported algebraic intervals
 
@@ -124,22 +113,6 @@ def _product_of_terms(terms):
     return math.exp(sum(_term_log(t) for t in terms)), None
 
 
-def _monic_rat_factors(p: RatPolynomial):
-    """Monic irreducible factors over Q with multiplicity."""
-    poly = to_sympy(p)
-    _, factors = poly.factor_list()
-    out = []
-    for f, mult in factors:
-        f = f.monic()
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-        out.append((RatPolynomial.of(coeffs), mult))
-    return out
-
-
-def _cleared_int(w: RatPolynomial) -> IntPolynomial:
-    return w.clear_denominators()[0]
-
-
 def _root_modulus_product_interval(enclosures, indices, bits=_VALUE_BITS):
     """Certified (lo, hi) for the product of |root_i| over the given indices."""
     lo, hi = Fraction(1), Fraction(1)
@@ -158,7 +131,7 @@ def _scalar_pair_terms(base: RatPolynomial, s: Fraction, copies: int = 1):
     intervals otherwise."""
     terms = []
     s_abs = abs(Fraction(s))
-    for w, mult in _monic_rat_factors(base):
+    for w, mult in factor_rat(base):
         reps = mult * copies
         if w.degree == 1:
             r = -w.coeffs[0]
@@ -169,7 +142,7 @@ def _scalar_pair_terms(base: RatPolynomial, s: Fraction, copies: int = 1):
             if v != 1:
                 terms.append(RationalLog(v ** reps))
             continue
-        wi = _cleared_int(w)
+        wi = w.clear_denominators()[0]
         encl = poly_root_enclosures(wi)
         s_sq = s_abs * s_abs
         inside = []
@@ -202,28 +175,13 @@ def _scalar_pair_terms(base: RatPolynomial, s: Fraction, copies: int = 1):
 
 def _commuting_block_terms(sec: AbelianSection):
     """max(|xi_i|, |eta_i|) terms for commuting phi, psi with square-free
-    characteristic polynomials, paired block by block."""
-    phi, psi = sec.phi, sec.psi
-    if phi.mul(psi) != psi.mul(phi):
-        raise UnsupportedPairingError(
-            "phi and psi do not commute; the eigenvalue pairing is not certified")
-    for m in (phi, psi):
-        cp = to_sympy(char_poly(m))
-        if sympy.degree(sympy.gcd(cp, cp.diff())) > 0:
-            raise UnsupportedPairingError(
-                "characteristic polynomial is not square-free; simultaneous "
-                "diagonalizability cannot be certified")
+    characteristic polynomials, paired block by block (joint_blocks)."""
     terms = []
-    for f_alpha, mult in _monic_rat_factors(char_poly(phi)):
-        assert mult == 1
-        basis = rat_kernel_basis(poly_at_matrix(f_alpha, phi))
-        phi_block = restrict_to_invariant_subspace(phi, basis)
-        psi_block = restrict_to_invariant_subspace(psi, basis)
-        g_alpha = char_poly(psi_block)
+    for f_alpha, phi_block, psi_block, g_alpha in joint_blocks(sec):
         if f_alpha.degree == 1:
             terms += _scalar_pair_terms(g_alpha, -f_alpha.coeffs[0])
             continue
-        if len(_monic_rat_factors(g_alpha)) > 1:
+        if len(factor_rat(g_alpha)) > 1:
             raise UnsupportedPairingError(
                 "block characteristic polynomial of psi is reducible; the "
                 "pairing is ambiguous")
@@ -243,7 +201,7 @@ def _commuting_block_terms(sec: AbelianSection):
         h = rat_solve(system, list(psi_block.entries))
         assert h is not None, "commuting map must be polynomial in a cyclic map"
 
-        fi = _cleared_int(f_alpha)
+        fi = f_alpha.clear_denominators()[0]
         encl = poly_root_enclosures(fi)
 
         def eta_box(e, bits):
@@ -386,14 +344,22 @@ def entropy_dual_torus(A) -> float:
     return total
 
 
-def verify_entropy_identity(system: NilpotentSystem, N: int = 40) -> float:
-    """Gap between log growth_rate(system) and the sum of the dual-torus
-    entropies of the section matrices (psi = identity, finitely generated)."""
+def entropy_identity(system: NilpotentSystem, N: int = 40) -> tuple:
+    """(section entropies, gap) for the identity log growth_rate(system) =
+    sum of the dual-torus entropies of the section matrices (psi = identity,
+    finitely generated); the gap is relative to max(1, |entropy sum|)."""
     if not system.psi_is_identity:
         raise InputError("the entropy identity needs psi = identity")
     if not system.is_finitely_generated:
         raise InputError("the entropy identity needs finitely generated sections")
     report = growth_rate(system, N=N)
     log_growth = math.log(report.numeric)
-    entropy_sum = sum(entropy_dual_torus(sec.phi) for sec in system.sections)
-    return abs(log_growth - entropy_sum) / max(1.0, abs(entropy_sum))
+    entropies = [entropy_dual_torus(sec.phi) for sec in system.sections]
+    entropy_sum = sum(entropies)
+    return entropies, abs(log_growth - entropy_sum) / max(1.0, abs(entropy_sum))
+
+
+def verify_entropy_identity(system: NilpotentSystem, N: int = 40) -> float:
+    """Gap between log growth_rate(system) and the sum of the dual-torus
+    entropies of the section matrices (see entropy_identity)."""
+    return entropy_identity(system, N)[1]

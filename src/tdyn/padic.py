@@ -16,16 +16,8 @@ from typing import Union
 import sympy
 
 from .errors import InputError, UnsupportedPairingError
-from .exact_linalg import (
-    IntPolynomial,
-    RatMatrix,
-    RatPolynomial,
-    char_poly,
-    poly_at_matrix,
-    rat_kernel_basis,
-    restrict_to_invariant_subspace,
-)
-from .group_model import AbelianSection
+from .exact_linalg import IntPolynomial, RatPolynomial, char_poly
+from .group_model import AbelianSection, joint_blocks
 
 __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations",
            "PadicGrowthFactor", "padic_growth_factor"]
@@ -148,22 +140,6 @@ def _single_slope(vals) -> bool:
     return len(set(vals)) == 1
 
 
-def _factor_char(m: RatMatrix):
-    """Irreducible factors (as sympy Polys) of the char poly, with multiplicity."""
-    x = sympy.Symbol("x")
-    cp = char_poly(m)
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(cp.coeffs))
-    poly = sympy.Poly(expr, x)
-    _, factors = poly.factor_list()
-    return poly, factors
-
-
-def _poly_coeffs_ascending(p) -> tuple:
-    cs = [Fraction(c.p, c.q) for c in p.all_coeffs()[::-1]]
-    return tuple(cs)
-
-
 def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
     """p-adic factor of the growth rate for one section.
 
@@ -188,27 +164,9 @@ def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
         w = inf if s == 0 else Fraction(ord_p(s, p))
         return PadicGrowthFactor(p, _pair_exponent(vals, [w] * len(vals)))
 
-    if phi.mul(psi) != psi.mul(phi):
-        raise UnsupportedPairingError(
-            "phi and psi do not commute; eigenvalue pairing at p cannot be certified")
-    cp_phi, factors_phi = _factor_char(phi)
-    cp_psi, _ = _factor_char(psi)
-    for cp in (cp_phi, cp_psi):
-        if sympy.degree(sympy.gcd(cp, cp.diff())) > 0:
-            raise UnsupportedPairingError(
-                "characteristic polynomial is not square-free; simultaneous "
-                "diagonalizability cannot be certified")
-
     exponent = Fraction(0)
-    for f_alpha, mult in factors_phi:
-        assert mult == 1
-        # kernel of f_alpha(phi) is the joint block; psi restricts to it
-        fa = RatPolynomial.of(_poly_coeffs_ascending(f_alpha))
-        basis = rat_kernel_basis(poly_at_matrix(fa, phi))
-        assert len(basis) == sympy.degree(f_alpha)
-        psi_block = restrict_to_invariant_subspace(psi, basis)
-        g_alpha = char_poly(psi_block)
-        v_phi = root_valuations(fa, p)
+    for f_alpha, _, _, g_alpha in joint_blocks(sec):
+        v_phi = root_valuations(f_alpha, p)
         v_psi = root_valuations(g_alpha, p)
         if _single_slope(v_phi):
             exponent += _pair_exponent(v_psi, [v_phi[0]] * len(v_psi))

@@ -2,11 +2,12 @@
 
 Thin bridge to sympy's exact routines so the rest of the package works with
 tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
-numeric.
+numeric.  All factoring in tdyn goes through ``factor_int``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 import sympy
@@ -17,15 +18,10 @@ from .exact_linalg import IntPolynomial, RatPolynomial
 _X = sympy.Symbol("x")
 
 
-def to_sympy(p) -> sympy.Poly:
-    if isinstance(p, IntPolynomial):
-        coeffs = list(reversed(p.coeffs))
-        return sympy.Poly(coeffs, _X, domain=sympy.ZZ)
-    if isinstance(p, RatPolynomial):
-        coeffs = [sympy.Rational(c.numerator, c.denominator)
-                  for c in reversed(p.coeffs)]
-        return sympy.Poly(coeffs, _X, domain=sympy.QQ)
-    raise InputError(f"cannot convert {type(p).__name__} to a sympy polynomial")
+def to_sympy(p: IntPolynomial) -> sympy.Poly:
+    if not isinstance(p, IntPolynomial):
+        raise InputError(f"cannot convert {type(p).__name__} to a sympy polynomial")
+    return sympy.Poly(list(reversed(p.coeffs)), _X, domain=sympy.ZZ)
 
 
 def from_sympy_int(poly: sympy.Poly) -> IntPolynomial:
@@ -49,6 +45,14 @@ def factor_int(p: IntPolynomial):
     unit, factors = to_sympy(p).factor_list()
     out = [(from_sympy_int(f), m) for f, m in factors]
     return int(unit), out
+
+
+def factor_rat(p: RatPolynomial):
+    """Monic irreducible factors over Q with multiplicity, in factor_int's
+    order (factor_int of p with its denominators cleared)."""
+    _, factors = factor_int(p.clear_denominators()[0])
+    return [(RatPolynomial.of(Fraction(c, f.leading) for c in f.coeffs), m)
+            for f, m in factors]
 
 
 def exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

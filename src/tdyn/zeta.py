@@ -352,9 +352,9 @@ def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial) -> list:
     chi/(1 - lambda z), so u(z0) = -chi * z0 * v'(z0): the roots with
     exponent c are exactly the roots of gcd(v, u + c z v') (Rothstein-Trager).
     v is split by these exact gcds for c in _EXPONENT_CLASSES, each part and
-    the remainder are factored, and the factors are sorted by sympy's
-    factor_list key (degree, multiplicity, coefficients from the leading
-    one), so the result does not depend on which classes are tried.
+    the remainder are factored, and the factors are sorted by factor_int's
+    key (degree, multiplicity, coefficients from the leading one), so the
+    result does not depend on which classes are tried.
     """
     zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
     parts = []

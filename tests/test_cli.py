@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tdyn import growth
 from tdyn.cli import RunConfig, main
 
 
@@ -60,6 +61,34 @@ def test_growth_json():
 def test_entropy_json():
     doc = run_json(["entropy", "--builtin", "torus_matrix:2,1,1,1", "--n", "12"])
     assert doc["identity_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("key, sections", [("torus_matrix:2,1,1,1", 1),
+                                           ("heisenberg:2,0,0,3", 2)])
+def test_entropy_computes_each_section_entropy_once(monkeypatch, key, sections):
+    calls = []
+    original = growth.entropy_dual_torus
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+    monkeypatch.setattr(growth, "entropy_dual_torus", counted)
+    doc = run_json(["entropy", "--builtin", key, "--n", "12"])
+    assert len(calls) == sections
+    assert doc["entropy_sum"] == pytest.approx(sum(doc["section_entropies"]))
+    assert doc["identity_gap"] <= 1e-9
+
+
+def test_jordan_commuting_pair_is_tame_but_has_no_certified_pairing(tmp_path):
+    # phi and psi commute, but (x - 2)^2 and (x - 3)^2 are not square-free
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps({"name": "jordan", "sections": [
+        {"rank": 2, "phi": [["2", "1"], ["0", "2"]],
+         "psi": [["3", "1"], ["0", "3"]], "primes": [2]}]}))
+    doc = run_json(["tame", "--input", str(path)])
+    assert doc["tame"] is True
+    assert run_capture(["growth", "--input", str(path)])[0] == 3
+    assert run_capture(["padic", "--input", str(path), "--prime", "2"])[0] == 3
 
 
 def test_classify_json():
@@ -233,9 +262,10 @@ def test_run_config_validation():
     with pytest.raises(Exception):
         RunConfig(command="rseq", n=0)
     with pytest.raises(Exception):
-        RunConfig(command="rseq", precision_bits=32)
-    with pytest.raises(Exception):
         RunConfig(command="bogus")
+    # --precision is gone: certified refinement walks its own precision ladder
+    assert run_capture(["rseq", "--builtin", "z_times_d:2",
+                        "--precision", "128"])[0] == 1
 
 
 def test_stdout_stderr_separation():

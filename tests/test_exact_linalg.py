@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from tdyn.errors import InputError
 from tdyn.exact_linalg import (
@@ -14,6 +16,8 @@ from tdyn.exact_linalg import (
     det_exact,
     det_rat,
     mat_pow,
+    rat_kernel_basis,
+    rat_solve,
     smith_normal_form,
 )
 
@@ -263,3 +267,57 @@ def test_rat_polynomial_to_int():
     assert p.to_int().coeffs == (1, 2)
     with pytest.raises(InputError):
         RatPolynomial.of([Fraction(1, 2)]).to_int()
+
+
+# ------------------------------------------------------- RREF vs sympy
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def _apply(rows, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, b) with rows = L R of rank at most k, so that rectangular,
+    rank-deficient, all-zero and tall matrices all occur; b is A x for a
+    random x or an arbitrary vector."""
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(m, n)))
+    left = [[draw(frac) for _ in range(k)] for _ in range(m)]
+    right = [[draw(frac) for _ in range(n)] for _ in range(k)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+    if draw(st.booleans()):
+        b = _apply(rows, [draw(frac) for _ in range(n)])
+    else:
+        b = [draw(frac) for _ in range(m)]
+    return rows, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_rat_kernel_basis_matches_sympy_nullspace(system):
+    rows, _ = system
+    basis = rat_kernel_basis(RatMatrix.from_rows(rows))
+    assert len(basis) == len(_sympy_matrix(rows).nullspace())
+    for v in basis:
+        assert _apply(rows, v) == [0] * len(rows)
+    if basis:
+        assert _sympy_matrix(basis).rank() == len(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_rat_solve_solves_exactly_the_consistent_systems(system):
+    rows, b = system
+    x = rat_solve(RatMatrix.from_rows(rows), b)
+    A = _sympy_matrix(rows)
+    consistent = A.rank() == A.row_join(_sympy_matrix([[c] for c in b])).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert _apply(rows, x) == b

@@ -2,12 +2,22 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from tdyn.errors import InputError
-from tdyn.exact_linalg import BigIntMatrix, mat_pow
+from tdyn.errors import InputError, UnsupportedPairingError
+from tdyn.exact_linalg import (
+    BigIntMatrix,
+    RatMatrix,
+    RatPolynomial,
+    char_poly,
+    mat_pow,
+    poly_at_matrix,
+)
 from tdyn.group_model import (
     builtin_example,
     heisenberg,
+    joint_blocks,
     s_integer,
     section,
     system_from_json,
@@ -19,6 +29,8 @@ from tdyn.group_model import (
     z_times_d,
     NilpotentSystem,
 )
+from tdyn.growth import growth_rate
+from tdyn.padic import padic_growth_factor
 
 
 def test_validate_ok():
@@ -175,3 +187,67 @@ def test_torus_matrix_builder():
     sys_ = torus_matrix([[2, 1], [1, 1]])
     assert sys_.sections[0].rank == 2
     assert tameness_check(sys_).tame
+
+
+# ------------------------------------------------------------- joint blocks
+
+def _poly_product(polys) -> RatPolynomial:
+    acc = [Fraction(1)]
+    for p in polys:
+        out = [Fraction(0)] * (len(acc) + len(p.coeffs) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(p.coeffs):
+                out[i + j] += a * b
+        acc = out
+    return RatPolynomial.of(acc)
+
+
+def _squarefree(p: RatPolynomial) -> bool:
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], x)
+    return sympy.degree(sympy.gcd(poly, poly.diff())) == 0
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """A small integer matrix phi and psi = h(phi) for a small rational
+    polynomial h, so that phi and psi commute."""
+    d = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    phi = RatMatrix.from_rows([[draw(small) for _ in range(d)] for _ in range(d)])
+    h = RatPolynomial.of(draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=2),
+        min_size=1, max_size=3)))
+    return phi, poly_at_matrix(h, phi)
+
+
+@settings(max_examples=120, deadline=None)
+@given(polynomial_pairs())
+def test_joint_blocks_factor_both_characteristic_polynomials(pair):
+    phi, psi = pair
+    assume(_squarefree(char_poly(phi)))
+    sec = section(phi.rows, phi, psi)
+    if not _squarefree(char_poly(psi)):
+        with pytest.raises(UnsupportedPairingError):
+            joint_blocks(sec)
+        return
+    blocks = joint_blocks(sec)
+    assert _poly_product(f for f, _, _, _ in blocks) == char_poly(phi)
+    assert _poly_product(g for _, _, _, g in blocks) == char_poly(psi)
+    for f, phi_f, psi_f, g in blocks:
+        assert f.is_monic
+        assert char_poly(phi_f) == f
+        assert char_poly(psi_f) == g
+
+
+def test_joint_blocks_jordan_pair_is_rejected():
+    # phi and psi commute, but (x - 2)^2 and (x - 3)^2 are not square-free,
+    # so no pairing is certified at any place
+    sec = section(2, [[2, 1], [0, 2]], [[3, 1], [0, 3]], primes=[2])
+    system = NilpotentSystem(name="jordan", sections=(sec,))
+    assert tameness_check(system).tame
+    for compute in (lambda: joint_blocks(sec), lambda: growth_rate(system),
+                    lambda: padic_growth_factor(sec, 2)):
+        with pytest.raises(UnsupportedPairingError, match="square-free"):
+            compute()

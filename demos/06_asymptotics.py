@@ -4,8 +4,9 @@ lambda is the dominant root modulus of the exponential sum.  When every
 dominant angle is a rational multiple of a full turn the normalized sequence
 is asymptotically periodic; one certified irrational angle makes the limit
 set contain an interval (Kronecker density).  Both directions are decided by
-exact polynomial arithmetic: |root|^2 via composed-product resultants, the
-angle via cyclotomic identification of the root/conjugate ratio.
+exact polynomial arithmetic: |root|^2 via the product polynomial (roots
+r_i r_j, built from power sums), the angle via cyclotomic identification of
+the root/conjugate ratio.
 """
 
 from tdyn import (

@@ -5,10 +5,11 @@ located *exactly*: |root|^2 values are roots of the composed-product
 polynomial (roots r_i * r_j), the largest positive real one equals lambda^2,
 and its multiplicity counts the dominant roots.  Periodicity of the dominant
 angles is likewise decided exactly: the ratio of a dominant root with its
-conjugate is identified among the roots of the resultant-based ratio
-polynomial, and the identified irreducible factor is a cyclotomic polynomial
-exactly when the angle is rational.  Indeterminate is the honest fallback
-when enclosures cannot separate quantities at the precision ceiling.
+conjugate is identified among the roots of the ratio polynomial (roots
+r_i / r_j), and the identified irreducible factor is a cyclotomic polynomial
+exactly when the angle is rational.  Both polynomials are built from power
+sums (polyalg).  Indeterminate is the honest fallback when enclosures cannot
+separate quantities at the precision ceiling.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .zeta import ExponentialSum
 __all__ = ["DominantTerm", "DominantSpectrum", "Classification",
            "dominant_spectrum", "classify_limit_points", "limit_points_sample"]
 
-DEFAULT_Q_CAP = 10 ** 6
+_Q_CAP = 10 ** 6  # largest period reported; a larger lcm is indeterminate
 _BOUNDS_BITS = 256  # fixed precision of the reported lambda_bounds
 
 
@@ -190,14 +191,13 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
                          "ratio polynomial roots")
 
 
-def classify_limit_points(ds: DominantSpectrum,
-                          q_cap: int = DEFAULT_Q_CAP) -> Classification:
+def classify_limit_points(ds: DominantSpectrum) -> Classification:
     """Trichotomy for the limit set of R_n / lambda^n.
 
     Periodic{q} when every dominant angle is an exact rational multiple of a
     turn (decided by cyclotomic identification); IntervalContaining when some
     dominant angle is certified irrational; Indeterminate when enclosures hit
-    the precision ceiling or the period exceeds q_cap.
+    the precision ceiling or the period exceeds _Q_CAP.
     """
     if ds.count == 0:
         return Classification(kind="periodic", period=1,
@@ -233,9 +233,9 @@ def classify_limit_points(ds: DominantSpectrum,
         return Classification(kind="indeterminate", period=None,
                               detail=f"precision ceiling reached: {exc}")
     q = lcm(*periods)
-    if q > q_cap:
+    if q > _Q_CAP:
         return Classification(kind="indeterminate", period=None,
-                              detail=f"period {q} exceeds the cap {q_cap}")
+                              detail=f"period {q} exceeds the cap {_Q_CAP}")
     return Classification(kind="periodic", period=q,
                           detail=f"all dominant angles rational; period {q}")
 

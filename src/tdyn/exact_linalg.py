@@ -3,9 +3,11 @@
 Everything here is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Determinants use
 fraction-free Bareiss elimination, the iterated determinants det(phi^n - psi^n)
-run on scaled integer matrices, characteristic polynomials use
-Faddeev-LeVerrier over exact rationals, and the Smith normal form keeps full
-unimodular transforms so callers can recheck U*A*V = D.
+run on scaled integer matrices, and the Smith normal form keeps full
+unimodular transforms so callers can recheck U*A*V = D.  Newton's identities
+live here once in each direction (coefficients to power sums and back); the
+characteristic polynomial is rebuilt from the traces of matrix powers with
+them.
 """
 
 from __future__ import annotations
@@ -115,9 +117,6 @@ class BigIntMatrix:
         if not self.is_square:
             raise InputError("trace of a non-square matrix")
         return sum(self.get(i, i) for i in range(self.rows))
-
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(e) for e in self.entries))
 
 
 @dataclass(frozen=True)
@@ -441,10 +440,6 @@ class IntPolynomial:
     def of(cls, coeffs: Iterable[IntLike]) -> "IntPolynomial":
         return cls(_strip(int(c) for c in coeffs))
 
-    @classmethod
-    def x_minus(cls, a: int) -> "IntPolynomial":
-        return cls((-a, 1))
-
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
@@ -642,28 +637,51 @@ def restrict_to_invariant_subspace(M: RatMatrix, basis: Sequence) -> RatMatrix:
     return RatMatrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
 
 
+def power_sums(poly, N: int) -> list:
+    """Sums of n-th powers of the roots of a monic polynomial, n = 1..N, by
+    Newton's identities: ints for an IntPolynomial, Fractions for a
+    RatPolynomial."""
+    if not poly.is_monic or poly.degree < 1:
+        raise InputError("power sums need a monic polynomial of degree >= 1")
+    d = poly.degree
+    a = poly.coeffs  # ascending, a[d] = 1
+    ps: list = []
+    for k in range(1, N + 1):
+        if k <= d:
+            acc = -k * a[d - k]
+            for i in range(1, k):
+                acc -= a[d - i] * ps[k - i - 1]
+        else:
+            acc = 0
+            for i in range(1, d + 1):
+                acc -= a[d - i] * ps[k - i - 1]
+        ps.append(acc)
+    return ps
+
+
+def from_power_sums(sums: Sequence) -> RatPolynomial:
+    """The monic polynomial of degree len(sums) whose roots have the power
+    sums sums[0], sums[1], ... (Newton's identities, exact over Q)."""
+    e = [Fraction(1)]  # descending: x^D + e[1] x^(D-1) + ... + e[D]
+    for k in range(1, len(sums) + 1):
+        e.append(-sum(e[i] * sums[k - 1 - i] for i in range(k)) / k)
+    return RatPolynomial(tuple(reversed(e)))
+
+
 def char_poly(A: Matrix) -> RatPolynomial:
-    """det(X*I - A), monic, exact, via Faddeev-LeVerrier over the rationals."""
-    if isinstance(A, BigIntMatrix):
-        R = A.to_rational()
-    else:
-        R = A
-    if not R.is_square:
+    """det(X*I - A), monic, exact: with A = B/L for an integer matrix B, the
+    power sums of the eigenvalues are tr(B^k)/L^k."""
+    if not A.is_square:
         raise InputError("characteristic polynomial of a non-square matrix")
-    d = R.rows
-    ident = RatMatrix.identity(d)
-    # M_1 = A, c_1 = -tr M_1; M_k = A(M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k
-    cs = []
-    M = R
-    for k in range(1, d + 1):
+    B, L = (A, 1) if isinstance(A, BigIntMatrix) else A.scaled_integer()
+    sums = []
+    Bk = B
+    for k in range(1, A.rows + 1):
         if k > 1:
-            M = R.mul(M.add(ident.scale(cs[-1])))
-        c = -M.trace() / k
-        cs.append(c)
-    ascending = list(reversed(cs)) + [Fraction(1)]
-    poly = RatPolynomial.of(ascending)
-    if isinstance(A, BigIntMatrix) or R.is_integral:
-        assert poly.is_integral, "integer matrix produced non-integer char poly"
+            Bk = Bk.mul(B)
+        sums.append(Fraction(Bk.trace(), L ** k))
+    poly = from_power_sums(sums)
+    assert L != 1 or poly.is_integral, "integer matrix produced non-integer char poly"
     return poly
 
 

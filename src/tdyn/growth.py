@@ -32,7 +32,7 @@ from .errors import (
 )
 from .exact_linalg import BigIntMatrix, RatMatrix, RatPolynomial, char_poly, rat_solve
 from .group_model import AbelianSection, NilpotentSystem, joint_blocks, tameness_check
-from .padic import padic_growth_factor
+from .padic import joint_block_exponent, padic_growth_factor
 from .polyalg import cyclotomic_factors, factor_int, factor_rat
 from .reidemeister import coincidence_sequence
 
@@ -173,11 +173,11 @@ def _scalar_pair_terms(base: RatPolynomial, s: Fraction, copies: int = 1):
     return terms
 
 
-def _commuting_block_terms(sec: AbelianSection):
+def _commuting_block_terms(blocks):
     """max(|xi_i|, |eta_i|) terms for commuting phi, psi with square-free
     characteristic polynomials, paired block by block (joint_blocks)."""
     terms = []
-    for f_alpha, phi_block, psi_block, g_alpha in joint_blocks(sec):
+    for f_alpha, phi_block, psi_block, g_alpha in blocks:
         if f_alpha.degree == 1:
             terms += _scalar_pair_terms(g_alpha, -f_alpha.coeffs[0])
             continue
@@ -245,13 +245,24 @@ def _commuting_block_terms(sec: AbelianSection):
     return terms
 
 
-def _archimedean_section_terms(sec: AbelianSection):
+def _section_terms(sec: AbelianSection):
+    """Archimedean and p-adic terms of one section; the joint blocks of a
+    commuting non-scalar pair are derived once for all places."""
     phi, psi = sec.phi, sec.psi
+    blocks = None
     if psi.is_scalar():
-        return _scalar_pair_terms(char_poly(phi), psi.get(0, 0))
-    if phi.is_scalar():
-        return _scalar_pair_terms(char_poly(psi), phi.get(0, 0))
-    return _commuting_block_terms(sec)
+        terms = _scalar_pair_terms(char_poly(phi), psi.get(0, 0))
+    elif phi.is_scalar():
+        terms = _scalar_pair_terms(char_poly(psi), phi.get(0, 0))
+    else:
+        blocks = joint_blocks(sec)
+        terms = _commuting_block_terms(blocks)
+    for p in sorted(sec.prime_support):
+        exponent = (padic_growth_factor(sec, p).exponent if blocks is None
+                    else joint_block_exponent(blocks, p))
+        if exponent != 0:
+            terms.append(PadicLog(prime=p, exponent=exponent))
+    return terms
 
 
 def growth_rate(system: NilpotentSystem, N: int = 40) -> GrowthReport:
@@ -269,11 +280,7 @@ def growth_rate(system: NilpotentSystem, N: int = 40) -> GrowthReport:
             "rate formula does not apply")
     terms: list = []
     for sec in system.sections:
-        terms.extend(_archimedean_section_terms(sec))
-        for p in sorted(sec.prime_support):
-            pf = padic_growth_factor(sec, p)
-            if pf.exponent != 0:
-                terms.append(PadicLog(prime=p, exponent=pf.exponent))
+        terms.extend(_section_terms(sec))
     arch_terms = [t for t in terms if not isinstance(t, PadicLog)]
     padic_terms = [t for t in terms if isinstance(t, PadicLog)]
     arch_numeric, arch_exact = _product_of_terms(arch_terms)

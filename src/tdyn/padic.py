@@ -20,7 +20,7 @@ from .exact_linalg import IntPolynomial, RatPolynomial, char_poly
 from .group_model import AbelianSection, joint_blocks
 
 __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations",
-           "PadicGrowthFactor", "padic_growth_factor"]
+           "PadicGrowthFactor", "padic_growth_factor", "joint_block_exponent"]
 
 
 def _check_prime(p: int):
@@ -51,10 +51,6 @@ class NewtonPolygon:
 
     prime: int
     segments: tuple  # of (slope: Fraction, length: int)
-
-    @property
-    def total_length(self) -> int:
-        return sum(length for _, length in self.segments)
 
 
 def _coeff_fractions(f) -> tuple:
@@ -163,9 +159,15 @@ def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
             s = phi.get(0, 0)
         w = inf if s == 0 else Fraction(ord_p(s, p))
         return PadicGrowthFactor(p, _pair_exponent(vals, [w] * len(vals)))
+    return PadicGrowthFactor(p, joint_block_exponent(joint_blocks(sec), p))
 
+
+def joint_block_exponent(blocks, p: int) -> Fraction:
+    """log_p of the p-adic growth factor of a commuting non-scalar pair, from
+    its joint blocks (group_model.joint_blocks), so that callers needing
+    several primes derive the blocks once."""
     exponent = Fraction(0)
-    for f_alpha, _, _, g_alpha in joint_blocks(sec):
+    for f_alpha, _, _, g_alpha in blocks:
         v_phi = root_valuations(f_alpha, p)
         v_psi = root_valuations(g_alpha, p)
         if _single_slope(v_phi):
@@ -176,4 +178,4 @@ def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
             raise UnsupportedPairingError(
                 f"mixed Newton polygon slopes at p={p} in both factors of a "
                 "joint block; valuation pairing is ambiguous")
-    return PadicGrowthFactor(p, exponent)
+    return exponent

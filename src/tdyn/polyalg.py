@@ -1,8 +1,12 @@
-"""Exact polynomial algebra helpers (factorization, cyclotomics, resultants).
+"""Exact polynomial algebra helpers (factorization, cyclotomics, composed
+products).
 
 Thin bridge to sympy's exact routines so the rest of the package works with
 tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
-numeric.  All factoring in tdyn goes through ``factor_int``.
+numeric.  All factoring in tdyn goes through ``factor_int``.  The product and
+ratio polynomials are built from power sums with Newton's identities
+(Bostan, Flajolet, Salvy, Schost, "Fast computation of special resultants",
+JSC 41, 2006).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Optional
 import sympy
 
 from .errors import InputError
-from .exact_linalg import IntPolynomial, RatPolynomial
+from .exact_linalg import IntPolynomial, RatPolynomial, from_power_sums, power_sums
 
 _X = sympy.Symbol("x")
 
@@ -51,8 +55,11 @@ def factor_rat(p: RatPolynomial):
     """Monic irreducible factors over Q with multiplicity, in factor_int's
     order (factor_int of p with its denominators cleared)."""
     _, factors = factor_int(p.clear_denominators()[0])
-    return [(RatPolynomial.of(Fraction(c, f.leading) for c in f.coeffs), m)
-            for f, m in factors]
+    return [(_monic(f), m) for f, m in factors]
+
+
+def _monic(p: IntPolynomial) -> RatPolynomial:
+    return RatPolynomial.of(Fraction(c, p.leading) for c in p.coeffs)
 
 
 def exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -97,40 +104,25 @@ def cyclotomic_factors(p: IntPolynomial):
     return sorted(out)
 
 
-def _resultant_in_y(f_y, g_xy):
-    return sympy.resultant(f_y, g_xy, sympy.Symbol("y"))
-
-
 def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
-    """Primitive polynomial whose roots are the cross ratios r_i/r_j (i != j)
-    of the roots of the squarefree polynomial v; diagonal ratios r_i/r_i = 1
-    are divided out exactly."""
+    """Primitive polynomial, positive leading coefficient, whose roots are the
+    cross ratios r_i/r_j (i != j) of the roots of v.  Its power sums are
+    p_k(v) * p_-k(v) - deg v; the p_-k are the power sums of the reversed v."""
     if v.degree < 1:
         raise InputError("ratio polynomial needs degree >= 1")
     if v.constant == 0:
         raise InputError("ratio polynomial needs a nonzero constant term")
-    y = sympy.Symbol("y")
-    vy = sum(c * y ** i for i, c in enumerate(v.coeffs))
-    vxy = sum(c * (_X * y) ** i for i, c in enumerate(v.coeffs))
-    res = sympy.Poly(_resultant_in_y(vy, sympy.expand(vxy)), _X)
-    diag = sympy.Poly((_X - 1) ** v.degree, _X)
-    quo, rem = sympy.div(res, diag, domain=sympy.QQ)
-    if not rem.is_zero:
-        raise InputError("unexpected: diagonal ratios do not divide cleanly")
-    quo = quo.primitive()[1]
-    return from_sympy_int(sympy.Poly(quo, _X, domain=sympy.ZZ))
+    d = v.degree
+    n = d * (d - 1)
+    sums = zip(power_sums(_monic(v), n), power_sums(_monic(v.reverse()), n))
+    return from_power_sums([p * q - d for p, q in sums]).clear_denominators()[0]
 
 
 def product_polynomial(v: IntPolynomial) -> IntPolynomial:
-    """Primitive polynomial whose roots are all products r_i * r_j of roots of
-    v (ordered pairs, so |r|^2 appears once per complex-conjugate incidence)."""
+    """Primitive polynomial, positive leading coefficient, whose roots are
+    all products r_i * r_j of roots of v (ordered pairs, so |r|^2 appears once
+    per complex-conjugate incidence).  Its power sums are p_k(v)^2."""
     if v.degree < 1:
         raise InputError("product polynomial needs degree >= 1")
-    y = sympy.Symbol("y")
-    vy = sum(c * y ** i for i, c in enumerate(v.coeffs))
-    d = v.degree
-    # y^d * v(x/y) has roots (in y) x / r_j
-    vxy = sum(c * _X ** i * y ** (d - i) for i, c in enumerate(v.coeffs))
-    res = sympy.Poly(_resultant_in_y(vy, sympy.expand(vxy)), _X)
-    res = res.primitive()[1]
-    return from_sympy_int(sympy.Poly(res, _X, domain=sympy.ZZ))
+    sums = power_sums(_monic(v), v.degree ** 2)
+    return from_power_sums([p * p for p in sums]).clear_denominators()[0]

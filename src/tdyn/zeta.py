@@ -41,6 +41,7 @@ from .exact_linalg import (
     RatMatrix,
     companion_matrix,
     mat_pow,
+    power_sums,
     rat_solve,
 )
 from .polyalg import exact_quotient, factor_int, gcd_int, is_squarefree
@@ -114,12 +115,6 @@ class ExponentialSum:
                 raise InputError("duplicate root polynomial")
             seen.add(poly)
 
-    def value_at(self, n: int) -> int:
-        total = 0
-        for poly, chi in self.terms:
-            total += chi * power_sums(poly, n)[-1]
-        return total
-
     def values(self, N: int) -> list:
         sums = [(chi, power_sums(poly, N)) for poly, chi in self.terms]
         return [sum(chi * ps[n - 1] for chi, ps in sums) for n in range(1, N + 1)]
@@ -153,27 +148,6 @@ class BouquetRealization:
             po = po.mul(self.a_odd)
             out.append(pe.trace() - po.trace())
         return out
-
-
-def power_sums(poly: IntPolynomial, N: int) -> list:
-    """Sums of n-th powers of the roots of a monic polynomial, n = 1..N,
-    by Newton's identities (exact integers)."""
-    if not poly.is_monic or poly.degree < 1:
-        raise InputError("power sums need a monic polynomial of degree >= 1")
-    d = poly.degree
-    a = poly.coeffs  # ascending, a[d] = 1
-    ps: list = []
-    for k in range(1, N + 1):
-        if k <= d:
-            acc = -k * a[d - k]
-            for i in range(1, k):
-                acc -= a[d - i] * ps[k - i - 1]
-        else:
-            acc = 0
-            for i in range(1, d + 1):
-                acc -= a[d - i] * ps[k - i - 1]
-        ps.append(acc)
-    return ps
 
 
 # a prime near the word size: reductions that lose the recurrence, and so

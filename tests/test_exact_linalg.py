@@ -13,9 +13,11 @@ from tdyn.exact_linalg import (
     RatPolynomial,
     char_poly,
     companion_matrix,
+    from_power_sums,
     det_exact,
     det_rat,
     mat_pow,
+    power_sums,
     rat_kernel_basis,
     rat_solve,
     smith_normal_form,
@@ -197,13 +199,21 @@ def test_char_poly_matches_symbolic_oracle():
         expected = char_poly_symbolic(rows)
         got = char_poly(BigIntMatrix.from_rows(rows))
         assert list(got.coeffs) == expected
+    for den in (2, 3):
+        for _ in range(30):
+            d = rng.randint(1, 4)
+            rows = [[Fraction(x, rng.choice((1, den))) for x in row]
+                    for row in random_int_matrix(rng, d)]
+            expected = char_poly_symbolic(rows)
+            got = char_poly(RatMatrix.from_rows(rows))
+            assert list(got.coeffs) == expected
 
 
 def test_char_poly_cayley_hamilton():
     rng = random.Random(21)
     for _ in range(40):
         d = rng.randint(1, 4)
-        A = BigIntMatrix.from_rows(random_int_matrix(rng, d)).to_rational()
+        A = RatMatrix.from_rows(random_int_matrix(rng, d))
         p = char_poly(A)
         acc = RatMatrix(d, d, tuple(Fraction(0) for _ in range(d * d)))
         power = RatMatrix.identity(d)
@@ -211,6 +221,16 @@ def test_char_poly_cayley_hamilton():
             acc = acc.sub(power.scale(-c))
             power = power.mul(A)
         assert all(e == 0 for e in acc.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                min_size=1, max_size=6))
+def test_power_sums_round_trip(lower):
+    # monic over Q, zero constant terms included
+    p = RatPolynomial.of(lower + [1])
+    sums = power_sums(p, p.degree)
+    assert from_power_sums(sums) == p
 
 
 def test_char_poly_rational_matrix():

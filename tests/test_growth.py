@@ -13,6 +13,7 @@ from tdyn.errors import (
 )
 from tdyn.group_model import (
     NilpotentSystem,
+    joint_blocks,
     heisenberg,
     s_integer,
     section,
@@ -20,6 +21,7 @@ from tdyn.group_model import (
     z_pair,
     z_times_d,
 )
+from tdyn import growth, padic
 from tdyn.growth import (
     AlgebraicLog,
     PadicLog,
@@ -119,6 +121,23 @@ def test_growth_commuting_blocks():
         name="diag", sections=(section(2, [[2, 0], [0, 3]], [[5, 0], [0, 1]]),))
     rep = growth_rate(sys_, N=16)
     assert rep.exact_value == 15
+
+
+def test_growth_derives_joint_blocks_once(monkeypatch):
+    # the archimedean and the 2-adic pairing share one joint-block decomposition
+    calls = []
+
+    def counted(sec):
+        calls.append(sec)
+        return joint_blocks(sec)
+
+    monkeypatch.setattr(growth, "joint_blocks", counted)
+    monkeypatch.setattr(padic, "joint_blocks", counted)
+    sys_ = NilpotentSystem(name="diag-s", sections=(
+        section(2, [[Fraction(1, 2), 0], [0, 3]], [[2, 0], [0, 5]], primes=[2]),))
+    rep = growth_rate(sys_, N=16)
+    assert len(calls) == 1
+    assert rep.numeric == 20.0
 
 
 def test_growth_commuting_irrational_blocks():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdyn.errors import (
     InfiniteValueError,
+    InputError,
     NonIntegerResidueError,
     NoRecurrenceError,
     NotSquareFreeError,
@@ -98,6 +99,11 @@ def test_power_sums_match_companion_traces():
         M = companion_matrix(p)
         traces = [mat_pow(M, n).trace() for n in range(1, 9)]
         assert power_sums(p, 8) == traces
+
+
+def test_power_sums_reject_non_monic():
+    with pytest.raises(InputError):
+        power_sums(IntPolynomial.of([1, 2]), 3)
 
 
 # ---------------------------------------------------------------- recurrences

@@ -26,7 +26,7 @@ from .enclosures import (
     box_pow,
     boxes_intersect,
     decide_order,
-    interval_sqrt,
+    modulus_cell,
     poly_root_enclosures,
     precision_ladder,
     real_part_sign,
@@ -69,12 +69,18 @@ class Classification:
 
 class _RealCandidate:
     """A positive real algebraic number with an exact identity key and a
-    refinable rational interval."""
+    refinable rational interval: a rational value, or a real root."""
 
-    def __init__(self, key, interval_fn, multiplicity):
+    def __init__(self, key, multiplicity, value=None, root=None):
         self.key = key
-        self.interval = interval_fn
         self.multiplicity = multiplicity
+        self.value = value
+        self.root = root
+
+    def interval(self, bits):
+        if self.root is None:
+            return self.value, self.value
+        return self.root.box(bits)[:2]
 
 
 def _positive_real_candidates(p: IntPolynomial):
@@ -86,14 +92,11 @@ def _positive_real_candidates(p: IntPolynomial):
         if g.degree == 1:
             r = Fraction(-g.coeffs[0], g.coeffs[1])
             if r > 0:
-                out.append(_RealCandidate(("rat", r), lambda bits, r=r: (r, r), mult))
+                out.append(_RealCandidate(("rat", r), mult, value=r))
             continue
         for idx, e in enumerate(real_root_enclosures(g)):
             if e.real_sign() > 0:
-                out.append(_RealCandidate(
-                    (tuple(g.coeffs), idx),
-                    lambda bits, e=e: (e.box(bits)[0], e.box(bits)[1]),
-                    mult))
+                out.append(_RealCandidate((tuple(g.coeffs), idx), mult, root=e))
     return out
 
 
@@ -134,8 +137,9 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
         count += cand.multiplicity
         indices = _dominant_root_indices(poly, cand)
         dominant.append(DominantTerm(poly=poly, chi=chi, root_indices=indices))
-    s_lo, s_hi = overall.interval(_BOUNDS_BITS)
-    lam_lo, lam_hi = interval_sqrt(max(s_lo, Fraction(0)), s_hi)
+    (lam_lo, lam_hi), (s_lo, s_hi) = modulus_cell(
+        lambda r: (overall.value,) * 2 if r is None else r.box(_BOUNDS_BITS)[:2],
+        overall.root)
     lam = math.sqrt((float(s_lo) + float(s_hi)) / 2)
     return DominantSpectrum(lam=lam, lam_bounds=(lam_lo, lam_hi), count=count,
                             dominant_terms=tuple(dominant))
@@ -254,6 +258,8 @@ def limit_points_sample(seq, ds: DominantSpectrum, N: int) -> list:
         elif v == 0:
             out.append(0.0)
         else:
-            out.append(math.copysign(
-                math.exp(math.log(abs(v)) - n * math.log(ds.lam)), v))
+            # the sign comes from comparing v, not from float(v), which
+            # overflows for long sequences
+            size = math.exp(math.log(abs(v)) - n * math.log(ds.lam))
+            out.append(size if v > 0 else -size)
     return out

@@ -4,7 +4,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes are stable:
 0 success, 1 input/parse error, 2 non-tame input where tameness is required
 (including root-of-unity eigenvalues), 3 unsupported p-adic pairing,
 4 numeric indeterminacy at the precision ceiling.  All big integers are
-serialized as decimal strings in JSON output.
+serialized as decimal strings in JSON output, in full: Python's limit on
+int-to-str digits is lifted while a command builds and prints its result.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +45,9 @@ from .reidemeister import is_infinite
 COMMANDS = ("validate", "tame", "rseq", "nseq", "zeta", "realize",
             "congruence", "growth", "entropy", "classify", "padic")
 
+# largest --n accepted: 25 times the longest sequence of the benchmark corpus
+MAX_N = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -61,6 +66,9 @@ class RunConfig:
             raise InputError(f"unknown command {self.command!r}")
         if self.n < 1:
             raise InputError("--n must be >= 1")
+        if self.n > MAX_N:
+            raise InputError(f"--n must be <= {MAX_N} (the cap MAX_N on the "
+                             "sequence length)")
         if self.output_format not in ("table", "json"):
             raise InputError("--format must be table or json")
 
@@ -309,13 +317,28 @@ def _render_generic(result, out, indent=0) -> None:
             print(f"{pad}{key}: {value}", file=out)
 
 
+@contextmanager
+def _full_int_strings():
+    """Lift Python's int-to-str digit limit, restoring the caller's on exit."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(config: RunConfig, out=None, err=None) -> int:
     """Execute one command; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         system = _load_system(config)
-        result = _HANDLERS[config.command](config, system)
+        with _full_int_strings():
+            result = _HANDLERS[config.command](config, system)
     except (NotTameError, RootOfUnityError, InfiniteValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -329,11 +352,12 @@ def run(config: RunConfig, out=None, err=None) -> int:
             NotSquareFreeError, TdynError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    if config.output_format == "json":
-        json.dump({"command": config.command, **result}, out, indent=2)
-        print(file=out)
-    else:
-        _render_table(config.command, result, out)
+    with _full_int_strings():
+        if config.output_format == "json":
+            json.dump({"command": config.command, **result}, out, indent=2)
+            print(file=out)
+        else:
+            _render_table(config.command, result, out)
     return 0
 
 

@@ -1,25 +1,53 @@
 """Certified rational enclosures of algebraic numbers.
 
-sympy's CRootOf provides rigorous isolating rectangles for the roots of exact
-integer polynomials, refinable to arbitrary precision.  This module wraps
-them in plain Fraction interval arithmetic (boxes with rational corners) so
-that modulus comparisons, sign determinations and root identifications are
-either decided exactly or raise PrecisionError at the ceiling; nothing is
-ever guessed from floats.
+The roots of an integer polynomial p of degree n come from a certified
+engine.  Durand-Kerner seeds them, in double precision (mpmath.polyroots'
+iteration) or, when that fails, with ``mpmath.polyroots`` at 80 bits.
+Newton steps in exact dyadic (integer) arithmetic refine the seeds, and each
+approximation z is certified by its inclusion disk |w - z| <= n |p(z)/p'(z)|,
+which holds a root w of p (Rump, "Ten methods to bound multiple roots of
+polynomials", JCAM 2003; Neumaier, "Enclosing clusters of zeros of
+polynomials", JCAM 2003).  So n pairwise-disjoint disks hold one root each,
+and a disk centred on the real axis holds a real root.  A refined disk is
+accepted only inside the disk it refines, so it keeps its root.
+
+Indices follow sympy's CRootOf order.  Real roots come first, ascending.
+Then come the non-real roots of each irreducible factor, factors in sympy's
+``ordered`` order.  Within a factor they are sorted by the lower-left corner
+(ax, ay) of the unrefined upper-half-plane rectangle that sympy's
+Collins-Krandick isolation (``dup_isolate_complex_roots_sqf``) assigns
+them, and each conjugate comes right before its root.  This is not
+real-part order.  For an irreducible p the engine replays that bisection on
+its disks; otherwise it matches the disks into sympy's rectangles.
+
+sympy's CRootOf bisection is the fallback and the test oracle.  A polynomial
+that is not square-free, or whose disks do not separate, is enclosed by
+CRootOf throughout.  Its non-real roots are, when sympy rescales p or a disk
+does not match exactly one rectangle.  A reported 64-bit cell that lies
+within GUARD of a grid point or a float rounding boundary is recomputed from
+CRootOf boxes (``modulus_cell``), so printed values do not depend on the
+route.  Boxes are plain Fraction interval arithmetic: comparisons are
+decided exactly or raise PrecisionError at the ceiling, and nothing is ever
+guessed from floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, Optional
 
+import mpmath
 import sympy
+from sympy.core.sorting import ordered
+from sympy.polys.polyroots import preprocess_roots
+from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
+from sympy.polys.rootoftools import _pure_factors
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
-from .polyalg import to_sympy
+from .polyalg import is_squarefree, to_sympy
 
 __all__ = [
     "Box",
@@ -33,6 +61,7 @@ __all__ = [
     "boxes_intersect",
     "modsq_box",
     "interval_sqrt",
+    "modulus_cell",
     "decide_order",
     "real_part_sign",
     "precision_ladder",
@@ -48,6 +77,13 @@ START_BITS = 8
 MAX_BITS = 1024
 # undecided comparisons below this width are reported, not refined further
 CEILING_WIDTH = Fraction(1, 10 ** 30)
+# a reported value this close to a 2^-64 grid point or a float rounding
+# boundary is recomputed from CRootOf boxes
+GUARD = Fraction(1, 1 << 180)
+
+_SEED_BITS = 80   # mpmath.polyroots working precision, when doubles fail
+_GRID = 96        # grid 2^-_GRID of the seeds; one Newton step doubles it
+_CELL = 1 << 64   # reported moduli are cells of width 2^-64
 
 
 def precision_ladder():
@@ -102,29 +138,355 @@ def _expr_box(expr, bits: int) -> Box:
     raise InputError(f"cannot enclose symbolic root expression {expr}")
 
 
+# ---------------------------------------------------------------- the engine
+
+def _horner(coeffs, x: int, y: int, k: int):
+    """2^(k*deg) * p((x + iy) / 2^k) as a Gaussian integer (re, im), for
+    ascending integer coefficients."""
+    n = len(coeffs) - 1
+    re, im = coeffs[n], 0
+    for j in range(n - 1, -1, -1):
+        re, im = re * x - im * y, re * y + im * x
+        re += coeffs[j] << (k * (n - j))
+    return re, im
+
+
+def _inclusion_radius(coeffs, dcoeffs, x: int, y: int, k: int):
+    """Integer upper bound of 2^k * n |p(z)| / |p'(z)| for p of degree n with
+    derivative dcoeffs, z = (x + iy) / 2^k; None when p'(z) = 0."""
+    n = len(coeffs) - 1
+    pr, pi = _horner(coeffs, x, y, k)
+    dr, di = _horner(dcoeffs, x, y, k)
+    den = dr * dr + di * di
+    if den == 0:
+        return None
+    # p(z) = P / 2^(kn) and p'(z) = P' / 2^(k(n-1)), so the radius times 2^k
+    # is n |P| / |P'|
+    q = -(-(n * n * (pr * pr + pi * pi)) // den)
+    s = isqrt(q)
+    return s if s * s == q else s + 1
+
+
+def _round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+class _Disk:
+    """The disk |w - z| <= rad / 2^k around z = (x + iy) / 2^k.  Once
+    certified it holds exactly one root w of p: a real one when y = 0,
+    otherwise the one in the upper half-plane."""
+
+    __slots__ = ("coeffs", "dcoeffs", "x", "y", "k", "rad")
+
+    def __init__(self, coeffs, dcoeffs, x: int, y: int, k: int):
+        self.coeffs, self.dcoeffs = coeffs, dcoeffs  # p and p', ascending
+        self.x, self.y, self.k = x, y, k
+        self.rad = None  # set by the first step
+
+    def _newton(self, k2: int):
+        """One Newton step from z, on the grid 2^-k2 (k2 >= k)."""
+        x, y, k = self.x, self.y, self.k
+        pr, pi = _horner(self.coeffs, x, y, k)
+        dr, di = _horner(self.dcoeffs, x, y, k)
+        den = dr * dr + di * di
+        if den == 0:
+            return None
+        # z - p(z)/p'(z) = z - P conj(P') / (|P'|^2 2^k)
+        s = k2 - k
+        return ((x << s) - _round_div((pr * dr + pi * di) << s, den),
+                (y << s) - _round_div((pi * dr - pr * di) << s, den))
+
+    def step(self, k2: int) -> bool:
+        """Newton step that sets the radius, before the disks are certified."""
+        z = self._newton(k2)
+        if z is None:
+            return False
+        self.x, self.y, self.k = z[0], z[1], k2
+        self.rad = _inclusion_radius(self.coeffs, self.dcoeffs, z[0], z[1], k2)
+        return self.rad is not None
+
+    def refine(self, bits: int) -> bool:
+        """Shrink the certified disk to radius <= 2^-bits.  False when a Newton
+        step leaves the disk or stalls; the disk is then left unchanged."""
+        while self.rad.bit_length() > self.k - bits:
+            acc = self.k - self.rad.bit_length()  # radius < 2^-acc
+            k2 = max(2 * acc, bits) + 16
+            z = self._newton(k2)
+            rad2 = (None if z is None else
+                    _inclusion_radius(self.coeffs, self.dcoeffs, z[0], z[1], k2))
+            if rad2 is None or k2 - rad2.bit_length() <= acc:
+                return False
+            # accept only a disk inside the old one: |z2 - z| + r2 <= r
+            s = k2 - self.k
+            outer = self.rad << s
+            dx, dy = z[0] - (self.x << s), z[1] - (self.y << s)
+            if rad2 > outer or dx * dx + dy * dy > (outer - rad2) ** 2:
+                return False
+            self.x, self.y, self.k, self.rad = z[0], z[1], k2, rad2
+        return True
+
+    def box(self, bits: int) -> Box:
+        """Box of half-width 2^-bits holding the root, centred on the grid
+        2^-(bits+2); needs refine(bits + 1) first."""
+        g = bits + 2
+        s = self.k - g
+        if s > 0:
+            half = 1 << (s - 1)
+            cx, cy = (self.x + half) >> s, (self.y + half) >> s
+        else:
+            cx, cy, g = self.x, self.y, self.k
+        d = Fraction(1, 1 << bits)
+        cre = Fraction(cx, 1 << g)
+        if self.y == 0:
+            return (cre - d, cre + d, Fraction(0), Fraction(0))
+        cim = Fraction(cy, 1 << g)
+        return (cre - d, cre + d, cim - d, cim + d)
+
+    def holds_root_of(self, coeffs) -> bool:
+        """Whether the disk's root is a root of the factor with these ascending
+        coefficients: the factor's inclusion disk around z lies inside."""
+        dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+        rad = _inclusion_radius(coeffs, dcoeffs, self.x, self.y, self.k)
+        return rad is not None and rad <= self.rad
+
+    def meets(self, ax, ay, bx, by) -> bool:
+        """Whether the disk meets the closed rectangle [ax, bx] x [ay, by]."""
+        scale = 1 << self.k
+        ex = max(ax * scale - self.x, 0, self.x - bx * scale)
+        ey = max(ay * scale - self.y, 0, self.y - by * scale)
+        return ex * ex + ey * ey <= self.rad * self.rad
+
+
+def _disjoint(reals, uppers) -> bool:
+    """Whether the disks (uppers with their conjugates), all on one grid,
+    are pairwise disjoint."""
+    pts = [(d.x, d.y, d.rad) for d in reals]
+    pts += [(d.x, s * d.y, d.rad) for d in uppers for s in (1, -1)]
+    for i, (x1, y1, r1) in enumerate(pts):
+        for x2, y2, r2 in pts[i + 1:]:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+                return False
+    return True
+
+
+def _grid_seeds(approx, tol):
+    """Approximate roots as (x, y) on the grid 2^-_GRID, upper half-plane and
+    real axis only; imaginary parts below tol * max(1, |z|) snap to 0."""
+    scale = 1 << _GRID
+    seeds = []
+    for z in approx:
+        im = z.imag if abs(z.imag) > tol * max(1, abs(z)) else 0
+        if im >= 0:
+            seeds.append((int(mpmath.nint(mpmath.mpf(z.real) * scale)),
+                          int(mpmath.nint(mpmath.mpf(im) * scale))))
+    return seeds
+
+
+def _float_seeds(coeffs):
+    """Durand-Kerner in double precision, with mpmath.polyroots' iteration
+    and start points; None when it overflows or does not converge."""
+    n = len(coeffs) - 1
+    try:
+        a = [c / coeffs[-1] for c in coeffs]
+        roots = [(0.4 + 0.9j) ** k for k in range(n)]
+        for _ in range(200):
+            converged = True
+            for i, z in enumerate(roots):
+                v = 0j
+                for c in reversed(a):
+                    v = v * z + c
+                for j, w in enumerate(roots):
+                    if j != i:
+                        v /= z - w
+                roots[i] = z - v
+                # a NaN fails this test too
+                converged = converged and abs(v) < 2.0 ** -30 * max(1.0, abs(z))
+            if converged:
+                return _grid_seeds(roots, 2.0 ** -30)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return None
+
+
+def _mpmath_seeds(coeffs):
+    """mpmath.polyroots at _SEED_BITS; None when it does not converge."""
+    try:
+        with mpmath.workprec(_SEED_BITS):
+            approx = mpmath.polyroots(coeffs[::-1], maxsteps=100 + 10 * len(coeffs),
+                                      extraprec=_SEED_BITS)
+            return _grid_seeds(approx, mpmath.ldexp(1, -_SEED_BITS // 2))
+    except mpmath.libmp.NoConvergence:
+        return None
+
+
+def _certify(p: IntPolynomial, seeds):
+    """(real disks ascending, upper-half-plane disks) from the seeds after one
+    Newton step, or None unless they are n pairwise-disjoint disks."""
+    n = p.degree
+    dcoeffs = p.derivative().coeffs
+    reals = [_Disk(p.coeffs, dcoeffs, x, 0, _GRID) for x, y in seeds if y == 0]
+    uppers = [_Disk(p.coeffs, dcoeffs, x, y, _GRID) for x, y in seeds if y > 0]
+    if len(reals) + 2 * len(uppers) != n:
+        return None
+    if not all(d.step(2 * _GRID) for d in reals + uppers):
+        return None
+    if any(d.y < 0 for d in uppers) or not _disjoint(reals, uppers):
+        return None
+    reals.sort(key=lambda d: d.x)
+    return reals, uppers
+
+
+def _certified_roots(p: IntPolynomial):
+    """(real disks ascending, upper-half-plane disks) for a square-free p of
+    degree >= 2, or None when the disks cannot be certified.  Double-precision
+    seeds are tried first, mpmath.polyroots seeds second."""
+    if p.degree < 2 or not is_squarefree(p):
+        return None
+    for seeder in (_float_seeds, _mpmath_seeds):
+        seeds = seeder(p.coeffs)
+        found = None if seeds is None else _certify(p, seeds)
+        if found is not None:
+            return found
+    return None
+
+
+def _replay_bisection(coeffs, uppers):
+    """sympy's Collins-Krandick bisection (dup_isolate_complex_roots_sqf with
+    eps=None) replayed on the disks of the upper-half-plane roots of an
+    irreducible polynomial with these coefficients: the disks sorted by the
+    lower-left corner of their final rectangle, or None when a disk meets a
+    bisection line."""
+    lc = abs(coeffs[-1])
+    bound = 2 * max(Fraction(abs(c), lc) for c in coeffs)
+    scale = 1 << uppers[0].k
+    final = []
+    stack = [((-bound, Fraction(0), bound, bound), uppers)]
+    while stack:
+        (u, v, s, t), inside = stack.pop()
+        if s - u > t - v:
+            m = (u + s) / 2
+            halves = ((u, v, m, t), (m, v, s, t))
+            coord = lambda d: d.x
+        else:
+            m = (v + t) / 2
+            halves = ((u, v, s, m), (u, m, s, t))
+            coord = lambda d: d.y
+        cut = m * scale
+        low, high = [], []
+        for d in inside:
+            c = coord(d)
+            if c + d.rad < cut:
+                low.append(d)
+            elif c - d.rad > cut:
+                high.append(d)
+            else:
+                return None
+        for rect, group in zip(halves, (low, high)):
+            if len(group) == 1:
+                final.append((rect[0], rect[1], group[0]))
+            elif group:
+                stack.append((rect, group))
+    final.sort(key=lambda f: (f[0], f[1]))
+    return [d for _, _, d in final]
+
+
+def _match_rectangles(factor, uppers):
+    """The disks in the order of sympy's unrefined rectangles of the factor,
+    or None unless every disk meets exactly one rectangle."""
+    rects = [tuple(Fraction(int(c.numerator), int(c.denominator))
+                   for c in (r.ax, r.ay, r.bx, r.by))
+             for r in dup_isolate_complex_roots_sqf(factor.rep.to_list(), sympy.ZZ,
+                                                    blackbox=True)
+             if not r.conj]
+    if len(rects) != len(uppers):
+        return None
+    slots = {}
+    for d in uppers:
+        hits = [j for j, rect in enumerate(rects) if d.meets(*rect)]
+        if len(hits) != 1 or hits[0] in slots:
+            return None
+        slots[hits[0]] = d
+    return [slots[j] for j in range(len(rects))]
+
+
+def _complex_order(p: IntPolynomial, uppers):
+    """The upper-half-plane disks in CRootOf order, or None when sympy
+    rescales p or a disk cannot be placed.  Each disk is assigned to its
+    irreducible factor, and each factor's disks are ordered by replaying
+    sympy's bisection, or else by matching them into sympy's rectangles."""
+    if not uppers:
+        return []
+    coeff, q = preprocess_roots(to_sympy(p))
+    if coeff != 1:
+        return None
+    factors = list(ordered(_pure_factors(q)))
+    out = []
+    for f, _ in factors:
+        coeffs = [int(c) for c in reversed(f.rep.to_list())]
+        mine = (uppers if len(factors) == 1
+                else [d for d in uppers if d.holds_root_of(coeffs)])
+        if not mine:
+            continue
+        order = _replay_bisection(coeffs, mine)
+        if order is None:
+            order = _match_rectangles(f, mine)
+        if order is None:
+            return None
+        out += order
+    return out if len(out) == len(uppers) else None
+
+
+def _rescale(p: IntPolynomial) -> int:
+    """The factor c of sympy's rewrite CRootOf(p, i) = c * CRootOf(q, i)."""
+    return int(preprocess_roots(to_sympy(p))[0])
+
+
 @dataclass
 class RootEnclosure:
-    """One root of an exact integer polynomial, with refinable rational boxes."""
+    """One root of an exact integer polynomial, with refinable rational boxes:
+    from a certified engine disk, or from sympy's CRootOf when disk is None."""
 
     poly: IntPolynomial
     index: int
+    disk: Optional[_Disk] = field(default=None, repr=False, compare=False)
+    # the root is the conjugate of the disk's upper-half-plane root
+    conjugate: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # sympy eagerly rewrites some roots (rational, Gaussian rational,
-        # rescalings like 2*CRootOf(x^2+1, 0)); keep the expression and
-        # evaluate it structurally into rational boxes
-        self._expr = sympy.CRootOf(to_sympy(self.poly).as_expr(), self.index,
-                                   radicals=False)
+        self._expr = None
         self._boxes = {}
+
+    def _crootof(self):
+        if self._expr is None:
+            # sympy eagerly rewrites some roots (rational, Gaussian rational,
+            # rescalings like 2*CRootOf(x^2+1, 0)); keep the expression and
+            # evaluate it structurally into rational boxes
+            self._expr = sympy.CRootOf(to_sympy(self.poly).as_expr(), self.index,
+                                       radicals=False)
+        return self._expr
+
+    def oracle(self) -> "RootEnclosure":
+        """The same root, enclosed by sympy's CRootOf bisection."""
+        return RootEnclosure(self.poly, self.index)
 
     @property
     def is_real(self) -> bool:
-        return bool(self._expr.is_real)
+        if self.disk is not None:
+            return self.disk.y == 0
+        return bool(self._crootof().is_real)
 
     def box(self, bits: int) -> Box:
         if bits in self._boxes:
             return self._boxes[bits]
-        out = _expr_box(self._expr, bits)
+        if self.disk is not None and not self.disk.refine(bits + 1):
+            self.disk = None  # Newton left the certified disk: use CRootOf
+        if self.disk is None:
+            out = _expr_box(self._crootof(), bits)
+        else:
+            out = self.disk.box(bits)
+            if self.conjugate:
+                out = box_conj(out)
         self._boxes[bits] = out
         return out
 
@@ -146,21 +508,37 @@ class RootEnclosure:
 
 def poly_root_enclosures(p: IntPolynomial) -> list:
     """Enclosures for all roots of p, one entry per root counted with
-    multiplicity (p.degree entries), in sympy's canonical order: real roots
-    ascending, then complex by real part with conjugates adjacent, negative
-    imaginary part first."""
+    multiplicity (p.degree entries), in sympy's CRootOf order: real roots
+    ascending, then the non-real roots of each irreducible factor (factors in
+    sympy's ``ordered`` order) by the lower-left corner (ax, ay) of their
+    unrefined upper-half-plane isolating rectangle, each conjugate (negative
+    imaginary part) right before its root."""
     if p.is_zero or p.degree < 1:
         return []
-    return [RootEnclosure(p, i) for i in range(p.degree)]
+    found = _certified_roots(p)
+    if found is None:
+        return [RootEnclosure(p, i) for i in range(p.degree)]
+    reals, uppers = found
+    out = [RootEnclosure(p, i, d) for i, d in enumerate(reals)]
+    uppers = _complex_order(p, uppers)
+    if uppers is None:
+        return out + [RootEnclosure(p, i) for i in range(len(out), p.degree)]
+    for d in uppers:
+        out.append(RootEnclosure(p, len(out), d, conjugate=True))
+        out.append(RootEnclosure(p, len(out), d))
+    return out
 
 
 def real_root_enclosures(p: IntPolynomial) -> list:
     """The real entries of poly_root_enclosures(p), with the same indices:
-    real roots come first in sympy's order, so only they are isolated."""
+    real roots come first in CRootOf's order, so no rectangle is needed."""
     if p.is_zero or p.degree < 1:
         return []
-    n_real = len(to_sympy(p).real_roots(radicals=False))
-    return [RootEnclosure(p, i) for i in range(n_real)]
+    found = _certified_roots(p)
+    if found is None:
+        n_real = len(to_sympy(p).real_roots(radicals=False))
+        return [RootEnclosure(p, i) for i in range(n_real)]
+    return [RootEnclosure(p, i, d) for i, d in enumerate(found[0])]
 
 
 def _imul(a: Box, b: Box, i: int, j: int):
@@ -227,19 +605,56 @@ def boxes_intersect(a: Box, b: Box) -> bool:
     return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
 
 
-def interval_sqrt(lo: Fraction, hi: Fraction, bits: int = 64):
-    """Rational bounds for sqrt on a nonnegative interval."""
+def interval_sqrt(lo: Fraction, hi: Fraction):
+    """The 64-bit cell of sqrt on a nonnegative interval: floor(sqrt(lo) 2^64)
+    and floor(sqrt(hi) 2^64) + 1, over 2^64."""
     if lo < 0:
         raise InputError("interval_sqrt of a negative interval")
-    k = 1 << bits
 
     def sqrt_lower(f: Fraction) -> Fraction:
-        return Fraction(isqrt((f.numerator * k * k) // f.denominator), k)
+        return Fraction(isqrt((f.numerator * _CELL * _CELL) // f.denominator), _CELL)
 
     def sqrt_upper(f: Fraction) -> Fraction:
-        return Fraction(isqrt((f.numerator * k * k) // f.denominator) + 1, k)
+        return Fraction(isqrt((f.numerator * _CELL * _CELL) // f.denominator) + 1,
+                        _CELL)
 
     return sqrt_lower(lo), sqrt_upper(hi)
+
+
+def _settled(lo: Fraction, hi: Fraction) -> bool:
+    """Whether every value in [lo, hi] has the same 64-bit sqrt cell and the
+    same float, with no grid point or rounding boundary inside."""
+    if lo <= 0:
+        return False
+    try:
+        if float(lo) != float(hi):
+            return False
+    except OverflowError:
+        return False
+    k2 = _CELL * _CELL
+    s = isqrt((lo.numerator * k2) // lo.denominator)
+    return (s == isqrt((hi.numerator * k2) // hi.denominator)
+            and s * s * lo.denominator < lo.numerator * k2)
+
+
+def modulus_cell(square: Callable, root: Optional[RootEnclosure] = None):
+    """((lo, hi), (s_lo, s_hi)) for v = sqrt(s) >= 0: the 64-bit cell of v
+    (interval_sqrt) and the interval of s it came from.
+
+    square(root) is a certified interval for s computed from root's boxes (for
+    an exact s, root is None).  The cell and the floats of s_lo and s_hi are
+    what tdyn prints.  They equal the CRootOf route's whenever s's interval,
+    widened by the CRootOf boxes' possibly larger width and by GUARD, has no
+    grid point or float rounding boundary inside; otherwise s is recomputed
+    from root's CRootOf boxes.
+    """
+    lo, hi = square(root)
+    if root is not None and root.disk is not None:
+        # CRootOf boxes of a root of a rescaled polynomial are that much wider
+        pad = (_rescale(root.poly) + 1) * (hi - lo) + GUARD
+        if not _settled(lo - pad, hi + pad):
+            lo, hi = square(root.oracle())
+    return interval_sqrt(max(lo, Fraction(0)), hi), (lo, hi)
 
 
 def decide_order(fa: Callable, fb: Callable) -> int:

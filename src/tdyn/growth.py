@@ -18,8 +18,8 @@ from typing import Optional, Union
 from .enclosures import (
     box_mul,
     decide_order,
-    interval_sqrt,
     modsq_box,
+    modulus_cell,
     poly_root_enclosures,
 )
 from .errors import (
@@ -113,13 +113,16 @@ def _product_of_terms(terms):
     return math.exp(sum(_term_log(t) for t in terms)), None
 
 
-def _root_modulus_product_interval(enclosures, indices, bits=_VALUE_BITS):
+def _modulus(e):
+    """64-bit cell of |e| (enclosures.modulus_cell)."""
+    return modulus_cell(lambda r: r.modsq(_VALUE_BITS), e)[0]
+
+
+def _root_modulus_product_interval(enclosures, indices):
     """Certified (lo, hi) for the product of |root_i| over the given indices."""
     lo, hi = Fraction(1), Fraction(1)
     for i in indices:
-        mlo, mhi = enclosures[i].modsq(bits)
-        mlo = max(mlo, Fraction(0))
-        slo, shi = interval_sqrt(mlo, mhi)
+        slo, shi = _modulus(enclosures[i])
         lo *= slo
         hi *= shi
     return lo, hi
@@ -236,8 +239,8 @@ def _commuting_block_terms(blocks):
         else:
             lo, hi = _root_modulus_product_interval(encl, inside)
             for i in outside:
-                mlo, mhi = modsq_box(eta_box(encl[i], _VALUE_BITS))
-                slo, shi = interval_sqrt(max(mlo, Fraction(0)), mhi)
+                (slo, shi), _ = modulus_cell(
+                    lambda r: modsq_box(eta_box(r, _VALUE_BITS)), encl[i])
                 lo *= slo
                 hi *= shi
             terms.append(AlgebraicLog(
@@ -343,8 +346,7 @@ def entropy_dual_torus(A) -> float:
             # an eigenvalue sits on (or within 1e-30 of) the unit circle:
             # log max(|xi|, 1) is still well defined, use interval midpoints
             for e in encl:
-                mlo, mhi = e.modsq(_VALUE_BITS)
-                slo, shi = interval_sqrt(max(mlo, Fraction(0)), mhi)
+                slo, shi = _modulus(e)
                 mid = (max(slo, 1) + max(shi, 1)) / 2
                 if mid > 1:
                     total += mult * _flog(mid)

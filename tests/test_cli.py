@@ -296,3 +296,50 @@ def test_realize_computes_the_sequence_once(monkeypatch):
     doc = run_json(["realize", "--builtin", _selmer_torus(3)])
     assert doc["trace_check_up_to"] == 17 and doc["trace_check_passed"] is True
     assert calls == [40]
+
+
+C6 = ("torus_matrix:0,0,0,0,0,1,1,0,0,0,0,1,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,1,"
+      "0,0,0,0,0,0,1,0")  # companion torus of x^6 - x - 1
+
+
+def test_growth_on_the_rank_6_torus_is_pinned():
+    (term,) = run_json(["growth", "--builtin", C6])["growth"]["closed_form_log_terms"]
+    assert term["lo"] == ("134463094821188958423103123357437350621631950499958155285/"
+                          "98079714615416886934934209737619787751599303819750539264")
+    assert term["hi"] == ("8605638068556093340338565491903937228313708532900170931789/"
+                          "6277101735386680763835789423207666416102355444464034512896")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_values_beyond_the_int_str_digit_limit_print_in_full(fmt):
+    import sys
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_capture(["rseq", "--builtin", "heisenberg:2,1,1,3",
+                                  "--n", "3200", "--format", fmt])
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    last = out.split()[-1] if fmt == "table" else json.loads(out)["sequence"][-1]
+    assert len(last) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert str(int(last)) == last
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_n_above_the_cap_is_an_input_error():
+    from tdyn.cli import MAX_N
+    assert MAX_N == 10_000
+    code, out, err = run_capture(["rseq", "--builtin", "z_times_d:2",
+                                  "--n", str(MAX_N + 1)])
+    assert code == 1 and out == ""
+    assert "10000" in err and "MAX_N" in err
+    code, out, _ = run_capture(["rseq", "--builtin", "z_times_d:2", "--n", str(MAX_N)])
+    assert code == 0 and len(out.split()) == MAX_N
+
+
+def test_classify_samples_terms_beyond_the_float_range():
+    # R_n of this torus passes 1.8e308 near n = 737
+    doc = run_json(["classify", "--builtin", "torus_matrix:2,1,1,1", "--n", "800"])
+    assert len(doc["samples"]) == 800
+    assert abs(doc["samples"][-1] - 1) < 1e-9

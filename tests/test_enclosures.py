@@ -1,12 +1,17 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from tdyn.enclosures import (
     MAX_BITS,
     START_BITS,
+    RootEnclosure,
+    boxes_intersect,
     decide_order,
+    interval_sqrt,
+    modulus_cell,
     poly_root_enclosures,
     precision_ladder,
     real_part_sign,
@@ -107,3 +112,102 @@ def test_real_root_enclosures_match_the_filtered_full_isolation(factors, bits):
     oracle = [e for e in poly_root_enclosures(p) if e.is_real]
     assert [e.index for e in fast] == [e.index for e in oracle]
     assert [e.box(bits) for e in fast] == [e.box(bits) for e in oracle]
+
+
+# ------------------------------------------------- the engine vs CRootOf
+
+def crootof_route(p):
+    """sympy's CRootOf bisection for every root of p: the oracle."""
+    return [RootEnclosure(p, i) for i in range(p.degree)]
+
+
+def meets_isolating_interval(e, o) -> bool:
+    """Whether e's box meets the isolating interval of CRootOf root o; the
+    intervals of distinct roots are disjoint, so this pins the index."""
+    iv = o._crootof()._get_interval()
+    b = e.box(64)
+    if o.is_real:
+        return iv.a <= b[1] and b[0] <= iv.b
+    return iv.ax <= b[1] and b[0] <= iv.bx and iv.ay <= b[3] and b[2] <= iv.by
+
+
+def cell(e):
+    return modulus_cell(lambda r: r.modsq(192), e)[0]
+
+
+def assert_matches_crootof(p, complex_bits=256):
+    """Same length, is_real and index order as CRootOf, boxes that meet the
+    CRootOf boxes on the ladder (non-real roots up to complex_bits: sympy's
+    complex bisection takes seconds per rung beyond 32 bits) and identical
+    64-bit modulus cells (non-real roots only when complex_bits reaches
+    192, which is where CRootOf's cell comes from)."""
+    engine, oracle = poly_root_enclosures(p), crootof_route(p)
+    assert len(engine) == len(oracle) == p.degree
+    assert [e.index for e in engine] == list(range(p.degree))
+    assert [e.is_real for e in engine] == [o.is_real for o in oracle]
+    for e, o in zip(engine, oracle):
+        if e.disk is not None and isinstance(o._crootof(), sympy.CRootOf):
+            assert meets_isolating_interval(e, o)
+        top = 256 if e.is_real else complex_bits
+        # the highest rung first, so CRootOf refines each root once
+        for bits in sorted((b for b in precision_ladder() if b <= top), reverse=True):
+            assert boxes_intersect(e.box(bits), o.box(bits)), (e.index, bits)
+        if e.is_real or complex_bits >= 192:
+            assert cell(e) == cell(o)
+    return engine
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=10),
+       st.sampled_from([1, -1, 2, 3]))
+def test_engine_matches_crootof_on_random_polynomials(coeffs, leading):
+    assert_matches_crootof(poly(*coeffs, leading), complex_bits=16)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-1, 1, 3, 5, 2, 1),          # x^5 + 2x^4 + 5x^3 + 3x^2 + x - 1
+    (3, -1, -5, -4, 5, 2, 1),     # x^6 + 2x^5 + 5x^4 - 4x^3 - 5x^2 - x + 3
+])
+def test_index_order_is_the_rectangle_order_not_the_real_part_order(coeffs):
+    encl = assert_matches_crootof(poly(*coeffs), complex_bits=32)
+    assert all(e.disk is not None for e in encl)
+    re = [e.box(64)[0] for e in encl if not e.is_real][::2]
+    assert re != sorted(re)
+
+
+@pytest.mark.parametrize("coeffs, engine", [
+    ((2, 0, 1), True),            # x^2 + 2: purely imaginary roots
+    ((-1, -1, 0, 1), True),       # x^3 - x - 1: one real root, one pair
+    ((15625, -375, 1), True),     # real roots of a polynomial sympy rescales
+    ((4, 0, 1), False),           # x^2 + 4 = 4 (y^2 + 1): rescaled, non-real
+])
+def test_engine_matches_crootof_through_256_bits(coeffs, engine):
+    encl = assert_matches_crootof(poly(*coeffs))
+    assert all((e.disk is not None) == engine for e in encl)
+
+
+def test_repeated_roots_fall_back_to_crootof():
+    # (x^2 + 1)^2 (x - 2)
+    p = poly(1, 0, 1).pow(2) * poly(-2, 1)
+    encl = assert_matches_crootof(p, complex_bits=16)
+    assert all(e.disk is None for e in encl)
+    assert len(real_root_enclosures(p)) == 1
+
+
+def test_a_modulus_on_the_grid_takes_the_crootof_cell():
+    # the root 1/2 of (2x - 1)(x^2 - 2) has an engine box around 1/2, whose
+    # sqrt cell would start one grid step lower than CRootOf's exact point
+    p = poly(-1, 2) * poly(-2, 0, 1)
+    half = poly_root_enclosures(p)[1]  # real roots ascending: -sqrt(2), 1/2, sqrt(2)
+    assert half.disk is not None
+    lo, hi = half.modsq(192)
+    assert lo < Fraction(1, 4) < hi
+    k = Fraction(1, 2 ** 64)
+    assert cell(half) == cell(half.oracle()) == (Fraction(1, 2), Fraction(1, 2) + k)
+
+
+def test_interval_sqrt_gives_the_64_bit_cell():
+    k = Fraction(1, 2 ** 64)
+    assert interval_sqrt(Fraction(4), Fraction(4)) == (Fraction(2), 2 + k)
+    lo, hi = interval_sqrt(Fraction(2), Fraction(2))
+    assert hi - lo == k and lo * lo < 2 < hi * hi

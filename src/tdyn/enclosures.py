@@ -1,15 +1,15 @@
 """Certified rational enclosures of algebraic numbers.
 
 The roots of an integer polynomial p of degree n come from a certified
-engine.  Durand-Kerner seeds them, in double precision (mpmath.polyroots'
-iteration) or, when that fails, with ``mpmath.polyroots`` at 80 bits.
-Newton steps in exact dyadic (integer) arithmetic refine the seeds, and each
-approximation z is certified by its inclusion disk |w - z| <= n |p(z)/p'(z)|,
-which holds a root w of p (Rump, "Ten methods to bound multiple roots of
-polynomials", JCAM 2003; Neumaier, "Enclosing clusters of zeros of
-polynomials", JCAM 2003).  So n pairwise-disjoint disks hold one root each,
-and a disk centred on the real axis holds a real root.  A refined disk is
-accepted only inside the disk it refines, so it keeps its root.
+engine.  Durand-Kerner seeds them in double precision (mpmath.polyroots'
+iteration and start points).  Newton steps in exact dyadic (integer)
+arithmetic refine the seeds, and each approximation z is certified by its
+inclusion disk |w - z| <= n |p(z)/p'(z)|, which holds a root w of p (Rump,
+"Ten methods to bound multiple roots of polynomials", JCAM 2003; Neumaier,
+"Enclosing clusters of zeros of polynomials", JCAM 2003).  So n
+pairwise-disjoint disks hold one root each, and a disk centred on the real
+axis holds a real root.  A refined disk is accepted only inside the disk it
+refines, so it keeps its root.
 
 Indices follow sympy's CRootOf order.  Real roots come first, ascending.
 Then come the non-real roots of each irreducible factor, factors in sympy's
@@ -17,12 +17,14 @@ Then come the non-real roots of each irreducible factor, factors in sympy's
 (ax, ay) of the unrefined upper-half-plane rectangle that sympy's
 Collins-Krandick isolation (``dup_isolate_complex_roots_sqf``) assigns
 them, and each conjugate comes right before its root.  This is not
-real-part order.  For an irreducible p the engine replays that bisection on
-its disks; otherwise it matches the disks into sympy's rectangles.
+real-part order.  The engine replays that bisection on its disks, and
+matches the disks into sympy's rectangles when a disk meets a bisection
+line.
 
 sympy's CRootOf bisection is the fallback and the test oracle.  A polynomial
 that is not square-free, or whose disks do not separate, is enclosed by
-CRootOf throughout.  Its non-real roots are, when sympy rescales p or a disk
+CRootOf throughout, and so is one whose double-precision seeds overflow or
+do not converge.  Its non-real roots are, when sympy rescales p or a disk
 does not match exactly one rectangle.  A reported 64-bit cell that lies
 within GUARD of a grid point or a float rounding boundary is recomputed from
 CRootOf boxes (``modulus_cell``), so printed values do not depend on the
@@ -38,7 +40,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
 
-import mpmath
 import sympy
 from sympy.core.sorting import ordered
 from sympy.polys.polyroots import preprocess_roots
@@ -81,7 +82,6 @@ CEILING_WIDTH = Fraction(1, 10 ** 30)
 # boundary is recomputed from CRootOf boxes
 GUARD = Fraction(1, 1 << 180)
 
-_SEED_BITS = 80   # mpmath.polyroots working precision, when doubles fail
 _GRID = 96        # grid 2^-_GRID of the seeds; one Newton step doubles it
 _CELL = 1 << 64   # reported moduli are cells of width 2^-64
 
@@ -270,22 +270,13 @@ def _disjoint(reals, uppers) -> bool:
     return True
 
 
-def _grid_seeds(approx, tol):
-    """Approximate roots as (x, y) on the grid 2^-_GRID, upper half-plane and
-    real axis only; imaginary parts below tol * max(1, |z|) snap to 0."""
-    scale = 1 << _GRID
-    seeds = []
-    for z in approx:
-        im = z.imag if abs(z.imag) > tol * max(1, abs(z)) else 0
-        if im >= 0:
-            seeds.append((int(mpmath.nint(mpmath.mpf(z.real) * scale)),
-                          int(mpmath.nint(mpmath.mpf(im) * scale))))
-    return seeds
-
-
 def _float_seeds(coeffs):
     """Durand-Kerner in double precision, with mpmath.polyroots' iteration
-    and start points; None when it overflows or does not converge."""
+    and start points: the approximate roots as (x, y) on the grid 2^-_GRID,
+    upper half-plane and real axis only, with imaginary parts below
+    2^-30 max(1, |z|) snapped to 0; None when it overflows or does not
+    converge."""
+    tol = 2.0 ** -30
     n = len(coeffs) - 1
     try:
         a = [c / coeffs[-1] for c in coeffs]
@@ -301,22 +292,19 @@ def _float_seeds(coeffs):
                         v /= z - w
                 roots[i] = z - v
                 # a NaN fails this test too
-                converged = converged and abs(v) < 2.0 ** -30 * max(1.0, abs(z))
+                converged = converged and abs(v) < tol * max(1.0, abs(z))
             if converged:
-                return _grid_seeds(roots, 2.0 ** -30)
+                break
+        else:
+            return None
+        scale = 1 << _GRID
+        seeds = []
+        for z in roots:
+            im = z.imag if abs(z.imag) > tol * max(1.0, abs(z)) else 0.0
+            if im >= 0:
+                seeds.append((round(z.real * scale), round(im * scale)))
+        return seeds
     except (OverflowError, ZeroDivisionError):
-        return None
-    return None
-
-
-def _mpmath_seeds(coeffs):
-    """mpmath.polyroots at _SEED_BITS; None when it does not converge."""
-    try:
-        with mpmath.workprec(_SEED_BITS):
-            approx = mpmath.polyroots(coeffs[::-1], maxsteps=100 + 10 * len(coeffs),
-                                      extraprec=_SEED_BITS)
-            return _grid_seeds(approx, mpmath.ldexp(1, -_SEED_BITS // 2))
-    except mpmath.libmp.NoConvergence:
         return None
 
 
@@ -339,16 +327,11 @@ def _certify(p: IntPolynomial, seeds):
 
 def _certified_roots(p: IntPolynomial):
     """(real disks ascending, upper-half-plane disks) for a square-free p of
-    degree >= 2, or None when the disks cannot be certified.  Double-precision
-    seeds are tried first, mpmath.polyroots seeds second."""
+    degree >= 2, or None when the disks cannot be certified."""
     if p.degree < 2 or not is_squarefree(p):
         return None
-    for seeder in (_float_seeds, _mpmath_seeds):
-        seeds = seeder(p.coeffs)
-        found = None if seeds is None else _certify(p, seeds)
-        if found is not None:
-            return found
-    return None
+    seeds = _float_seeds(p.coeffs)
+    return None if seeds is None else _certify(p, seeds)
 
 
 def _replay_bisection(coeffs, uppers):
@@ -414,7 +397,9 @@ def _complex_order(p: IntPolynomial, uppers):
     """The upper-half-plane disks in CRootOf order, or None when sympy
     rescales p or a disk cannot be placed.  Each disk is assigned to its
     irreducible factor, and each factor's disks are ordered by replaying
-    sympy's bisection, or else by matching them into sympy's rectangles."""
+    sympy's bisection, or else by matching them into sympy's rectangles.
+    Matching runs sympy's complex root isolation, 5-10 ms per polynomial,
+    which the replay avoids."""
     if not uppers:
         return []
     coeff, q = preprocess_roots(to_sympy(p))

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from tdyn.enclosures import (
     MAX_BITS,
@@ -19,6 +21,7 @@ from tdyn.enclosures import (
 )
 from tdyn.errors import PrecisionError
 from tdyn.exact_linalg import IntPolynomial
+from tdyn.polyalg import product_polynomial, to_sympy
 
 
 def poly(*coeffs):
@@ -88,32 +91,6 @@ def test_poly_root_enclosures_count_multiplicity():
     assert len(real_root_enclosures(p)) == 3
 
 
-FACTORS = [
-    poly(0, 1),            # x: a zero root
-    poly(-1, 1),           # x - 1
-    poly(1, 2),            # 2x + 1
-    poly(-2, 0, 1),        # x^2 - 2
-    poly(1, 0, 1),         # x^2 + 1
-    poly(-1, -1, 1),       # x^2 - x - 1
-    poly(2, -2, 1),        # x^2 - 2x + 2
-    poly(-1, -1, 0, 1),    # x^3 - x - 1
-]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4),
-       st.sampled_from([8, 64]))
-def test_real_root_enclosures_match_the_filtered_full_isolation(factors, bits):
-    # a factor drawn twice gives repeated roots
-    p = poly(3)
-    for f in factors:
-        p = p * f
-    fast = real_root_enclosures(p)
-    oracle = [e for e in poly_root_enclosures(p) if e.is_real]
-    assert [e.index for e in fast] == [e.index for e in oracle]
-    assert [e.box(bits) for e in fast] == [e.box(bits) for e in oracle]
-
-
 # ------------------------------------------------- the engine vs CRootOf
 
 def crootof_route(p):
@@ -157,11 +134,97 @@ def assert_matches_crootof(p, complex_bits=256):
     return engine
 
 
-@settings(max_examples=12, deadline=None)
+FACTORS = [
+    poly(0, 1),            # x: a zero root
+    poly(-1, 1),           # x - 1
+    poly(1, 2),            # 2x + 1
+    poly(-2, 0, 1),        # x^2 - 2
+    poly(1, 0, 1),         # x^2 + 1
+    poly(-1, -1, 1),       # x^2 - x - 1
+    poly(2, -2, 1),        # x^2 - 2x + 2
+    poly(-1, -1, 0, 1),    # x^3 - x - 1
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4))
+def test_real_root_enclosures_match_the_filtered_full_isolation(factors):
+    # a factor drawn twice gives repeated roots
+    p = poly(3)
+    for f in factors:
+        p = p * f
+    fast = real_root_enclosures(p)
+    oracle = [o for o in crootof_route(p) if o.is_real]
+    assert [e.index for e in fast] == [o.index for o in oracle]
+    for e, o in zip(fast, oracle):
+        for bits in sorted((b for b in precision_ladder() if b <= 256), reverse=True):
+            assert boxes_intersect(e.box(bits), o.box(bits)), (e.index, bits)
+        assert cell(e) == cell(o)
+
+
+def _sign_at(f, m: Fraction) -> int:
+    """Sign of f(m), f an integer coefficient list, highest degree first."""
+    acc = 0
+    for j, c in enumerate(f):
+        acc = acc * m.numerator + c * m.denominator ** j
+    return (acc > 0) - (acc < 0)
+
+
+def modulus_oracle(p):
+    """For each non-real root z of p, a box of width <= 2^-192 around |z|^2,
+    computed without complex isolation: |z|^2 = z conj(z) is a real root of
+    product_polynomial(p), isolated by sympy on the real line and bisected
+    on the sign of that polynomial.  Returns a function from an engine root
+    to its box.  The root's 192-bit modsq box must meet exactly one open
+    isolating interval, unless it holds a rational root, which sympy isolates
+    exactly (and which may end a neighbouring interval)."""
+    f = [int(c) for c in to_sympy(product_polynomial(p)).sqf_part().rep.to_list()]
+    df = [c * (len(f) - 1 - j) for j, c in enumerate(f[:-1])]
+    intervals = [(Fraction(int(a.numerator), int(a.denominator)),
+                  Fraction(int(b.numerator), int(b.denominator)))
+                 for a, b in dup_isolate_real_roots_sqf(f, sympy.ZZ)]
+
+    def box(e):
+        lo, hi = e.modsq(192)
+        exact = [(a, b) for a, b in intervals if a == b and lo <= a <= hi]
+        if exact:
+            assert len(exact) == 1, (e.index, exact)
+            return exact[0]
+        hits = [(a, b) for a, b in intervals if a < hi and lo < b]
+        assert len(hits) == 1, (e.index, hits)
+        a, b = hits[0]
+        # the sign of f just inside a: f is square-free, so where f(a) = 0
+        # it is the sign of f'(a)
+        sa = _sign_at(f, a) or _sign_at(df, a)
+        while b - a > Fraction(1, 1 << 192):
+            m = (a + b) / 2
+            sm = _sign_at(f, m)
+            if sm == 0:
+                return m, m
+            a, b = (m, b) if sm == sa else (a, m)
+        return a, b
+    return box
+
+
+def assert_true_cells(p, engine):
+    """Every non-real root's 64-bit cell is the cell of the true |z|, when
+    |z|^2 lies more than 2^-160 away from a grid point."""
+    oracle, margin = modulus_oracle(p), Fraction(1, 1 << 160)
+    for e in engine:
+        if e.is_real:
+            continue
+        a, b = oracle(e)
+        c = isqrt(floor((a - margin) * (1 << 128)))
+        if c == isqrt(floor((b + margin) * (1 << 128))):
+            assert cell(e) == (Fraction(c, 1 << 64), Fraction(c + 1, 1 << 64)), e.index
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=10),
        st.sampled_from([1, -1, 2, 3]))
 def test_engine_matches_crootof_on_random_polynomials(coeffs, leading):
-    assert_matches_crootof(poly(*coeffs, leading), complex_bits=16)
+    p = poly(*coeffs, leading)
+    assert_true_cells(p, assert_matches_crootof(p, complex_bits=16))
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -170,6 +233,7 @@ def test_engine_matches_crootof_on_random_polynomials(coeffs, leading):
 ])
 def test_index_order_is_the_rectangle_order_not_the_real_part_order(coeffs):
     encl = assert_matches_crootof(poly(*coeffs), complex_bits=32)
+    assert_true_cells(poly(*coeffs), encl)
     assert all(e.disk is not None for e in encl)
     re = [e.box(64)[0] for e in encl if not e.is_real][::2]
     assert re != sorted(re)

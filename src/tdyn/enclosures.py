@@ -1,8 +1,11 @@
 """Certified rational enclosures of algebraic numbers.
 
-The roots of an integer polynomial p of degree n come from a certified
-engine.  Durand-Kerner seeds them in double precision (mpmath.polyroots'
-iteration and start points).  Newton steps in exact dyadic (integer)
+The root of a linear polynomial c1 x + c0 is the exact point -c0/c1, the
+value CRootOf returns for it, so no sympy expression is built.  The roots of
+an integer polynomial p of degree n >= 2 come from a certified engine.
+Durand-Kerner seeds them in double precision (mpmath.polyroots' iteration
+and start points); when that overflows, it runs once more on p(2^e x) with
+2^e above Fujiwara's root bound.  Newton steps in exact dyadic (integer)
 arithmetic refine the seeds, and each approximation z is certified by its
 inclusion disk |w - z| <= n |p(z)/p'(z)|, which holds a root w of p (Rump,
 "Ten methods to bound multiple roots of polynomials", JCAM 2003; Neumaier,
@@ -23,18 +26,21 @@ line.
 
 sympy's CRootOf bisection is the fallback and the test oracle.  A polynomial
 that is not square-free, or whose disks do not separate, is enclosed by
-CRootOf throughout, and so is one whose double-precision seeds overflow or
-do not converge.  Its non-real roots are, when sympy rescales p or a disk
-does not match exactly one rectangle.  A reported 64-bit cell that lies
-within GUARD of a grid point or a float rounding boundary is recomputed from
-CRootOf boxes (``modulus_cell``), so printed values do not depend on the
-route.  Boxes are plain Fraction interval arithmetic: comparisons are
-decided exactly or raise PrecisionError at the ceiling, and nothing is ever
-guessed from floats.
+CRootOf throughout, and so is one whose double-precision seeds do not
+converge, even after rescaling.  Its non-real roots are, when sympy rescales
+p or a disk does not match exactly one rectangle.  CRootOf's evaluation of
+a non-real root builds a sympy expression, which can make the first such call
+in a process import sympy's tensor and combinatorics packages (about 50 ms).
+A reported 64-bit cell that lies within GUARD of a grid point or a float
+rounding boundary is recomputed from CRootOf boxes (``modulus_cell``), so
+printed values do not depend on the route.  Boxes are plain Fraction
+interval arithmetic: comparisons are decided exactly or raise PrecisionError
+at the ceiling, and nothing is ever guessed from floats.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -211,7 +217,8 @@ class _Disk:
         step leaves the disk or stalls; the disk is then left unchanged."""
         while self.rad.bit_length() > self.k - bits:
             acc = self.k - self.rad.bit_length()  # radius < 2^-acc
-            k2 = max(2 * acc, bits) + 16
+            # never coarser than the current grid, which a wide disk would ask for
+            k2 = max(2 * acc + 16, bits + 16, self.k)
             z = self._newton(k2)
             rad2 = (None if z is None else
                     _inclusion_radius(self.coeffs, self.dcoeffs, z[0], z[1], k2))
@@ -270,39 +277,67 @@ def _disjoint(reals, uppers) -> bool:
     return True
 
 
-def _float_seeds(coeffs):
+def _durand_kerner(coeffs):
     """Durand-Kerner in double precision, with mpmath.polyroots' iteration
-    and start points: the approximate roots as (x, y) on the grid 2^-_GRID,
-    upper half-plane and real axis only, with imaginary parts below
-    2^-30 max(1, |z|) snapped to 0; None when it overflows or does not
-    converge."""
+    and start points: the approximate roots, or None when it does not
+    converge.  Raises OverflowError when a value leaves the double range."""
     tol = 2.0 ** -30
     n = len(coeffs) - 1
+    a = [c / coeffs[-1] for c in coeffs]
+    roots = [(0.4 + 0.9j) ** k for k in range(n)]
+    for _ in range(200):
+        converged = True
+        for i, z in enumerate(roots):
+            v = 0j
+            for c in reversed(a):
+                v = v * z + c
+            for j, w in enumerate(roots):
+                if j != i:
+                    v /= z - w
+            roots[i] = z - v
+            # a NaN fails this test too
+            converged = converged and abs(v) < tol * max(1.0, abs(z))
+        if converged:
+            return roots
+    # a NaN only comes from an infinity
+    if not all(cmath.isfinite(z) for z in roots):
+        raise OverflowError("Durand-Kerner left the double range")
+    return None
+
+
+def _fujiwara_exponent(coeffs) -> int:
+    """An e with every root of p below 2^e in modulus: Fujiwara's bound
+    2 max |a_(n-k)/a_n|^(1/k), rounded up to a power of two."""
+    n = len(coeffs) - 1
+    lead = abs(coeffs[-1]).bit_length()
+    return 1 + max(-(-(abs(c).bit_length() - lead + 1) // (n - j))
+                   for j, c in enumerate(coeffs[:-1]) if c)
+
+
+def _float_seeds(coeffs):
+    """The approximate roots of _durand_kerner as (x, y) on the grid
+    2^-_GRID, upper half-plane and real axis only, with imaginary parts below
+    2^-30 max(1, |z|) snapped to 0; None when it fails.  When the plain
+    iteration overflows it runs once more on p(2^e x), e from the Fujiwara
+    bound, and the roots are scaled back by 2^e."""
+    tol = 2.0 ** -30
+    e = 0
     try:
-        a = [c / coeffs[-1] for c in coeffs]
-        roots = [(0.4 + 0.9j) ** k for k in range(n)]
-        for _ in range(200):
-            converged = True
-            for i, z in enumerate(roots):
-                v = 0j
-                for c in reversed(a):
-                    v = v * z + c
-                for j, w in enumerate(roots):
-                    if j != i:
-                        v /= z - w
-                roots[i] = z - v
-                # a NaN fails this test too
-                converged = converged and abs(v) < tol * max(1.0, abs(z))
-            if converged:
-                break
-        else:
+        try:
+            roots = _durand_kerner(coeffs)
+        except OverflowError:
+            e = _fujiwara_exponent(coeffs)
+            if e <= 0:
+                return None
+            roots = _durand_kerner([c << (e * j) for j, c in enumerate(coeffs)])
+        if roots is None:
             return None
         scale = 1 << _GRID
         seeds = []
         for z in roots:
             im = z.imag if abs(z.imag) > tol * max(1.0, abs(z)) else 0.0
             if im >= 0:
-                seeds.append((round(z.real * scale), round(im * scale)))
+                seeds.append((round(z.real * scale) << e, round(im * scale) << e))
         return seeds
     except (OverflowError, ZeroDivisionError):
         return None
@@ -430,13 +465,16 @@ def _rescale(p: IntPolynomial) -> int:
 @dataclass
 class RootEnclosure:
     """One root of an exact integer polynomial, with refinable rational boxes:
-    from a certified engine disk, or from sympy's CRootOf when disk is None."""
+    the exact point of a linear polynomial, a certified engine disk, or
+    sympy's CRootOf when both are None."""
 
     poly: IntPolynomial
     index: int
     disk: Optional[_Disk] = field(default=None, repr=False, compare=False)
     # the root is the conjugate of the disk's upper-half-plane root
     conjugate: bool = field(default=False, repr=False, compare=False)
+    # the root -c0/c1 of a linear polynomial, which CRootOf also returns exactly
+    point: Optional[Fraction] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._expr = None
@@ -447,8 +485,7 @@ class RootEnclosure:
             # sympy eagerly rewrites some roots (rational, Gaussian rational,
             # rescalings like 2*CRootOf(x^2+1, 0)); keep the expression and
             # evaluate it structurally into rational boxes
-            self._expr = sympy.CRootOf(to_sympy(self.poly).as_expr(), self.index,
-                                       radicals=False)
+            self._expr = sympy.CRootOf(to_sympy(self.poly), self.index, radicals=False)
         return self._expr
 
     def oracle(self) -> "RootEnclosure":
@@ -457,11 +494,15 @@ class RootEnclosure:
 
     @property
     def is_real(self) -> bool:
+        if self.point is not None:
+            return True
         if self.disk is not None:
             return self.disk.y == 0
         return bool(self._crootof().is_real)
 
     def box(self, bits: int) -> Box:
+        if self.point is not None:
+            return (self.point, self.point, Fraction(0), Fraction(0))
         if bits in self._boxes:
             return self._boxes[bits]
         if self.disk is not None and not self.disk.refine(bits + 1):
@@ -491,6 +532,10 @@ class RootEnclosure:
         raise PrecisionError("could not separate a real root from zero")
 
 
+def _linear_root(p: IntPolynomial) -> RootEnclosure:
+    return RootEnclosure(p, 0, point=Fraction(-p.constant, p.leading))
+
+
 def poly_root_enclosures(p: IntPolynomial) -> list:
     """Enclosures for all roots of p, one entry per root counted with
     multiplicity (p.degree entries), in sympy's CRootOf order: real roots
@@ -500,6 +545,8 @@ def poly_root_enclosures(p: IntPolynomial) -> list:
     imaginary part) right before its root."""
     if p.is_zero or p.degree < 1:
         return []
+    if p.degree == 1:
+        return [_linear_root(p)]
     found = _certified_roots(p)
     if found is None:
         return [RootEnclosure(p, i) for i in range(p.degree)]
@@ -519,6 +566,8 @@ def real_root_enclosures(p: IntPolynomial) -> list:
     real roots come first in CRootOf's order, so no rectangle is needed."""
     if p.is_zero or p.degree < 1:
         return []
+    if p.degree == 1:
+        return [_linear_root(p)]
     found = _certified_roots(p)
     if found is None:
         n_real = len(to_sympy(p).real_roots(radicals=False))

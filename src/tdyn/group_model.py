@@ -30,7 +30,7 @@ from .exact_linalg import (
     rat_kernel_basis,
     restrict_to_invariant_subspace,
 )
-from .polyalg import factor_rat, is_squarefree
+from .polyalg import factor_rat, is_squarefree, totients
 
 __all__ = [
     "AbelianSection",
@@ -143,12 +143,8 @@ def _tameness_bound(max_rank: int) -> int:
     budget = max_rank * max_rank
     # totient(m) >= sqrt(m/2), so m <= 2*budget^2 + 1 exhausts all candidates
     limit = 2 * budget * budget + 1
-    totient = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if totient[p] == p:  # p is prime: no smaller prime has touched it
-            for m in range(p, limit + 1, p):
-                totient[m] -= totient[m] // p
-    return 2 * max(m for m in range(1, limit + 1) if totient[m] <= budget)
+    phi = totients(limit)
+    return 2 * max(m for m in range(1, limit + 1) if phi[m] <= budget)
 
 
 def tameness_check(system: NilpotentSystem) -> TamenessVerdict:

@@ -6,7 +6,9 @@ tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
 numeric.  All factoring in tdyn goes through ``factor_int``.  The product and
 ratio polynomials are built from power sums with Newton's identities
 (Bostan, Flajolet, Salvy, Schost, "Fast computation of special resultants",
-JSC 41, 2006).
+JSC 41, 2006).  Cyclotomic polynomials and Euler's totient are computed in
+plain integer arithmetic: building them as sympy expressions would make the
+first call in a process import sympy's tensor and combinatorics packages.
 """
 
 from __future__ import annotations
@@ -78,8 +80,37 @@ def is_squarefree(p: IntPolynomial) -> bool:
     return gcd_int(p, p.derivative()).degree == 0
 
 
+def totients(limit: int) -> list:
+    """[phi(0), phi(1), ..., phi(limit)] for Euler's phi (phi(0) = 0), by a
+    sieve over the primes."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p is prime: no smaller prime has touched it
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
 def cyclotomic(m: int) -> IntPolynomial:
-    return from_sympy_int(sympy.Poly(sympy.cyclotomic_poly(m, _X), _X))
+    """The m-th cyclotomic polynomial, the product over d | m of
+    (x^d - 1)^mu(m/d): the factors with mu = 1 multiplied out first, then
+    exact synthetic divisions by those with mu = -1."""
+    if m < 1:
+        raise InputError("cyclotomic polynomials are indexed by m >= 1")
+    up, down = [m], []  # the d | m with mu(m/d) = 1 and = -1
+    for p in sympy.primefactors(m):
+        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    coeffs = [1]
+    for d in up:
+        # times x^d - 1
+        coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+    for d in down:
+        # over x^d - 1: a_i = q_(i-d) - q_i, so q_i = q_(i-d) - a_i
+        q = []
+        for i in range(len(coeffs) - d):
+            q.append((q[i - d] if i >= d else 0) - coeffs[i])
+        coeffs = q
+    return IntPolynomial.of(coeffs)
 
 
 def cyclotomic_order(p: IntPolynomial) -> Optional[int]:
@@ -87,8 +118,11 @@ def cyclotomic_order(p: IntPolynomial) -> Optional[int]:
     if p.is_zero or not p.is_monic:
         return None
     d = p.degree
-    for m in range(1, 2 * d * d + 2):
-        if sympy.totient(m) == d and cyclotomic(m) == p:
+    # phi(m) >= sqrt(m/2), so phi(m) = d forces m <= 2 d^2
+    limit = 2 * d * d + 1
+    phi = totients(limit)
+    for m in range(1, limit + 1):
+        if phi[m] == d and cyclotomic(m) == p:
             return m
     return None
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from tdyn.enclosures import (
+    _certified_roots,
     MAX_BITS,
     START_BITS,
     RootEnclosure,
@@ -275,3 +276,51 @@ def test_interval_sqrt_gives_the_64_bit_cell():
     assert interval_sqrt(Fraction(4), Fraction(4)) == (Fraction(2), 2 + k)
     lo, hi = interval_sqrt(Fraction(2), Fraction(2))
     assert hi - lo == k and lo * lo < 2 < hi * hi
+
+
+@pytest.mark.parametrize("coeffs, root", [
+    ((-3, 1), Fraction(3)),          # x - 3
+    ((25, 1), Fraction(-25)),        # x + 25
+    ((-3, 2), Fraction(3, 2)),       # 2x - 3
+])
+def test_linear_roots_are_exact_points_without_crootof(coeffs, root):
+    p = poly(*coeffs)
+    for (e,) in (poly_root_enclosures(p), real_root_enclosures(p)):
+        assert e.is_real and e.real_sign() == (1 if root > 0 else -1)
+        o = e.oracle()
+        for bits in (b for b in precision_ladder() if b <= 256):
+            assert e.box(bits) == o.box(bits) == (root, root, 0, 0)
+        assert cell(e) == cell(o)
+        assert e._expr is None and o._expr is not None
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-10 ** 600, 0, 1),     # x^2 - 10^600: the monic coefficients overflow
+    (10 ** 400, 1, 1),      # x^2 + x + 10^400: non-real roots of modulus 10^200
+    (-10 ** 300, 0, 1),     # x^2 - 10^300: the iteration overflows
+    (-2 ** 1000, 0, 1),     # x^2 - 2^1000
+])
+def test_seeds_that_overflow_are_taken_from_a_rescaled_polynomial(coeffs):
+    assert _certified_roots(poly(*coeffs)) is not None
+
+
+def test_rescaled_seeds_enclose_the_exact_roots_on_every_rung():
+    minus, plus = poly_root_enclosures(poly(-10 ** 600, 0, 1))
+    for e, root in ((minus, -10 ** 300), (plus, 10 ** 300)):
+        assert e.disk is not None
+        for bits in precision_ladder():
+            lo, hi, _, _ = e.box(bits)
+            assert lo <= root <= hi and hi - lo <= Fraction(2, 1 << bits), bits
+    lo, hi = poly_root_enclosures(poly(10 ** 400, 1, 1))[1].modsq(64)
+    assert lo <= 10 ** 400 <= hi
+
+
+def test_a_wide_first_disk_refines_on_a_finer_grid():
+    # the first certified disk of sqrt(3 * 2^80 + 1) has radius above 2^-60;
+    # refining it must not step to a grid coarser than the disk's own
+    n = 3 * 2 ** 80 + 1
+    root = poly_root_enclosures(poly(-n, 0, 1))[1]
+    assert root.disk is not None
+    for bits in precision_ladder():
+        lo, hi, _, _ = root.box(bits)
+        assert 0 < lo and lo * lo <= n <= hi * hi, bits

@@ -1,6 +1,8 @@
 """factor_rat, the monic factoring bridge over Q, against sympy factoring the
 rational polynomial directly; the product and ratio polynomials built from
-power sums against bivariate resultants as the oracle."""
+power sums against bivariate resultants as the oracle; the integer
+cyclotomic polynomials and their identification against sympy's
+``cyclotomic_poly`` and ``totient``."""
 
 from fractions import Fraction
 
@@ -8,7 +10,15 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from tdyn.exact_linalg import IntPolynomial, RatPolynomial
-from tdyn.polyalg import factor_int, factor_rat, product_polynomial, ratio_polynomial
+from tdyn.polyalg import (
+    cyclotomic,
+    cyclotomic_order,
+    factor_int,
+    factor_rat,
+    product_polynomial,
+    ratio_polynomial,
+    totients,
+)
 
 _X = sympy.Symbol("x")
 
@@ -109,3 +119,61 @@ def test_ratio_polynomial_matches_resultant(v):
     assert got.leading > 0
     assert got in (oracle, -oracle)
     assert factor_int(got)[1] == factor_int(oracle)[1]
+
+
+# ---------------------------------------------------------------- cyclotomics
+
+def _sympy_cyclotomic(m: int) -> IntPolynomial:
+    poly = sympy.Poly(sympy.cyclotomic_poly(m, _X), _X)
+    return IntPolynomial.of(int(c) for c in reversed(poly.all_coeffs()))
+
+
+def _sympy_cyclotomic_order(p: IntPolynomial):
+    """The identification through sympy's totient and cyclotomic_poly
+    (oracle)."""
+    if p.is_zero or not p.is_monic:
+        return None
+    d = p.degree
+    for m in range(1, 2 * d * d + 2):
+        if sympy.totient(m) == d and _sympy_cyclotomic(m) == p:
+            return m
+    return None
+
+
+def test_cyclotomic_matches_sympy_and_is_identified():
+    for m in range(1, 201):
+        assert cyclotomic(m) == _sympy_cyclotomic(m), m
+    for m in range(1, 61):
+        assert cyclotomic_order(cyclotomic(m)) == m
+    assert totients(200) == [0] + [int(sympy.totient(m)) for m in range(1, 201)]
+
+
+def test_cyclotomic_order_rejects_products_and_non_cyclotomics():
+    # Phi_3 Phi_4 has degree 4 = phi(12), and x^n = 1 on its roots first at
+    # n = 12, but it is not Phi_12
+    assert cyclotomic(3) * cyclotomic(4) != cyclotomic(12)
+    assert cyclotomic_order(cyclotomic(3) * cyclotomic(4)) is None
+    assert cyclotomic_order(cyclotomic(1) * cyclotomic(2)) is None   # x^2 - 1
+    assert cyclotomic_order(IntPolynomial.of([1, -3, 1])) is None    # x^2 - 3x + 1
+    assert cyclotomic_order(IntPolynomial.of([2, 2, 2])) is None     # 2 Phi_3
+    assert cyclotomic_order(IntPolynomial.of([-1, 2])) is None       # 2x - 1
+
+
+@st.composite
+def monic_polynomials(draw):
+    """Monic, degree 0-6: products of up to three cyclotomic polynomials of
+    degree <= 2, times a random monic factor or not."""
+    p = IntPolynomial.of([1])
+    for m in draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3)):
+        p = p * cyclotomic(m)
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 6 - p.degree))
+        p = p * IntPolynomial.of([draw(st.integers(-2, 2)) for _ in range(d)] + [1])
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(monic_polynomials(),
+                 st.integers(1, 30).map(cyclotomic).filter(lambda p: p.degree <= 6)))
+def test_cyclotomic_order_matches_the_sympy_route(p):
+    assert cyclotomic_order(p) == _sympy_cyclotomic_order(p)

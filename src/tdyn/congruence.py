@@ -93,11 +93,12 @@ def dold_check_realization(br: BouquetRealization, n: int) -> CongruenceReport:
     passes for every pair of integer matrices (trace Gauss congruence)."""
     if n < 1:
         raise InputError("modulus must be >= 1")
+    lefschetz = br.lefschetz_values(n)
     combination = 0
     for d in _divisors(n):
         mu = mobius(n // d)
         if mu:
-            combination += mu * br.lefschetz(d)
+            combination += mu * lefschetz[d - 1]
     residue = combination % n
     return CongruenceReport(n=n, combination=combination, residue=residue,
                             passed=residue == 0, kind="dold")

@@ -20,17 +20,21 @@ Then come the non-real roots of each irreducible factor, factors in sympy's
 (ax, ay) of the unrefined upper-half-plane rectangle that sympy's
 Collins-Krandick isolation (``dup_isolate_complex_roots_sqf``) assigns
 them, and each conjugate comes right before its root.  This is not
-real-part order.  The engine replays that bisection on its disks, and
-matches the disks into sympy's rectangles when a disk meets a bisection
+real-part order.  When sympy rewrites CRootOf(p, i) = c * CRootOf(q, i), for
+p(x) a constant times q(x/c), the order is q's.  The engine replays that
+bisection on its disks, with the cut lines scaled by c, and matches the
+disks into sympy's rectangles, scaled by c, when a disk meets a bisection
 line.
 
-sympy's CRootOf bisection is the fallback and the test oracle.  A polynomial
-that is not square-free, or whose disks do not separate, is enclosed by
-CRootOf throughout, and so is one whose double-precision seeds do not
-converge, even after rescaling.  Its non-real roots are, when sympy rescales
-p or a disk does not match exactly one rectangle.  CRootOf's evaluation of
-a non-real root builds a sympy expression, which can make the first such call
-in a process import sympy's tensor and combinatorics packages (about 50 ms).
+sympy's CRootOf bisection is the fallback, used only where the certificate
+fails, and the test oracle.  A polynomial whose double-precision seeds do
+not converge, even after rescaling, or whose disks do not separate (which
+includes every polynomial with a repeated root), is enclosed by CRootOf
+throughout.  Its non-real roots are when a disk cannot be placed in sympy's
+order, and so is a root whose Newton step leaves its disk.  CRootOf boxes
+come from its isolating intervals, refined as eval_rational refines them,
+without building a sympy expression.
+
 A reported 64-bit cell that lies within GUARD of a grid point or a float
 rounding boundary is recomputed from CRootOf boxes (``modulus_cell``), so
 printed values do not depend on the route.  Boxes are plain Fraction
@@ -54,7 +58,7 @@ from sympy.polys.rootoftools import _pure_factors
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
-from .polyalg import is_squarefree, to_sympy
+from .polyalg import to_sympy
 
 __all__ = [
     "Box",
@@ -100,48 +104,29 @@ def precision_ladder():
         bits *= 2
 
 
-def _frac(x) -> Fraction:
-    r = sympy.Rational(x)
-    return Fraction(int(r.p), int(r.q))
-
-
-def _crootof_box(root, bits: int) -> Box:
-    delta = Fraction(1, 2 ** bits)
-    d = sympy.Rational(1, 2 ** bits)
-    if root.is_real:
-        c = _frac(root.eval_rational(d))
-        return (c - delta, c + delta, Fraction(0), Fraction(0))
-    val = root.eval_rational(d, d)
-    re, im = val.as_real_imag()
-    cre, cim = _frac(re), _frac(im)
-    return (cre - delta, cre + delta, cim - delta, cim + delta)
-
-
-def _expr_box(expr, bits: int) -> Box:
-    """Rational box evaluation of expressions built from Rational, I and
-    CRootOf leaves with +, * and integer powers (the forms sympy's root
-    preprocessing can emit)."""
-    if isinstance(expr, sympy.polys.rootoftools.ComplexRootOf):
-        return _crootof_box(expr, bits)
-    if expr.is_Rational:
-        c = _frac(expr)
+def _crootof_box(value, bits: int) -> Box:
+    """Box of CRootOf's value c * root: a rational c, or c > 0 times a
+    CRootOf root.  root's isolating interval is refined to size 2^-bits as
+    eval_rational does, without building the value as a sympy expression,
+    and its box of half-width 2^-bits around the centre is scaled by c."""
+    c, root = value.as_coeff_Mul()
+    c = Fraction(int(c.p), int(c.q))
+    if root is sympy.S.One:
         return (c, c, Fraction(0), Fraction(0))
-    if expr is sympy.I:
-        return (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-    if expr.is_Add:
-        acc = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-        for arg in expr.args:
-            b = _expr_box(arg, bits)
-            acc = (acc[0] + b[0], acc[1] + b[1], acc[2] + b[2], acc[3] + b[3])
-        return acc
-    if expr.is_Mul:
-        acc = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
-        for arg in expr.args:
-            acc = box_mul(acc, _expr_box(arg, bits))
-        return acc
-    if expr.is_Pow and expr.exp.is_Integer and expr.exp >= 0:
-        return box_pow(_expr_box(expr.base, bits), int(expr.exp))
-    raise InputError(f"cannot enclose symbolic root expression {expr}")
+    delta = Fraction(1, 1 << bits)
+    d = sympy.Rational(1, 1 << bits)
+    iv = root._get_interval()
+    if root.is_real:
+        iv = iv.refine_size(dx=d)
+        re, im, dy = iv.center, 0, 0
+    else:
+        iv = iv.refine_size(dx=d, dy=d)
+        (re, im), dy = iv.center, delta
+        if root.is_imaginary:
+            re = 0
+    root._set_interval(iv)
+    cre, cim = (Fraction(int(v.numerator), int(v.denominator)) for v in (re, im))
+    return (c * (cre - delta), c * (cre + delta), c * (cim - dy), c * (cim + dy))
 
 
 # ---------------------------------------------------------------- the engine
@@ -361,23 +346,22 @@ def _certify(p: IntPolynomial, seeds):
 
 
 def _certified_roots(p: IntPolynomial):
-    """(real disks ascending, upper-half-plane disks) for a square-free p of
-    degree >= 2, or None when the disks cannot be certified."""
-    if p.degree < 2 or not is_squarefree(p):
-        return None
+    """(real disks ascending, upper-half-plane disks) for p of degree >= 2, or
+    None when the disks cannot be certified.  n disjoint disks hold n distinct
+    roots, so a repeated root of p always ends in None."""
     seeds = _float_seeds(p.coeffs)
     return None if seeds is None else _certify(p, seeds)
 
 
-def _replay_bisection(coeffs, uppers):
+def _replay_bisection(coeffs, c: int, uppers):
     """sympy's Collins-Krandick bisection (dup_isolate_complex_roots_sqf with
-    eps=None) replayed on the disks of the upper-half-plane roots of an
-    irreducible polynomial with these coefficients: the disks sorted by the
-    lower-left corner of their final rectangle, or None when a disk meets a
-    bisection line."""
+    eps=None) of an irreducible polynomial f with these coefficients,
+    replayed on the disks of the upper-half-plane roots of f(x/c), with every
+    cut line scaled by c: the disks sorted by the lower-left corner of their
+    final rectangle, or None when a disk meets a bisection line."""
     lc = abs(coeffs[-1])
-    bound = 2 * max(Fraction(abs(c), lc) for c in coeffs)
-    scale = 1 << uppers[0].k
+    bound = 2 * max(Fraction(abs(a), lc) for a in coeffs)
+    scale = c << uppers[0].k
     final = []
     stack = [((-bound, Fraction(0), bound, bound), uppers)]
     while stack:
@@ -409,11 +393,11 @@ def _replay_bisection(coeffs, uppers):
     return [d for _, _, d in final]
 
 
-def _match_rectangles(factor, uppers):
+def _match_rectangles(factor, c: int, uppers):
     """The disks in the order of sympy's unrefined rectangles of the factor,
-    or None unless every disk meets exactly one rectangle."""
-    rects = [tuple(Fraction(int(c.numerator), int(c.denominator))
-                   for c in (r.ax, r.ay, r.bx, r.by))
+    scaled by c, or None unless every disk meets exactly one rectangle."""
+    rects = [tuple(c * Fraction(int(a.numerator), int(a.denominator))
+                   for a in (r.ax, r.ay, r.bx, r.by))
              for r in dup_isolate_complex_roots_sqf(factor.rep.to_list(), sympy.ZZ,
                                                     blackbox=True)
              if not r.conj]
@@ -429,28 +413,32 @@ def _match_rectangles(factor, uppers):
 
 
 def _complex_order(p: IntPolynomial, uppers):
-    """The upper-half-plane disks in CRootOf order, or None when sympy
-    rescales p or a disk cannot be placed.  Each disk is assigned to its
-    irreducible factor, and each factor's disks are ordered by replaying
-    sympy's bisection, or else by matching them into sympy's rectangles.
-    Matching runs sympy's complex root isolation, 5-10 ms per polynomial,
+    """The upper-half-plane disks in CRootOf order, or None when a disk cannot
+    be placed.  sympy orders the roots of p as those of q, for its rewrite
+    CRootOf(p, i) = c * CRootOf(q, i).  Each disk is assigned to its
+    irreducible factor f of q (as a root of f(x/c)), and each factor's disks
+    are ordered by replaying sympy's bisection of f, or else by matching them
+    into sympy's rectangles of f, with the cut lines and rectangles scaled by
+    c.  Matching runs sympy's complex root isolation, 5-10 ms per polynomial,
     which the replay avoids."""
     if not uppers:
         return []
-    coeff, q = preprocess_roots(to_sympy(p))
-    if coeff != 1:
-        return None
+    c, q = preprocess_roots(to_sympy(p))
+    c = int(c)
     factors = list(ordered(_pure_factors(q)))
     out = []
     for f, _ in factors:
-        coeffs = [int(c) for c in reversed(f.rep.to_list())]
+        coeffs = [int(a) for a in reversed(f.rep.to_list())]
+        n = len(coeffs) - 1
+        # c^n f(x/c): its roots are c times f's, which are roots of p
+        scaled = [a * c ** (n - i) for i, a in enumerate(coeffs)]
         mine = (uppers if len(factors) == 1
-                else [d for d in uppers if d.holds_root_of(coeffs)])
+                else [d for d in uppers if d.holds_root_of(scaled)])
         if not mine:
             continue
-        order = _replay_bisection(coeffs, mine)
+        order = _replay_bisection(coeffs, c, mine)
         if order is None:
-            order = _match_rectangles(f, mine)
+            order = _match_rectangles(f, c, mine)
         if order is None:
             return None
         out += order
@@ -482,9 +470,8 @@ class RootEnclosure:
 
     def _crootof(self):
         if self._expr is None:
-            # sympy eagerly rewrites some roots (rational, Gaussian rational,
-            # rescalings like 2*CRootOf(x^2+1, 0)); keep the expression and
-            # evaluate it structurally into rational boxes
+            # a Rational, a CRootOf or an integer times a CRootOf, as sympy
+            # rewrites roots of reducible or rescaled polynomials (_crootof_box)
             self._expr = sympy.CRootOf(to_sympy(self.poly), self.index, radicals=False)
         return self._expr
 
@@ -508,7 +495,7 @@ class RootEnclosure:
         if self.disk is not None and not self.disk.refine(bits + 1):
             self.disk = None  # Newton left the certified disk: use CRootOf
         if self.disk is None:
-            out = _expr_box(self._crootof(), bits)
+            out = _crootof_box(self._crootof(), bits)
         else:
             out = self.disk.box(bits)
             if self.conjugate:

@@ -128,14 +128,12 @@ def _root_modulus_product_interval(enclosures, indices):
     return lo, hi
 
 
-def _scalar_pair_terms(base: RatPolynomial, s: Fraction, copies: int = 1):
-    """Terms max(|xi|, |s|) over the roots xi of base, each pair repeated
-    ``copies`` times.  Exact where the comparison is rational, certified
-    intervals otherwise."""
+def _scalar_pair_terms(base: RatPolynomial, s: Fraction):
+    """Terms max(|xi|, |s|) over the roots xi of base.  Exact where the
+    comparison is rational, certified intervals otherwise."""
     terms = []
     s_abs = abs(Fraction(s))
-    for w, mult in factor_rat(base):
-        reps = mult * copies
+    for w, reps in factor_rat(base):
         if w.degree == 1:
             r = -w.coeffs[0]
             if abs(r) == s_abs:

@@ -115,7 +115,8 @@ def cyclotomic(m: int) -> IntPolynomial:
 
 def cyclotomic_order(p: IntPolynomial) -> Optional[int]:
     """m if p equals the m-th cyclotomic polynomial, else None."""
-    if p.is_zero or not p.is_monic:
+    # Phi_1(0) = -1 and Phi_m(0) = 1 for m >= 2
+    if p.is_zero or not p.is_monic or abs(p.constant) != 1:
         return None
     d = p.degree
     # phi(m) >= sqrt(m/2), so phi(m) = d forces m <= 2 d^2

@@ -74,11 +74,6 @@ class ReidemeisterSequence:
     def __len__(self):
         return len(self.values)
 
-    def finite_values(self) -> list:
-        if any(is_infinite(v) for v in self.values):
-            raise InputError("sequence has infinite entries")
-        return list(self.values)
-
 
 def _adelic_value(det: Fraction, primes) -> int:
     """|det|_inf * prod_{p in S} |det|_p as an exact positive integer."""

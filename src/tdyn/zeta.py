@@ -40,7 +40,6 @@ from .exact_linalg import (
     IntPolynomial,
     RatMatrix,
     companion_matrix,
-    mat_pow,
     power_sums,
     rat_solve,
 )
@@ -135,9 +134,6 @@ class BouquetRealization:
     @property
     def n_circles(self) -> int:
         return self.a_odd.rows + 1
-
-    def lefschetz(self, n: int) -> int:
-        return mat_pow(self.a_even, n).trace() - mat_pow(self.a_odd, n).trace()
 
     def lefschetz_values(self, N: int) -> list:
         out = []

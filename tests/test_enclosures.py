@@ -6,8 +6,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
+from tdyn import enclosures
 from tdyn.enclosures import (
     _certified_roots,
+    _crootof_box,
+    _rescale,
     MAX_BITS,
     START_BITS,
     RootEnclosure,
@@ -244,11 +247,73 @@ def test_index_order_is_the_rectangle_order_not_the_real_part_order(coeffs):
     ((2, 0, 1), True),            # x^2 + 2: purely imaginary roots
     ((-1, -1, 0, 1), True),       # x^3 - x - 1: one real root, one pair
     ((15625, -375, 1), True),     # real roots of a polynomial sympy rescales
-    ((4, 0, 1), False),           # x^2 + 4 = 4 (y^2 + 1): rescaled, non-real
+    ((4, 0, 1), True),            # x^2 + 4 = 4 (y^2 + 1): rescaled, non-real
 ])
 def test_engine_matches_crootof_through_256_bits(coeffs, engine):
     encl = assert_matches_crootof(poly(*coeffs))
     assert all((e.disk is not None) == engine for e in encl)
+
+
+@pytest.mark.parametrize("p, c", [
+    (poly(625, -30, 1), 5),                  # x^2 - 30x + 625 = 25 q(x/5)
+    (poly(4, 2, 1), 2),                      # x^2 + 2x + 4
+    (poly(8, -4, 1), 2),                     # x^2 - 4x + 8
+    (poly(-8, -4, 0, 1), 2),                 # x^3 - 4x - 8: one real root, a pair
+    (poly(4, 0, 1) * poly(8, -4, 1), 2),     # two factors of q
+])
+def test_rescaled_polynomials_stay_on_the_engine(p, c):
+    # sympy orders the non-real roots of p as those of q, CRootOf(p, i) =
+    # c CRootOf(q, i); the engine replays q's bisection scaled by c
+    assert _rescale(p) == c
+    encl = assert_matches_crootof(p, complex_bits=32)
+    assert all(e.disk is not None for e in encl)
+    assert_true_cells(p, encl)
+
+
+@pytest.mark.parametrize("disabled", ["_match_rectangles", "_replay_bisection"])
+def test_rescaled_factors_are_ordered_by_the_replay_or_the_match_alone(
+        disabled, monkeypatch):
+    # 3^5 q(x/3) for q = x^5 - 2x^4 + x^3 + x^2 - 2x + 2: sympy orders its two
+    # non-real pairs as q's, which cut lines left at q's scale would not;
+    # either route alone, scaled by c = 3, must place every disk
+    p = poly(*(a * 3 ** (5 - i) for i, a in enumerate((2, -2, 1, 1, -2, 1))))
+    assert _rescale(p) == 3
+    monkeypatch.setattr(enclosures, disabled, lambda *args: None)
+    encl = assert_matches_crootof(p, complex_bits=32)
+    assert all(e.disk is not None for e in encl)
+
+
+def _eval_rational_box(value, bits):
+    """The CRootOf box by sympy's own evaluation: value = c * root, with root
+    evaluated by eval_rational into the expression re + I*im."""
+    c, root = value.as_coeff_Mul()
+    c = Fraction(int(c.p), int(c.q))
+    if root == 1:
+        return (c, c, 0, 0)
+    d = sympy.Rational(1, 1 << bits)
+    re, im = (Fraction(int(v.p), int(v.q))
+              for v in root.eval_rational(d, d).as_real_imag())
+    delta = Fraction(1, 1 << bits)
+    dy = 0 if root.is_real else delta
+    return (c * (re - delta), c * (re + delta), c * (im - dy), c * (im + dy))
+
+
+@pytest.mark.parametrize("p, index", [
+    (poly(-1, -1, 0, 1), 0),                 # the real root of x^3 - x - 1
+    (poly(4, 0, 1), 1),                      # 2i, an imaginary root
+    (poly(-1, -1, 0, 1), 2),                 # a non-real root
+    (poly(8, -4, 1), 0),                     # 2 (1 - i): a rescaled root
+    (poly(-1, 1) * poly(1, 0, 1), 0),        # 1: CRootOf gives a Rational
+])
+def test_crootof_boxes_equal_eval_rational_on_every_rung(p, index):
+    ladder = [b for b in precision_ladder() if b <= 64]
+    boxes = {}
+    for route in (_eval_rational_box, _crootof_box):
+        # each route refines the isolating intervals from scratch
+        sympy.polys.rootoftools.ComplexRootOf.clear_cache()
+        value = RootEnclosure(p, index)._crootof()
+        boxes[route] = [route(value, bits) for bits in ladder]
+    assert boxes[_eval_rational_box] == boxes[_crootof_box]
 
 
 def test_repeated_roots_fall_back_to_crootof():

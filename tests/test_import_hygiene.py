@@ -1,9 +1,13 @@
 """sympy builds its first expression with ``Add.flatten``, which imports
 ``sympy.tensor.tensor`` and ``sympy.combinatorics`` (16 modules, about 50 ms).
 The package ``sympy.tensor`` itself comes with ``import sympy``.  tdyn's
-cyclotomic identification and linear roots build no expression, so the CLI
-commands below must leave both modules unimported, in a fresh process."""
+cyclotomic identification, linear roots and root enclosures build no
+expression, also for the non-real roots of polynomials that sympy rescales
+(x^2 - 30x + 625 in ``classify`` of the equal-modulus pair, x^2 + 2x + 4 in
+``growth`` of the torus [[0, -4], [1, -2]]), so the CLI commands below must
+leave both modules unimported, in a fresh process."""
 
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +25,8 @@ argvs = [
     ["classify", "--builtin", "torus_matrix:1,-2,1,1"],
     ["classify", "--builtin", "s_integer:3/2,2"],
     ["classify", "--builtin", "heisenberg:2,1,1,3"],
+    ["classify", "--input", sys.argv[1]],
+    ["growth", "--builtin", "torus_matrix:0,-4,1,-2"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [tdyn.cli.main(argv) for argv in argvs]
@@ -28,12 +34,22 @@ print(codes)
 print([m for m in LAZY if m in sys.modules])
 """
 
+# phi = [[0, -25], [1, 6]] and psi = 5 I: phi's eigenvalues 3 +- 4i have
+# modulus 5, and classify isolates the roots of x^2 - 30x + 625 = 25 q(x/5)
+EQUAL_MODULUS = {"name": "equal_modulus", "sections": [{
+    "rank": 2,
+    "phi": [["0", "-25"], ["1", "6"]],
+    "psi": [["5", "0"], ["0", "5"]],
+}]}
 
-def test_cli_commands_build_no_sympy_expression():
+
+def test_cli_commands_build_no_sympy_expression(tmp_path):
+    system = tmp_path / "equal_modulus.json"
+    system.write_text(json.dumps(EQUAL_MODULUS))
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(system)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0]", "[]"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]

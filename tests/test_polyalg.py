@@ -9,6 +9,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from tdyn import polyalg
 from tdyn.exact_linalg import IntPolynomial, RatPolynomial
 from tdyn.polyalg import (
     cyclotomic,
@@ -157,6 +158,18 @@ def test_cyclotomic_order_rejects_products_and_non_cyclotomics():
     assert cyclotomic_order(IntPolynomial.of([1, -3, 1])) is None    # x^2 - 3x + 1
     assert cyclotomic_order(IntPolynomial.of([2, 2, 2])) is None     # 2 Phi_3
     assert cyclotomic_order(IntPolynomial.of([-1, 2])) is None       # 2x - 1
+
+
+def test_cyclotomic_order_sieves_only_for_a_unit_constant_term(monkeypatch):
+    # Phi_1(0) = -1 and Phi_m(0) = 1 for m >= 2, so x^200 + 2 needs no sieve
+    # up to 2 * 200^2 + 1
+    sieved = []
+    monkeypatch.setattr(polyalg, "totients",
+                        lambda limit: sieved.append(limit) or totients(limit))
+    assert cyclotomic_order(IntPolynomial.of([2] + [0] * 199 + [1])) is None
+    assert sieved == []
+    assert cyclotomic_order(cyclotomic(7)) == 7
+    assert sieved == [73]
 
 
 @st.composite

@@ -25,7 +25,6 @@ class CongruenceReport:
     combination: int
     residue: int
     passed: bool
-    kind: str = "gauss"
 
     def __post_init__(self):
         assert self.passed == (self.residue == 0)
@@ -45,8 +44,7 @@ def mobius(n: int) -> int:
 
 def _divisors(n: int) -> list:
     # trial division is plenty at desk scale
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _value_at(seq: ReidemeisterSequence, d: int) -> int:
@@ -57,20 +55,29 @@ def _value_at(seq: ReidemeisterSequence, d: int) -> int:
     return v
 
 
+def _report(n: int, combination: int) -> CongruenceReport:
+    residue = combination % n
+    return CongruenceReport(n=n, combination=combination, residue=residue,
+                            passed=residue == 0)
+
+
+def _mobius_report(n: int, a) -> CongruenceReport:
+    """The report for sum_{d|n} mu(n/d) * a(d) mod n, exactly."""
+    combination = 0
+    for d in _divisors(n):
+        mu = mobius(n // d)
+        if mu:
+            combination += mu * a(d)
+    return _report(n, combination)
+
+
 def gauss_check(seq: ReidemeisterSequence, n: int) -> CongruenceReport:
     """sum_{d|n} mu(n/d) * a_d mod n, exactly."""
     if n < 1:
         raise InputError("modulus must be >= 1")
     if n > len(seq.values):
         raise InputError(f"sequence has only {len(seq.values)} terms, need {n}")
-    combination = 0
-    for d in _divisors(n):
-        mu = mobius(n // d)
-        if mu:
-            combination += mu * _value_at(seq, d)
-    residue = combination % n
-    return CongruenceReport(n=n, combination=combination, residue=residue,
-                            passed=residue == 0, kind="gauss")
+    return _mobius_report(n, lambda d: _value_at(seq, d))
 
 
 def euler_check(seq: ReidemeisterSequence, p: int, r: int) -> CongruenceReport:
@@ -82,10 +89,7 @@ def euler_check(seq: ReidemeisterSequence, p: int, r: int) -> CongruenceReport:
     n = p ** r
     if n > len(seq.values):
         raise InputError(f"sequence has only {len(seq.values)} terms, need {n}")
-    combination = _value_at(seq, n) - _value_at(seq, p ** (r - 1))
-    residue = combination % n
-    return CongruenceReport(n=n, combination=combination, residue=residue,
-                            passed=residue == 0, kind="euler")
+    return _report(n, _value_at(seq, n) - _value_at(seq, p ** (r - 1)))
 
 
 def dold_check_realization(br: BouquetRealization, n: int) -> CongruenceReport:
@@ -94,11 +98,4 @@ def dold_check_realization(br: BouquetRealization, n: int) -> CongruenceReport:
     if n < 1:
         raise InputError("modulus must be >= 1")
     lefschetz = br.lefschetz_values(n)
-    combination = 0
-    for d in _divisors(n):
-        mu = mobius(n // d)
-        if mu:
-            combination += mu * lefschetz[d - 1]
-    residue = combination % n
-    return CongruenceReport(n=n, combination=combination, residue=residue,
-                            passed=residue == 0, kind="dold")
+    return _mobius_report(n, lambda d: lefschetz[d - 1])

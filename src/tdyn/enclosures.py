@@ -510,13 +510,7 @@ class RootEnclosure:
         """Exact sign of a real root (the root must be nonzero)."""
         if not self.is_real:
             raise InputError("real_sign of a non-real root")
-        for bits in precision_ladder():
-            lo, hi, _, _ = self.box(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-        raise PrecisionError("could not separate a real root from zero")
+        return real_part_sign(self.box)
 
 
 def _linear_root(p: IntPolynomial) -> RootEnclosure:

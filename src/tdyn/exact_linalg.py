@@ -1,19 +1,24 @@
 """Exact dense linear algebra over arbitrary-precision integers and rationals.
 
-Everything here is immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.  Determinants use
-fraction-free Bareiss elimination, the iterated determinants det(phi^n - psi^n)
-run on scaled integer matrices, and the Smith normal form keeps full
-unimodular transforms so callers can recheck U*A*V = D.  Newton's identities
-live here once in each direction (coefficients to power sums and back); the
-characteristic polynomial is rebuilt from the traces of matrix powers with
-them.
+Each container has one implementation over Z and Q: the dense matrix
+(BigIntMatrix, RatMatrix) and the polynomial (IntPolynomial, RatPolynomial)
+share a base class that differs only in the entry type, and each subclass
+adds its own extras.  Everything here is immutable after construction and
+every operation is a pure function, so values can be shared freely across
+threads.  Successive matrix powers come from one loop (``powers``, one
+product per step).  Determinants use fraction-free Bareiss elimination, the
+iterated determinants det(phi^n - psi^n) run on scaled integer matrices, and
+the Smith normal form keeps full unimodular transforms so callers can recheck
+U*A*V = D.  Newton's identities live here once in each direction
+(coefficients to power sums and back); the characteristic polynomial is
+rebuilt from the traces of matrix powers with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -33,8 +38,9 @@ def _as_fraction(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class BigIntMatrix:
-    """Dense row-major matrix with arbitrary-precision integer entries."""
+class _DenseMatrix:
+    """Dense row-major matrix; a subclass fixes the entry type ``_entry`` and
+    the converter ``_convert`` that from_rows applies to each entry."""
 
     rows: int
     cols: int
@@ -45,22 +51,72 @@ class BigIntMatrix:
             raise InputError("matrix dimensions must be at least 1x1")
         if len(self.entries) != self.rows * self.cols:
             raise InputError("entry count does not match rows*cols")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise InputError("BigIntMatrix entries must be ints")
+        entry = self._entry
+        if not all(isinstance(e, entry) for e in self.entries):
+            raise InputError(f"{type(self).__name__} entries must be {entry.__name__}s")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BigIntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[IntLike]]):
         r = len(rows)
         if r == 0:
             raise InputError("no rows given")
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise InputError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
+        return cls(r, c, tuple(map(cls._convert, chain.from_iterable(rows))))
 
     @classmethod
-    def identity(cls, d: int) -> "BigIntMatrix":
-        return cls(d, d, tuple(1 if i == j else 0 for i in range(d) for j in range(d)))
+    def identity(cls, d: int):
+        zero, one = cls._entry(0), cls._entry(1)
+        return cls(d, d, tuple(one if i == j else zero for i in range(d) for j in range(d)))
+
+    def get(self, i: int, j: int):
+        return self.entries[i * self.cols + j]
+
+    def row_lists(self) -> list:
+        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def mul(self, other):
+        """Matrix product that skips zero entries of both factors, so powers
+        of block-diagonal matrices cost the sum of the cubes of the blocks."""
+        if self.cols != other.rows:
+            raise InputError("dimension mismatch in matrix product")
+        n, p = self.cols, other.cols
+        zero = self._entry(0)
+        # the nonzero (column, entry) pairs of each row of other, sliced once
+        other_rows = [[(j, b) for j, b in enumerate(other.entries[k * p:(k + 1) * p])
+                       if b] for k in range(n)]
+        out = []
+        for i in range(self.rows):
+            acc = [zero] * p
+            for a, row in zip(self.entries[i * n:(i + 1) * n], other_rows):
+                if a:
+                    for j, b in row:
+                        acc[j] += a * b
+            out.extend(acc)
+        return type(self)(self.rows, p, tuple(out))
+
+    def sub(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise InputError("dimension mismatch in matrix difference")
+        return type(self)(self.rows, self.cols,
+                          tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def trace(self):
+        if not self.is_square:
+            raise InputError("trace of a non-square matrix")
+        return sum(self.entries[::self.cols + 1], self._entry(0))
+
+
+class BigIntMatrix(_DenseMatrix):
+    """Dense row-major matrix with arbitrary-precision integer entries."""
+
+    _entry = _convert = int
+    mul = _DenseMatrix.mul
 
     @classmethod
     def block_diag(cls, blocks: Sequence["BigIntMatrix"]) -> "BigIntMatrix":
@@ -78,108 +134,17 @@ class BigIntMatrix:
             off += b.rows
         return cls.from_rows(out)
 
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
-    def row_lists(self) -> list:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def mul(self, other: "BigIntMatrix") -> "BigIntMatrix":
-        """Matrix product that skips zero entries of both factors, so powers
-        of block-diagonal matrices cost the sum of the cubes of the blocks."""
-        if self.cols != other.rows:
-            raise InputError("dimension mismatch in matrix product")
-        n, p = self.cols, other.cols
-        # the nonzero (column, entry) pairs of each row of other, sliced once
-        other_rows = [[(j, b) for j, b in enumerate(other.entries[k * p:(k + 1) * p])
-                       if b] for k in range(n)]
-        out = []
-        for i in range(self.rows):
-            acc = [0] * p
-            for a, row in zip(self.entries[i * n:(i + 1) * n], other_rows):
-                if a:
-                    for j, b in row:
-                        acc[j] += a * b
-            out.extend(acc)
-        return BigIntMatrix(self.rows, p, tuple(out))
-
-    def sub(self, other: "BigIntMatrix") -> "BigIntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("dimension mismatch in matrix difference")
-        return BigIntMatrix(self.rows, self.cols,
-                            tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def trace(self) -> int:
-        if not self.is_square:
-            raise InputError("trace of a non-square matrix")
-        return sum(self.get(i, i) for i in range(self.rows))
-
-
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(_DenseMatrix):
     """Dense row-major matrix with exact rational entries (Fraction keeps lowest terms)."""
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise InputError("matrix dimensions must be at least 1x1")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError("entry count does not match rows*cols")
-        if not all(isinstance(e, Fraction) for e in self.entries):
-            raise InputError("RatMatrix entries must be Fractions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[IntLike]]) -> "RatMatrix":
-        r = len(rows)
-        if r == 0:
-            raise InputError("no rows given")
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
-            raise InputError("ragged rows")
-        return cls(r, c, tuple(_as_fraction(x) for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, d: int) -> "RatMatrix":
-        return cls(d, d, tuple(Fraction(1 if i == j else 0)
-                               for i in range(d) for j in range(d)))
-
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    _entry = Fraction
+    _convert = staticmethod(_as_fraction)
+    mul = _DenseMatrix.mul
 
     @property
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for e in self.entries)
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise InputError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i * self.cols:(i + 1) * self.cols]
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.get(k, j) for k in range(self.cols)),
-                               Fraction(0)))
-        return RatMatrix(self.rows, other.cols, tuple(out))
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("dimension mismatch in matrix difference")
-        return RatMatrix(self.rows, self.cols,
-                         tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -191,19 +156,14 @@ class RatMatrix:
         c = _as_fraction(c)
         return RatMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise InputError("trace of a non-square matrix")
-        return sum((self.get(i, i) for i in range(self.rows)), Fraction(0))
-
     def to_bigint(self) -> BigIntMatrix:
         if not self.is_integral:
             raise InputError("matrix has non-integer entries")
-        return BigIntMatrix(self.rows, self.cols, tuple(int(e) for e in self.entries))
+        return BigIntMatrix(self.rows, self.cols, tuple(map(int, self.entries)))
 
     def scaled_integer(self) -> tuple:
         """Return (B, L) with B integral and B = L * self."""
-        L = lcm(*(e.denominator for e in self.entries)) if self.entries else 1
+        L = lcm(*(e.denominator for e in self.entries))
         B = BigIntMatrix(self.rows, self.cols,
                          tuple(int(e * L) for e in self.entries))
         return B, L
@@ -224,13 +184,21 @@ class RatMatrix:
 Matrix = Union[BigIntMatrix, RatMatrix]
 
 
+def powers(A: Matrix):
+    """A, A^2, A^3, ... for a square matrix, one product per step."""
+    P = A
+    while True:
+        yield P
+        P = P.mul(A)
+
+
 def mat_pow(A: Matrix, n: int):
     """A**n by binary exponentiation; A**0 is the identity."""
     if not A.is_square:
         raise InputError("mat_pow needs a square matrix")
     if n < 0:
         raise InputError("mat_pow exponent must be nonnegative")
-    result = A.identity(A.rows) if isinstance(A, BigIntMatrix) else RatMatrix.identity(A.rows)
+    result = A.identity(A.rows)
     base = A
     while n:
         if n & 1:
@@ -286,15 +254,10 @@ def power_difference_determinants(phi: RatMatrix, psi: RatMatrix):
     d = phi.rows
     B, L = phi.scaled_integer()
     C, M = psi.scaled_integer()
-    psi_identity = psi.is_identity()
-    Bn = Cn = BigIntMatrix.identity(d)
     Ln = Mn = 1
-    while True:
-        Bn = Bn.mul(B)
+    for Bn, Cn in zip(powers(B), repeat(C) if psi.is_identity() else powers(C)):
         Ln *= L
-        if not psi_identity:
-            Cn = Cn.mul(C)
-            Mn *= M
+        Mn *= M
         diff = BigIntMatrix(d, d, tuple(b * Mn - c * Ln
                                         for b, c in zip(Bn.entries, Cn.entries)))
         yield Fraction(det_exact(diff), (Ln * Mn) ** d)
@@ -411,16 +374,10 @@ def smith_normal_form(A: BigIntMatrix) -> SmithForm:
     return SmithForm(D=D, U=BigIntMatrix.from_rows(U), V=BigIntMatrix.from_rows(V), rank=rank)
 
 
-def _strip(coeffs: Iterable[int]):
-    cs = list(coeffs)
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 @dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients in ascending degree order.
+class _Polynomial:
+    """Polynomial with coefficients in ascending degree order; a subclass
+    fixes the coefficient type ``_entry`` and the converter ``_convert``.
 
     The zero polynomial is stored as (0,) with degree 0 and is_zero True, which
     avoids the -infinity degree convention.
@@ -431,14 +388,18 @@ class IntPolynomial:
     def __post_init__(self):
         if not self.coeffs:
             raise InputError("empty coefficient list")
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise InputError("IntPolynomial coefficients must be ints")
+        entry = self._entry
+        if not all(isinstance(c, entry) for c in self.coeffs):
+            raise InputError(f"{type(self).__name__} coefficients must be {entry.__name__}s")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             raise InputError("unnormalized coefficients (trailing zeros)")
 
     @classmethod
-    def of(cls, coeffs: Iterable[IntLike]) -> "IntPolynomial":
-        return cls(_strip(int(c) for c in coeffs))
+    def of(cls, coeffs: Iterable[IntLike]):
+        cs = list(map(cls._convert, coeffs))
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        return cls(tuple(cs))
 
     @property
     def is_zero(self) -> bool:
@@ -446,7 +407,23 @@ class IntPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if not self.is_zero else 0
+        return len(self.coeffs) - 1
+
+    @property
+    def is_monic(self) -> bool:
+        return self.coeffs[-1] == 1
+
+    def __call__(self, x):
+        acc = 0 if isinstance(x, int) else Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+class IntPolynomial(_Polynomial):
+    """Integer polynomial, coefficients in ascending degree order."""
+
+    _entry = _convert = int
 
     @property
     def leading(self) -> int:
@@ -455,16 +432,6 @@ class IntPolynomial:
     @property
     def constant(self) -> int:
         return self.coeffs[0]
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
-
-    def __call__(self, x):
-        acc = 0 if isinstance(x, int) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -511,53 +478,20 @@ class IntPolynomial:
         return tuple(Fraction(c) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class RatPolynomial:
+class RatPolynomial(_Polynomial):
     """Polynomial with exact rational coefficients, ascending degree order."""
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise InputError("empty coefficient list")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            raise InputError("RatPolynomial coefficients must be Fractions")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
-            raise InputError("unnormalized coefficients (trailing zeros)")
-
-    @classmethod
-    def of(cls, coeffs: Iterable[IntLike]) -> "RatPolynomial":
-        cs = [_as_fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if not self.is_zero else 0
+    _entry = Fraction
+    _convert = staticmethod(_as_fraction)
 
     @property
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.coeffs[-1] == 1
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_int(self) -> IntPolynomial:
         if not self.is_integral:
             raise InputError("polynomial has non-integer coefficients")
-        return IntPolynomial.of(int(c) for c in self.coeffs)
+        return IntPolynomial.of(self.coeffs)
 
     def clear_denominators(self) -> tuple:
         """Return (q, L) with q integral and q = L * self."""
@@ -674,12 +608,8 @@ def char_poly(A: Matrix) -> RatPolynomial:
     if not A.is_square:
         raise InputError("characteristic polynomial of a non-square matrix")
     B, L = (A, 1) if isinstance(A, BigIntMatrix) else A.scaled_integer()
-    sums = []
-    Bk = B
-    for k in range(1, A.rows + 1):
-        if k > 1:
-            Bk = Bk.mul(B)
-        sums.append(Fraction(Bk.trace(), L ** k))
+    sums = [Fraction(Bk.trace(), L ** k)
+            for k, Bk in enumerate(islice(powers(B), A.rows), start=1)]
     poly = from_power_sums(sums)
     assert L != 1 or poly.is_integral, "integer matrix produced non-integer char poly"
     return poly

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from .enclosures import (
     box_mul,
     decide_order,
+    interval_sqrt,
     modsq_box,
     modulus_cell,
     poly_root_enclosures,
@@ -30,10 +32,11 @@ from .errors import (
     RootOfUnityError,
     UnsupportedPairingError,
 )
-from .exact_linalg import BigIntMatrix, RatMatrix, RatPolynomial, char_poly, rat_solve
+from .exact_linalg import (BigIntMatrix, RatMatrix, RatPolynomial, char_poly, powers,
+                           rat_solve)
 from .group_model import AbelianSection, NilpotentSystem, joint_blocks, tameness_check
 from .padic import joint_block_exponent, padic_growth_factor
-from .polyalg import cyclotomic_factors, factor_int, factor_rat
+from .polyalg import cyclotomic_factors, factor_rat
 from .reidemeister import coincidence_sequence
 
 __all__ = ["RationalLog", "AlgebraicLog", "PadicLog", "GrowthReport",
@@ -128,50 +131,53 @@ def _root_modulus_product_interval(enclosures, indices):
     return lo, hi
 
 
-def _scalar_pair_terms(base: RatPolynomial, s: Fraction):
-    """Terms max(|xi|, |s|) over the roots xi of base.  Exact where the
-    comparison is rational, certified intervals otherwise."""
-    terms = []
+def _pair_terms(w: RatPolynomial, s, reps: int = 1):
+    """Terms max(|xi|, |s|) over the roots xi of the monic irreducible w,
+    each to the power reps.  Exact where the comparison is rational,
+    certified intervals otherwise."""
     s_abs = abs(Fraction(s))
-    for w, reps in factor_rat(base):
-        if w.degree == 1:
-            r = -w.coeffs[0]
-            if abs(r) == s_abs:
-                raise HypothesisViolatedError(
-                    f"|{r}| equals |{s}|; the growth formula hypothesis fails")
-            v = max(abs(r), s_abs)
-            if v != 1:
-                terms.append(RationalLog(v ** reps))
-            continue
-        wi = w.clear_denominators()[0]
-        encl = poly_root_enclosures(wi)
-        s_sq = s_abs * s_abs
-        inside = []
-        outside = 0
-        for i, e in enumerate(encl):
-            try:
-                order = decide_order(e.modsq, lambda _bits: (s_sq, s_sq))
-            except PrecisionError as exc:
-                raise HypothesisViolatedError(
-                    f"an eigenvalue modulus of {wi.coeffs} is indistinguishable "
-                    f"from |{s}|") from exc
-            if order > 0:
-                inside.append(i)
-            else:
-                outside += 1
-        if len(inside) == len(encl):
-            v = abs(w.coeffs[0])  # product of |roots| of a monic polynomial
-            if v != 1:
-                terms.append(RationalLog(v ** reps))
+    if w.degree == 1:
+        r = -w.coeffs[0]
+        if abs(r) == s_abs:
+            raise HypothesisViolatedError(
+                f"|{r}| equals |{s}|; the growth formula hypothesis fails")
+        v = max(abs(r), s_abs)
+        return [RationalLog(v ** reps)] if v != 1 else []
+    terms = []
+    wi = w.clear_denominators()[0]
+    encl = poly_root_enclosures(wi)
+    s_sq = s_abs * s_abs
+    inside = []
+    outside = 0
+    for i, e in enumerate(encl):
+        try:
+            order = decide_order(e.modsq, lambda _bits: (s_sq, s_sq))
+        except PrecisionError as exc:
+            raise HypothesisViolatedError(
+                f"an eigenvalue modulus of {wi.coeffs} is indistinguishable "
+                f"from |{s}|") from exc
+        if order > 0:
+            inside.append(i)
         else:
-            if inside:
-                lo, hi = _root_modulus_product_interval(encl, inside)
-                terms.append(AlgebraicLog(
-                    note=f"{len(inside)} root(s) of {wi.coeffs} beyond radius {s_abs}",
-                    lo=lo ** reps, hi=hi ** reps))
-            if outside and s_abs not in (0, 1):
-                terms.append(RationalLog(s_abs ** (outside * reps)))
+            outside += 1
+    if len(inside) == len(encl):
+        v = abs(w.coeffs[0])  # product of |roots| of a monic polynomial
+        if v != 1:
+            terms.append(RationalLog(v ** reps))
+    else:
+        if inside:
+            lo, hi = _root_modulus_product_interval(encl, inside)
+            terms.append(AlgebraicLog(
+                note=f"{len(inside)} root(s) of {wi.coeffs} beyond radius {s_abs}",
+                lo=lo ** reps, hi=hi ** reps))
+        if outside and s_abs not in (0, 1):
+            terms.append(RationalLog(s_abs ** (outside * reps)))
     return terms
+
+
+def _scalar_pair_terms(base: RatPolynomial, s: Fraction):
+    """_pair_terms over the irreducible factors of base."""
+    return [t for w, reps in factor_rat(base) for t in _pair_terms(w, s, reps)]
 
 
 def _commuting_block_terms(blocks):
@@ -192,11 +198,8 @@ def _commuting_block_terms(blocks):
         # psi_block is a polynomial h in phi_block (the block is a field);
         # the pairing is eta = h(xi)
         m = f_alpha.degree
-        cols = []
-        pw = RatMatrix.identity(m)
-        for _ in range(m):
-            cols.append(list(pw.entries))
-            pw = pw.mul(phi_block)
+        cols = [RatMatrix.identity(m).entries,
+                *(pw.entries for pw in islice(powers(phi_block), m - 1))]
         system = RatMatrix(m * m, m, tuple(cols[j][i] for i in range(m * m)
                                            for j in range(m)))
         h = rat_solve(system, list(psi_block.entries))
@@ -316,35 +319,23 @@ def entropy_dual_torus(A) -> float:
         A = RatMatrix.from_rows(A)
     if isinstance(A, RatMatrix):
         A = A.to_bigint()
-    cp = char_poly(A).to_int()
-    cyclo = cyclotomic_factors(cp)
+    cp = char_poly(A)
+    cyclo = cyclotomic_factors(cp.to_int())
     if cyclo:
         orders = ", ".join(str(m) for m, _ in cyclo)
         raise RootOfUnityError(
             f"characteristic polynomial has cyclotomic factor(s) of order {orders}")
     total = 0.0
-    _, factors = factor_int(cp)
-    for w, mult in factors:
-        if w.degree == 1:
-            r = Fraction(-w.coeffs[0], w.coeffs[1])
-            if abs(r) > 1:
-                total += mult * _flog(abs(r))
-            continue
-        encl = poly_root_enclosures(w)
-        one = Fraction(1)
+    for w, mult in factor_rat(cp):
         try:
-            inside = [i for i, e in enumerate(encl)
-                      if decide_order(e.modsq, lambda _b: (one, one)) > 0]
-            if len(inside) == len(encl):
-                total += mult * _flog(abs(Fraction(w.coeffs[0], w.coeffs[-1])))
-            elif inside:
-                lo, hi = _root_modulus_product_interval(encl, inside)
-                total += mult * _flog((lo + hi) / 2)
-        except PrecisionError:
+            for t in _pair_terms(w, 1):
+                total += mult * _term_log(t)
+        except HypothesisViolatedError:
             # an eigenvalue sits on (or within 1e-30 of) the unit circle:
-            # log max(|xi|, 1) is still well defined, use interval midpoints
-            for e in encl:
-                slo, shi = _modulus(e)
+            # log max(|xi|, 1) is still well defined, use the midpoints of
+            # the 64-bit cells of |xi| (an exact |xi| = 1 straddles 1)
+            for e in poly_root_enclosures(w.clear_denominators()[0]):
+                slo, shi = interval_sqrt(*e.modsq(_VALUE_BITS))
                 mid = (max(slo, 1) + max(shi, 1)) / 2
                 if mid > 1:
                     total += mult * _flog(mid)

@@ -54,7 +54,6 @@ class ReidemeisterSequence:
     infinite Reidemeister case, kind 'reidemeister' keeps INFINITY explicit."""
 
     values: tuple
-    system_name: str
     kind: str  # "reidemeister" | "nielsen"
 
     def __post_init__(self):
@@ -133,8 +132,7 @@ def coincidence_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequenc
         for det, support in zip(row, primes):
             total *= _adelic_value(det, support)
         values.append(total)
-    return ReidemeisterSequence(values=tuple(values), system_name=system.name,
-                                kind="reidemeister")
+    return ReidemeisterSequence(values=tuple(values), kind="reidemeister")
 
 
 def nielsen_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequence:
@@ -146,5 +144,4 @@ def nielsen_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequence:
                          "(empty prime support)")
     rseq = coincidence_sequence(system, N)
     values = tuple(0 if is_infinite(v) else v for v in rseq.values)
-    return ReidemeisterSequence(values=values, system_name=system.name,
-                                kind="nielsen")
+    return ReidemeisterSequence(values=values, kind="nielsen")

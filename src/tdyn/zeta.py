@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -41,6 +42,7 @@ from .exact_linalg import (
     RatMatrix,
     companion_matrix,
     power_sums,
+    powers,
     rat_solve,
 )
 from .polyalg import exact_quotient, factor_int, gcd_int, is_squarefree
@@ -136,14 +138,8 @@ class BouquetRealization:
         return self.a_odd.rows + 1
 
     def lefschetz_values(self, N: int) -> list:
-        out = []
-        pe = BigIntMatrix.identity(self.a_even.rows)
-        po = BigIntMatrix.identity(self.a_odd.rows)
-        for _ in range(N):
-            pe = pe.mul(self.a_even)
-            po = po.mul(self.a_odd)
-            out.append(pe.trace() - po.trace())
-        return out
+        return [pe.trace() - po.trace() for pe, po in
+                islice(zip(powers(self.a_even), powers(self.a_odd)), N)]
 
 
 # a prime near the word size: reductions that lose the recurrence, and so
@@ -392,11 +388,11 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     return ExponentialSum(terms=tuple(zip(root_polys, chis)))
 
 
-def zeta_from_sequence(seq: SequenceLike, max_order: Optional[int] = None):
+def zeta_from_sequence(seq: SequenceLike):
     """Reconstruct (zeta as RationalFunction, ExponentialSum) from an exact
     sequence; verifies the roundtrip over the full window before returning."""
     values = _finite_values(seq)
-    v = minimal_recurrence(values, max_order)
+    v = minimal_recurrence(values)
     if v is None:
         raise NoRecurrenceError(
             f"no recurrence of admissible order fits the {len(values)}-term window")

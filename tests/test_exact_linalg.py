@@ -18,6 +18,7 @@ from tdyn.exact_linalg import (
     det_rat,
     mat_pow,
     power_sums,
+    powers,
     rat_kernel_basis,
     rat_solve,
     smith_normal_form,
@@ -341,3 +342,28 @@ def test_rat_solve_solves_exactly_the_consistent_systems(system):
     assert (x is not None) == consistent
     if x is not None:
         assert _apply(rows, x) == b
+
+
+# ---------------------------------------------------------------- containers
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BigIntMatrix(1, 2, (1, Fraction(1))), "BigIntMatrix entries must be ints"),
+    (lambda: RatMatrix(1, 2, (Fraction(1), 1)), "RatMatrix entries must be Fractions"),
+    (lambda: IntPolynomial((1, Fraction(1))), "IntPolynomial coefficients must be ints"),
+    (lambda: RatPolynomial((Fraction(1), 1)),
+     "RatPolynomial coefficients must be Fractions"),
+    (lambda: BigIntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    (lambda: RatMatrix.from_rows([[1], [2, 3]]), "ragged rows"),
+    (lambda: IntPolynomial((1, 0)), "unnormalized coefficients"),
+    (lambda: RatPolynomial((Fraction(1), Fraction(0))), "unnormalized coefficients"),
+])
+def test_containers_reject_the_other_entry_type(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+def test_powers_match_mat_pow():
+    for A in (BigIntMatrix.from_rows([[1, 2, 0], [0, -1, 3], [4, 0, 0]]),
+              RatMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]])):
+        got = [P for P, _ in zip(powers(A), range(6))]
+        assert got == [mat_pow(A, n) for n in range(1, 7)]

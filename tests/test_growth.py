@@ -205,6 +205,21 @@ def test_entropy_hyperbolic_full_factor():
                                                                   abs=1e-12)
 
 
+def test_entropy_on_the_unit_circle_builds_no_crootof(monkeypatch):
+    # Lehmer's polynomial: 8 roots with |xi| = 1 that are not roots of unity,
+    # so the modulus comparison with 1 fails and each |xi| is read from its
+    # own 64-bit cell; CRootOf's complex bisection took minutes here
+    from tdyn.enclosures import RootEnclosure
+    from tdyn.exact_linalg import IntPolynomial, companion_matrix
+
+    def no_crootof(self):
+        raise AssertionError("CRootOf built")
+
+    monkeypatch.setattr(RootEnclosure, "_crootof", no_crootof)
+    lehmer = IntPolynomial.of([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    assert entropy_dual_torus(companion_matrix(lehmer)) == 0.1623576120077388
+
+
 def test_entropy_identity_z_times_d():
     for m in range(2, 11):
         gap = verify_entropy_identity(z_times_d(m))

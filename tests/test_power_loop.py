@@ -174,16 +174,20 @@ def test_tameness_bound_matches_sympy_totient():
 
 @st.composite
 def sparse_pairs(draw):
-    """Two conformable integer matrices, at least half of each entry zero."""
+    """Two conformable integer or rational matrices (denominators 1-3), at
+    least half of each entry zero."""
+    cls, kind = draw(st.sampled_from(((BigIntMatrix, int), (RatMatrix, Fraction))))
     r, k, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
     ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+    entry = (st.builds(Fraction, ints, st.integers(min_value=1, max_value=3))
+             if kind is Fraction else ints)
 
     def sparse(rows, cols):
         size = rows * cols
-        entries = draw(st.lists(ints, min_size=size, max_size=size))
+        entries = draw(st.lists(entry, min_size=size, max_size=size))
         for i in draw(st.permutations(range(size)))[:(size + 1) // 2]:
-            entries[i] = 0
-        return BigIntMatrix(rows, cols, tuple(entries))
+            entries[i] = kind(0)
+        return cls(rows, cols, tuple(entries))
 
     return sparse(r, k), sparse(k, c)
 
@@ -194,4 +198,8 @@ def test_bigint_mul_matches_triple_loop(pair):
     A, B = pair
     naive = [[sum(A.get(i, k) * B.get(k, j) for k in range(A.cols))
               for j in range(B.cols)] for i in range(A.rows)]
-    assert A.mul(B) == BigIntMatrix.from_rows(naive)
+    product = A.mul(B)
+    assert product == type(A).from_rows(naive)
+    # every entry keeps the type, also where the zero-skipping loop adds nothing
+    kind = Fraction if isinstance(A, RatMatrix) else int
+    assert all(type(e) is kind for e in product.entries)

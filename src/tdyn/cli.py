@@ -15,6 +15,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
@@ -122,9 +123,16 @@ def _matrix_strs(m: BigIntMatrix) -> list:
 
 def _zeta_payload(config: RunConfig, system: NilpotentSystem):
     """The sequence window and its zeta; zeta_from_sequence raises unless
-    the zeta reproduces the whole window."""
+    the zeta reproduces the whole window.  A single finitely generated
+    section with psi = identity is a torus endomorphism, whose zeta
+    denominator splits by the exterior powers of phi (see tdyn.zeta)."""
     seq = _seq_of(config, system, _window_length(system, config.n))
-    rf, es = zeta.zeta_from_sequence(seq)
+    splitters = None
+    if (len(system.sections) == 1 and system.is_finitely_generated
+            and system.psi_is_identity):
+        phi = system.sections[0].phi
+        splitters = lambda: zeta.torus_splitters(char_poly(phi).to_int())
+    rf, es = zeta.zeta_from_sequence(seq, splitters)
     return seq, rf, es
 
 
@@ -361,7 +369,10 @@ def run(config: RunConfig, out=None, err=None) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main reuses it, since
+    parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="tdyn",
         description="Exact Reidemeister/Nielsen coincidence sequences, zeta "

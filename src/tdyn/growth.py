@@ -131,10 +131,11 @@ def _root_modulus_product_interval(enclosures, indices):
     return lo, hi
 
 
-def _pair_terms(w: RatPolynomial, s, reps: int = 1):
+def _pair_terms(w: RatPolynomial, s, reps: int = 1, encl=None):
     """Terms max(|xi|, |s|) over the roots xi of the monic irreducible w,
     each to the power reps.  Exact where the comparison is rational,
-    certified intervals otherwise."""
+    certified intervals otherwise.  encl: the root enclosures of w, if the
+    caller already has them (used only when deg w > 1)."""
     s_abs = abs(Fraction(s))
     if w.degree == 1:
         r = -w.coeffs[0]
@@ -145,7 +146,8 @@ def _pair_terms(w: RatPolynomial, s, reps: int = 1):
         return [RationalLog(v ** reps)] if v != 1 else []
     terms = []
     wi = w.clear_denominators()[0]
-    encl = poly_root_enclosures(wi)
+    if encl is None:
+        encl = poly_root_enclosures(wi)
     s_sq = s_abs * s_abs
     inside = []
     outside = 0
@@ -327,14 +329,17 @@ def entropy_dual_torus(A) -> float:
             f"characteristic polynomial has cyclotomic factor(s) of order {orders}")
     total = 0.0
     for w, mult in factor_rat(cp):
+        # a linear factor never fails below: its root would be 1 or -1,
+        # which the cyclotomic check has excluded
+        encl = None if w.degree == 1 else poly_root_enclosures(w.clear_denominators()[0])
         try:
-            for t in _pair_terms(w, 1):
+            for t in _pair_terms(w, 1, encl=encl):
                 total += mult * _term_log(t)
         except HypothesisViolatedError:
             # an eigenvalue sits on (or within 1e-30 of) the unit circle:
             # log max(|xi|, 1) is still well defined, use the midpoints of
             # the 64-bit cells of |xi| (an exact |xi| = 1 straddles 1)
-            for e in poly_root_enclosures(w.clear_denominators()[0]):
+            for e in encl:
                 slo, shi = interval_sqrt(*e.modsq(_VALUE_BITS))
                 mid = (max(slo, 1) + max(shi, 1)) / 2
                 if mid > 1:

@@ -20,6 +20,21 @@ Equivalently a_n = [z^n] of z * d/dz log zeta(z).
 The generating function passed to residue_exponents follows the same
 indexing: sum_{n >= 1} a_n z^n agrees with the series of u/v (the constant
 term of u/v is the model value sum_alpha chi_alpha * deg v_alpha).
+
+Splitting the denominator by exterior powers
+--------------------------------------------
+For one finitely generated section phi = A with psi = identity,
+R_n = |det(I - A^n)| = |sum_k (-1)^k tr wedge^k A^n|, and the sign of
+det(I - A^n) is e * s^n for fixed e, s in {1, -1}, so the zeta function is
+an alternating product of det(I - s z wedge^k A)^(+-1) (Fel'shtyn, Mem. AMS
+699, 2000).  Every irreducible factor of the Berlekamp-Massey denominator v
+therefore divides the reversed characteristic polynomial of some wedge^k A,
+taken with x -> -x when s = -1: torus_splitters lists these.  They are used
+only as exact gcd splitters of v before factoring (_factor_by_exponent_class),
+because Zassenhaus on the smaller pieces is much cheaper than on v.  A gcd
+split is valid for any polynomials whatever, and the factors are sorted
+afterwards, so splitters change which polynomials get factored, never the
+result.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     InfiniteValueError,
@@ -45,7 +60,13 @@ from .exact_linalg import (
     powers,
     rat_solve,
 )
-from .polyalg import exact_quotient, factor_int, gcd_int, is_squarefree
+from .polyalg import (
+    exact_quotient,
+    exterior_power_polynomials,
+    factor_int,
+    gcd_int,
+    is_squarefree,
+)
 from .reidemeister import ReidemeisterSequence, is_infinite
 
 __all__ = [
@@ -55,6 +76,7 @@ __all__ = [
     "berlekamp_massey",
     "minimal_recurrence",
     "residue_exponents",
+    "torus_splitters",
     "zeta_from_sequence",
     "expand",
     "realize_bouquet",
@@ -62,6 +84,7 @@ __all__ = [
 ]
 
 SequenceLike = Union[Sequence[int], ReidemeisterSequence]
+Splitters = Callable[[], Sequence[IntPolynomial]]
 
 
 def _finite_values(seq: SequenceLike) -> list:
@@ -309,39 +332,76 @@ def expand(rf: RationalFunction, N: int) -> list:
 # occurs on the perfbench corpus, and any other lands in the remainder
 _EXPONENT_CLASSES = (1, -1, 2, -2)
 
+# smallest exponent-class part that _factor_by_exponent_class splits by the
+# splitters.  Measured with a fresh process per run (2-core VM, Python
+# 3.11.7, sympy 1.14.0) on the zeta of x^r - x - 1: splitting, building the
+# splitters included, lost at part degree 8 (r = 4: 3.6-4.3 ms for both
+# parts whole, 5.8-8.3 ms split) and 15 (r = 5: 8.1-12.3 ms whole, 16.5-21.6
+# ms split) and won at 32 (r = 6: 49.5-64.8 -> 33.3-46.2 ms) and 63 (r = 7:
+# 206-274 -> 85-137 ms).  The cut sits between the last loss and the first
+# win.
+_SPLIT_MIN_DEGREE = 24
 
-def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial) -> list:
+
+def _gcd_split(p: IntPolynomial, divisors) -> list:
+    """p as a list of pieces of positive degree whose product is p up to
+    sign: gcd(p, s) for each divisor s in turn, each divided out of p before
+    the next, then what is left."""
+    pieces = []
+    for s in divisors:
+        if p.degree == 0:
+            break
+        g = gcd_int(p, s)
+        if g.degree > 0:
+            pieces.append(g)
+            p = exact_quotient(p, g)
+    return pieces + [p] if p.degree > 0 else pieces
+
+
+def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
+                              splitters: Optional[Splitters] = None) -> list:
     """factor_int(v)[1] for a squarefree v coprime to u, one exponent class
     at a time.
 
     At a root z0 = 1/lambda of v, u/v has the simple pole of
     chi/(1 - lambda z), so u(z0) = -chi * z0 * v'(z0): the roots with
     exponent c are exactly the roots of gcd(v, u + c z v') (Rothstein-Trager).
-    v is split by these exact gcds for c in _EXPONENT_CLASSES, each part and
-    the remainder are factored, and the factors are sorted by factor_int's
-    key (degree, multiplicity, coefficients from the leading one), so the
-    result does not depend on which classes are tried.
+    v is split by these exact gcds for c in _EXPONENT_CLASSES.  Each part of
+    degree at least _SPLIT_MIN_DEGREE is split further by exact gcds with the
+    polynomials that splitters() returns (called at most once, and only when
+    such a part exists).  The pieces are factored, and the factors are sorted
+    by factor_int's key (degree, multiplicity, coefficients from the leading
+    one), so the result depends neither on the classes tried nor on the
+    splitters.
     """
     zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
-    parts = []
-    rest = v
-    for c in _EXPONENT_CLASSES:
-        if rest.degree == 0:
-            break
-        g = gcd_int(rest, u + IntPolynomial.of(c * x for x in zdv.coeffs))
-        if g.degree > 0:
-            parts.append(g)
-            rest = exact_quotient(rest, g)
-    parts.append(rest)
-    factors = [f for part in parts if part.degree > 0
-               for f in factor_int(part)[1]]
+    parts = _gcd_split(v, (u + IntPolynomial.of(c * x for x in zdv.coeffs)
+                           for c in _EXPONENT_CLASSES))
+    if splitters is not None and any(p.degree >= _SPLIT_MIN_DEGREE for p in parts):
+        divisors = splitters()
+        parts = [q for p in parts
+                 for q in (_gcd_split(p, divisors)
+                           if p.degree >= _SPLIT_MIN_DEGREE else [p])]
+    factors = [f for part in parts for f in factor_int(part)[1]]
     return sorted(factors,
                   key=lambda fm: (len(fm[0].coeffs), fm[1], fm[0].coeffs[::-1]))
 
 
-def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
+def torus_splitters(cp: IntPolynomial) -> list:
+    """The reversed characteristic polynomials of the exterior powers of a
+    matrix with characteristic polynomial cp, each also with x -> -x: the
+    splitters of the module docstring."""
+    rev = [w.reverse() for w in exterior_power_polynomials(cp)]
+    return rev + [IntPolynomial.of(-c if i % 2 else c for i, c in enumerate(w.coeffs))
+                  for w in rev]
+
+
+def residue_exponents(u: IntPolynomial, v: IntPolynomial,
+                      splitters: Optional[Splitters] = None) -> ExponentialSum:
     """Exponents chi_alpha per irreducible factor of v for the sequence with
     sum_{n>=1} a_n z^n = series of u/v; exact linear algebra on power sums.
+    splitters, if given, is passed to _factor_by_exponent_class and does not
+    change the result.
 
     Errors: v not squarefree (polynomial-times-exponential terms are outside
     the rational-zeta normal form) and non-integer or inconsistent exponents.
@@ -357,7 +417,7 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
             "recurrence denominator has a repeated factor; the sequence is "
             "not a plain integer exponential sum")
     tilde = []
-    for w, mult in _factor_by_exponent_class(u, v):
+    for w, mult in _factor_by_exponent_class(u, v, splitters):
         assert mult == 1
         if w.constant == -1:
             w = -w
@@ -388,9 +448,14 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     return ExponentialSum(terms=tuple(zip(root_polys, chis)))
 
 
-def zeta_from_sequence(seq: SequenceLike):
+def zeta_from_sequence(seq: SequenceLike, splitters: Optional[Splitters] = None):
     """Reconstruct (zeta as RationalFunction, ExponentialSum) from an exact
-    sequence; verifies the roundtrip over the full window before returning."""
+    sequence; verifies the roundtrip over the full window before returning.
+
+    splitters: an optional callable returning integer polynomials that the
+    factors of the recurrence denominator are expected to divide, such as
+    lambda: torus_splitters(cp); it only speeds up factoring (see the module
+    docstring) and never changes the result."""
     values = _finite_values(seq)
     v = minimal_recurrence(values)
     if v is None:
@@ -404,7 +469,7 @@ def zeta_from_sequence(seq: SequenceLike):
         c = sum(v.coeffs[i] * values[j - i] for i in range(0, j + 1))
         u_coeffs.append(c)
     u_shifted = IntPolynomial.of([0] + u_coeffs)
-    es = residue_exponents(u_shifted, v)
+    es = residue_exponents(u_shifted, v, splitters)
     num = IntPolynomial.of([1])
     den = IntPolynomial.of([1])
     for poly, chi in es.terms:

@@ -1,11 +1,13 @@
 import io
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from tdyn import growth
-from tdyn.cli import RunConfig, main
+from tdyn import growth, polyalg, zeta
+from tdyn.cli import RunConfig, _build_parser, main
+from tdyn.exact_linalg import IntPolynomial, companion_matrix
 
 
 def run_capture(argv):
@@ -343,3 +345,37 @@ def test_classify_samples_terms_beyond_the_float_range():
     doc = run_json(["classify", "--builtin", "torus_matrix:2,1,1,1", "--n", "800"])
     assert len(doc["samples"]) == 800
     assert abs(doc["samples"][-1] - 1) < 1e-9
+
+
+def test_the_parser_is_built_once_per_process():
+    commands = [["rseq", "--builtin", "z_times_d:2", "--n", "5"],
+                ["zeta", "--builtin", "z_pair:2,1", "--format", "json"]]
+    alone = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        alone.append(run_capture(argv))
+    _build_parser.cache_clear()
+    together = [run_capture(argv) for argv in commands]
+    assert _build_parser.cache_info().misses == 1
+    assert together == alone
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
+    # the zeta denominator of the companion torus of x^r - x - 1 is split by
+    # the exterior powers of its matrix, the largest of degree C(r, r // 2);
+    # unsplit, its two exponent-class parts have degree 63 (r = 7) and 128
+    # (r = 8), and r = 8 spent 5 s factoring them
+    factor_int = polyalg.factor_int
+    degrees = []
+
+    def recording(p):
+        degrees.append(p.degree)
+        return factor_int(p)
+
+    monkeypatch.setattr(polyalg, "factor_int", recording)
+    monkeypatch.setattr(zeta, "factor_int", recording)
+    rows = companion_matrix(IntPolynomial.of([-1, -1] + [0] * (r - 2) + [1])).row_lists()
+    key = "torus_matrix:" + ",".join(str(x) for row in rows for x in row)
+    assert run_json(["zeta", "--builtin", key])["roundtrip_verified"] is True
+    assert degrees and max(degrees) <= comb(r, r // 2)

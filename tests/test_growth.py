@@ -209,15 +209,24 @@ def test_entropy_on_the_unit_circle_builds_no_crootof(monkeypatch):
     # Lehmer's polynomial: 8 roots with |xi| = 1 that are not roots of unity,
     # so the modulus comparison with 1 fails and each |xi| is read from its
     # own 64-bit cell; CRootOf's complex bisection took minutes here
-    from tdyn.enclosures import RootEnclosure
+    from tdyn.enclosures import RootEnclosure, poly_root_enclosures
     from tdyn.exact_linalg import IntPolynomial, companion_matrix
 
     def no_crootof(self):
         raise AssertionError("CRootOf built")
 
     monkeypatch.setattr(RootEnclosure, "_crootof", no_crootof)
+    # the fallback reuses the enclosures that the modulus comparison used
+    isolated = []
+
+    def counting(p):
+        isolated.append(p.coeffs)
+        return poly_root_enclosures(p)
+
+    monkeypatch.setattr(growth, "poly_root_enclosures", counting)
     lehmer = IntPolynomial.of([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
     assert entropy_dual_torus(companion_matrix(lehmer)) == 0.1623576120077388
+    assert isolated == [lehmer.coeffs]
 
 
 def test_entropy_identity_z_times_d():

@@ -2,18 +2,27 @@
 rational polynomial directly; the product and ratio polynomials built from
 power sums against bivariate resultants as the oracle; the integer
 cyclotomic polynomials and their identification against sympy's
-``cyclotomic_poly`` and ``totient``."""
+``cyclotomic_poly`` and ``totient``; the exterior-power polynomials against
+the characteristic polynomial of the explicit matrix of minors."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from tdyn import polyalg
-from tdyn.exact_linalg import IntPolynomial, RatPolynomial
+from tdyn.exact_linalg import (
+    BigIntMatrix,
+    IntPolynomial,
+    RatPolynomial,
+    char_poly,
+    det_exact,
+)
 from tdyn.polyalg import (
     cyclotomic,
     cyclotomic_order,
+    exterior_power_polynomials,
     factor_int,
     factor_rat,
     product_polynomial,
@@ -190,3 +199,21 @@ def monic_polynomials(draw):
                  st.integers(1, 30).map(cyclotomic).filter(lambda p: p.degree <= 6)))
 def test_cyclotomic_order_matches_the_sympy_route(p):
     assert cyclotomic_order(p) == _sympy_cyclotomic_order(p)
+
+
+def _exterior_power(rows, k):
+    """The matrix of wedge^k A on the basis e_I, I a k-subset in
+    lexicographic order: entry (I, J) is the minor det A[I, J]."""
+    subsets = list(combinations(range(len(rows)), k))
+    return BigIntMatrix.from_rows([
+        [det_exact(BigIntMatrix.from_rows([[rows[i][j] for j in J] for i in I]))
+         if k else 1 for J in subsets] for I in subsets])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_exterior_power_polynomials_match_the_minor_matrices(rows):
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    assert exterior_power_polynomials(cp) == [
+        char_poly(_exterior_power(rows, k)).to_int() for k in range(len(rows) + 1)]

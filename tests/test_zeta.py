@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -12,9 +14,15 @@ from tdyn.errors import (
     NoRecurrenceError,
     NotSquareFreeError,
 )
-from tdyn.exact_linalg import IntPolynomial, companion_matrix, mat_pow
+from tdyn.exact_linalg import (
+    BigIntMatrix,
+    IntPolynomial,
+    char_poly,
+    companion_matrix,
+    mat_pow,
+)
 from tdyn import zeta
-from tdyn.group_model import z_pair, z_times_d
+from tdyn.group_model import torus_matrix, z_pair, z_times_d
 from tdyn.polyalg import factor_int
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
@@ -25,6 +33,7 @@ from tdyn.zeta import (
     power_sums,
     realize_bouquet,
     residue_exponents,
+    torus_splitters,
     zeta_from_sequence,
 )
 from tdyn.zeta import _berlekamp_massey_rational, _factor_by_exponent_class
@@ -452,16 +461,33 @@ def _numerator(values, v):
         sum(v.coeffs[i] * values[j - i] for i in range(j + 1)) for j in range(L)])
 
 
+# nonzero integer polynomials of degree <= 4, mostly unrelated to any v
+splitter_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(
+    IntPolynomial.of).filter(lambda p: not p.is_zero)
+
+
 @settings(max_examples=100, deadline=None)
-@given(exponential_sums)
-def test_class_split_factorization_matches_factor_int(terms):
+@given(exponential_sums, st.data())
+def test_class_split_factorization_matches_factor_int(terms, data):
     order = sum(poly.degree for poly, _ in terms)
     values = exponential_sum_values(terms, 2 * order + 4)
     v = minimal_recurrence(values)
     if v is None or v.degree == 0:
         return  # the exponents cancelled
     u = _numerator(values, v)
-    assert _factor_by_exponent_class(u, v) == factor_int(v)[1]
+    expected = factor_int(v)[1]
+    assert _factor_by_exponent_class(u, v) == expected
+    # random splitters, some of them multiples of a few factors of v
+    multiples = st.tuples(
+        splitter_polys,
+        st.lists(st.sampled_from([f for f, _ in expected]), max_size=3),
+    ).map(lambda t: math.prod(t[1], start=t[0]))
+    splitters = data.draw(st.lists(splitter_polys | multiples, max_size=6))
+    built = []
+    with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
+        assert _factor_by_exponent_class(
+            u, v, lambda: built.append(1) or splitters) == expected
+    assert built == [1]
 
 
 @pytest.mark.parametrize("terms", [
@@ -478,3 +504,36 @@ def test_class_split_remainder(terms):
     u = _numerator(values, v)
     assert _factor_by_exponent_class(u, v) == factor_int(v)[1]
     assert dict(residue_exponents(u, v).terms) == dict(terms)
+
+
+# ---------------------------------------------------------------- torus splitters
+
+def _selmer(r):
+    """The companion matrix of x^r - x - 1 (irreducible for every r, by Selmer)."""
+    return companion_matrix(IntPolynomial.of([-1, -1] + [0] * (r - 2) + [1])).row_lists()
+
+
+T4 = [[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, -3], [0, 0, 1, 4]]
+T5 = [[0, 0, 0, 0, -1], [1, 0, 0, 0, 1], [0, 1, 0, -1, 0], [0, 0, 1, 0, 2],
+      [0, 0, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("rows", [_selmer(r) for r in range(2, 8)] + [T4, T5],
+                         ids=[f"selmer{r}" for r in range(2, 8)] + ["T4", "T5"])
+def test_torus_splitters_leave_the_zeta_unchanged(rows):
+    # the route without splitters is the oracle; with the cut lowered to 1
+    # every exponent-class part is split, at every rank
+    seq = coincidence_sequence(torus_matrix(rows), 2 * 2 ** len(rows) + 4)
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    built = []
+
+    def splitters():
+        built.append(1)
+        return torus_splitters(cp)
+
+    oracle = zeta_from_sequence(seq)
+    assert zeta_from_sequence(seq, splitters) == oracle
+    # below the cut (every part of a torus of rank <= 5) nothing is built
+    assert len(built) == (1 if len(rows) >= 6 else 0)
+    with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
+        assert zeta_from_sequence(seq, splitters) == oracle

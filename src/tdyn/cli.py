@@ -43,8 +43,21 @@ from .group_model import (
 from .padic import newton_polygon, padic_growth_factor
 from .reidemeister import is_infinite
 
-COMMANDS = ("validate", "tame", "rseq", "nseq", "zeta", "realize",
-            "congruence", "growth", "entropy", "classify", "padic")
+# the commands, in the order --help lists them, with their help lines
+_COMMAND_HELP = {
+    "validate": "check the system descriptor invariants",
+    "tame": "decide finiteness of all iterated coincidence numbers",
+    "rseq": "Reidemeister coincidence number sequence",
+    "nseq": "Nielsen coincidence number sequence",
+    "zeta": "rational zeta function and exponential sum",
+    "realize": "bouquet trace realization matrices A_e, A_o",
+    "congruence": "Gauss congruence reports",
+    "growth": "closed-form and empirical growth rate",
+    "entropy": "dual-torus entropies and the growth identity gap",
+    "classify": "dominant spectrum and limit-point trichotomy",
+    "padic": "Newton polygon and p-adic growth factor of a section",
+}
+COMMANDS = tuple(_COMMAND_HELP)
 
 # largest --n accepted: 25 times the longest sequence of the benchmark corpus
 MAX_N = 10_000
@@ -176,7 +189,7 @@ def _cmd_realize(config, system):
     br = zeta.realize_bouquet(es)
     check_n = 2 * (br.a_even.rows + br.a_odd.rows) + 5
     if check_n > len(seq.values):
-        seq = _seq_of(config, system, check_n)
+        seq = reidemeister.extend_sequence(system, seq, check_n)
     ok = br.lefschetz_values(check_n) == list(seq.values[:check_n])
     return {
         "realization": {"A_e": _matrix_strs(br.a_even),
@@ -369,10 +382,34 @@ def run(config: RunConfig, out=None, err=None) -> int:
     return 0
 
 
+def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of command name: the one definition behind both the
+    full parser's subparser and the parser of the command alone."""
+    p.add_argument("--builtin", help="catalog key, e.g. z_times_d:2, "
+                   "z_pair:2,1, torus_matrix:2,1,1,1, heisenberg:2,1,1,1, "
+                   "s_integer:1/2,2")
+    p.add_argument("--input", dest="input_path",
+                   help="path to a JSON system descriptor")
+    p.add_argument("--n", type=int, default=40,
+                   help="sequence length / congruence range (default 40)")
+    p.add_argument("--format", dest="output_format", default="table",
+                   choices=("table", "json"))
+    if name in ("zeta", "realize", "congruence", "classify"):
+        p.add_argument("--nielsen", action="store_true",
+                       help="use the Nielsen sequence (zeros at infinite "
+                            "Reidemeister numbers)")
+    if name == "congruence":
+        p.add_argument("--moduli", type=int, nargs="+", default=[],
+                       help="explicit moduli (default 1..N)")
+    if name == "padic":
+        p.add_argument("--prime", type=int, required=True)
+        p.add_argument("--section", type=int, default=1)
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: main reuses it, since
-    parse_args leaves the parser unchanged."""
+    """The full argument parser, built at most once per process (parse_args
+    leaves a parser unchanged)."""
     parser = argparse.ArgumentParser(
         prog="tdyn",
         description="Exact Reidemeister/Nielsen coincidence sequences, zeta "
@@ -380,46 +417,38 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pairs given on the abelian sections of a torsion-free "
                     "nilpotent group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check the system descriptor invariants"),
-        ("tame", "decide finiteness of all iterated coincidence numbers"),
-        ("rseq", "Reidemeister coincidence number sequence"),
-        ("nseq", "Nielsen coincidence number sequence"),
-        ("zeta", "rational zeta function and exponential sum"),
-        ("realize", "bouquet trace realization matrices A_e, A_o"),
-        ("congruence", "Gauss congruence reports"),
-        ("growth", "closed-form and empirical growth rate"),
-        ("entropy", "dual-torus entropies and the growth identity gap"),
-        ("classify", "dominant spectrum and limit-point trichotomy"),
-        ("padic", "Newton polygon and p-adic growth factor of a section"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--builtin", help="catalog key, e.g. z_times_d:2, "
-                       "z_pair:2,1, torus_matrix:2,1,1,1, heisenberg:2,1,1,1, "
-                       "s_integer:1/2,2")
-        p.add_argument("--input", dest="input_path",
-                       help="path to a JSON system descriptor")
-        p.add_argument("--n", type=int, default=40,
-                       help="sequence length / congruence range (default 40)")
-        p.add_argument("--format", dest="output_format", default="table",
-                       choices=("table", "json"))
-        if name in ("zeta", "realize", "congruence", "classify"):
-            p.add_argument("--nielsen", action="store_true",
-                           help="use the Nielsen sequence (zeros at infinite "
-                                "Reidemeister numbers)")
-        if name == "congruence":
-            p.add_argument("--moduli", type=int, nargs="+", default=[],
-                           help="explicit moduli (default 1..N)")
-        if name == "padic":
-            p.add_argument("--prime", type=int, required=True)
-            p.add_argument("--section", type=int, default=1)
+    for name in COMMANDS:
+        _add_command_arguments(sub.add_parser(name, help=_COMMAND_HELP[name]), name)
     return parser
 
 
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, built at most once per process: its
+    help and its errors are those of the full parser's subparser, which
+    argparse names "tdyn NAME" too."""
+    parser = argparse.ArgumentParser(prog=f"tdyn {name}")
+    _add_command_arguments(parser, name)
+    return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv, building only the named command's parser when argv starts
+    with a command.  Arguments that parser leaves over (an unknown flag, a
+    stray positional) are reported by the full parser, as the top-level
+    "tdyn:" error that parse_args gives; so is every argv that does not
+    start with a command (none, -h, an unknown command, a leading option)."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags; remap to the documented input-error code
         return 0 if exc.code == 0 else 1

@@ -184,9 +184,10 @@ class RatMatrix(_DenseMatrix):
 Matrix = Union[BigIntMatrix, RatMatrix]
 
 
-def powers(A: Matrix):
-    """A, A^2, A^3, ... for a square matrix, one product per step."""
-    P = A
+def powers(A: Matrix, start: int = 1):
+    """A^start, A^(start+1), ... for a square matrix, one product per step
+    after the first."""
+    P = A if start == 1 else mat_pow(A, start)
     while True:
         yield P
         P = P.mul(A)
@@ -242,8 +243,8 @@ def det_rat(A: RatMatrix) -> Fraction:
     return Fraction(det_exact(B), L ** A.rows)
 
 
-def power_difference_determinants(phi: RatMatrix, psi: RatMatrix):
-    """Yield det(phi^n - psi^n) for n = 1, 2, ... as exact Fractions.
+def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int = 1):
+    """Yield det(phi^n - psi^n) for n = start, start + 1, ... as exact Fractions.
 
     With phi = B/L and psi = C/M for integer B, C, the n-th value is
     det(B^n M^n - C^n L^n) / (L M)^(n d): one integer matrix product per
@@ -254,8 +255,9 @@ def power_difference_determinants(phi: RatMatrix, psi: RatMatrix):
     d = phi.rows
     B, L = phi.scaled_integer()
     C, M = psi.scaled_integer()
-    Ln = Mn = 1
-    for Bn, Cn in zip(powers(B), repeat(C) if psi.is_identity() else powers(C)):
+    Ln, Mn = L ** (start - 1), M ** (start - 1)
+    for Bn, Cn in zip(powers(B, start),
+                      repeat(C) if psi.is_identity() else powers(C, start)):
         Ln *= L
         Mn *= M
         diff = BigIntMatrix(d, d, tuple(b * Mn - c * Ln

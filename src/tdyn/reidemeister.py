@@ -24,7 +24,7 @@ from .padic import ord_p
 
 __all__ = ["INFINITY", "Infinity", "is_infinite", "ReidemeisterSequence",
            "section_coincidence_number", "section_coincidence_number_snf",
-           "coincidence_sequence", "nielsen_sequence"]
+           "coincidence_sequence", "extend_sequence", "nielsen_sequence"]
 
 
 class Infinity:
@@ -115,24 +115,32 @@ def section_coincidence_number_snf(sec: AbelianSection, n: int):
 
 def coincidence_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequence:
     """R(phi^n, psi^n) for n = 1..N, the product over sections."""
+    if N < 1:
+        raise InputError("sequence length must be >= 1")
+    return extend_sequence(system, ReidemeisterSequence(values=(), kind="reidemeister"), N)
+
+
+def extend_sequence(system: NilpotentSystem, seq: ReidemeisterSequence,
+                    N: int) -> ReidemeisterSequence:
+    """seq, the first len(seq) terms of system's sequence of its kind,
+    continued to n = 1..N: only the terms past seq are computed, from
+    phi^(len(seq)+1) and psi^(len(seq)+1) on."""
     problems = validate(system)
     if problems:
         raise InputError("; ".join(problems))
-    if N < 1:
-        raise InputError("sequence length must be >= 1")
     primes = [sorted(sec.prime_support) for sec in system.sections]
-    dets = [power_difference_determinants(sec.phi, sec.psi)
+    dets = [power_difference_determinants(sec.phi, sec.psi, len(seq) + 1)
             for sec in system.sections]
-    values = []
-    for row in islice(zip(*dets), N):
+    values = list(seq.values)
+    for row in islice(zip(*dets), max(N - len(seq), 0)):
         if any(det == 0 for det in row):
-            values.append(INFINITY)
+            values.append(0 if seq.kind == "nielsen" else INFINITY)
             continue
         total = 1
         for det, support in zip(row, primes):
             total *= _adelic_value(det, support)
         values.append(total)
-    return ReidemeisterSequence(values=tuple(values), kind="reidemeister")
+    return ReidemeisterSequence(values=tuple(values), kind=seq.kind)
 
 
 def nielsen_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequence:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
@@ -55,9 +54,9 @@ from .exact_linalg import (
     BigIntMatrix,
     IntPolynomial,
     RatMatrix,
+    char_poly,
     companion_matrix,
     power_sums,
-    powers,
     rat_solve,
 )
 from .polyalg import (
@@ -161,8 +160,17 @@ class BouquetRealization:
         return self.a_odd.rows + 1
 
     def lefschetz_values(self, N: int) -> list:
-        return [pe.trace() - po.trace() for pe, po in
-                islice(zip(powers(self.a_even), powers(self.a_odd)), N)]
+        """L(f^n) = tr(a_even^n) - tr(a_odd^n) for n = 1..N.
+
+        tr(A^n) is the n-th power sum of the eigenvalues of A, so Newton's
+        identities give it from det(xI - A) for every n (by Cayley-Hamilton
+        the traces satisfy that polynomial's recurrence).  Each side costs
+        the d - 1 products char_poly takes for the first d powers of the
+        d x d matrix, not N; char_poly reads those powers off the emitted
+        matrix, so the values still check the matrices themselves."""
+        even = power_sums(char_poly(self.a_even).to_int(), N)
+        odd = power_sums(char_poly(self.a_odd).to_int(), N)
+        return [e - o for e, o in zip(even, odd)]
 
 
 # a prime near the word size: reductions that lose the recurrence, and so

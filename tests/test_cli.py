@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 
 from tdyn import growth, polyalg, zeta
-from tdyn.cli import RunConfig, _build_parser, main
+from tdyn.cli import COMMANDS, RunConfig, _build_parser, _command_parser, main
 from tdyn.exact_linalg import IntPolynomial, companion_matrix
 
 
@@ -347,17 +348,97 @@ def test_classify_samples_terms_beyond_the_float_range():
     assert abs(doc["samples"][-1] - 1) < 1e-9
 
 
-def test_the_parser_is_built_once_per_process():
+def test_each_command_parser_is_built_once_per_process():
     commands = [["rseq", "--builtin", "z_times_d:2", "--n", "5"],
-                ["zeta", "--builtin", "z_pair:2,1", "--format", "json"]]
+                ["zeta", "--builtin", "z_pair:2,1", "--format", "json"],
+                ["rseq", "--builtin", "z_pair:2,1", "--n", "4"]]
     alone = []
     for argv in commands:
-        _build_parser.cache_clear()
+        _command_parser.cache_clear()
         alone.append(run_capture(argv))
+    _command_parser.cache_clear()
     _build_parser.cache_clear()
     together = [run_capture(argv) for argv in commands]
-    assert _build_parser.cache_info().misses == 1
+    assert _command_parser.cache_info().misses == 2  # rseq and zeta
+    assert _build_parser.cache_info().misses == 0  # a cold command skips it
     assert together == alone
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_parser_help_is_the_full_parsers(name):
+    assert (_command_parser(name).format_help()
+            == _subparsers(_build_parser())[name].format_help())
+
+
+@pytest.mark.parametrize("argv", [
+    ["padic", "--builtin", "z_times_d:2"],
+    ["rseq", "--builtin", "z_times_d:2", "--n", "x"],
+    ["rseq", "--builtin", "z_times_d:2", "--format", "xml"],
+    ["rseq", "--builtin", "z_times_d:2", "--bogus"],
+    ["padic", "--bogus"],
+    ["rseq", "--builtin", "z_times_d:2", "stray"],
+    ["congruence", "--builtin", "z_times_d:2", "--moduli"],
+    ["tame", "-h"],
+    ["rseq", "--he"],
+    ["-h"],
+    [],
+    ["bogus"],
+    ["--n", "3", "rseq"],
+])
+def test_malformed_argv_gives_the_full_parsers_output(argv):
+    import contextlib
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+    expected = (0 if exc.value.code == 0 else 1, out.getvalue(), err.getvalue())
+    assert run_capture(argv) == expected
+
+
+def test_importing_the_cli_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counting(self, *a, **k):\n"
+              "    built.append(k.get('prog'))\n"
+              "    init(self, *a, **k)\n"
+              "argparse.ArgumentParser.__init__ = counting\n"
+              "import tdyn.cli\n"
+              "print(built)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_realize_computes_each_sequence_term_once(monkeypatch):
+    # the zeta window of the rank-6 torus has 132 terms and the trace check
+    # needs 133: the 133rd is computed alone, not the whole sequence again
+    from tdyn import exact_linalg
+    calls = []
+    det_exact = exact_linalg.det_exact
+
+    def counting(A):
+        calls.append(A.rows)
+        return det_exact(A)
+
+    monkeypatch.setattr(exact_linalg, "det_exact", counting)
+    doc = run_json(["realize", "--builtin", _selmer_torus(6)])
+    assert doc["trace_check_up_to"] == 133 and doc["trace_check_passed"] is True
+    assert len(calls) == 133
 
 
 @pytest.mark.parametrize("r", [7, 8])

@@ -13,7 +13,9 @@ from tdyn.group_model import (
     z_times_d,
 )
 from tdyn.reidemeister import (
+    ReidemeisterSequence,
     coincidence_sequence,
+    extend_sequence,
     is_infinite,
     nielsen_sequence,
     section_coincidence_number,
@@ -165,6 +167,24 @@ def test_multiplicativity_over_sections():
 def test_finite_values_positive():
     seq = coincidence_sequence(s_integer(Fraction(1, 2), [2]), 6)
     assert all(isinstance(v, int) and v >= 1 for v in seq.values)
+
+
+_DIAGONAL_S_PAIR = NilpotentSystem(name="diagonal_s_pair", sections=(section(
+    2, [[Fraction(3, 2), 0], [0, 5]], [[2, 0], [0, Fraction(1, 3)]], primes=[2, 3]),))
+
+
+@pytest.mark.parametrize("system, make", [
+    (z_pair(2, -2), coincidence_sequence),  # infinite at even n
+    (z_pair(2, -2), nielsen_sequence),
+    (heisenberg([[2, 1], [1, 1]]), coincidence_sequence),
+    (s_integer(Fraction(3, 2), [2, 3]), coincidence_sequence),
+    (_DIAGONAL_S_PAIR, coincidence_sequence),  # psi neither 1 nor integral
+])
+def test_extend_sequence_continues_from_the_next_term(system, make):
+    whole = make(system, 12)
+    for k in (1, 5, 11, 12):
+        head = ReidemeisterSequence(values=whole.values[:k], kind=whole.kind)
+        assert extend_sequence(system, head, 12) == whole
 
 
 # ------------------------------------------------- nielsen

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
@@ -20,6 +21,7 @@ from tdyn.exact_linalg import (
     char_poly,
     companion_matrix,
     mat_pow,
+    powers,
 )
 from tdyn import zeta
 from tdyn.group_model import torus_matrix, z_pair, z_times_d
@@ -372,6 +374,53 @@ def test_realize_bouquet_trace_identity_random():
         assert br.lefschetz_values(check) == [
             sum(chi * lam ** n for lam, chi in terms.items())
             for n in range(1, check + 1)]
+
+
+def _explicit_lefschetz(br, N):
+    """tr A_e^n - tr A_o^n from the explicit powers of both matrices: the
+    oracle of the characteristic-polynomial route of lefschetz_values."""
+    return [pe.trace() - po.trace() for pe, po in
+            islice(zip(powers(br.a_even), powers(br.a_odd)), N)]
+
+
+_root_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(
+    lambda c: c[0] != 0).map(lambda c: IntPolynomial.of(c + [1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.dictionaries(_root_polys, st.integers(-3, 3).filter(bool),
+                             max_size=4),
+       one_sided=st.booleans(), data=st.data())
+def test_lefschetz_values_match_the_explicit_powers(terms, one_sided, data):
+    from tdyn.zeta import ExponentialSum
+    if one_sided:  # every term on A_e, so A_o is the padding 1x1 zero block
+        terms = {p: abs(chi) for p, chi in terms.items()}
+    br = realize_bouquet(ExponentialSum(terms=tuple(terms.items())))
+    N = data.draw(st.integers(1, 2 * (br.a_even.rows + br.a_odd.rows) + 5))
+    assert br.lefschetz_values(N) == _explicit_lefschetz(br, N)
+
+
+def test_trace_check_on_the_rank6_torus_takes_a_product_per_row(monkeypatch):
+    # the explicit-powers route took 2 * 133 products of 32 x 32 matrices;
+    # char_poly reads d - 1 powers of each d x d side
+    system = torus_matrix(companion_matrix(
+        IntPolynomial.of([-1, -1, 0, 0, 0, 0, 1])).row_lists())
+    seq = coincidence_sequence(system, 2 * 2 ** 6 + 4)
+    _, es = zeta_from_sequence(seq)
+    br = realize_bouquet(es)
+    check = 2 * (br.a_even.rows + br.a_odd.rows) + 5
+    expected = _explicit_lefschetz(br, check)
+    calls = []
+    mul = BigIntMatrix.mul
+
+    def counting(self, other):
+        calls.append(self.rows)
+        return mul(self, other)
+
+    monkeypatch.setattr(BigIntMatrix, "mul", counting)
+    values = br.lefschetz_values(check)
+    assert len(calls) <= br.a_even.rows + br.a_odd.rows
+    assert values == expected == list(coincidence_sequence(system, check).values)
 
 
 # ---------------------------------------------------------------- BM details

@@ -42,11 +42,6 @@ def mobius(n: int) -> int:
     return (-1) ** len(factors)
 
 
-def _divisors(n: int) -> list:
-    # trial division is plenty at desk scale
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _value_at(seq: ReidemeisterSequence, d: int) -> int:
     v = seq.values[d - 1]
     if is_infinite(v):
@@ -62,13 +57,13 @@ def _report(n: int, combination: int) -> CongruenceReport:
 
 
 def _mobius_report(n: int, a) -> CongruenceReport:
-    """The report for sum_{d|n} mu(n/d) * a(d) mod n, exactly."""
-    combination = 0
-    for d in _divisors(n):
-        mu = mobius(n // d)
-        if mu:
-            combination += mu * a(d)
-    return _report(n, combination)
+    """The report for sum_{d|n} mu(n/d) * a(d) mod n, exactly: mu(n/d) is
+    nonzero only when n/d is a product of distinct primes of n, so the sum
+    runs over the subsets S of those primes, with d = n / prod(S)."""
+    terms = [(1, n)]  # (mu(n/d), d)
+    for p in sympy.primefactors(n):
+        terms += [(-mu, d // p) for mu, d in terms]
+    return _report(n, sum(mu * a(d) for mu, d in terms))
 
 
 def gauss_check(seq: ReidemeisterSequence, n: int) -> CongruenceReport:

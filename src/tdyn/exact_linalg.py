@@ -597,11 +597,14 @@ def power_sums(poly, N: int) -> list:
 
 def from_power_sums(sums: Sequence) -> RatPolynomial:
     """The monic polynomial of degree len(sums) whose roots have the power
-    sums sums[0], sums[1], ... (Newton's identities, exact over Q)."""
-    e = [Fraction(1)]  # descending: x^D + e[1] x^(D-1) + ... + e[D]
+    sums sums[0], sums[1], ... (Newton's identities, exact over Q).  The
+    coefficients stay ints while each division by k is exact, and become
+    Fractions from the first one that is not."""
+    e = [1]  # descending: x^D + e[1] x^(D-1) + ... + e[D]
     for k in range(1, len(sums) + 1):
-        e.append(-sum(e[i] * sums[k - 1 - i] for i in range(k)) / k)
-    return RatPolynomial(tuple(reversed(e)))
+        s = -sum(e[i] * sums[k - 1 - i] for i in range(k))
+        e.append(s // k if isinstance(s, int) and s % k == 0 else Fraction(s, k))
+    return RatPolynomial.of(reversed(e))
 
 
 def char_poly(A: Matrix) -> RatPolynomial:

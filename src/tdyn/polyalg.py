@@ -3,13 +3,17 @@ products).
 
 Thin bridge to sympy's exact routines so the rest of the package works with
 tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
-numeric.  All factoring in tdyn goes through ``factor_int``.  The product,
-ratio and exterior-power polynomials are built from power sums with
-Newton's identities (Bostan, Flajolet, Salvy, Schost, "Fast computation of
-special resultants", JSC 41, 2006).  Cyclotomic polynomials and Euler's
-totient are computed in plain integer arithmetic: building them as sympy
-expressions would make the first call in a process import sympy's tensor
-and combinatorics packages.
+numeric.  All factoring in tdyn goes through ``factor_int``.  Factoring, gcds
+and exact division run sympy's dense kernels over ZZ (``dup_factor_list``,
+``dup_gcd``, ``dup_exquo``, the algorithms ``Poly`` reaches) on coefficient
+lists, highest degree first, in through ``ZZ.convert`` and out through
+``int``, so no ``Poly`` is built and results are ints under any
+``SYMPY_GROUND_TYPES``.  The product, ratio and exterior-power polynomials
+are built from power sums with Newton's identities (Bostan, Flajolet, Salvy,
+Schost, "Fast computation of special resultants", JSC 41, 2006).  Cyclotomic
+polynomials and Euler's totient are computed in plain integer arithmetic:
+building them as sympy expressions would make the first call in a process
+import sympy's tensor and combinatorics packages.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ from math import comb
 from typing import Optional
 
 import sympy
+from sympy.polys.densearith import dup_exquo
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.polyerrors import ExactQuotientFailed
 
 from .errors import InputError
 from .exact_linalg import IntPolynomial, RatPolynomial, from_power_sums, power_sums
@@ -32,15 +41,13 @@ def to_sympy(p: IntPolynomial) -> sympy.Poly:
     return sympy.Poly(list(reversed(p.coeffs)), _X, domain=sympy.ZZ)
 
 
-def from_sympy_int(poly: sympy.Poly) -> IntPolynomial:
-    coeffs = poly.all_coeffs()[::-1]
-    out = []
-    for c in coeffs:
-        r = sympy.Rational(c)
-        if r.q != 1:
-            raise InputError("polynomial has non-integer coefficients")
-        out.append(int(r.p))
-    return IntPolynomial.of(out)
+def _dense(p: IntPolynomial) -> list:
+    """p as a dense ZZ list, highest degree first; the zero polynomial is []."""
+    return [] if p.is_zero else [ZZ.convert(c) for c in reversed(p.coeffs)]
+
+
+def _from_dense(f: list) -> IntPolynomial:
+    return IntPolynomial.of([int(c) for c in reversed(f)] or [0])
 
 
 def factor_int(p: IntPolynomial):
@@ -50,9 +57,8 @@ def factor_int(p: IntPolynomial):
     """
     if p.is_zero:
         raise InputError("cannot factor the zero polynomial")
-    unit, factors = to_sympy(p).factor_list()
-    out = [(from_sympy_int(f), m) for f, m in factors]
-    return int(unit), out
+    unit, factors = dup_factor_list(_dense(p), ZZ)
+    return int(unit), [(_from_dense(f), m) for f, m in factors]
 
 
 def factor_rat(p: RatPolynomial):
@@ -68,14 +74,14 @@ def _monic(p: IntPolynomial) -> RatPolynomial:
 
 def exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """p / q over Z; InputError unless q divides p exactly."""
-    quo, rem = sympy.div(to_sympy(p), to_sympy(q))
-    if not rem.is_zero:
-        raise InputError("divisor does not divide the polynomial exactly")
-    return from_sympy_int(quo)
+    try:
+        return _from_dense(dup_exquo(_dense(p), _dense(q), ZZ))
+    except (ExactQuotientFailed, ZeroDivisionError):
+        raise InputError("divisor does not divide the polynomial exactly") from None
 
 
 def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return from_sympy_int(sympy.gcd(to_sympy(p), to_sympy(q)))
+    return _from_dense(dup_gcd(_dense(p), _dense(q), ZZ))
 
 
 def is_squarefree(p: IntPolynomial) -> bool:

@@ -351,48 +351,49 @@ _EXPONENT_CLASSES = (1, -1, 2, -2)
 _SPLIT_MIN_DEGREE = 24
 
 
-def _gcd_split(p: IntPolynomial, divisors) -> list:
-    """p as a list of pieces of positive degree whose product is p up to
-    sign: gcd(p, s) for each divisor s in turn, each divided out of p before
-    the next, then what is left."""
+def _gcd_split(p: IntPolynomial, divisors, rest) -> list:
+    """p as (piece, label) pairs, pieces of positive degree whose product is
+    p up to sign: gcd(p, s) for each (s, label) in divisors in turn, each
+    divided out of p before the next, then (what is left, rest)."""
     pieces = []
-    for s in divisors:
+    for s, label in divisors:
         if p.degree == 0:
             break
         g = gcd_int(p, s)
         if g.degree > 0:
-            pieces.append(g)
+            pieces.append((g, label))
             p = exact_quotient(p, g)
-    return pieces + [p] if p.degree > 0 else pieces
+    return pieces + [(p, rest)] if p.degree > 0 else pieces
 
 
 def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
                               splitters: Optional[Splitters] = None) -> list:
     """factor_int(v)[1] for a squarefree v coprime to u, one exponent class
-    at a time.
+    at a time, as (factor, multiplicity, class) triples.
 
     At a root z0 = 1/lambda of v, u/v has the simple pole of
     chi/(1 - lambda z), so u(z0) = -chi * z0 * v'(z0): the roots with
     exponent c are exactly the roots of gcd(v, u + c z v') (Rothstein-Trager).
-    v is split by these exact gcds for c in _EXPONENT_CLASSES.  Each part of
-    degree at least _SPLIT_MIN_DEGREE is split further by exact gcds with the
-    polynomials that splitters() returns (called at most once, and only when
-    such a part exists).  The pieces are factored, and the factors are sorted
-    by factor_int's key (degree, multiplicity, coefficients from the leading
-    one), so the result depends neither on the classes tried nor on the
-    splitters.
+    v is split by these exact gcds for c in _EXPONENT_CLASSES, and every
+    factor of the part of class c has exponent c; the factors of what is
+    left have class None.  Each part of degree at least _SPLIT_MIN_DEGREE is
+    split further by exact gcds with the polynomials that splitters()
+    returns (called at most once, and only when such a part exists).  The
+    pieces are factored, and the factors are sorted by factor_int's key
+    (degree, multiplicity, coefficients from the leading one), so the result
+    depends neither on the classes tried nor on the splitters.
     """
     zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
-    parts = _gcd_split(v, (u + IntPolynomial.of(c * x for x in zdv.coeffs)
-                           for c in _EXPONENT_CLASSES))
-    if splitters is not None and any(p.degree >= _SPLIT_MIN_DEGREE for p in parts):
+    parts = _gcd_split(v, ((u + IntPolynomial.of(c * x for x in zdv.coeffs), c)
+                           for c in _EXPONENT_CLASSES), None)
+    if splitters is not None and any(p.degree >= _SPLIT_MIN_DEGREE for p, _ in parts):
         divisors = splitters()
-        parts = [q for p in parts
-                 for q in (_gcd_split(p, divisors)
-                           if p.degree >= _SPLIT_MIN_DEGREE else [p])]
-    factors = [f for part in parts for f in factor_int(part)[1]]
+        parts = [q for p, c in parts
+                 for q in (_gcd_split(p, ((s, c) for s in divisors), c)
+                           if p.degree >= _SPLIT_MIN_DEGREE else [(p, c)])]
+    factors = [(f, m, c) for part, c in parts for f, m in factor_int(part)[1]]
     return sorted(factors,
-                  key=lambda fm: (len(fm[0].coeffs), fm[1], fm[0].coeffs[::-1]))
+                  key=lambda fmc: (len(fmc[0].coeffs), fmc[1], fmc[0].coeffs[::-1]))
 
 
 def torus_splitters(cp: IntPolynomial) -> list:
@@ -407,12 +408,14 @@ def torus_splitters(cp: IntPolynomial) -> list:
 def residue_exponents(u: IntPolynomial, v: IntPolynomial,
                       splitters: Optional[Splitters] = None) -> ExponentialSum:
     """Exponents chi_alpha per irreducible factor of v for the sequence with
-    sum_{n>=1} a_n z^n = series of u/v; exact linear algebra on power sums.
-    splitters, if given, is passed to _factor_by_exponent_class and does not
-    change the result.
+    sum_{n>=1} a_n z^n = series of u/v.  A factor of an exponent class has
+    that exponent; the others are solved for by exact linear algebra on
+    power sums, with the known terms subtracted.  splitters, if given, is
+    passed to _factor_by_exponent_class and does not change the result.
 
     Errors: v not squarefree (polynomial-times-exponential terms are outside
-    the rational-zeta normal form) and non-integer or inconsistent exponents.
+    the rational-zeta normal form), deg u > deg v, and non-integer or
+    inconsistent exponents.
     """
     if v.constant != 1:
         raise InputError("recurrence denominator must have constant term 1")
@@ -424,36 +427,43 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial,
         raise NotSquareFreeError(
             "recurrence denominator has a repeated factor; the sequence is "
             "not a plain integer exponential sum")
-    tilde = []
-    for w, mult in _factor_by_exponent_class(u, v, splitters):
+    if u.degree > v.degree:
+        # a polynomial part of u/v is a transient, which no exponent fits
+        raise InputError("u/v must have deg u <= deg v")
+    factors = []  # (v_alpha, chi_alpha), chi_alpha None where not yet known
+    for w, mult, c in _factor_by_exponent_class(u, v, splitters):
         assert mult == 1
         if w.constant == -1:
             w = -w
         if w.constant != 1:
             raise InputError("factor of v(0)=1 polynomial must have unit constant")
-        tilde.append(w)
-    root_polys = [w.reverse() for w in tilde]
-    r = v.degree
-    a = _series_div(list(u.coeffs), v.coeffs, r)[1:]  # a_1 .. a_r
-    sums = [power_sums(p, r) for p in root_polys]
-    rows = [[Fraction(sums[j][n]) for j in range(len(root_polys))]
-            for n in range(r)]
-    matrix = RatMatrix(r, len(root_polys),
-                       tuple(x for row in rows for x in row))
-    sol = rat_solve(matrix, [Fraction(x) for x in a])
-    if sol is None:
-        raise NonIntegerResidueError(
-            "no Galois-constant exponents reproduce the sequence; it is not "
-            "an integer exponential sum")
-    chis = []
-    for x in sol:
-        if x.denominator != 1:
+        factors.append((w.reverse(), c))
+    unknown = [p for p, c in factors if c is None]
+    solved = {}
+    if unknown:
+        # a_n minus the known terms; r = the degree left is enough rows, as
+        # the power sums of distinct nonzero roots form a Vandermonde system
+        r = sum(p.degree for p in unknown)
+        a = _series_div(list(u.coeffs), v.coeffs, r)[1:]  # a_1 .. a_r
+        for p, c in factors:
+            if c is not None:
+                a = [x - c * s for x, s in zip(a, power_sums(p, r))]
+        sums = [power_sums(p, r) for p in unknown]
+        matrix = RatMatrix(r, len(unknown),
+                           tuple(Fraction(s[n]) for n in range(r) for s in sums))
+        sol = rat_solve(matrix, [Fraction(x) for x in a])
+        if sol is None:
             raise NonIntegerResidueError(
-                f"factor exponent {x} is not an integer; refusing to round")
-        chis.append(int(x))
-    if any(c == 0 for c in chis):
-        raise NonIntegerResidueError("zero exponent contradicts minimality of v")
-    return ExponentialSum(terms=tuple(zip(root_polys, chis)))
+                "no Galois-constant exponents reproduce the sequence; it is not "
+                "an integer exponential sum")
+        for x in sol:
+            if x.denominator != 1:
+                raise NonIntegerResidueError(
+                    f"factor exponent {x} is not an integer; refusing to round")
+        if any(x == 0 for x in sol):
+            raise NonIntegerResidueError("zero exponent contradicts minimality of v")
+        solved = dict(zip(unknown, map(int, sol)))
+    return ExponentialSum(terms=tuple((p, solved.get(p, c)) for p, c in factors))
 
 
 def zeta_from_sequence(seq: SequenceLike, splitters: Optional[Splitters] = None):

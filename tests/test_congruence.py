@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdyn.congruence import (
+    _mobius_report,
     dold_check_realization,
     euler_check,
     gauss_check,
@@ -21,6 +22,19 @@ def test_mobius_values():
     assert mobius(6) == 1
     assert mobius(12) == 0
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+
+def test_mobius_report_matches_the_divisor_sum():
+    # the sum over subsets of the distinct primes of n against the sum over
+    # every divisor d of n with mobius(n / d) (oracle)
+    rng = random.Random(13)
+    values = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(601)]
+    for n in range(1, 601):
+        direct = sum(mobius(n // d) * values[d]
+                     for d in range(1, n + 1) if n % d == 0)
+        report = _mobius_report(n, values.__getitem__)
+        assert report.combination == direct, n
+        assert report.residue == direct % n
 
 
 def test_mobius_rejects_nonpositive():

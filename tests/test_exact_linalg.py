@@ -234,6 +234,23 @@ def test_power_sums_round_trip(lower):
     assert from_power_sums(sums) == p
 
 
+def _from_power_sums_over_q(sums):
+    """Newton's identities with every coefficient a Fraction (oracle)."""
+    e = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        e.append(-sum(e[i] * sums[k - 1 - i] for i in range(k)) / k)
+    return RatPolynomial(tuple(reversed(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9) | st.integers(-2 ** 80, 2 ** 80), max_size=8)
+       | st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=6))
+def test_from_power_sums_matches_the_fraction_loop(sums):
+    # arbitrary power sums: the int coefficients give way to Fractions at the
+    # first division by k that is not exact
+    assert from_power_sums(sums) == _from_power_sums_over_q(sums)
+
+
 def test_char_poly_rational_matrix():
     A = RatMatrix.from_rows([[Fraction(1, 2)]])
     assert char_poly(A).coeffs == (Fraction(-1, 2), Fraction(1))

@@ -1,5 +1,6 @@
-"""factor_rat, the monic factoring bridge over Q, against sympy factoring the
-rational polynomial directly; the product and ratio polynomials built from
+"""factor_int, gcd_int and exact_quotient, on sympy's dense kernels, against
+the ``Poly``-level calls; factor_rat, the monic factoring bridge over Q,
+against sympy factoring the rational polynomial directly; the product and ratio polynomials built from
 power sums against bivariate resultants as the oracle; the integer
 cyclotomic polynomials and their identification against sympy's
 ``cyclotomic_poly`` and ``totient``; the exterior-power polynomials against
@@ -9,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import sympy
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdyn import polyalg
@@ -19,18 +21,115 @@ from tdyn.exact_linalg import (
     char_poly,
     det_exact,
 )
+from tdyn.errors import InputError
 from tdyn.polyalg import (
     cyclotomic,
     cyclotomic_order,
+    exact_quotient,
     exterior_power_polynomials,
     factor_int,
     factor_rat,
+    gcd_int,
     product_polynomial,
     ratio_polynomial,
+    to_sympy,
     totients,
 )
 
 _X = sympy.Symbol("x")
+
+
+# ---------------------------------------------------------------- the dense bridge
+
+def _from_poly(poly: sympy.Poly) -> IntPolynomial:
+    return IntPolynomial.of(int(c) for c in reversed(poly.all_coeffs()))
+
+
+def _poly_factor_int(p: IntPolynomial):
+    """factor_int through Poly.factor_list (oracle)."""
+    unit, factors = to_sympy(p).factor_list()
+    return int(unit), [(_from_poly(f), m) for f, m in factors]
+
+
+def _poly_exact_quotient(p: IntPolynomial, q: IntPolynomial):
+    """p / q through sympy.div over QQ, or None unless it is exact over Z
+    (oracle)."""
+    quo, rem = sympy.div(to_sympy(p), to_sympy(q))
+    if not rem.is_zero or any(not c.is_integer for c in quo.all_coeffs()):
+        return None
+    return _from_poly(quo)
+
+
+# degree 0-5 with small or 200-bit coefficients, times a content and a sign:
+# zero, constants, negative leading coefficients and non-primitive content
+_coefficient = st.integers(-6, 6) | st.integers(-2 ** 200, 2 ** 200)
+bridge_polynomials = st.builds(
+    lambda cs, content: IntPolynomial.of([content * c for c in cs] or [0]),
+    st.lists(_coefficient, max_size=6),
+    st.sampled_from([1, -1, 2, -6, 2 ** 200]))
+small_factors = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    IntPolynomial.of).filter(lambda p: not p.is_zero)
+
+
+def _ints(p: IntPolynomial) -> bool:
+    return all(type(c) is int for c in p.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bridge_polynomials, st.lists(small_factors, max_size=3))
+def test_factor_int_matches_poly_factor_list(p, repeated):
+    # small factors, some of them twice, give repeated and shared factors
+    for f in repeated:
+        p = p * f * f
+    if p.is_zero:
+        with pytest.raises(InputError):
+            factor_int(p)
+        return
+    unit, factors = factor_int(p)
+    assert (unit, factors) == _poly_factor_int(p)
+    assert type(unit) is int and all(_ints(f) for f, _ in factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bridge_polynomials, bridge_polynomials, small_factors)
+def test_gcd_int_matches_sympy_gcd(p, q, common):
+    for a, b in ((p, q), (p * common, q * common)):
+        g = gcd_int(a, b)
+        assert g == _from_poly(sympy.gcd(to_sympy(a), to_sympy(b)))
+        assert _ints(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bridge_polynomials, bridge_polynomials)
+def test_exact_quotient_matches_sympy_div(p, q):
+    if q.is_zero:
+        with pytest.raises(InputError):
+            exact_quotient(p, q)
+        return
+    assert exact_quotient(p * q, q) == p
+    expected = _poly_exact_quotient(p, q)
+    if expected is None:
+        with pytest.raises(InputError):
+            exact_quotient(p, q)
+    else:
+        quo = exact_quotient(p, q)
+        assert quo == expected and _ints(quo)
+
+
+def test_the_dense_bridge_builds_no_poly(monkeypatch):
+    p = IntPolynomial.of([-1, -1, 0, 0, 1]) * IntPolynomial.of([3, 0, 2])
+    q = IntPolynomial.of([3, 0, 2]) * IntPolynomial.of([1, 1])
+    built = []
+    new = sympy.Poly.__new__
+    monkeypatch.setattr(sympy.Poly, "__new__",
+                        lambda cls, *a, **k: built.append(cls) or new(cls, *a, **k))
+    to_sympy(p)
+    assert built == [sympy.Poly]  # the counter sees a Poly being built
+    built.clear()
+    factor_int(p)
+    gcd_int(p, q)
+    exact_quotient(p, IntPolynomial.of([3, 0, 2]))
+    assert built == []
 
 
 def _sympy_monic_factors(p: RatPolynomial):

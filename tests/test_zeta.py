@@ -18,14 +18,16 @@ from tdyn.errors import (
 from tdyn.exact_linalg import (
     BigIntMatrix,
     IntPolynomial,
+    RatMatrix,
     char_poly,
     companion_matrix,
     mat_pow,
     powers,
+    rat_solve,
 )
 from tdyn import zeta
 from tdyn.group_model import torus_matrix, z_pair, z_times_d
-from tdyn.polyalg import factor_int
+from tdyn.polyalg import factor_int, gcd_int
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
     RationalFunction,
@@ -515,6 +517,41 @@ splitter_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(
     IntPolynomial.of).filter(lambda p: not p.is_zero)
 
 
+def _solved_exponents(u, v):
+    """residue_exponents with every exponent solved for: one rat_solve over
+    the power sums of all factors of v (oracle).  Returns the terms, or the
+    type and message of the error raised."""
+    try:
+        factors = [f if f.constant == 1 else -f for f, _ in factor_int(v)[1]]
+        root_polys = [f.reverse() for f in factors]
+        r = v.degree
+        a = zeta._series_div(list(u.coeffs), v.coeffs, r)[1:]
+        sums = [power_sums(p, r) for p in root_polys]
+        matrix = RatMatrix.from_rows([[s[n] for s in sums] for n in range(r)])
+        sol = rat_solve(matrix, a)
+        if sol is None:
+            raise NonIntegerResidueError(
+                "no Galois-constant exponents reproduce the sequence; it is not "
+                "an integer exponential sum")
+        for x in sol:
+            if x.denominator != 1:
+                raise NonIntegerResidueError(
+                    f"factor exponent {x} is not an integer; refusing to round")
+        if any(x == 0 for x in sol):
+            raise NonIntegerResidueError("zero exponent contradicts minimality of v")
+        return tuple(zip(root_polys, map(int, sol)))
+    except NonIntegerResidueError as exc:
+        return type(exc), str(exc)
+
+
+def _read_exponents(u, v):
+    """residue_exponents(u, v) in _solved_exponents' form."""
+    try:
+        return residue_exponents(u, v).terms
+    except NonIntegerResidueError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=100, deadline=None)
 @given(exponential_sums, st.data())
 def test_class_split_factorization_matches_factor_int(terms, data):
@@ -525,18 +562,60 @@ def test_class_split_factorization_matches_factor_int(terms, data):
         return  # the exponents cancelled
     u = _numerator(values, v)
     expected = factor_int(v)[1]
-    assert _factor_by_exponent_class(u, v) == expected
+    split = _factor_by_exponent_class(u, v)
+    assert [(f, m) for f, m, _ in split] == expected
+    # each class is the exponent the full solve finds for the factor, and a
+    # factor is left without one only if its exponent is in no class
+    solved = dict(_solved_exponents(u, v))
+    for f, _, c in split:
+        chi = solved[(f if f.constant == 1 else -f).reverse()]
+        assert c == chi if c is not None else chi not in zeta._EXPONENT_CLASSES
     # random splitters, some of them multiples of a few factors of v
     multiples = st.tuples(
         splitter_polys,
-        st.lists(st.sampled_from([f for f, _ in expected]), max_size=3),
-    ).map(lambda t: math.prod(t[1], start=t[0]))
+        st.lists(st.sampled_from(expected), max_size=3),
+    ).map(lambda t: math.prod((f for f, _ in t[1]), start=t[0]))
     splitters = data.draw(st.lists(splitter_polys | multiples, max_size=6))
     built = []
     with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
         assert _factor_by_exponent_class(
-            u, v, lambda: built.append(1) or splitters) == expected
+            u, v, lambda: built.append(1) or splitters) == split
     assert built == [1]
+
+
+# exponents from -5 to 5, so that +-3, +-4 and +-5 fall in no class
+wide_exponential_sums = st.lists(
+    st.tuples(root_polys, st.integers(-5, 5).filter(bool)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_exponential_sums)
+def test_class_read_exponents_match_the_full_solve(terms):
+    order = sum(poly.degree for poly, _ in terms)
+    values = exponential_sum_values(terms, 2 * order + 4)
+    v = minimal_recurrence(values)
+    if v.degree == 0:
+        return  # the exponents cancelled
+    u = _numerator(values, v)
+    assert _read_exponents(u, v) == _solved_exponents(u, v)
+
+
+# squarefree v = prod (1 - lambda z) over distinct small integers lambda, so
+# that the residues of a random u/v are rational: integers in a class,
+# integers outside every class, fractions, or zero
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
+       .flatmap(lambda roots: st.tuples(
+           st.just(math.prod((IntPolynomial.of([1, -r]) for r in roots),
+                             start=IntPolynomial.of([1]))),
+           st.lists(st.integers(-9, 9), min_size=len(roots), max_size=len(roots)))))
+def test_class_read_exponents_match_the_full_solve_on_any_residues(vu):
+    v, tail = vu
+    u = IntPolynomial.of([0] + tail)
+    if gcd_int(u, v).degree != 0:
+        return
+    assert _read_exponents(u, v) == _solved_exponents(u, v)
 
 
 @pytest.mark.parametrize("terms", [
@@ -546,13 +625,39 @@ def test_class_split_factorization_matches_factor_int(terms, data):
     [(IntPolynomial.of([5, 1]), -2), (IntPolynomial.of([-7, 1]), 4),
      (IntPolynomial.of([-1, -1, 1]), 1)],
 ])
-def test_class_split_remainder(terms):
+def test_class_split_remainder(monkeypatch, terms):
     order = sum(poly.degree for poly, _ in terms)
     values = exponential_sum_values(terms, 2 * order + 4)
     v = minimal_recurrence(values)
     u = _numerator(values, v)
-    assert _factor_by_exponent_class(u, v) == factor_int(v)[1]
+    split = _factor_by_exponent_class(u, v)
+    assert [(f, m) for f, m, _ in split] == factor_int(v)[1]
+    # each root polynomial is irreducible here, so it is a factor's reversal
+    chis = [dict(terms)[(f if f.constant == 1 else -f).reverse()] for f, _, _ in split]
+    assert [c for _, _, c in split] == [
+        chi if chi in zeta._EXPONENT_CLASSES else None for chi in chis]
+    assert None in [c for _, _, c in split]
+    # the remainder is still solved for, in one rat_solve
+    calls = []
+    monkeypatch.setattr(zeta, "rat_solve", lambda *a: calls.append(1) or rat_solve(*a))
     assert dict(residue_exponents(u, v).terms) == dict(terms)
+    assert calls == [1]
+
+
+def test_residue_exponents_rejects_a_polynomial_part():
+    # z^2 / (1 - z) = z^2 + z^3 + ...: a_1 = 0 is a transient
+    with pytest.raises(InputError):
+        residue_exponents(IntPolynomial.of([0, 0, 1]), IntPolynomial.of([1, -1]))
+
+
+def test_zeta_of_the_rank6_torus_solves_for_no_exponent(monkeypatch):
+    # every exponent of R_n = |det(I - A^n)| is +-1: all are read off a class
+    seq = coincidence_sequence(torus_matrix(_selmer(6)), 2 * 2 ** 6 + 4)
+    calls = []
+    monkeypatch.setattr(zeta, "rat_solve", lambda *a: calls.append(1) or rat_solve(*a))
+    _, es = zeta_from_sequence(seq)
+    assert calls == []
+    assert {chi for _, chi in es.terms} <= {1, -1}
 
 
 # ---------------------------------------------------------------- torus splitters

@@ -6,20 +6,28 @@ share a base class that differs only in the entry type, and each subclass
 adds its own extras.  Everything here is immutable after construction and
 every operation is a pure function, so values can be shared freely across
 threads.  Successive matrix powers come from one loop (``powers``, one
-product per step).  Determinants use fraction-free Bareiss elimination, the
-iterated determinants det(phi^n - psi^n) run on scaled integer matrices, and
+product per step).  Determinants use fraction-free Bareiss elimination, and
 the Smith normal form keeps full unimodular transforms so callers can recheck
 U*A*V = D.  Newton's identities live here once in each direction
 (coefficients to power sums and back); the characteristic polynomial is
-rebuilt from the traces of matrix powers with them.
+rebuilt from the traces of matrix powers with them, and so are the
+characteristic polynomials of the exterior powers of a matrix.
+
+The iterated determinants det(phi^n - psi^n) have two routes.  For
+psi = identity and a long enough run they are read off power sums of the
+exterior powers, with no matrix power and no elimination; every other run
+is one integer matrix product and one Bareiss elimination per term (see
+``power_difference_determinants``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import lcm
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -243,26 +251,63 @@ def det_rat(A: RatMatrix) -> Fraction:
     return Fraction(det_exact(B), L ** A.rows)
 
 
-def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int = 1):
-    """Yield det(phi^n - psi^n) for n = start, start + 1, ... as exact Fractions.
+def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int,
+                                  last: int):
+    """det(phi^n - psi^n) for n = start, ..., last as exact Fractions.
 
-    With phi = B/L and psi = C/M for integer B, C, the n-th value is
-    det(B^n M^n - C^n L^n) / (L M)^(n d): one integer matrix product per
-    factor and step, none for psi when psi is the identity.
+    With psi = identity and phi = B/L for an integer d x d matrix B,
+
+        det(phi^n - I) = L^(-nd) * sum_{k=0..d} (-L^n)^(d-k) * tr wedge^k B^n,
+
+    the expansion of det(B^n - t I) in the traces of the exterior powers
+    (Fel'shtyn, Mem. AMS 699, 2000).  tr wedge^k B^n is the n-th power sum of
+    the roots of W_k = char(wedge^k B) (``exterior_power_polynomials``), so
+    each term costs 2^d multiply-adds of a big integer by a fixed one.
+    Setting up those streams costs about sum_k C(d, k)^2 Newton steps, so
+    this route is taken only when at least 2^d terms, the total order of the
+    streams, are asked for.  Every other run, and every psi other than the
+    identity, is the Bareiss loop: with psi = C/M the n-th value is
+    det(B^n M^n - C^n L^n) / (L M)^(n d), one integer matrix product per
+    factor and step (none for psi = identity) and one elimination.
     """
     if not (phi.is_square and (psi.rows, psi.cols) == (phi.rows, phi.cols)):
         raise InputError("power differences need two square matrices of one size")
+    if last - start + 1 >= 2 ** phi.rows and psi.is_identity():
+        return _exterior_determinants(phi, start, last)
+    return _bareiss_determinants(phi, psi, start, last)
+
+
+def _bareiss_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int):
     d = phi.rows
     B, L = phi.scaled_integer()
     C, M = psi.scaled_integer()
     Ln, Mn = L ** (start - 1), M ** (start - 1)
-    for Bn, Cn in zip(powers(B, start),
-                      repeat(C) if psi.is_identity() else powers(C, start)):
+    pairs = zip(powers(B, start),
+                repeat(C) if psi.is_identity() else powers(C, start))
+    for Bn, Cn in islice(pairs, max(last - start + 1, 0)):
         Ln *= L
         Mn *= M
         diff = BigIntMatrix(d, d, tuple(b * Mn - c * Ln
                                         for b, c in zip(Bn.entries, Cn.entries)))
         yield Fraction(det_exact(diff), (Ln * Mn) ** d)
+
+
+def _exterior_determinants(phi: RatMatrix, start: int, last: int):
+    """det(phi^n - I) for n = start..last from the power-sum streams of the
+    exterior powers (the identity in power_difference_determinants)."""
+    d = phi.rows
+    B, L = phi.scaled_integer()
+    streams = [_power_sum_stream(w)
+               for w in exterior_power_polynomials(char_poly(B).to_int())]
+    Ld = L ** d
+    Ln, Lnd = L ** (start - 1), Ld ** (start - 1)
+    for traces in islice(zip(*streams), start - 1, last):
+        Ln *= L
+        Lnd *= Ld
+        t, value = -Ln, 0
+        for trace in traces:  # Horner in t = -L^n, tr wedge^0 B^n = 1 first
+            value = value * t + trace
+        yield Fraction(value, Lnd)
 
 
 @dataclass(frozen=True)
@@ -579,32 +624,72 @@ def power_sums(poly, N: int) -> list:
     RatPolynomial."""
     if not poly.is_monic or poly.degree < 1:
         raise InputError("power sums need a monic polynomial of degree >= 1")
+    return list(islice(_power_sum_stream(poly), N))
+
+
+def _power_sum_stream(poly):
+    """p_1, p_2, ... of the roots of the monic polynomial poly, of degree d
+    and ascending coefficients a: Newton's identities up to p_d, then the
+    recurrence p_n = -(a_0 p_(n-d) + ... + a_(d-1) p_(n-1))."""
     d = poly.degree
-    a = poly.coeffs  # ascending, a[d] = 1
+    a = poly.coeffs
     ps: list = []
-    for k in range(1, N + 1):
-        if k <= d:
-            acc = -k * a[d - k]
-            for i in range(1, k):
-                acc -= a[d - i] * ps[k - i - 1]
-        else:
-            acc = 0
-            for i in range(1, d + 1):
-                acc -= a[d - i] * ps[k - i - 1]
+    for k in range(1, d + 1):
+        acc = -k * a[d - k]
+        for i in range(1, k):
+            acc -= a[d - i] * ps[k - i - 1]
         ps.append(acc)
-    return ps
+        yield acc
+    window = deque(ps, maxlen=d)
+    low = a[:d]
+    while True:
+        p = -sum(map(mul, low, window))
+        window.append(p)
+        yield p
 
 
-def from_power_sums(sums: Sequence) -> RatPolynomial:
-    """The monic polynomial of degree len(sums) whose roots have the power
-    sums sums[0], sums[1], ... (Newton's identities, exact over Q).  The
-    coefficients stay ints while each division by k is exact, and become
-    Fractions from the first one that is not."""
-    e = [1]  # descending: x^D + e[1] x^(D-1) + ... + e[D]
+def _newton_coefficients(sums: Sequence) -> list:
+    """[1, c_1, ..., c_D], highest degree first, of the monic polynomial of
+    degree D = len(sums) whose roots have the power sums sums[0], sums[1],
+    ... (Newton's identities, exact over Q).  The coefficients stay ints
+    while each division by k is exact, and become Fractions from the first
+    one that is not."""
+    e = [1]
     for k in range(1, len(sums) + 1):
         s = -sum(e[i] * sums[k - 1 - i] for i in range(k))
         e.append(s // k if isinstance(s, int) and s % k == 0 else Fraction(s, k))
-    return RatPolynomial.of(reversed(e))
+    return e
+
+
+def from_power_sums(sums: Sequence) -> RatPolynomial:
+    """The monic polynomial whose roots have the power sums sums[0],
+    sums[1], ... (``_newton_coefficients`` as a RatPolynomial)."""
+    return RatPolynomial.of(reversed(_newton_coefficients(sums)))
+
+
+def exterior_power_polynomials(cp: IntPolynomial) -> list:
+    """[char poly of the k-th exterior power of phi for k = 0..d], where cp
+    is the monic characteristic polynomial of phi, of degree d.
+
+    The power sums of the k-th exterior power are tr wedge^k phi^n =
+    e_k(lambda^n), read off the characteristic polynomial of phi^n, which
+    Newton's identities build from the power sums p_n, p_2n, ..., p_dn of
+    cp.  Both polynomials are monic and integral, so every step stays in
+    ints.
+    """
+    if not cp.is_monic or cp.degree < 1:
+        raise InputError("exterior powers need a monic polynomial of degree >= 1")
+    d = cp.degree
+    degrees = [comb(d, k) for k in range(d + 1)]
+    sums = power_sums(cp, d * max(degrees))
+    traces = [[] for _ in range(d + 1)]  # traces[k][n - 1] = e_k(lambda^n)
+    for n in range(1, max(degrees) + 1):
+        c = _newton_coefficients(sums[n - 1::n][:d])  # char poly of phi^n
+        for k in range(d + 1):
+            traces[k].append(-c[k] if k % 2 else c[k])
+    # the constructor rejects a non-int coefficient
+    return [IntPolynomial(tuple(reversed(_newton_coefficients(t[:m]))))
+            for t, m in zip(traces, degrees)]
 
 
 def char_poly(A: Matrix) -> RatPolynomial:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -159,9 +158,9 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
         raise InputError("; ".join(problems))
     max_rank = max(sec.rank for sec in system.sections)
     bound = _tameness_bound(max_rank)
-    dets = [power_difference_determinants(sec.phi, sec.psi)
+    dets = [power_difference_determinants(sec.phi, sec.psi, 1, bound)
             for sec in system.sections]
-    for n, row in enumerate(islice(zip(*dets), bound), start=1):
+    for n, row in enumerate(zip(*dets), start=1):
         for k, det in enumerate(row, start=1):
             if det == 0:
                 return TamenessVerdict(tame=False, witness_n=n,

@@ -34,15 +34,26 @@ def ord_p(q: Union[int, Fraction], p: int) -> int:
     q = Fraction(q)
     if q == 0:
         raise InputError("ord_p(0) is undefined (the norm is 0)")
+    return _ord_int(q.numerator, p) - _ord_int(q.denominator, p)
 
-    def _ord_int(n: int) -> int:
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return k
 
-    return _ord_int(q.numerator) - _ord_int(q.denominator)
+def _ord_int(n: int, p: int) -> int:
+    """The largest k with p^k | n, for n != 0: divide by p, p^2, p^4, ...
+    while they divide, then by the same powers back down, so O(log k) big
+    divisions instead of k."""
+    k, squares = 0, []
+    q = p
+    while n % q == 0:
+        n //= q
+        k += 1 << len(squares)
+        squares.append(q)
+        q *= q
+    # what is left has valuation below the last power tried, 2^len(squares)
+    for i in reversed(range(len(squares))):
+        if n % squares[i] == 0:
+            n //= squares[i]
+            k += 1 << i
+    return k
 
 
 @dataclass(frozen=True)

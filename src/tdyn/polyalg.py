@@ -8,9 +8,10 @@ and exact division run sympy's dense kernels over ZZ (``dup_factor_list``,
 ``dup_gcd``, ``dup_exquo``, the algorithms ``Poly`` reaches) on coefficient
 lists, highest degree first, in through ``ZZ.convert`` and out through
 ``int``, so no ``Poly`` is built and results are ints under any
-``SYMPY_GROUND_TYPES``.  The product, ratio and exterior-power polynomials
-are built from power sums with Newton's identities (Bostan, Flajolet, Salvy,
-Schost, "Fast computation of special resultants", JSC 41, 2006).  Cyclotomic
+``SYMPY_GROUND_TYPES``.  The product and ratio polynomials are built from
+power sums with Newton's identities (Bostan, Flajolet, Salvy, Schost, "Fast
+computation of special resultants", JSC 41, 2006), as are the
+exterior-power polynomials in ``exact_linalg``, which need no sympy.  Cyclotomic
 polynomials and Euler's totient are computed in plain integer arithmetic:
 building them as sympy expressions would make the first call in a process
 import sympy's tensor and combinatorics packages.
@@ -19,7 +20,6 @@ import sympy's tensor and combinatorics packages.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 import sympy
@@ -159,27 +159,6 @@ def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
     n = d * (d - 1)
     sums = zip(power_sums(_monic(v), n), power_sums(_monic(v.reverse()), n))
     return from_power_sums([p * q - d for p, q in sums]).clear_denominators()[0]
-
-
-def exterior_power_polynomials(cp: IntPolynomial) -> list:
-    """[char poly of the k-th exterior power of phi for k = 0..d], where cp
-    is the monic characteristic polynomial of phi, of degree d.
-
-    The power sums of the k-th exterior power are tr wedge^k phi^n =
-    e_k(lambda^n), read off the characteristic polynomial of phi^n, which
-    from_power_sums builds from the power sums p_n, p_2n, ..., p_dn of cp.
-    """
-    if not cp.is_monic or cp.degree < 1:
-        raise InputError("exterior powers need a monic polynomial of degree >= 1")
-    d = cp.degree
-    degrees = [comb(d, k) for k in range(d + 1)]
-    sums = power_sums(cp, d * max(degrees))
-    traces = [[] for _ in range(d + 1)]  # traces[k][n - 1] = e_k(lambda^n)
-    for n in range(1, max(degrees) + 1):
-        c = from_power_sums(sums[n - 1::n][:d]).coeffs  # char poly of phi^n
-        for k in range(d + 1):
-            traces[k].append((-1) ** k * c[d - k])
-    return [from_power_sums(t[:m]).to_int() for t, m in zip(traces, degrees)]
 
 
 def product_polynomial(v: IntPolynomial) -> IntPolynomial:

@@ -8,13 +8,22 @@ which is a positive integer for valid S-integer sections and infinite exactly
 when the determinant vanishes.  A multi-section value is the product over
 sections (the product formula for nilpotent systems); Nielsen values replace
 infinity by 0 and require finitely generated input.
+
+Sequences read det(phi^n - psi^n) from
+``exact_linalg.power_difference_determinants``.  For psi = identity and at
+least 2^d terms on a rank-d section it reads them off the power sums of the
+exterior powers of phi, det(phi^n - I) = sum_k (-1)^(d-k) tr wedge^k phi^n
+for integer phi (Fel'shtyn, Mem. AMS 699, 2000), exact for every such
+section, tame or not; shorter runs and psi other than the identity take one
+matrix product and one Bareiss elimination per term.  The single-term
+routes below (``section_coincidence_number`` over Fractions and
+``section_coincidence_number_snf``) are independent of both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import InputError
 from .exact_linalg import (det_rat, mat_pow, power_difference_determinants,
@@ -129,10 +138,10 @@ def extend_sequence(system: NilpotentSystem, seq: ReidemeisterSequence,
     if problems:
         raise InputError("; ".join(problems))
     primes = [sorted(sec.prime_support) for sec in system.sections]
-    dets = [power_difference_determinants(sec.phi, sec.psi, len(seq) + 1)
+    dets = [power_difference_determinants(sec.phi, sec.psi, len(seq) + 1, N)
             for sec in system.sections]
     values = list(seq.values)
-    for row in islice(zip(*dets), max(N - len(seq), 0)):
+    for row in zip(*dets):
         if any(det == 0 for det in row):
             values.append(0 if seq.kind == "nielsen" else INFINITY)
             continue

@@ -56,12 +56,12 @@ from .exact_linalg import (
     RatMatrix,
     char_poly,
     companion_matrix,
+    exterior_power_polynomials,
     power_sums,
     rat_solve,
 )
 from .polyalg import (
     exact_quotient,
-    exterior_power_polynomials,
     factor_int,
     gcd_int,
     is_squarefree,

@@ -424,21 +424,55 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.stdout.strip() == "[]"
 
 
+def _counting_routes(monkeypatch):
+    """Count the terms each route of power_difference_determinants yields."""
+    from tdyn import exact_linalg
+    counts = {}
+
+    def counting(name):
+        route = getattr(exact_linalg, name)
+
+        def wrapped(*args):
+            for value in route(*args):
+                counts[name] = counts.get(name, 0) + 1
+                yield value
+        monkeypatch.setattr(exact_linalg, name, wrapped)
+
+    counting("_exterior_determinants")
+    counting("_bareiss_determinants")
+    return counts
+
+
 def test_realize_computes_each_sequence_term_once(monkeypatch):
     # the zeta window of the rank-6 torus has 132 terms and the trace check
-    # needs 133: the 133rd is computed alone, not the whole sequence again
-    from tdyn import exact_linalg
-    calls = []
-    det_exact = exact_linalg.det_exact
-
-    def counting(A):
-        calls.append(A.rows)
-        return det_exact(A)
-
-    monkeypatch.setattr(exact_linalg, "det_exact", counting)
+    # needs 133: the window comes from the exterior-power streams and the
+    # 133rd, one term under the 2^6 guard, from the Bareiss loop alone
+    counts = _counting_routes(monkeypatch)
     doc = run_json(["realize", "--builtin", _selmer_torus(6)])
     assert doc["trace_check_up_to"] == 133 and doc["trace_check_passed"] is True
-    assert len(calls) == 133
+    assert counts == {"_exterior_determinants": 132, "_bareiss_determinants": 1}
+
+
+def test_route_guard_follows_the_number_of_terms(monkeypatch):
+    # 40 terms of a rank-8 torus are fewer than the 2^8 of the streams'
+    # total order: Bareiss, and no exterior powers built; the tameness bound
+    # 420 of a rank-7 torus is at least 2^7: the streams, and no elimination
+    from tdyn import exact_linalg
+    calls = []
+    for name in ("exterior_power_polynomials", "det_exact"):
+        original = getattr(exact_linalg, name)
+        monkeypatch.setattr(exact_linalg, name, lambda *a, _f=original, _n=name: (
+            calls.append(_n), _f(*a))[1])
+    counts = _counting_routes(monkeypatch)
+    assert len(run_json(["rseq", "--builtin", _selmer_torus(8), "--n", "40"])["sequence"]) == 40
+    assert "exterior_power_polynomials" not in calls
+    assert counts == {"_bareiss_determinants": 40}
+    calls.clear()
+    counts.clear()
+    doc = run_json(["tame", "--builtin", _selmer_torus(7)])
+    assert doc["tame"] is True and doc["checked_up_to"] == 420
+    assert "det_exact" not in calls and "exterior_power_polynomials" in calls
+    assert counts == {"_exterior_determinants": 420}
 
 
 @pytest.mark.parametrize("r", [7, 8])

@@ -22,6 +22,31 @@ def test_ord_p_examples():
     assert ord_p(5, 2) == 0
 
 
+def _ord_by_division(q, p):
+    """The valuation by one division per unit, the loop ord_p replaces."""
+    def ord_int(n):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        return k
+    q = Fraction(q)
+    return ord_int(q.numerator) - ord_int(q.denominator)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 101]),
+       st.integers(min_value=1, max_value=10 ** 40),
+       st.integers(min_value=0, max_value=700),
+       st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=0, max_value=60),
+       st.booleans())
+def test_ord_p_matches_the_division_loop(p, m, k, den, j, negative):
+    value = (-1 if negative else 1) * m * p ** k
+    assert ord_p(value, p) == _ord_by_division(value, p)
+    q = Fraction(value, den * p ** j)
+    assert ord_p(q, p) == _ord_by_division(q, p)
+
+
 def test_ord_p_errors():
     with pytest.raises(InputError):
         ord_p(0, 2)

@@ -20,13 +20,13 @@ from tdyn.exact_linalg import (
     RatPolynomial,
     char_poly,
     det_exact,
+    exterior_power_polynomials,
 )
 from tdyn.errors import InputError
 from tdyn.polyalg import (
     cyclotomic,
     cyclotomic_order,
     exact_quotient,
-    exterior_power_polynomials,
     factor_int,
     factor_rat,
     gcd_int,

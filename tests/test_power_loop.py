@@ -1,20 +1,28 @@
-"""The integer power-difference loop against the independent routes.
+"""The power-difference determinants against the independent routes.
 
 ``coincidence_sequence`` and ``tameness_check`` both read det(phi^n - psi^n)
-from ``power_difference_determinants``, which works on scaled integer
-matrices.  The oracles here recompute each value from scratch over Fraction
-(``mat_pow`` + ``det_rat``) or from the Smith normal form.
+from ``power_difference_determinants``.  For psi = identity and at least 2^d
+terms it reads them off the power sums of the exterior powers; otherwise it
+runs the Bareiss loop on scaled integer matrices.  The oracles here are the
+Bareiss loop itself, called directly, and each value recomputed from scratch
+over Fraction (``mat_pow`` + ``det_rat``) or from the Smith normal form.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from tdyn import exact_linalg, group_model
 from tdyn.exact_linalg import (
     BigIntMatrix,
     RatMatrix,
+    char_poly,
+    det_exact,
     det_rat,
+    exterior_power_polynomials,
     mat_pow,
     power_difference_determinants,
 )
@@ -29,6 +37,7 @@ from tdyn.group_model import (
 from tdyn.reidemeister import (
     INFINITY,
     coincidence_sequence,
+    extend_sequence,
     is_infinite,
     section_coincidence_number,
     section_coincidence_number_snf,
@@ -116,7 +125,7 @@ def test_infinite_cases():
 def test_determinants_are_exact():
     phi = RatMatrix.from_rows([[Fraction(1, 2), 1], [0, 3]])
     psi = RatMatrix.from_rows([[1, 0], [Fraction(1, 3), 2]])
-    dets = power_difference_determinants(phi, psi)
+    dets = power_difference_determinants(phi, psi, 1, 7)
     for n in range(1, 8):
         assert next(dets) == det_rat(mat_pow(phi, n).sub(mat_pow(psi, n)))
 
@@ -203,3 +212,125 @@ def test_bigint_mul_matches_triple_loop(pair):
     # every entry keeps the type, also where the zero-skipping loop adds nothing
     kind = Fraction if isinstance(A, RatMatrix) else int
     assert all(type(e) is kind for e in product.entries)
+
+
+# ---------------------------------------------------------------- exterior-power route
+
+# blocks with root-of-unity eigenvalues: det(block^n - I) = 0 at the
+# multiples of the order
+ROTATIONS = ([[0, -1], [1, 0]], [[0, -1], [1, -1]], [[1, -1], [1, 0]])
+
+
+@st.composite
+def identity_phis(draw, max_rank=6, integer=False):
+    """phi for psi = identity, rank 1-max_rank, with denominators built from 2
+    and 3; singular, or with a permutation or rotation block on top of a
+    block triangular matrix, so that zero determinants occur."""
+    d = draw(st.integers(min_value=1, max_value=max_rank))
+    den = 1 if integer else draw(st.sampled_from((1, 2, 4, 3, 9, 6)))
+    rows = [[Fraction(draw(st.integers(min_value=-3, max_value=3)), den)
+             for _ in range(d)] for _ in range(d)]
+    kind = draw(st.sampled_from(("plain", "singular", "permutation", "rotation")))
+    if kind == "rotation" and d < 2:
+        kind = "permutation"
+    if kind == "singular":
+        rows[-1] = [c * 2 for c in rows[0]] if d > 1 else [Fraction(0)]
+    elif kind != "plain":
+        if kind == "rotation":
+            block = draw(st.sampled_from(ROTATIONS))
+        else:
+            m = draw(st.integers(min_value=1, max_value=d))
+            block = [[int(j == (i - 1) % m) for j in range(m)] for i in range(m)]
+        m = len(block)
+        for i in range(d):
+            for j in range(m):
+                rows[i][j] = Fraction(block[i][j]) if i < m else Fraction(0)
+    return RatMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(identity_phis(), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=12))
+def test_exterior_route_matches_the_bareiss_loop(phi, start, count):
+    identity = RatMatrix.identity(phi.rows)
+    last = start + count - 1
+    exterior = list(exact_linalg._exterior_determinants(phi, start, last))
+    assert exterior == list(exact_linalg._bareiss_determinants(phi, identity, start, last))
+    assert len(exterior) == count
+    # past the guard power_difference_determinants takes the same route
+    long = list(power_difference_determinants(
+        phi, identity, start, start + max(count, 2 ** phi.rows) - 1))
+    assert long[:count] == exterior
+
+
+def test_exterior_route_meets_zero_determinants():
+    # an 8-cycle and the order-3 rotation: zeros at every multiple of 24
+    cycle = [[int(j == (i - 1) % 8) for j in range(8)] for i in range(8)]
+    assert list(exact_linalg._exterior_determinants(RatMatrix.from_rows(cycle), 1, 3)) == [0] * 3
+    rot = RatMatrix.from_rows([[0, -1, 0], [1, -1, 0], [0, 0, Fraction(1, 2)]])
+    dets = list(exact_linalg._exterior_determinants(rot, 1, 12))
+    assert dets == list(exact_linalg._bareiss_determinants(rot, RatMatrix.identity(3), 1, 12))
+    assert [n for n, v in enumerate(dets, start=1) if v == 0] == [3, 6, 9, 12]
+
+
+@settings(max_examples=40, deadline=None)
+@given(identity_phis(max_rank=4, integer=True), st.integers(min_value=1, max_value=4))
+def test_exterior_route_matches_the_snf_route(phi, start):
+    sec = section(phi.rows, phi)
+    system = NilpotentSystem(name="drawn", sections=(sec,))
+    N = start + 2 ** phi.rows
+    head = coincidence_sequence(system, start - 1) if start > 1 else None
+    seq = (extend_sequence(system, head, N) if head else coincidence_sequence(system, N))
+    assert list(seq.values) == [section_coincidence_number_snf(sec, n)
+                                for n in range(1, N + 1)]
+
+
+def _forcing(route):
+    """power_difference_determinants pinned to one route."""
+    if route == "bareiss":
+        return exact_linalg._bareiss_determinants
+    return lambda phi, psi, start, last: exact_linalg._exterior_determinants(
+        phi, start, last)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(identity_phis(max_rank=3), min_size=1, max_size=2))
+def test_tameness_verdict_is_the_same_through_both_routes(phis):
+    system = NilpotentSystem(name="drawn", sections=tuple(
+        section(phi.rows, phi, primes=[p for p in (2, 3) if any(
+            e.denominator % p == 0 for e in phi.entries)]) for phi in phis))
+    verdicts = []
+    for route in ("bareiss", "exterior"):
+        with mock.patch.object(group_model, "power_difference_determinants",
+                               _forcing(route)):
+            verdicts.append(tameness_check(system))
+    assert verdicts[0] == verdicts[1] == tameness_check(system) == reference_tameness(system)
+
+
+def _wedge(rows, k):
+    """wedge^k A on the basis of k-subsets in lexicographic order: entry
+    (I, J) is the minor det A[I, J]."""
+    subsets = list(combinations(range(len(rows)), k))
+    return BigIntMatrix.from_rows([
+        [det_exact(BigIntMatrix.from_rows([[rows[i][j] for j in J] for i in I]))
+         if k else 1 for J in subsets] for I in subsets])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_exterior_power_polynomials_stay_in_ints(rows):
+    newton = exact_linalg._newton_coefficients
+    seen = []
+
+    def checking(sums):
+        out = newton(sums)
+        seen.append(all(type(x) is int for x in list(sums) + out))
+        return out
+
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    with mock.patch.object(exact_linalg, "_newton_coefficients", checking):
+        polys = exterior_power_polynomials(cp)
+    assert seen and all(seen)
+    assert all(type(c) is int for w in polys for c in w.coeffs)
+    assert polys == [char_poly(_wedge(rows, k)).to_int() for k in range(len(rows) + 1)]

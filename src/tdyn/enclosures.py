@@ -51,7 +51,6 @@ from math import isqrt
 from typing import Callable, Optional
 
 import sympy
-from sympy.core.sorting import ordered
 from sympy.polys.polyroots import preprocess_roots
 from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
 from sympy.polys.rootoftools import _pure_factors
@@ -412,6 +411,23 @@ def _match_rectangles(factor, c: int, uppers):
     return [slots[j] for j in range(len(rects))]
 
 
+def _ordered_key(factor):
+    """The place of a (PurePoly, multiplicity) pair of an integer polynomial
+    in sympy's ``ordered``, from the coefficients alone, with no expression
+    built.  ``ordered`` sorts by the node count of the expression first: an
+    Integer or x is one node, x^k (k >= 2) or c*x three, c*x^k five, and an
+    Add of several terms one more.  Ties go to sort_key: the number of
+    terms, then the terms from the highest degree, the constant one below
+    every other, by degree and then coefficient; then the multiplicity."""
+    f, m = factor
+    coeffs = [int(a) for a in f.rep.to_list()]
+    n = len(coeffs) - 1
+    terms = [(k > 0, k, c) for k, c in zip(range(n, -1, -1), coeffs) if c]
+    nodes = sum(1 if k == 0 or (k, c) == (1, 1) else 3 if k == 1 or c == 1 else 5
+                for _, k, c in terms)
+    return nodes + (len(terms) > 1), len(terms), terms, m
+
+
 def _complex_order(p: IntPolynomial, uppers):
     """The upper-half-plane disks in CRootOf order, or None when a disk cannot
     be placed.  sympy orders the roots of p as those of q, for its rewrite
@@ -425,7 +441,7 @@ def _complex_order(p: IntPolynomial, uppers):
         return []
     c, q = preprocess_roots(to_sympy(p))
     c = int(c)
-    factors = list(ordered(_pure_factors(q)))
+    factors = sorted(_pure_factors(q), key=_ordered_key)
     out = []
     for f, _ in factors:
         coeffs = [int(a) for a in reversed(f.rep.to_list())]

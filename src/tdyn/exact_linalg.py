@@ -41,14 +41,33 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _as_int(x) -> int:
+    """x as an int; a value that is not an integer is rejected, not truncated."""
+    if type(x) is int:
+        return x
+    q = _as_fraction(x)
+    if q.denominator != 1:
+        raise InputError(f"cannot interpret {x!r} as an exact integer")
+    return q.numerator
 
 
 @dataclass(frozen=True)
 class _DenseMatrix:
     """Dense row-major matrix; a subclass fixes the entry type ``_entry`` and
-    the converter ``_convert`` that from_rows applies to each entry."""
+    the converter ``_convert`` that from_rows applies to each entry.
+
+    The constructor and from_rows check every entry's type.  Products,
+    differences, sums and scalings of matrices of one type are built by
+    ``_of``, which skips that check: their entries are sums of products of
+    checked entries, so they have the entry type already.
+    """
 
     rows: int
     cols: int
@@ -64,6 +83,17 @@ class _DenseMatrix:
             raise InputError(f"{type(self).__name__} entries must be {entry.__name__}s")
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple):
+        """The matrix of entries computed from checked ones, without the
+        per-entry type check of the constructor."""
+        m = object.__new__(cls)
+        # a frozen dataclass sets its fields through object.__setattr__
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[IntLike]]):
         r = len(rows)
         if r == 0:
@@ -76,7 +106,7 @@ class _DenseMatrix:
     @classmethod
     def identity(cls, d: int):
         zero, one = cls._entry(0), cls._entry(1)
-        return cls(d, d, tuple(one if i == j else zero for i in range(d) for j in range(d)))
+        return cls._of(d, d, tuple(one if i == j else zero for i in range(d) for j in range(d)))
 
     def get(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -106,13 +136,19 @@ class _DenseMatrix:
                     for j, b in row:
                         acc[j] += a * b
             out.extend(acc)
-        return type(self)(self.rows, p, tuple(out))
+        return self._result(other)(self.rows, p, tuple(out))
 
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("dimension mismatch in matrix difference")
-        return type(self)(self.rows, self.cols,
-                          tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._result(other)(self.rows, self.cols,
+                                   tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def _result(self, other):
+        """The constructor of a result computed from self and other: ``_of``
+        when both have self's type, else the checking constructor."""
+        cls = type(self)
+        return cls._of if type(other) is cls else cls
 
     def trace(self):
         if not self.is_square:
@@ -123,24 +159,29 @@ class _DenseMatrix:
 class BigIntMatrix(_DenseMatrix):
     """Dense row-major matrix with arbitrary-precision integer entries."""
 
-    _entry = _convert = int
+    _entry = int
+    _convert = staticmethod(_as_int)
     mul = _DenseMatrix.mul
 
     @classmethod
     def block_diag(cls, blocks: Sequence["BigIntMatrix"]) -> "BigIntMatrix":
         if not blocks:
             raise InputError("block_diag needs at least one block")
+        if not all(isinstance(b, cls) for b in blocks):
+            raise InputError("block_diag blocks must be BigIntMatrix blocks")
+        if not all(b.is_square for b in blocks):
+            raise InputError("block_diag blocks must be square")
         n = sum(b.rows for b in blocks)
-        out = [[0] * n for _ in range(n)]
+        out = []
         off = 0
         for b in blocks:
-            if b.rows != b.cols:
-                raise InputError("block_diag blocks must be square")
+            left, right = [0] * off, [0] * (n - off - b.rows)
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[off + i][off + j] = b.get(i, j)
+                out += left
+                out += b.entries[i * b.cols:(i + 1) * b.cols]
+                out += right
             off += b.rows
-        return cls.from_rows(out)
+        return cls._of(n, n, tuple(out))
 
 
 class RatMatrix(_DenseMatrix):
@@ -157,12 +198,12 @@ class RatMatrix(_DenseMatrix):
     def add(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("dimension mismatch in matrix sum")
-        return RatMatrix(self.rows, self.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._result(other)(self.rows, self.cols,
+                                   tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def scale(self, c: IntLike) -> "RatMatrix":
         c = _as_fraction(c)
-        return RatMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
+        return RatMatrix._of(self.rows, self.cols, tuple(c * e for e in self.entries))
 
     def to_bigint(self) -> BigIntMatrix:
         if not self.is_integral:
@@ -287,8 +328,8 @@ def _bareiss_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int)
     for Bn, Cn in islice(pairs, max(last - start + 1, 0)):
         Ln *= L
         Mn *= M
-        diff = BigIntMatrix(d, d, tuple(b * Mn - c * Ln
-                                        for b, c in zip(Bn.entries, Cn.entries)))
+        diff = BigIntMatrix._of(d, d, tuple(b * Mn - c * Ln
+                                            for b, c in zip(Bn.entries, Cn.entries)))
         yield Fraction(det_exact(diff), (Ln * Mn) ** d)
 
 
@@ -694,15 +735,42 @@ def exterior_power_polynomials(cp: IntPolynomial) -> list:
 
 def char_poly(A: Matrix) -> RatPolynomial:
     """det(X*I - A), monic, exact: with A = B/L for an integer matrix B, the
-    power sums of the eigenvalues are tr(B^k)/L^k."""
+    power sums of the eigenvalues are tr(B^k)/L^k, ints when L = 1, which
+    keeps Newton's identities in ints."""
     if not A.is_square:
         raise InputError("characteristic polynomial of a non-square matrix")
     B, L = (A, 1) if isinstance(A, BigIntMatrix) else A.scaled_integer()
-    sums = [Fraction(Bk.trace(), L ** k)
+    sums = [Bk.trace() if L == 1 else Fraction(Bk.trace(), L ** k)
             for k, Bk in enumerate(islice(powers(B), A.rows), start=1)]
     poly = from_power_sums(sums)
     assert L != 1 or poly.is_integral, "integer matrix produced non-integer char poly"
     return poly
+
+
+def diagonal_blocks(A: Matrix) -> list:
+    """The diagonal blocks of the finest block-diagonal split of a square
+    matrix, top left first.  A cut falls before index i when no nonzero
+    entry couples an index below i with one at or above it, so char_poly(A)
+    is the product of the blocks' characteristic polynomials."""
+    if not A.is_square:
+        raise InputError("diagonal blocks of a non-square matrix")
+    n = A.rows
+    reach = list(range(n))  # the largest index a nonzero entry couples with i from above
+    for k, a in enumerate(A.entries):
+        if a:
+            i, j = divmod(k, n)
+            lo, hi = (i, j) if i < j else (j, i)
+            if hi > reach[lo]:
+                reach[lo] = hi
+    blocks, start, far = [], 0, 0
+    for i, r in enumerate(reach):
+        far = max(far, r)
+        if far == i:
+            size = i + 1 - start
+            rows = (A.entries[k * n + start:k * n + i + 1] for k in range(start, i + 1))
+            blocks.append(type(A)._of(size, size, tuple(chain.from_iterable(rows))))
+            start = i + 1
+    return blocks
 
 
 def poly_at_matrix(p: "RatPolynomial", A: RatMatrix) -> RatMatrix:

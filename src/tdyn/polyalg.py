@@ -20,13 +20,15 @@ import sympy's tensor and combinatorics packages.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 import sympy
 from sympy.polys.densearith import dup_exquo
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.euclidtools import dup_discriminant, dup_gcd
 from sympy.polys.factortools import dup_factor_list
+from sympy.polys.galoistools import gf_ddf_zassenhaus
 from sympy.polys.polyerrors import ExactQuotientFailed
 
 from .errors import InputError
@@ -86,6 +88,56 @@ def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 def is_squarefree(p: IntPolynomial) -> bool:
     return gcd_int(p, p.derivative()).degree == 0
+
+
+# symmetric_galois_group's budget: it tries at most the first _GALOIS_PRIMES
+# primes that do not divide the discriminant, and gives up after the first
+# _CYCLE_PRIMES * d of them if none shows the type [d], which a d-cycle, of
+# density 1/d in S_d, misses with probability (1 - 1/d)^(8d) < e^-8
+_GALOIS_PRIMES = 200
+_CYCLE_PRIMES = 8
+
+
+def symmetric_galois_group(cp: IntPolynomial) -> bool:
+    """True if the Galois group of the monic integer polynomial cp, of
+    degree d >= 2, is certified to be the full symmetric group S_d; False
+    when it is not or the certificate is not found.
+
+    Modulo a prime p that does not divide the discriminant, the degrees of
+    the irreducible factors of cp are the cycle type of a Frobenius element
+    of the Galois group G (Dedekind).  The type [d] makes G transitive, and
+    [d - 1, 1] then makes it 2-transitive, hence primitive.  A type with one
+    2-cycle and otherwise odd cycles has a power that is a transposition,
+    and a primitive group that contains a transposition is S_d (Jordan; see
+    Cohen, GTM 138, 6.3).  A square discriminant puts G inside A_d, so it
+    and a zero constant term (cp reducible) fail at once; a reducible cp
+    never shows [d], so it fails after the first _CYCLE_PRIMES * d good
+    primes.  Giving up never makes the answer wrong, only slower to use.
+    """
+    d = cp.degree
+    if d < 2 or not cp.is_monic or cp.constant == 0:
+        return False
+    f = _dense(cp)
+    disc = int(dup_discriminant(f, ZZ))
+    if disc == 0 or (disc > 0 and isqrt(disc) ** 2 == disc):
+        return False
+    transitive = primitive = transposition = False
+    p, tried = 1, 0
+    while tried < _GALOIS_PRIMES and (transitive or tried < _CYCLE_PRIMES * d):
+        p = sympy.nextprime(p)
+        if disc % p == 0:
+            continue
+        tried += 1
+        # distinct-degree factorization: (product of the factors of degree k, k)
+        cycles = sorted(k for g, k in gf_ddf_zassenhaus([int(c) % p for c in f], p, ZZ)
+                        for _ in range((len(g) - 1) // k))
+        transitive = transitive or cycles == [d]
+        primitive = primitive or cycles == [1, d - 1]
+        transposition = transposition or (
+            cycles.count(2) == 1 and all(k == 2 or k % 2 for k in cycles))
+        if transitive and primitive and transposition:
+            return True
+    return False
 
 
 def totients(limit: int) -> list:

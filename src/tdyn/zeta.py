@@ -30,18 +30,27 @@ an alternating product of det(I - s z wedge^k A)^(+-1) (Fel'shtyn, Mem. AMS
 699, 2000).  Every irreducible factor of the Berlekamp-Massey denominator v
 therefore divides the reversed characteristic polynomial of some wedge^k A,
 taken with x -> -x when s = -1: torus_splitters lists these.  They are used
-only as exact gcd splitters of v before factoring (_factor_by_exponent_class),
+as exact gcd splitters of v before factoring (_factor_by_exponent_class),
 because Zassenhaus on the smaller pieces is much cheaper than on v.  A gcd
 split is valid for any polynomials whatever, and the factors are sorted
 afterwards, so splitters change which polynomials get factored, never the
 result.
+
+When the Galois group of A's characteristic polynomial is certified to be
+the full symmetric group (polyalg.symmetric_galois_group, from Frobenius
+cycle types), each square-free exterior-power polynomial is irreducible, and
+the pieces it cuts are not factored at all: each is passed through as its
+own single factor.  The remainder and the pieces of uncertified splitters
+still go to Zassenhaus (factor_int).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from math import gcd
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InfiniteValueError,
@@ -56,6 +65,7 @@ from .exact_linalg import (
     RatMatrix,
     char_poly,
     companion_matrix,
+    diagonal_blocks,
     exterior_power_polynomials,
     power_sums,
     rat_solve,
@@ -65,6 +75,7 @@ from .polyalg import (
     factor_int,
     gcd_int,
     is_squarefree,
+    symmetric_galois_group,
 )
 from .reidemeister import ReidemeisterSequence, is_infinite
 
@@ -83,7 +94,8 @@ __all__ = [
 ]
 
 SequenceLike = Union[Sequence[int], ReidemeisterSequence]
-Splitters = Callable[[], Sequence[IntPolynomial]]
+# (splitter, known irreducible) pairs, built on demand
+Splitters = Callable[[], Sequence[Tuple[IntPolynomial, bool]]]
 
 
 def _finite_values(seq: SequenceLike) -> list:
@@ -160,33 +172,48 @@ class BouquetRealization:
         return self.a_odd.rows + 1
 
     def lefschetz_values(self, N: int) -> list:
-        """L(f^n) = tr(a_even^n) - tr(a_odd^n) for n = 1..N.
-
-        tr(A^n) is the n-th power sum of the eigenvalues of A, so Newton's
-        identities give it from det(xI - A) for every n (by Cayley-Hamilton
-        the traces satisfy that polynomial's recurrence).  Each side costs
-        the d - 1 products char_poly takes for the first d powers of the
-        d x d matrix, not N; char_poly reads those powers off the emitted
-        matrix, so the values still check the matrices themselves."""
-        even = power_sums(char_poly(self.a_even).to_int(), N)
-        odd = power_sums(char_poly(self.a_odd).to_int(), N)
+        """L(f^n) = tr(a_even^n) - tr(a_odd^n) for n = 1..N."""
+        even = _trace_sums(self.a_even, N)
+        odd = _trace_sums(self.a_odd, N)
         return [e - o for e, o in zip(even, odd)]
 
 
-# a prime near the word size: reductions that lose the recurrence, and so
-# fall back to the Fraction loop, need coefficients or terms of that size
-_BM_PRIME = (1 << 61) - 1
+def _trace_sums(A: BigIntMatrix, N: int) -> list:
+    """tr(A^n) for n = 1..N, block by block.
+
+    tr(A^n) is the n-th power sum of the eigenvalues of A, so Newton's
+    identities give it from det(xI - A) for every n (by Cayley-Hamilton the
+    traces satisfy that polynomial's recurrence).  A block-diagonal A has
+    the eigenvalues of its diagonal blocks, which diagonal_blocks reads off
+    the emitted matrix, so the traces are the sums of the blocks' power
+    sums.  Each distinct b x b block costs the b - 1 products char_poly
+    takes for its first b powers, and the values still check the matrix
+    itself."""
+    total = [0] * N
+    for block, count in Counter(diagonal_blocks(A)).items():
+        sums = power_sums(char_poly(block).to_int(), N)
+        total = [t + count * s for t, s in zip(total, sums)]
+    return total
+
+
+# the primes of the modular pass, tried in turn: 2^61 - 1 is near the word
+# size, and the lift mod 2^127 - 1 holds connection coefficients of up to
+# 126 bits, which covers the widest measured window (the x^10 - x - 1 torus:
+# order 1,024, coefficients of up to 60 bits).  Wider fits take the Fraction
+# loop; add a larger prime only for a measured window that needs it.
+_BM_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
 
 
 def berlekamp_massey(seq: Sequence) -> list:
     """Minimal connection polynomial over Q: returns C (ascending Fractions,
     C[0] = 1, length L+1) with sum_j C[j] * seq[n-j] = 0 for L <= n < len.
 
-    An integer window is first run modulo p = 2^61 - 1 (Massey, IEEE Trans.
-    IT 15, 1969) and the result lifted to symmetric residues C, of length
-    L = L_p.  The lift is returned only if 2L <= N = len(seq) and the
-    recurrence holds over Z on the whole window; it then equals what the
-    Fraction loop returns:
+    An integer window is first run modulo a prime p (Massey, IEEE Trans.
+    IT 15, 1969), for p in _BM_PRIMES in turn, and the result lifted to
+    symmetric residues C, of length L = L_p.  The first lift with
+    2L <= N = len(seq) for which the recurrence holds over Z on the whole
+    window is returned; it then equals what the Fraction loop returns,
+    whatever p is:
 
     * the exact check gives L_Q <= L_p, so 2 L_Q <= N as well, and a
       connection polynomial of length at most N/2 is unique (Massey);
@@ -198,16 +225,21 @@ def berlekamp_massey(seq: Sequence) -> list:
     * reduced mod p, C_Q generates the window mod p, so L_p <= L_Q.  Hence
       L_p = L_Q, and by uniqueness C = C_Q.
 
-    Otherwise (rational entries, terms that vanish mod p, a lift that does
-    not hold over Z, 2L > N) the Fraction loop runs.
+    A lift fails when a coefficient of C_Q exceeds p/2 or the window
+    vanishes mod p, and it never holds for rational entries or 2 L_Q > N;
+    when no prime's lift holds the Fraction loop runs.  A pass with
+    2 L_p > N goes to it at once: if C_Q is integral, it is p-integral for
+    every p, so L_p <= L_Q and 2 L_Q > N; if not, no lift holds.
     """
     s = [Fraction(v) for v in seq]
     if all(x.denominator == 1 for x in s):
         ints = [x.numerator for x in s]
-        C = _berlekamp_massey_mod(ints, _BM_PRIME)
-        L = len(C) - 1
-        if 2 * L <= len(ints) and _generates(C, ints):
-            return [Fraction(c) for c in C]
+        for p in _BM_PRIMES:
+            C = _berlekamp_massey_mod(ints, p)
+            if 2 * (len(C) - 1) > len(ints):
+                break
+            if _generates(C, ints):
+                return [Fraction(c) for c in C]
     return _berlekamp_massey_rational(s)
 
 
@@ -304,8 +336,10 @@ def minimal_recurrence(seq: SequenceLike, max_order: Optional[int] = None):
     v = IntPolynomial.of(int(c) for c in C)
     # exponential sums have no transient (every base is nonzero), so the
     # recurrence must hold from the very first full window; sequences that
-    # need a transient are not in the admissible normal form
-    if not _generates(v.coeffs, values):
+    # need a transient are not in the admissible normal form.  C generates
+    # the window from n = L on, so only a C with a vanishing top coefficient
+    # (deg v < L) needs the check
+    if v.degree < len(C) - 1 and not _generates(v.coeffs, values):
         return None
     return v
 
@@ -342,12 +376,19 @@ _EXPONENT_CLASSES = (1, -1, 2, -2)
 
 # smallest exponent-class part that _factor_by_exponent_class splits by the
 # splitters.  Measured with a fresh process per run (2-core VM, Python
-# 3.11.7, sympy 1.14.0) on the zeta of x^r - x - 1: splitting, building the
-# splitters included, lost at part degree 8 (r = 4: 3.6-4.3 ms for both
-# parts whole, 5.8-8.3 ms split) and 15 (r = 5: 8.1-12.3 ms whole, 16.5-21.6
-# ms split) and won at 32 (r = 6: 49.5-64.8 -> 33.3-46.2 ms) and 63 (r = 7:
-# 206-274 -> 85-137 ms).  The cut sits between the last loss and the first
-# win.
+# 3.11.7, sympy 1.14.0) on the zeta of x^r - x - 1 when every piece was
+# still factored by Zassenhaus: splitting, building the splitters included,
+# lost at part degree 8 (r = 4: 3.6-4.3 ms for both parts whole, 5.8-8.3 ms
+# split) and 15 (r = 5: 8.1-12.3 ms whole, 16.5-21.6 ms split) and won at
+# 32 (r = 6: 49.5-64.8 -> 33.3-46.2 ms) and 63 (r = 7: 206-274 -> 85-137
+# ms).  The cut sits between the last loss and the first win.  Timed
+# again the same way once certified pieces skipped Zassenhaus (median of 9,
+# cut 24 -> cut 1): r = 4 ties (5.6 -> 5.1 ms, the ranges overlap) and
+# r = 5 wins (15.4 -> 8.6 ms), so the crossover now lies below 24.  The cut
+# stays because it also keeps the certificate off every torus of rank <= 5,
+# where a failed one costs more than factoring: on the x^5 - 2 torus
+# (Galois group F20, all 200 primes tried) cut 1 takes 97-133 ms against
+# 7.6-12.1 ms at cut 24.
 _SPLIT_MIN_DEGREE = 24
 
 
@@ -366,6 +407,14 @@ def _gcd_split(p: IntPolynomial, divisors, rest) -> list:
     return pieces + [(p, rest)] if p.degree > 0 else pieces
 
 
+def _primitive(p: IntPolynomial) -> IntPolynomial:
+    """p divided by its content, with a positive leading coefficient: the
+    one factor factor_int finds in an irreducible p."""
+    c = gcd(*p.coeffs)
+    c = -c if p.leading < 0 else c
+    return IntPolynomial.of([a // c for a in p.coeffs])
+
+
 def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
                               splitters: Optional[Splitters] = None) -> list:
     """factor_int(v)[1] for a squarefree v coprime to u, one exponent class
@@ -378,20 +427,27 @@ def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
     factor of the part of class c has exponent c; the factors of what is
     left have class None.  Each part of degree at least _SPLIT_MIN_DEGREE is
     split further by exact gcds with the polynomials that splitters()
-    returns (called at most once, and only when such a part exists).  The
-    pieces are factored, and the factors are sorted by factor_int's key
-    (degree, multiplicity, coefficients from the leading one), so the result
-    depends neither on the classes tried nor on the splitters.
+    returns (called at most once, and only when such a part exists).  A
+    piece cut by a splitter known to be irreducible is a unit times that
+    splitter, so it is its own single factor; every other piece is factored.
+    The factors are sorted by factor_int's key (degree, multiplicity,
+    coefficients from the leading one), so the result depends neither on
+    the classes tried nor on the splitters.
     """
     zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
-    parts = _gcd_split(v, ((u + IntPolynomial.of(c * x for x in zdv.coeffs), c)
-                           for c in _EXPONENT_CLASSES), None)
+    parts = _gcd_split(v, ((u + IntPolynomial.of(c * x for x in zdv.coeffs), (c, False))
+                           for c in _EXPONENT_CLASSES), (None, False))
     if splitters is not None and any(p.degree >= _SPLIT_MIN_DEGREE for p, _ in parts):
         divisors = splitters()
-        parts = [q for p, c in parts
-                 for q in (_gcd_split(p, ((s, c) for s in divisors), c)
-                           if p.degree >= _SPLIT_MIN_DEGREE else [(p, c)])]
-    factors = [(f, m, c) for part, c in parts for f, m in factor_int(part)[1]]
+        parts = [q for p, (c, _) in parts
+                 for q in (_gcd_split(p, ((s, (c, irr)) for s, irr in divisors), (c, False))
+                           if p.degree >= _SPLIT_MIN_DEGREE else [(p, (c, False))])]
+    factors = []
+    for part, (c, irreducible) in parts:
+        if irreducible:
+            factors.append((_primitive(part), 1, c))
+        else:
+            factors += [(f, m, c) for f, m in factor_int(part)[1]]
     return sorted(factors,
                   key=lambda fmc: (len(fmc[0].coeffs), fmc[1], fmc[0].coeffs[::-1]))
 
@@ -399,10 +455,19 @@ def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
 def torus_splitters(cp: IntPolynomial) -> list:
     """The reversed characteristic polynomials of the exterior powers of a
     matrix with characteristic polynomial cp, each also with x -> -x: the
-    splitters of the module docstring."""
-    rev = [w.reverse() for w in exterior_power_polynomials(cp)]
-    return rev + [IntPolynomial.of(-c if i % 2 else c for i, c in enumerate(w.coeffs))
-                  for w in rev]
+    splitters of the module docstring, as (splitter, irreducible) pairs.
+
+    The roots of W_k, the characteristic polynomial of the k-th exterior
+    power, are the products of the k-subsets of cp's roots.  When cp's
+    Galois group is certified to be S_d (symmetric_galois_group), which is
+    transitive on k-subsets, W_k is a power of one irreducible polynomial,
+    so a square-free W_k is irreducible, and so are its reversal (cp(0) is
+    not 0) and W_k(-x): those splitters are marked irreducible."""
+    symmetric = symmetric_galois_group(cp)
+    rev = [(w.reverse(), symmetric and is_squarefree(w))
+           for w in exterior_power_polynomials(cp)]
+    return rev + [(IntPolynomial.of(-c if i % 2 else c for i, c in enumerate(w.coeffs)), irr)
+                  for w, irr in rev]
 
 
 def residue_exponents(u: IntPolynomial, v: IntPolynomial,
@@ -470,10 +535,11 @@ def zeta_from_sequence(seq: SequenceLike, splitters: Optional[Splitters] = None)
     """Reconstruct (zeta as RationalFunction, ExponentialSum) from an exact
     sequence; verifies the roundtrip over the full window before returning.
 
-    splitters: an optional callable returning integer polynomials that the
-    factors of the recurrence denominator are expected to divide, such as
-    lambda: torus_splitters(cp); it only speeds up factoring (see the module
-    docstring) and never changes the result."""
+    splitters: an optional callable returning (integer polynomial, known
+    irreducible) pairs whose polynomials the factors of the recurrence
+    denominator are expected to divide, such as lambda: torus_splitters(cp);
+    it only speeds up factoring (see the module docstring) and never changes
+    the result."""
     values = _finite_values(seq)
     v = minimal_recurrence(values)
     if v is None:

@@ -480,7 +480,9 @@ def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
     # the zeta denominator of the companion torus of x^r - x - 1 is split by
     # the exterior powers of its matrix, the largest of degree C(r, r // 2);
     # unsplit, its two exponent-class parts have degree 63 (r = 7) and 128
-    # (r = 8), and r = 8 spent 5 s factoring them
+    # (r = 8), and r = 8 spent 5 s factoring them.  The group of x^r - x - 1
+    # is S_r, so with the certificate no piece is factored at all; without
+    # it, Zassenhaus sees no piece above the middle exterior power.
     factor_int = polyalg.factor_int
     degrees = []
 
@@ -492,5 +494,9 @@ def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
     monkeypatch.setattr(zeta, "factor_int", recording)
     rows = companion_matrix(IntPolynomial.of([-1, -1] + [0] * (r - 2) + [1])).row_lists()
     key = "torus_matrix:" + ",".join(str(x) for row in rows for x in row)
-    assert run_json(["zeta", "--builtin", key])["roundtrip_verified"] is True
+    certified = run_json(["zeta", "--builtin", key])
+    assert certified["roundtrip_verified"] is True
+    assert degrees == []
+    monkeypatch.setattr(zeta, "symmetric_galois_group", lambda cp: False)
+    assert run_json(["zeta", "--builtin", key]) == certified
     assert degrees and max(degrees) <= comb(r, r // 2)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -9,6 +10,7 @@ from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from tdyn import enclosures
 from tdyn.enclosures import (
     _certified_roots,
+    _ordered_key,
     _crootof_box,
     _rescale,
     MAX_BITS,
@@ -389,3 +391,22 @@ def test_a_wide_first_disk_refines_on_a_finer_grid():
     for bits in precision_ladder():
         lo, hi, _, _ = root.box(bits)
         assert 0 < lo and lo * lo <= n <= hi * hi, bits
+
+
+# products of 2-4 factors of degree 1-4 with small coefficients: repeated
+# factors, equal node counts and equal term counts all occur
+_reducible = st.lists(
+    st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+              st.sampled_from([1, 2, 3, -1])).map(lambda t: IntPolynomial.of(t[0] + [t[1]])),
+    min_size=2, max_size=4).map(lambda fs: math.prod(fs, start=IntPolynomial.of([1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reducible)
+def test_the_integer_factor_key_is_sympys_ordered_order(p):
+    from sympy.core.sorting import ordered
+    from sympy.polys.rootoftools import _pure_factors
+    if p.degree < 1:
+        return
+    factors = _pure_factors(to_sympy(p))
+    assert sorted(factors, key=_ordered_key) == list(ordered(factors))

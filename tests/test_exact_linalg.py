@@ -13,6 +13,7 @@ from tdyn.exact_linalg import (
     RatPolynomial,
     char_poly,
     companion_matrix,
+    diagonal_blocks,
     from_power_sums,
     det_exact,
     det_rat,
@@ -384,3 +385,111 @@ def test_powers_match_mat_pow():
               RatMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]])):
         got = [P for P, _ in zip(powers(A), range(6))]
         assert got == [mat_pow(A, n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BigIntMatrix(1, 2, (1, 1.0)),
+    lambda: BigIntMatrix(1, 1, ("1",)),
+    lambda: BigIntMatrix.from_rows([[1, Fraction(1, 2)]]),
+    lambda: BigIntMatrix.from_rows([[1.5]]),
+    lambda: BigIntMatrix.from_rows([[1.0]]),
+    lambda: BigIntMatrix.from_rows([["1/2"]]),
+    lambda: BigIntMatrix.from_rows([["x"]]),
+    lambda: BigIntMatrix.from_rows([[None]]),
+    lambda: BigIntMatrix.block_diag([RatMatrix.from_rows([[Fraction(1, 2)]])]),
+    lambda: RatMatrix(1, 1, (1,)),
+    lambda: RatMatrix(1, 1, (0.5,)),
+    lambda: RatMatrix.from_rows([[0.5]]),
+    lambda: RatMatrix.from_rows([["x"]]),
+    lambda: RatMatrix.from_rows([["1/0"]]),
+])
+def test_every_public_construction_rejects_a_wrong_entry(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def test_json_input_rejects_a_non_rational_entry():
+    from tdyn.group_model import system_from_json
+    for entry in ("x", "1/0", True, None, [1]):
+        doc = {"name": "bad", "sections": [{"rank": 1, "phi": [[entry]]}]}
+        with pytest.raises(InputError):
+            system_from_json(doc)
+
+
+def test_from_rows_converts_exact_integers():
+    entries = BigIntMatrix.from_rows([[Fraction(4, 2), "-3", True]]).entries
+    assert entries == (2, -3, 1) and all(type(e) is int for e in entries)
+
+
+_int_matrices = st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-5, 5), min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_matrices, _int_matrices, st.integers(-3, 3))
+def test_computed_matrices_equal_the_checked_construction(a, b, c):
+    # products, differences, sums and scalings skip the per-entry check; each
+    # equals the matrix the checking constructor builds from the same entries
+    A, B = BigIntMatrix.from_rows(a), BigIntMatrix.from_rows(b)
+    results = [A.mul(A), A.sub(A), mat_pow(A, 3), BigIntMatrix.identity(A.rows)]
+    if A.rows == B.rows:
+        results += [A.mul(B), A.sub(B), BigIntMatrix.block_diag([A, B])]
+    R = RatMatrix.from_rows(a)
+    half = R.scale(Fraction(1, 2))
+    results += [R.mul(half), R.add(half), R.sub(half), half, RatMatrix.identity(R.rows)]
+    for M in results:
+        assert M == type(M)(M.rows, M.cols, M.entries)
+
+
+def test_a_mixed_product_is_still_checked():
+    # a BigIntMatrix times a RatMatrix would hold Fractions
+    A = BigIntMatrix.from_rows([[1, 2], [3, 4]])
+    R = RatMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(InputError, match="BigIntMatrix entries must be ints"):
+        A.mul(R)
+    with pytest.raises(InputError, match="BigIntMatrix entries must be ints"):
+        A.sub(R)
+    assert R.mul(A) == RatMatrix.from_rows([[Fraction(1, 2), 1], [3, 4]])
+
+
+# block-diagonal matrices with a random permutation of blocks, some coupled
+# by an extra entry above or below the diagonal blocks
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_int_matrices, min_size=1, max_size=4), st.data())
+def test_blockwise_char_poly_equals_the_whole_matrix_char_poly(blocks, data):
+    A = BigIntMatrix.block_diag([BigIntMatrix.from_rows(b) for b in blocks])
+    rows = A.row_lists()
+    n = A.rows
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = data.draw(st.integers(-3, 3))
+    A = BigIntMatrix.from_rows(rows)
+    parts = diagonal_blocks(A)
+    assert sum(b.rows for b in parts) == n
+    product = RatPolynomial.of([1])
+    for b in parts:
+        product = RatPolynomial.of(_poly_mul(product.coeffs, char_poly(b).coeffs))
+    assert product == char_poly(A)
+    # the blocks tile A's diagonal, and A is zero off them
+    assert BigIntMatrix.block_diag(parts) == A
+    # the split is finest: no block splits further
+    for b in parts:
+        assert len(diagonal_blocks(b)) == 1
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_diagonal_blocks_of_a_coupled_matrix():
+    # an entry at (0, 3) couples indices 0..3; (4, 4) stands alone
+    A = BigIntMatrix.from_rows([[1, 0, 0, 2, 0], [0, 3, 0, 0, 0], [0, 0, 1, 0, 0],
+                                [0, 0, 0, 1, 0], [0, 0, 0, 0, 5]])
+    assert [b.rows for b in diagonal_blocks(A)] == [4, 1]
+    assert [b.rows for b in diagonal_blocks(BigIntMatrix.identity(3))] == [1, 1, 1]
+    B = BigIntMatrix.from_rows([[0, 0, 0], [0, 0, 0], [7, 0, 0]])
+    assert [b.rows for b in diagonal_blocks(B)] == [3]

@@ -53,3 +53,26 @@ def test_cli_commands_build_no_sympy_expression(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]
+
+
+REDUCIBLE_SCRIPT = """
+import sys
+from tdyn.enclosures import poly_root_enclosures
+from tdyn.exact_linalg import IntPolynomial
+LAZY = ("sympy.tensor.tensor", "sympy.combinatorics")
+# (x^2 + 4)(x^2 - 4x + 8): two factors with non-real roots, ordered as
+# sympy's ordered() orders them
+roots = poly_root_enclosures(IntPolynomial.of([32, -16, 12, -4, 1]))
+print(len(roots), sum(r.disk is not None for r in roots))
+print([m for m in LAZY if m in sys.modules])
+"""
+
+
+def test_the_factors_of_a_reducible_polynomial_are_ordered_without_an_expression():
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", REDUCIBLE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["4 4", "[]"]

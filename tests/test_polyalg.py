@@ -30,8 +30,10 @@ from tdyn.polyalg import (
     factor_int,
     factor_rat,
     gcd_int,
+    is_squarefree,
     product_polynomial,
     ratio_polynomial,
+    symmetric_galois_group,
     to_sympy,
     totients,
 )
@@ -316,3 +318,73 @@ def test_exterior_power_polynomials_match_the_minor_matrices(rows):
     cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
     assert exterior_power_polynomials(cp) == [
         char_poly(_exterior_power(rows, k)).to_int() for k in range(len(rows) + 1)]
+
+
+# ---------------------------------------------------------------- the S_d certificate
+
+def _sympy_galois_name(p: IntPolynomial) -> str:
+    """The name of the Galois group of an irreducible p of degree <= 6, from
+    sympy's resolvent-based galois_group (oracle)."""
+    from sympy.polys.numberfields.galoisgroups import galois_group
+    group, _ = galois_group(to_sympy(p), by_name=True)
+    return group.name
+
+
+def _selmer_poly(r):
+    return IntPolynomial.of([-1, -1] + [0] * (r - 2) + [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+    st.integers(-6, 6), min_size=d, max_size=d)).map(lambda cs: IntPolynomial.of(cs + [1])))
+def test_the_galois_certificate_holds_only_for_the_symmetric_group(p):
+    # sound on every polynomial; complete on x^r - x - 1 below
+    certified = symmetric_galois_group(p)
+    if [f.degree for f, _ in factor_int(p)[1]] != [p.degree]:
+        assert not certified  # reducible
+    elif certified:
+        assert _sympy_galois_name(p) == f"S{p.degree}"
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_the_galois_certificate_finds_the_symmetric_group_of_x_r_minus_x_minus_1(r):
+    # Osada, J. Number Theory 25 (1987): the group of x^r - x - 1 is S_r
+    assert symmetric_galois_group(_selmer_poly(r))
+
+
+@pytest.mark.parametrize("coeffs, why", [
+    ([1, 0, 0, 0, 1], "V4: x^4 + 1"),
+    ([1, 0, -10, 0, 1], "V4: x^4 - 10x^2 + 1"),
+    ([1, -3, 0, 1], "C3: x^3 - 3x + 1"),
+    ([-2, 0, 0, 0, 0, 1], "F20: x^5 - 2"),
+    ([1, 2, 0, -1, -1, -1, 1], "reducible: (x^2 - x - 1)(x^4 - x - 1)"),
+    ([0, -1, 0, 1], "singular: x^3 - x"),
+    ([1, -2, 1], "not square-free: (x - 1)^2"),
+    ([-1, 1], "degree 1"),
+])
+def test_the_galois_certificate_fails_for_other_groups(coeffs, why):
+    p = IntPolynomial.of(coeffs)
+    if p.degree >= 3 and p.constant and is_squarefree(p) and len(factor_int(p)[1]) == 1:
+        assert _sympy_galois_name(p) != f"S{p.degree}", why
+    assert not symmetric_galois_group(p), why
+
+
+def test_the_galois_certificate_spends_a_bounded_budget(monkeypatch):
+    # a reducible cp never shows a d-cycle, so it stops after 8 d good
+    # primes; F20 has 5-cycles but no transposition, so it uses all 200
+    tried = []
+    nextprime = polyalg.sympy.nextprime
+    monkeypatch.setattr(polyalg.sympy, "nextprime",
+                        lambda p: tried.append(nextprime(p)) or tried[-1])
+
+    def good_primes(p):
+        disc = int(polyalg.dup_discriminant(polyalg._dense(p), polyalg.ZZ))
+        return [q for q in tried if disc % q]
+
+    reducible = _selmer_poly(2) * _selmer_poly(4)
+    assert not symmetric_galois_group(reducible)
+    assert len(good_primes(reducible)) == polyalg._CYCLE_PRIMES * reducible.degree
+    tried.clear()
+    f20 = IntPolynomial.of([-2, 0, 0, 0, 0, 1])
+    assert not symmetric_galois_group(f20)
+    assert len(good_primes(f20)) == polyalg._GALOIS_PRIMES

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +9,7 @@ from unittest.mock import patch
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdyn.errors import (
     InfiniteValueError,
@@ -26,8 +29,9 @@ from tdyn.exact_linalg import (
     rat_solve,
 )
 from tdyn import zeta
+from tdyn.cli import main
 from tdyn.group_model import torus_matrix, z_pair, z_times_d
-from tdyn.polyalg import factor_int, gcd_int
+from tdyn.polyalg import factor_int, gcd_int, symmetric_galois_group
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
     RationalFunction,
@@ -402,6 +406,31 @@ def test_lefschetz_values_match_the_explicit_powers(terms, one_sided, data):
     assert br.lefschetz_values(N) == _explicit_lefschetz(br, N)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)),
+       st.integers(1, 4), st.integers(1, 20))
+def test_lefschetz_values_of_any_matrices_match_the_explicit_powers(rows, copies, N):
+    # dense blocks, repeated blocks and matrices that do not split at all
+    from tdyn.zeta import BouquetRealization
+    A = BigIntMatrix.from_rows(rows)
+    br = BouquetRealization(a_even=BigIntMatrix.block_diag([A] * copies), a_odd=A)
+    assert br.lefschetz_values(N) == _explicit_lefschetz(br, N)
+
+
+def test_the_blockwise_check_reads_every_copy_of_a_block():
+    # chi = 3 emits three equal companion blocks; a change to one entry of
+    # one copy changes the values, wherever the copy sits
+    from tdyn.zeta import BouquetRealization, ExponentialSum
+    br = realize_bouquet(ExponentialSum(terms=((IntPolynomial.of([-1, -1, 1]), 3),)))
+    good = br.lefschetz_values(10)
+    for k in range(3):
+        rows = br.a_even.row_lists()
+        rows[2 * k + 1][2 * k + 1] += 1
+        bad = BouquetRealization(a_even=BigIntMatrix.from_rows(rows), a_odd=br.a_odd)
+        assert bad.lefschetz_values(10) == _explicit_lefschetz(bad, 10) != good
+
+
 def test_trace_check_on_the_rank6_torus_takes_a_product_per_row(monkeypatch):
     # the explicit-powers route took 2 * 133 products of 32 x 32 matrices;
     # char_poly reads d - 1 powers of each d x d side
@@ -491,16 +520,59 @@ def test_berlekamp_massey_matches_fraction_loop_on_short_lists(seq):
     ([2, 3, 5, 9, 17, 33], [1, -3, 2], False),
 ])
 def test_berlekamp_massey_fallback_cases(monkeypatch, seq, expected, falls_back):
+    # falls_back: whether the Fraction loop runs when 2^61 - 1 is the only
+    # prime.  2^127 - 1 lifts every integral fit with 2L <= N here, so with
+    # both primes only rational fits and 2L > N fall back, and a window
+    # with 2L > N after a single modular pass.
     oracle = _berlekamp_massey_rational(seq)
     calls = []
+    passes = []
 
     def counting(s):
         calls.append(len(s))
         return _berlekamp_massey_rational(s)
 
+    def counting_mod(s, p, mod=zeta._berlekamp_massey_mod):
+        passes.append(p)
+        return mod(s, p)
+
     monkeypatch.setattr(zeta, "_berlekamp_massey_rational", counting)
+    monkeypatch.setattr(zeta, "_berlekamp_massey_mod", counting_mod)
     assert berlekamp_massey(seq) == oracle == [Fraction(c) for c in expected]
+    too_long = 2 * (len(oracle) - 1) > len(seq)
+    needs_fractions = any(c.denominator != 1 for c in oracle) or too_long
+    assert calls == ([len(seq)] if needs_fractions else [])
+    if too_long:
+        assert passes == [P61]
+    calls.clear()
+    monkeypatch.setattr(zeta, "_BM_PRIMES", (P61,))
+    assert berlekamp_massey(seq) == oracle
     assert calls == ([len(seq)] if falls_back else [])
+
+
+# exponential sums sum chi_i a_i^n with a_i of 20-40 bits: the coefficients
+# of prod (1 - a_i z) reach 40 k bits, past what 2^61 - 1 lifts
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(2 ** 20, 2 ** 40) | st.integers(-2 ** 40, -2 ** 20),
+                       st.integers(-3, 3).filter(bool), min_size=1, max_size=6),
+       st.integers(0, 3))
+# a connection coefficient of 159 bits, past 2^127 - 1: the Fraction loop
+@example({2 ** 40 - 87: 1, 2 ** 40 - 59: -1, 2 ** 39 + 7: 2, 3 - 2 ** 40: 1}, 0)
+# three 40-bit bases: coefficients of up to 120 bits, which 2^127 - 1 lifts
+@example({2 ** 40 - 87: 1, 2 ** 40 - 59: -1, 3 - 2 ** 40: 2}, 0)
+def test_berlekamp_massey_lifts_wide_coefficients(terms, extra):
+    # a fit is integral here, so the Fraction loop runs exactly when a
+    # coefficient is too wide for the symmetric lift mod 2^127 - 1
+    seq = [sum(chi * a ** n for a, chi in terms.items())
+           for n in range(1, 2 * len(terms) + extra + 1)]
+    oracle = _berlekamp_massey_rational(seq)
+    calls = []
+    with patch.object(zeta, "_berlekamp_massey_rational",
+                      lambda s: calls.append(1) or _berlekamp_massey_rational(s)):
+        assert berlekamp_massey(seq) == oracle
+    assert len(oracle) == len(terms) + 1
+    wide = max(abs(c.numerator) for c in oracle) > zeta._BM_PRIMES[-1] // 2
+    assert calls == ([1] if wide else [])
 
 
 # ---------------------------------------------------------------- class split
@@ -575,7 +647,10 @@ def test_class_split_factorization_matches_factor_int(terms, data):
         splitter_polys,
         st.lists(st.sampled_from(expected), max_size=3),
     ).map(lambda t: math.prod((f for f, _ in t[1]), start=t[0]))
-    splitters = data.draw(st.lists(splitter_polys | multiples, max_size=6))
+    # each marked irreducible only when it is: a factor of v
+    splitters = data.draw(st.lists(
+        (splitter_polys | multiples).map(lambda s: (s, False))
+        | st.sampled_from(expected).map(lambda fm: (fm[0], True)), max_size=6))
     built = []
     with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
         assert _factor_by_exponent_class(
@@ -691,3 +766,128 @@ def test_torus_splitters_leave_the_zeta_unchanged(rows):
     assert len(built) == (1 if len(rows) >= 6 else 0)
     with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
         assert zeta_from_sequence(seq, splitters) == oracle
+
+
+# ---------------------------------------------------------------- certified splitters
+
+def _zeta_routes(rows, monkeypatch):
+    """(oracle, certified, factored pieces): the zeta of the torus phi = rows
+    with no splitters, and with the splitters of torus_splitters cutting
+    every exponent-class part, counting the pieces handed to factor_int."""
+    seq = coincidence_sequence(torus_matrix(rows), 2 * 2 ** len(rows) + 4)
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    oracle = zeta_from_sequence(seq)
+    factored = []
+    monkeypatch.setattr(zeta, "_SPLIT_MIN_DEGREE", 1)
+    monkeypatch.setattr(zeta, "factor_int",
+                        lambda p: factored.append(p) or factor_int(p))
+    return oracle, zeta_from_sequence(seq, lambda: torus_splitters(cp)), factored
+
+
+def _block_diag_rows(*blocks):
+    return BigIntMatrix.block_diag(
+        [BigIntMatrix.from_rows(b) for b in blocks]).row_lists()
+
+
+def _companion_rows(coeffs):
+    return companion_matrix(IntPolynomial.of(coeffs)).row_lists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_certified_splitters_are_irreducible(rows):
+    # oracle: factor_int finds one factor, of multiplicity 1, in every
+    # splitter marked irreducible, and that factor is the piece passed through
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    for s, irreducible in torus_splitters(cp):
+        if irreducible:
+            assert factor_int(s)[1] == [(zeta._primitive(s), 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_certified_pieces_leave_the_zeta_unchanged(rows):
+    # every piece passed through unfactored is factor_int's single factor of
+    # it, and the zeta is the one of the route without splitters
+    seq = coincidence_sequence(torus_matrix(rows), 2 * 2 ** len(rows) + 4)
+    try:
+        oracle = zeta_from_sequence(seq)
+    except (InfiniteValueError, NoRecurrenceError, NonIntegerResidueError):
+        return  # not tame, or no exponential sum
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    passed = []
+    primitive = zeta._primitive
+    with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1), \
+            patch.object(zeta, "_primitive", lambda p: passed.append(p) or primitive(p)):
+        assert zeta_from_sequence(seq, lambda: torus_splitters(cp)) == oracle
+    for piece in passed:
+        assert factor_int(piece)[1] == [(primitive(piece), 1)]
+    if symmetric_galois_group(cp):
+        assert passed
+
+
+@pytest.mark.parametrize("rows", [
+    _companion_rows([1, 0, -10, 0, 1]),        # V4, and its wedge^2 repeats 1 and -1
+    _companion_rows([1, -3, 0, 1]),            # C3
+    _companion_rows([-2, 0, 0, 0, 0, 1]),      # F20
+    _block_diag_rows(_companion_rows([-1, -1, 1]), _companion_rows([-1, -1, 0, 1])),
+], ids=["V4", "C3", "F20", "block_diagonal"])
+def test_uncertified_tori_fall_back_to_zassenhaus(monkeypatch, rows):
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    assert not symmetric_galois_group(cp)
+    assert not any(irreducible for _, irreducible in torus_splitters(cp))
+    oracle, split, factored = _zeta_routes(rows, monkeypatch)
+    assert split == oracle
+    assert sum(p.degree for p in factored) == sum(p.degree for p, _ in oracle[1].terms)
+
+
+def test_x4_plus_1_is_not_certified():
+    # V4, and a torus with roots of unity, so only its splitters are checked
+    cp = IntPolynomial.of([1, 0, 0, 0, 1])
+    assert not any(irreducible for _, irreducible in torus_splitters(cp))
+
+
+def test_a_repeated_wedge_power_is_never_marked(monkeypatch):
+    # x^4 - 10x^2 + 1 has roots +-sqrt2 +-sqrt3, so W_2 has the double roots
+    # 1 and -1.  With the certificate forced, the other W_k are irreducible
+    # and marked, W_2 and W_2(-x) are not, and the zeta is unchanged.
+    rows = _companion_rows([1, 0, -10, 0, 1])
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    monkeypatch.setattr(zeta, "symmetric_galois_group", lambda p: True)
+    pairs = torus_splitters(cp)
+    assert [irr for _, irr in pairs] == [True, True, False, True, True] * 2
+    oracle, split, _ = _zeta_routes(rows, monkeypatch)
+    assert split == oracle
+
+
+@pytest.mark.parametrize("r", [7, 9])
+def test_the_zeta_of_x_r_minus_x_minus_1_factors_nothing(monkeypatch, r):
+    # Osada: the group of x^r - x - 1 is S_r, so every piece is certified
+    calls = []
+    monkeypatch.setattr(zeta, "factor_int", lambda p: calls.append(p) or factor_int(p))
+    key = "torus_matrix:" + ",".join(str(x) for row in _selmer(r) for x in row)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["zeta", "--builtin", key, "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["roundtrip_verified"] is True
+    assert calls == []
+    if r == 7:  # the route that factors every piece is the oracle
+        monkeypatch.setattr(zeta, "symmetric_galois_group", lambda p: False)
+        again = io.StringIO()
+        with contextlib.redirect_stdout(again):
+            main(["zeta", "--builtin", key, "--format", "json"])
+        assert again.getvalue() == out.getvalue()
+        assert calls
+
+
+def test_the_rank10_window_needs_no_fraction_loop(monkeypatch):
+    # order 1,024 with coefficients of up to 60 bits: 2^61 - 1 does not lift
+    # it, 2^127 - 1 does
+    seq = coincidence_sequence(torus_matrix(_selmer(10)), 2 * 2 ** 10 + 4).values
+    calls = []
+    monkeypatch.setattr(zeta, "_berlekamp_massey_rational", lambda s: calls.append(1))
+    C = berlekamp_massey(seq)
+    assert len(C) == 1025 and calls == []
+    assert max(abs(c.numerator) for c in C).bit_length() > 60

@@ -101,6 +101,7 @@ from .zeta import (
     power_sums,
     realize_bouquet,
     residue_exponents,
+    torus_zeta,
     zeta_from_sequence,
 )
 

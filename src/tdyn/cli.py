@@ -135,17 +135,17 @@ def _matrix_strs(m: BigIntMatrix) -> list:
 
 
 def _zeta_payload(config: RunConfig, system: NilpotentSystem):
-    """The sequence window and its zeta; zeta_from_sequence raises unless
-    the zeta reproduces the whole window.  A single finitely generated
-    section with psi = identity is a torus endomorphism, whose zeta
-    denominator splits by the exterior powers of phi (see tdyn.zeta)."""
+    """The sequence window and its zeta, which raises unless the zeta
+    reproduces the whole window.  A single finitely generated section with
+    psi = identity is a torus endomorphism, whose zeta is read off the
+    exterior powers of phi (zeta.torus_zeta); every other system's is found
+    by Berlekamp-Massey."""
     seq = _seq_of(config, system, _window_length(system, config.n))
-    splitters = None
     if (len(system.sections) == 1 and system.is_finitely_generated
             and system.psi_is_identity):
-        phi = system.sections[0].phi
-        splitters = lambda: zeta.torus_splitters(char_poly(phi).to_int())
-    rf, es = zeta.zeta_from_sequence(seq, splitters)
+        rf, es = zeta.torus_zeta(char_poly(system.sections[0].phi).to_int(), seq)
+    else:
+        rf, es = zeta.zeta_from_sequence(seq)
     return seq, rf, es
 
 

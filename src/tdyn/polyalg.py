@@ -90,11 +90,10 @@ def is_squarefree(p: IntPolynomial) -> bool:
     return gcd_int(p, p.derivative()).degree == 0
 
 
-# symmetric_galois_group's budget: it tries at most the first _GALOIS_PRIMES
-# primes that do not divide the discriminant, and gives up after the first
-# _CYCLE_PRIMES * d of them if none shows the type [d], which a d-cycle, of
-# density 1/d in S_d, misses with probability (1 - 1/d)^(8d) < e^-8
-_GALOIS_PRIMES = 200
+# symmetric_galois_group's budget: it gives up after the first
+# _CYCLE_PRIMES * d primes that do not divide the discriminant, whatever
+# types it has seen.  A d-cycle, of density 1/d in S_d, is missed by all of
+# them with probability (1 - 1/d)^(8d) < e^-8
 _CYCLE_PRIMES = 8
 
 
@@ -110,8 +109,8 @@ def symmetric_galois_group(cp: IntPolynomial) -> bool:
     2-cycle and otherwise odd cycles has a power that is a transposition,
     and a primitive group that contains a transposition is S_d (Jordan; see
     Cohen, GTM 138, 6.3).  A square discriminant puts G inside A_d, so it
-    and a zero constant term (cp reducible) fail at once; a reducible cp
-    never shows [d], so it fails after the first _CYCLE_PRIMES * d good
+    and a zero constant term (cp reducible) fail at once; any other group,
+    reducible cp included, fails after the first _CYCLE_PRIMES * d good
     primes.  Giving up never makes the answer wrong, only slower to use.
     """
     d = cp.degree
@@ -123,7 +122,7 @@ def symmetric_galois_group(cp: IntPolynomial) -> bool:
         return False
     transitive = primitive = transposition = False
     p, tried = 1, 0
-    while tried < _GALOIS_PRIMES and (transitive or tried < _CYCLE_PRIMES * d):
+    while tried < _CYCLE_PRIMES * d:
         p = sympy.nextprime(p)
         if disc % p == 0:
             continue

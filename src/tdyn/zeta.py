@@ -21,27 +21,30 @@ The generating function passed to residue_exponents follows the same
 indexing: sum_{n >= 1} a_n z^n agrees with the series of u/v (the constant
 term of u/v is the model value sum_alpha chi_alpha * deg v_alpha).
 
-Splitting the denominator by exterior powers
---------------------------------------------
-For one finitely generated section phi = A with psi = identity,
-R_n = |det(I - A^n)| = |sum_k (-1)^k tr wedge^k A^n|, and the sign of
-det(I - A^n) is e * s^n for fixed e, s in {1, -1}, so the zeta function is
-an alternating product of det(I - s z wedge^k A)^(+-1) (Fel'shtyn, Mem. AMS
-699, 2000).  Every irreducible factor of the Berlekamp-Massey denominator v
-therefore divides the reversed characteristic polynomial of some wedge^k A,
-taken with x -> -x when s = -1: torus_splitters lists these.  They are used
-as exact gcd splitters of v before factoring (_factor_by_exponent_class),
-because Zassenhaus on the smaller pieces is much cheaper than on v.  A gcd
-split is valid for any polynomials whatever, and the factors are sorted
-afterwards, so splitters change which polynomials get factored, never the
-result.
+The zeta function of a torus
+----------------------------
+For one finitely generated section phi = A with psi = identity, a torus
+endomorphism, R_n = |det(I - A^n)| where it is finite, N_n = |det(I - A^n)|
+always, and det(I - A^n) = sum_k (-1)^k tr wedge^k A^n.  Each eigenvalue
+lambda of the integer matrix A gives det(I - A^n) the factor 1 - lambda^n:
+always negative for real lambda > 1, negative exactly for even n for real
+lambda < -1, positive for real 0 < |lambda| < 1, 0 for lambda = 1 and 0 or 2
+for lambda = -1.  A complex pair gives |1 - lambda^n|^2 >= 0, and
+lambda = 0 gives 1.  So the sign of a nonzero det(I - A^n) is e * s^n for
+fixed e, s in {1, -1}, and
 
-When the Galois group of A's characteristic polynomial is certified to be
-the full symmetric group (polyalg.symmetric_galois_group, from Frobenius
-cycle types), each square-free exterior-power polynomial is irreducible, and
-the pieces it cuts are not factored at all: each is passed through as its
-own single factor.  The remainder and the pieces of uncertified splitters
-still go to Zassenhaus (factor_int).
+    a_n = sum_k e (-1)^k * (sum of n-th powers of the roots of W_k(s x))
+
+where W_k is the characteristic polynomial of wedge^k A: the zeta function is
+an alternating product of the reversed W_k(s x) to the powers -+1
+(Fel'shtyn, Mem. AMS 699, 2000).  torus_zeta reads it off the W_k with no
+recurrence to find.  When the Galois group of A's characteristic polynomial
+is certified to be the full symmetric group (polyalg.symmetric_galois_group,
+from Frobenius cycle types), which is transitive on k-subsets of roots, each
+W_k is a power of one irreducible polynomial, so a square-free W_k is
+irreducible and is not factored; every other W_k goes to Zassenhaus
+(factor_int).  Every other system goes through Berlekamp-Massey
+(zeta_from_sequence), which is the torus route's test oracle.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     InfiniteValueError,
@@ -86,16 +88,14 @@ __all__ = [
     "berlekamp_massey",
     "minimal_recurrence",
     "residue_exponents",
-    "torus_splitters",
     "zeta_from_sequence",
+    "torus_zeta",
     "expand",
     "realize_bouquet",
     "power_sums",
 ]
 
 SequenceLike = Union[Sequence[int], ReidemeisterSequence]
-# (splitter, known irreducible) pairs, built on demand
-Splitters = Callable[[], Sequence[Tuple[IntPolynomial, bool]]]
 
 
 def _finite_values(seq: SequenceLike) -> list:
@@ -374,28 +374,10 @@ def expand(rf: RationalFunction, N: int) -> list:
 # occurs on the perfbench corpus, and any other lands in the remainder
 _EXPONENT_CLASSES = (1, -1, 2, -2)
 
-# smallest exponent-class part that _factor_by_exponent_class splits by the
-# splitters.  Measured with a fresh process per run (2-core VM, Python
-# 3.11.7, sympy 1.14.0) on the zeta of x^r - x - 1 when every piece was
-# still factored by Zassenhaus: splitting, building the splitters included,
-# lost at part degree 8 (r = 4: 3.6-4.3 ms for both parts whole, 5.8-8.3 ms
-# split) and 15 (r = 5: 8.1-12.3 ms whole, 16.5-21.6 ms split) and won at
-# 32 (r = 6: 49.5-64.8 -> 33.3-46.2 ms) and 63 (r = 7: 206-274 -> 85-137
-# ms).  The cut sits between the last loss and the first win.  Timed
-# again the same way once certified pieces skipped Zassenhaus (median of 9,
-# cut 24 -> cut 1): r = 4 ties (5.6 -> 5.1 ms, the ranges overlap) and
-# r = 5 wins (15.4 -> 8.6 ms), so the crossover now lies below 24.  The cut
-# stays because it also keeps the certificate off every torus of rank <= 5,
-# where a failed one costs more than factoring: on the x^5 - 2 torus
-# (Galois group F20, all 200 primes tried) cut 1 takes 97-133 ms against
-# 7.6-12.1 ms at cut 24.
-_SPLIT_MIN_DEGREE = 24
-
-
-def _gcd_split(p: IntPolynomial, divisors, rest) -> list:
+def _gcd_split(p: IntPolynomial, divisors) -> list:
     """p as (piece, label) pairs, pieces of positive degree whose product is
     p up to sign: gcd(p, s) for each (s, label) in divisors in turn, each
-    divided out of p before the next, then (what is left, rest)."""
+    divided out of p before the next, then (what is left, None)."""
     pieces = []
     for s, label in divisors:
         if p.degree == 0:
@@ -404,19 +386,16 @@ def _gcd_split(p: IntPolynomial, divisors, rest) -> list:
         if g.degree > 0:
             pieces.append((g, label))
             p = exact_quotient(p, g)
-    return pieces + [(p, rest)] if p.degree > 0 else pieces
+    return pieces + [(p, None)] if p.degree > 0 else pieces
 
 
-def _primitive(p: IntPolynomial) -> IntPolynomial:
-    """p divided by its content, with a positive leading coefficient: the
-    one factor factor_int finds in an irreducible p."""
-    c = gcd(*p.coeffs)
-    c = -c if p.leading < 0 else c
-    return IntPolynomial.of([a // c for a in p.coeffs])
+def _factor_key(f: IntPolynomial, m: int):
+    """factor_int's order: degree, multiplicity, then the coefficients from
+    the leading one."""
+    return len(f.coeffs), m, f.coeffs[::-1]
 
 
-def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
-                              splitters: Optional[Splitters] = None) -> list:
+def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial) -> list:
     """factor_int(v)[1] for a squarefree v coprime to u, one exponent class
     at a time, as (factor, multiplicity, class) triples.
 
@@ -425,58 +404,21 @@ def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial,
     exponent c are exactly the roots of gcd(v, u + c z v') (Rothstein-Trager).
     v is split by these exact gcds for c in _EXPONENT_CLASSES, and every
     factor of the part of class c has exponent c; the factors of what is
-    left have class None.  Each part of degree at least _SPLIT_MIN_DEGREE is
-    split further by exact gcds with the polynomials that splitters()
-    returns (called at most once, and only when such a part exists).  A
-    piece cut by a splitter known to be irreducible is a unit times that
-    splitter, so it is its own single factor; every other piece is factored.
-    The factors are sorted by factor_int's key (degree, multiplicity,
-    coefficients from the leading one), so the result depends neither on
-    the classes tried nor on the splitters.
+    left have class None.  The factors are sorted by _factor_key, so the
+    result does not depend on the classes tried.
     """
     zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
-    parts = _gcd_split(v, ((u + IntPolynomial.of(c * x for x in zdv.coeffs), (c, False))
-                           for c in _EXPONENT_CLASSES), (None, False))
-    if splitters is not None and any(p.degree >= _SPLIT_MIN_DEGREE for p, _ in parts):
-        divisors = splitters()
-        parts = [q for p, (c, _) in parts
-                 for q in (_gcd_split(p, ((s, (c, irr)) for s, irr in divisors), (c, False))
-                           if p.degree >= _SPLIT_MIN_DEGREE else [(p, (c, False))])]
-    factors = []
-    for part, (c, irreducible) in parts:
-        if irreducible:
-            factors.append((_primitive(part), 1, c))
-        else:
-            factors += [(f, m, c) for f, m in factor_int(part)[1]]
-    return sorted(factors,
-                  key=lambda fmc: (len(fmc[0].coeffs), fmc[1], fmc[0].coeffs[::-1]))
+    parts = _gcd_split(v, ((u + IntPolynomial.of(c * x for x in zdv.coeffs), c)
+                           for c in _EXPONENT_CLASSES))
+    factors = [(f, m, c) for part, c in parts for f, m in factor_int(part)[1]]
+    return sorted(factors, key=lambda fmc: _factor_key(fmc[0], fmc[1]))
 
 
-def torus_splitters(cp: IntPolynomial) -> list:
-    """The reversed characteristic polynomials of the exterior powers of a
-    matrix with characteristic polynomial cp, each also with x -> -x: the
-    splitters of the module docstring, as (splitter, irreducible) pairs.
-
-    The roots of W_k, the characteristic polynomial of the k-th exterior
-    power, are the products of the k-subsets of cp's roots.  When cp's
-    Galois group is certified to be S_d (symmetric_galois_group), which is
-    transitive on k-subsets, W_k is a power of one irreducible polynomial,
-    so a square-free W_k is irreducible, and so are its reversal (cp(0) is
-    not 0) and W_k(-x): those splitters are marked irreducible."""
-    symmetric = symmetric_galois_group(cp)
-    rev = [(w.reverse(), symmetric and is_squarefree(w))
-           for w in exterior_power_polynomials(cp)]
-    return rev + [(IntPolynomial.of(-c if i % 2 else c for i, c in enumerate(w.coeffs)), irr)
-                  for w, irr in rev]
-
-
-def residue_exponents(u: IntPolynomial, v: IntPolynomial,
-                      splitters: Optional[Splitters] = None) -> ExponentialSum:
+def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     """Exponents chi_alpha per irreducible factor of v for the sequence with
     sum_{n>=1} a_n z^n = series of u/v.  A factor of an exponent class has
     that exponent; the others are solved for by exact linear algebra on
-    power sums, with the known terms subtracted.  splitters, if given, is
-    passed to _factor_by_exponent_class and does not change the result.
+    power sums, with the known terms subtracted.
 
     Errors: v not squarefree (polynomial-times-exponential terms are outside
     the rational-zeta normal form), deg u > deg v, and non-integer or
@@ -496,7 +438,7 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial,
         # a polynomial part of u/v is a transient, which no exponent fits
         raise InputError("u/v must have deg u <= deg v")
     factors = []  # (v_alpha, chi_alpha), chi_alpha None where not yet known
-    for w, mult, c in _factor_by_exponent_class(u, v, splitters):
+    for w, mult, c in _factor_by_exponent_class(u, v):
         assert mult == 1
         if w.constant == -1:
             w = -w
@@ -531,15 +473,10 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial,
     return ExponentialSum(terms=tuple((p, solved.get(p, c)) for p, c in factors))
 
 
-def zeta_from_sequence(seq: SequenceLike, splitters: Optional[Splitters] = None):
+def zeta_from_sequence(seq: SequenceLike):
     """Reconstruct (zeta as RationalFunction, ExponentialSum) from an exact
-    sequence; verifies the roundtrip over the full window before returning.
-
-    splitters: an optional callable returning (integer polynomial, known
-    irreducible) pairs whose polynomials the factors of the recurrence
-    denominator are expected to divide, such as lambda: torus_splitters(cp);
-    it only speeds up factoring (see the module docstring) and never changes
-    the result."""
+    sequence by Berlekamp-Massey; verifies the roundtrip over the full
+    window before returning."""
     values = _finite_values(seq)
     v = minimal_recurrence(values)
     if v is None:
@@ -553,7 +490,48 @@ def zeta_from_sequence(seq: SequenceLike, splitters: Optional[Splitters] = None)
         c = sum(v.coeffs[i] * values[j - i] for i in range(0, j + 1))
         u_coeffs.append(c)
     u_shifted = IntPolynomial.of([0] + u_coeffs)
-    es = residue_exponents(u_shifted, v, splitters)
+    return _verified_zeta(residue_exponents(u_shifted, v), values)
+
+
+def torus_zeta(cp: IntPolynomial, seq: SequenceLike):
+    """(zeta, ExponentialSum) of the Reidemeister or Nielsen sequence seq of
+    the torus endomorphism A with characteristic polynomial cp, read off the
+    exterior powers of A (see the module docstring); verifies the roundtrip
+    over the full window before returning, as zeta_from_sequence does.
+
+    e * s and e are the signs of a_1 / det(I - A) and a_2 / det(I - A^2).
+    Where one of these determinants is 0, A has the eigenvalue 1 or -1, so
+    every term of that parity is 0 and its sign is taken as 1.  The terms
+    are in zeta_from_sequence's order.
+    """
+    values = _finite_values(seq)
+    if len(values) < 2:
+        raise InputError("need at least two sequence values")
+    det1 = cp(1)  # det(I - A)
+    det2 = det1 * (-1) ** cp.degree * cp(-1)  # det(I - A) det(I + A)
+    es = -1 if values[0] * det1 < 0 else 1
+    e = -1 if values[1] * det2 < 0 else 1
+    symmetric = symmetric_galois_group(cp)
+    chis = Counter()
+    for k, w in enumerate(exterior_power_polynomials(cp)):
+        if es * e == -1:  # s = -1: (-1)^deg W_k(-x), the roots of W_k negated
+            w = IntPolynomial.of((-c if (w.degree - i) % 2 else c)
+                                 for i, c in enumerate(w.coeffs))
+        factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
+        for f, m in factors:
+            chis[f] += (-e if k % 2 else e) * m
+    # the root 0 (the factor x) adds nothing for n >= 1; the order is the one
+    # of the factors +-p.reverse() of the recurrence denominator, with
+    # positive leading coefficients
+    terms = sorted(((p, chi) for p, chi in chis.items() if chi and p.constant),
+                   key=lambda t: _factor_key(t[0].reverse() if t[0].constant > 0
+                                             else -t[0].reverse(), 1))
+    return _verified_zeta(ExponentialSum(terms=tuple(terms)), values)
+
+
+def _verified_zeta(es: ExponentialSum, values: list):
+    """(zeta, es) with zeta = prod vt_alpha^(-chi_alpha), once the zeta is
+    checked to be in lowest terms and to reproduce every value."""
     num = IntPolynomial.of([1])
     den = IntPolynomial.of([1])
     for poly, chi in es.terms:

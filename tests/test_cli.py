@@ -278,8 +278,8 @@ def test_stdout_stderr_separation():
 
 
 def test_zeta_rank7_torus():
-    # the degree-126 recurrence denominator is factored one exponent class
-    # at a time, in two parts of degree 63
+    # one term per exterior power W_1 .. W_6, of degree 7, 21, 35, 35, 21
+    # and 7, each with exponent +-1; W_0 = W_7 = x - 1 cancel
     doc = run_json(["zeta", "--builtin", _selmer_torus(7)])
     assert doc["window"] == 260
     degrees = [len(t["poly"]) - 1 for t in doc["exponential_sum"]]
@@ -477,12 +477,12 @@ def test_route_guard_follows_the_number_of_terms(monkeypatch):
 
 @pytest.mark.parametrize("r", [7, 8])
 def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
-    # the zeta denominator of the companion torus of x^r - x - 1 is split by
-    # the exterior powers of its matrix, the largest of degree C(r, r // 2);
-    # unsplit, its two exponent-class parts have degree 63 (r = 7) and 128
-    # (r = 8), and r = 8 spent 5 s factoring them.  The group of x^r - x - 1
-    # is S_r, so with the certificate no piece is factored at all; without
-    # it, Zassenhaus sees no piece above the middle exterior power.
+    # the zeta of the companion torus of x^r - x - 1 is read off the
+    # exterior powers of its matrix, the largest of degree C(r, r // 2);
+    # the recurrence denominator has degree 126 (r = 7) and 256 (r = 8), and
+    # r = 8 once spent 5 s factoring it.  The group of x^r - x - 1 is S_r, so
+    # with the certificate no exterior power is factored at all; without it,
+    # Zassenhaus sees none above the middle exterior power.
     factor_int = polyalg.factor_int
     degrees = []
 

@@ -370,8 +370,8 @@ def test_the_galois_certificate_fails_for_other_groups(coeffs, why):
 
 
 def test_the_galois_certificate_spends_a_bounded_budget(monkeypatch):
-    # a reducible cp never shows a d-cycle, so it stops after 8 d good
-    # primes; F20 has 5-cycles but no transposition, so it uses all 200
+    # a reducible cp never shows a d-cycle, and F20 has 5-cycles but no
+    # transposition: each stops after 8 d good primes
     tried = []
     nextprime = polyalg.sympy.nextprime
     monkeypatch.setattr(polyalg.sympy, "nextprime",
@@ -387,4 +387,4 @@ def test_the_galois_certificate_spends_a_bounded_budget(monkeypatch):
     tried.clear()
     f20 = IntPolynomial.of([-2, 0, 0, 0, 0, 1])
     assert not symmetric_galois_group(f20)
-    assert len(good_primes(f20)) == polyalg._GALOIS_PRIMES
+    assert len(good_primes(f20)) == polyalg._CYCLE_PRIMES * 5

@@ -24,14 +24,15 @@ from tdyn.exact_linalg import (
     RatMatrix,
     char_poly,
     companion_matrix,
+    exterior_power_polynomials,
     mat_pow,
     powers,
     rat_solve,
 )
 from tdyn import zeta
 from tdyn.cli import main
-from tdyn.group_model import torus_matrix, z_pair, z_times_d
-from tdyn.polyalg import factor_int, gcd_int, symmetric_galois_group
+from tdyn.group_model import builtin_example, torus_matrix, z_pair, z_times_d
+from tdyn.polyalg import factor_int, gcd_int, is_squarefree, symmetric_galois_group
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
     RationalFunction,
@@ -41,7 +42,7 @@ from tdyn.zeta import (
     power_sums,
     realize_bouquet,
     residue_exponents,
-    torus_splitters,
+    torus_zeta,
     zeta_from_sequence,
 )
 from tdyn.zeta import _berlekamp_massey_rational, _factor_by_exponent_class
@@ -584,11 +585,6 @@ def _numerator(values, v):
         sum(v.coeffs[i] * values[j - i] for i in range(j + 1)) for j in range(L)])
 
 
-# nonzero integer polynomials of degree <= 4, mostly unrelated to any v
-splitter_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(
-    IntPolynomial.of).filter(lambda p: not p.is_zero)
-
-
 def _solved_exponents(u, v):
     """residue_exponents with every exponent solved for: one rat_solve over
     the power sums of all factors of v (oracle).  Returns the terms, or the
@@ -625,8 +621,8 @@ def _read_exponents(u, v):
 
 
 @settings(max_examples=100, deadline=None)
-@given(exponential_sums, st.data())
-def test_class_split_factorization_matches_factor_int(terms, data):
+@given(exponential_sums)
+def test_class_split_factorization_matches_factor_int(terms):
     order = sum(poly.degree for poly, _ in terms)
     values = exponential_sum_values(terms, 2 * order + 4)
     v = minimal_recurrence(values)
@@ -642,20 +638,6 @@ def test_class_split_factorization_matches_factor_int(terms, data):
     for f, _, c in split:
         chi = solved[(f if f.constant == 1 else -f).reverse()]
         assert c == chi if c is not None else chi not in zeta._EXPONENT_CLASSES
-    # random splitters, some of them multiples of a few factors of v
-    multiples = st.tuples(
-        splitter_polys,
-        st.lists(st.sampled_from(expected), max_size=3),
-    ).map(lambda t: math.prod((f for f, _ in t[1]), start=t[0]))
-    # each marked irreducible only when it is: a factor of v
-    splitters = data.draw(st.lists(
-        (splitter_polys | multiples).map(lambda s: (s, False))
-        | st.sampled_from(expected).map(lambda fm: (fm[0], True)), max_size=6))
-    built = []
-    with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
-        assert _factor_by_exponent_class(
-            u, v, lambda: built.append(1) or splitters) == split
-    assert built == [1]
 
 
 # exponents from -5 to 5, so that +-3, +-4 and +-5 fall in no class
@@ -735,53 +717,11 @@ def test_zeta_of_the_rank6_torus_solves_for_no_exponent(monkeypatch):
     assert {chi for _, chi in es.terms} <= {1, -1}
 
 
-# ---------------------------------------------------------------- torus splitters
+# ---------------------------------------------------------------- the torus zeta
 
 def _selmer(r):
     """The companion matrix of x^r - x - 1 (irreducible for every r, by Selmer)."""
     return companion_matrix(IntPolynomial.of([-1, -1] + [0] * (r - 2) + [1])).row_lists()
-
-
-T4 = [[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, -3], [0, 0, 1, 4]]
-T5 = [[0, 0, 0, 0, -1], [1, 0, 0, 0, 1], [0, 1, 0, -1, 0], [0, 0, 1, 0, 2],
-      [0, 0, 0, 1, 3]]
-
-
-@pytest.mark.parametrize("rows", [_selmer(r) for r in range(2, 8)] + [T4, T5],
-                         ids=[f"selmer{r}" for r in range(2, 8)] + ["T4", "T5"])
-def test_torus_splitters_leave_the_zeta_unchanged(rows):
-    # the route without splitters is the oracle; with the cut lowered to 1
-    # every exponent-class part is split, at every rank
-    seq = coincidence_sequence(torus_matrix(rows), 2 * 2 ** len(rows) + 4)
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
-    built = []
-
-    def splitters():
-        built.append(1)
-        return torus_splitters(cp)
-
-    oracle = zeta_from_sequence(seq)
-    assert zeta_from_sequence(seq, splitters) == oracle
-    # below the cut (every part of a torus of rank <= 5) nothing is built
-    assert len(built) == (1 if len(rows) >= 6 else 0)
-    with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1):
-        assert zeta_from_sequence(seq, splitters) == oracle
-
-
-# ---------------------------------------------------------------- certified splitters
-
-def _zeta_routes(rows, monkeypatch):
-    """(oracle, certified, factored pieces): the zeta of the torus phi = rows
-    with no splitters, and with the splitters of torus_splitters cutting
-    every exponent-class part, counting the pieces handed to factor_int."""
-    seq = coincidence_sequence(torus_matrix(rows), 2 * 2 ** len(rows) + 4)
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
-    oracle = zeta_from_sequence(seq)
-    factored = []
-    monkeypatch.setattr(zeta, "_SPLIT_MIN_DEGREE", 1)
-    monkeypatch.setattr(zeta, "factor_int",
-                        lambda p: factored.append(p) or factor_int(p))
-    return oracle, zeta_from_sequence(seq, lambda: torus_splitters(cp)), factored
 
 
 def _block_diag_rows(*blocks):
@@ -793,39 +733,59 @@ def _companion_rows(coeffs):
     return companion_matrix(IntPolynomial.of(coeffs)).row_lists()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda d: st.lists(
-    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
-def test_certified_splitters_are_irreducible(rows):
-    # oracle: factor_int finds one factor, of multiplicity 1, in every
-    # splitter marked irreducible, and that factor is the piece passed through
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
-    for s, irreducible in torus_splitters(cp):
-        if irreducible:
-            assert factor_int(s)[1] == [(zeta._primitive(s), 1)]
+T4 = [[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, -3], [0, 0, 1, 4]]
+T5 = [[0, 0, 0, 0, -1], [1, 0, 0, 0, 1], [0, 1, 0, -1, 0], [0, 0, 1, 0, 2],
+      [0, 0, 0, 1, 3]]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+def _torus_window(system, sequence):
+    """(window, characteristic polynomial) of a one-section torus, with the
+    window length the CLI uses."""
+    phi = system.sections[0].phi
+    return sequence(system, 2 * 2 ** phi.rows + 4), char_poly(phi).to_int()
+
+
+def _both_routes(system):
+    """[(Berlekamp-Massey route, torus route)] on the Reidemeister and the
+    Nielsen window, each the result or InfiniteValueError."""
+    pairs = []
+    for sequence in (coincidence_sequence, nielsen_sequence):
+        seq, cp = _torus_window(system, sequence)
+        pair = []
+        for route in (zeta_from_sequence, lambda s: torus_zeta(cp, s)):
+            try:
+                pair.append(route(seq))
+            except InfiniteValueError:
+                pair.append(InfiniteValueError)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
     st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
-def test_certified_pieces_leave_the_zeta_unchanged(rows):
-    # every piece passed through unfactored is factor_int's single factor of
-    # it, and the zeta is the one of the route without splitters
-    seq = coincidence_sequence(torus_matrix(rows), 2 * 2 ** len(rows) + 4)
-    try:
-        oracle = zeta_from_sequence(seq)
-    except (InfiniteValueError, NoRecurrenceError, NonIntegerResidueError):
-        return  # not tame, or no exponential sum
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
-    passed = []
-    primitive = zeta._primitive
-    with patch.object(zeta, "_SPLIT_MIN_DEGREE", 1), \
-            patch.object(zeta, "_primitive", lambda p: passed.append(p) or primitive(p)):
-        assert zeta_from_sequence(seq, lambda: torus_splitters(cp)) == oracle
-    for piece in passed:
-        assert factor_int(piece)[1] == [(primitive(piece), 1)]
-    if symmetric_galois_group(cp):
-        assert passed
+def test_torus_zeta_matches_berlekamp_massey_on_random_tori(rows):
+    # singular tori, eigenvalues +-1 and roots of unity included; a
+    # non-tame Reidemeister window raises in both routes, and its Nielsen
+    # window, with 0 where R_n is infinite, has a zeta in both
+    (r_bm, r_torus), (n_bm, n_torus) = _both_routes(torus_matrix(rows))
+    assert r_torus == r_bm
+    assert n_torus == n_bm
+    assert n_bm is not InfiniteValueError
+
+
+@pytest.mark.parametrize("system", [
+    *(torus_matrix(_selmer(r)) for r in range(2, 8)),
+    torus_matrix(T4), torus_matrix(T5),
+    builtin_example("torus_matrix:0"),
+    builtin_example("z_times_d:0"),
+    builtin_example("torus_matrix:0,1,1,0"),  # eigenvalues 1 and -1
+    builtin_example("z_times_d:1"),
+], ids=[f"selmer{r}" for r in range(2, 8)] + [
+    "T4", "T5", "torus_matrix:0", "z_times_d:0", "swap", "z_times_d:1"])
+def test_torus_zeta_matches_berlekamp_massey(system):
+    for bm, torus in _both_routes(system):
+        assert torus == bm
 
 
 @pytest.mark.parametrize("rows", [
@@ -835,31 +795,75 @@ def test_certified_pieces_leave_the_zeta_unchanged(rows):
     _block_diag_rows(_companion_rows([-1, -1, 1]), _companion_rows([-1, -1, 0, 1])),
 ], ids=["V4", "C3", "F20", "block_diagonal"])
 def test_uncertified_tori_fall_back_to_zassenhaus(monkeypatch, rows):
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    # without the certificate every W_k goes to factor_int, and the zeta is
+    # the Berlekamp-Massey route's
+    seq, cp = _torus_window(torus_matrix(rows), coincidence_sequence)
     assert not symmetric_galois_group(cp)
-    assert not any(irreducible for _, irreducible in torus_splitters(cp))
-    oracle, split, factored = _zeta_routes(rows, monkeypatch)
-    assert split == oracle
-    assert sum(p.degree for p in factored) == sum(p.degree for p, _ in oracle[1].terms)
+    oracle = zeta_from_sequence(seq)
+    factored = []
+    monkeypatch.setattr(zeta, "factor_int", lambda p: factored.append(p) or factor_int(p))
+    assert torus_zeta(cp, seq) == oracle
+    assert [p.degree for p in factored] == [math.comb(len(rows), k)
+                                            for k in range(len(rows) + 1)]
 
 
 def test_x4_plus_1_is_not_certified():
-    # V4, and a torus with roots of unity, so only its splitters are checked
-    cp = IntPolynomial.of([1, 0, 0, 0, 1])
-    assert not any(irreducible for _, irreducible in torus_splitters(cp))
+    # V4, and a torus with roots of unity: R_8 is infinite, N_8 is 0
+    rows = _companion_rows([1, 0, 0, 0, 1])
+    _, cp = _torus_window(torus_matrix(rows), nielsen_sequence)
+    assert not symmetric_galois_group(cp)
+    (r_bm, r_torus), (n_bm, n_torus) = _both_routes(torus_matrix(rows))
+    assert r_bm is r_torus is InfiniteValueError
+    assert n_torus == n_bm
 
 
 def test_a_repeated_wedge_power_is_never_marked(monkeypatch):
     # x^4 - 10x^2 + 1 has roots +-sqrt2 +-sqrt3, so W_2 has the double roots
-    # 1 and -1.  With the certificate forced, the other W_k are irreducible
-    # and marked, W_2 and W_2(-x) are not, and the zeta is unchanged.
-    rows = _companion_rows([1, 0, -10, 0, 1])
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    # 1 and -1.  With the certificate forced, the other W_k are passed
+    # through unfactored, W_2 is factored, and the zeta is unchanged.
+    seq, cp = _torus_window(torus_matrix(_companion_rows([1, 0, -10, 0, 1])),
+                            coincidence_sequence)
+    oracle = zeta_from_sequence(seq)
     monkeypatch.setattr(zeta, "symmetric_galois_group", lambda p: True)
-    pairs = torus_splitters(cp)
-    assert [irr for _, irr in pairs] == [True, True, False, True, True] * 2
-    oracle, split, _ = _zeta_routes(rows, monkeypatch)
-    assert split == oracle
+    factored = []
+    monkeypatch.setattr(zeta, "factor_int", lambda p: factored.append(p) or factor_int(p))
+    assert torus_zeta(cp, seq) == oracle
+    assert [p.degree for p in factored] == [6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_certified_wedge_powers_are_irreducible(rows):
+    # oracle: factor_int finds every square-free W_k of a certified cp
+    # irreducible, so torus_zeta may pass it through as its own factor
+    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    if symmetric_galois_group(cp):
+        for w in exterior_power_polynomials(cp):
+            if is_squarefree(w):
+                assert factor_int(w)[1] == [(w, 1)]
+
+
+def test_torus_zeta_rejects_a_foreign_window():
+    # the window of another torus: the closed form does not reproduce it
+    seq, _ = _torus_window(torus_matrix(T4), coincidence_sequence)
+    _, cp = _torus_window(torus_matrix(T5), coincidence_sequence)
+    with pytest.raises(NonIntegerResidueError):
+        torus_zeta(cp, seq)
+    with pytest.raises(InputError):
+        torus_zeta(cp, seq.values[:1])
+
+
+@pytest.mark.parametrize("r", [7, 10])
+def test_the_torus_zeta_runs_no_berlekamp_massey(monkeypatch, r):
+    calls = []
+    monkeypatch.setattr(zeta, "berlekamp_massey", lambda s: calls.append(s))
+    key = "torus_matrix:" + ",".join(str(x) for row in _selmer(r) for x in row)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["zeta", "--builtin", key, "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["roundtrip_verified"] is True
+    assert calls == []
 
 
 @pytest.mark.parametrize("r", [7, 9])

@@ -68,18 +68,15 @@ class Classification:
 
 
 class _RealCandidate:
-    """A positive real algebraic number with an exact identity key and a
-    refinable rational interval: a rational value, or a real root."""
+    """A positive real root with an exact identity key (its primitive factor
+    and index) and refinable rational intervals."""
 
-    def __init__(self, key, multiplicity, value=None, root=None):
+    def __init__(self, key, multiplicity, root):
         self.key = key
         self.multiplicity = multiplicity
-        self.value = value
         self.root = root
 
     def interval(self, bits):
-        if self.root is None:
-            return self.value, self.value
         return self.root.box(bits)[:2]
 
 
@@ -89,14 +86,9 @@ def _positive_real_candidates(p: IntPolynomial):
     out = []
     _, factors = factor_int(p)
     for g, mult in factors:
-        if g.degree == 1:
-            r = Fraction(-g.coeffs[0], g.coeffs[1])
-            if r > 0:
-                out.append(_RealCandidate(("rat", r), mult, value=r))
-            continue
         for idx, e in enumerate(real_root_enclosures(g)):
             if e.real_sign() > 0:
-                out.append(_RealCandidate((tuple(g.coeffs), idx), mult, root=e))
+                out.append(_RealCandidate((tuple(g.coeffs), idx), mult, e))
     return out
 
 
@@ -138,8 +130,7 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
         indices = _dominant_root_indices(poly, cand)
         dominant.append(DominantTerm(poly=poly, chi=chi, root_indices=indices))
     (lam_lo, lam_hi), (s_lo, s_hi) = modulus_cell(
-        lambda r: (overall.value,) * 2 if r is None else r.box(_BOUNDS_BITS)[:2],
-        overall.root)
+        lambda r: r.box(_BOUNDS_BITS)[:2], overall.root)
     lam = math.sqrt((float(s_lo) + float(s_hi)) / 2)
     return DominantSpectrum(lam=lam, lam_bounds=(lam_lo, lam_hi), count=count,
                             dominant_terms=tuple(dominant))
@@ -165,15 +156,8 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
     unity, or None when it is provably not a root of unity."""
     rp = ratio_polynomial(poly)
     _, factors = factor_int(rp)
-    factor_roots = []
-    for g, _mult in factors:
-        if g.degree == 1:
-            # rational cross ratio; represent as a point box
-            r = Fraction(-g.coeffs[0], g.coeffs[1])
-            factor_roots.append((g, None, r))
-        else:
-            for root in poly_root_enclosures(g):
-                factor_roots.append((g, root, None))
+    factor_roots = [(g, root) for g, _mult in factors
+                    for root in poly_root_enclosures(g)]
 
     def ratio_box(bits):
         b = encl[idx].box(bits)
@@ -181,14 +165,7 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
 
     for bits in precision_ladder():
         rb = ratio_box(bits)
-        alive = []
-        for g, root, point in factor_roots:
-            if root is None:
-                pb = (point, point, Fraction(0), Fraction(0))
-            else:
-                pb = root.box(bits)
-            if boxes_intersect(pb, rb):
-                alive.append(g)
+        alive = [g for g, root in factor_roots if boxes_intersect(root.box(bits), rb)]
         if len(alive) == 1:
             return cyclotomic_order(alive[0])
     raise PrecisionError("could not identify the conjugate ratio among the "

@@ -97,7 +97,8 @@ def _load_system(config: RunConfig) -> NilpotentSystem:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {config.input_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bad UTF-8, too long an integer literal and too deep nesting
         raise InputError(f"bad JSON in {config.input_path}: {exc}") from exc
     return system_from_json(doc)
 

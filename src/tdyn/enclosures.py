@@ -668,19 +668,19 @@ def _settled(lo: Fraction, hi: Fraction) -> bool:
             and s * s * lo.denominator < lo.numerator * k2)
 
 
-def modulus_cell(square: Callable, root: Optional[RootEnclosure] = None):
+def modulus_cell(square: Callable, root: RootEnclosure):
     """((lo, hi), (s_lo, s_hi)) for v = sqrt(s) >= 0: the 64-bit cell of v
     (interval_sqrt) and the interval of s it came from.
 
-    square(root) is a certified interval for s computed from root's boxes (for
-    an exact s, root is None).  The cell and the floats of s_lo and s_hi are
-    what tdyn prints.  They equal the CRootOf route's whenever s's interval,
-    widened by the CRootOf boxes' possibly larger width and by GUARD, has no
-    grid point or float rounding boundary inside; otherwise s is recomputed
-    from root's CRootOf boxes.
+    root is required; square(root) is a certified interval for s computed
+    from its boxes (a point for the root of a linear polynomial).  The cell
+    and the floats of s_lo and s_hi are what tdyn prints.  They equal the
+    CRootOf route's whenever s's interval, widened by the CRootOf boxes'
+    possibly larger width and by GUARD, has no grid point or float rounding
+    boundary inside; otherwise s is recomputed from root's CRootOf boxes.
     """
     lo, hi = square(root)
-    if root is not None and root.disk is not None:
+    if root.disk is not None:
         # CRootOf boxes of a root of a rescaled polynomial are that much wider
         pad = (_rescale(root.poly) + 1) * (hi - lo) + GUARD
         if not _settled(lo - pad, hi + pad):

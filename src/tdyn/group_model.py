@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 import sympy
@@ -87,23 +87,26 @@ class TamenessVerdict:
 
 
 def section(rank: int, phi, psi=None, primes: Sequence[int] = ()) -> AbelianSection:
-    """Build a section from nested lists; psi defaults to the identity."""
+    """Build a section from nested lists; psi defaults to the identity of
+    phi's size, not of rank, which may disagree with it (validate)."""
     phi_m = phi if isinstance(phi, RatMatrix) else RatMatrix.from_rows(phi)
     if psi is None:
-        psi_m = RatMatrix.identity(rank)
+        psi_m = RatMatrix.identity(phi_m.rows)
     else:
         psi_m = psi if isinstance(psi, RatMatrix) else RatMatrix.from_rows(psi)
     return AbelianSection(rank=rank, phi=phi_m, psi=psi_m,
                           prime_support=frozenset(int(p) for p in primes))
 
 
-def _denominator_primes(m: RatMatrix):
-    primes = set()
-    for e in m.entries:
-        d = e.denominator
-        if d > 1:
-            primes.update(sympy.factorint(d).keys())
-    return primes
+def _outside_part(d: int, s_part: int) -> int:
+    """d with every prime of s_part divided out by gcd steps, with no
+    factoring; a prime power is reduced to its prime."""
+    g = gcd(d, s_part)
+    while g > 1:
+        d //= g
+        g = gcd(d, g)
+    power = sympy.perfect_power(d)
+    return power[0] if power else d
 
 
 def validate(system: NilpotentSystem) -> list:
@@ -119,15 +122,19 @@ def validate(system: NilpotentSystem) -> list:
             if not (m.is_square and m.rows == sec.rank):
                 violations.append(f"size mismatch in section {k}: {label} is "
                                   f"{m.rows}x{m.cols}, expected {sec.rank}x{sec.rank}")
+        s_part = 1
         for p in sec.prime_support:
-            if not sympy.isprime(p):
+            if sympy.isprime(p):
+                s_part *= p
+            else:
                 violations.append(f"{p} in prime support of section {k} is not prime")
         for label, m in (("phi", sec.phi), ("psi", sec.psi)):
             if m.rows != sec.rank or m.cols != sec.rank:
                 continue
-            bad = _denominator_primes(m) - set(sec.prime_support)
-            for p in sorted(bad):
-                violations.append(f"denominator {p} outside prime support in "
+            denominators = {e.denominator for e in m.entries}
+            bad = {_outside_part(d, s_part) for d in denominators} - {1}
+            for q in sorted(bad):
+                violations.append(f"denominator {q} outside prime support in "
                                   f"section {k} ({label})")
     return violations
 
@@ -318,7 +325,7 @@ def system_from_json(doc) -> NilpotentSystem:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"bad JSON descriptor: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("descriptor must be a JSON object")

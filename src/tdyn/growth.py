@@ -135,15 +135,8 @@ def _pair_terms(w: RatPolynomial, s, reps: int = 1, encl=None):
     """Terms max(|xi|, |s|) over the roots xi of the monic irreducible w,
     each to the power reps.  Exact where the comparison is rational,
     certified intervals otherwise.  encl: the root enclosures of w, if the
-    caller already has them (used only when deg w > 1)."""
+    caller already has them."""
     s_abs = abs(Fraction(s))
-    if w.degree == 1:
-        r = -w.coeffs[0]
-        if abs(r) == s_abs:
-            raise HypothesisViolatedError(
-                f"|{r}| equals |{s}|; the growth formula hypothesis fails")
-        v = max(abs(r), s_abs)
-        return [RationalLog(v ** reps)] if v != 1 else []
     terms = []
     wi = w.clear_denominators()[0]
     if encl is None:
@@ -187,16 +180,10 @@ def _commuting_block_terms(blocks):
     characteristic polynomials, paired block by block (joint_blocks)."""
     terms = []
     for f_alpha, phi_block, psi_block, g_alpha in blocks:
-        if f_alpha.degree == 1:
-            terms += _scalar_pair_terms(g_alpha, -f_alpha.coeffs[0])
-            continue
         if len(factor_rat(g_alpha)) > 1:
             raise UnsupportedPairingError(
                 "block characteristic polynomial of psi is reducible; the "
                 "pairing is ambiguous")
-        if g_alpha.degree == 1:
-            terms += _scalar_pair_terms(f_alpha, -g_alpha.coeffs[0])
-            continue
         # psi_block is a polynomial h in phi_block (the block is a field);
         # the pairing is eta = h(xi)
         m = f_alpha.degree
@@ -329,9 +316,7 @@ def entropy_dual_torus(A) -> float:
             f"characteristic polynomial has cyclotomic factor(s) of order {orders}")
     total = 0.0
     for w, mult in factor_rat(cp):
-        # a linear factor never fails below: its root would be 1 or -1,
-        # which the cyclotomic check has excluded
-        encl = None if w.degree == 1 else poly_root_enclosures(w.clear_denominators()[0])
+        encl = poly_root_enclosures(w.clear_denominators()[0])
         try:
             for t in _pair_terms(w, 1, encl=encl):
                 total += mult * _term_log(t)

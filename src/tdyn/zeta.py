@@ -428,8 +428,6 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
         raise InputError("recurrence denominator must have constant term 1")
     if gcd_int(u, v).degree != 0:
         raise InputError("u and v must be coprime")
-    if v.degree == 0:
-        return ExponentialSum(terms=())
     if not is_squarefree(v):
         raise NotSquareFreeError(
             "recurrence denominator has a repeated factor; the sequence is "

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdyn.asymptotics import (
     classify_limit_points,
@@ -187,26 +188,19 @@ def test_classify_mixed_real_and_complex_same_modulus():
     assert samples[0] == pytest.approx(samples[3])
 
 
-def test_classify_random_real_base_sums():
-    import random
-    from math import lcm
-    rng = random.Random(31415)
-    for _ in range(30):
-        bases = {}
-        for _ in range(rng.randint(1, 4)):
-            b = rng.choice([x for x in range(-5, 6) if x != 0])
-            bases[b] = bases.get(b, 0) + rng.choice([-2, -1, 1, 2])
-        bases = {b: chi for b, chi in bases.items() if chi != 0}
-        if not bases:
-            continue
-        lam = max(abs(b) for b in bases)
-        expected = lcm(*[1 if b > 0 else 2 for b in bases if abs(b) == lam])
-        es = es_of(*iter([([-b, 1], chi) for b, chi in bases.items()]))
-        ds = dominant_spectrum(es)
-        assert ds.lam == pytest.approx(float(lam))
-        assert ds.count == sum(1 for b in bases if abs(b) == lam)
-        c = classify_limit_points(ds)
-        assert c.kind == "periodic" and c.period == expected
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(-9, 9).filter(bool),
+                       st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+def test_classify_random_real_base_sums(bases):
+    # sum chi_b * b^n over distinct integers b: every root is the exact
+    # point of a linear factor, on the same enclosure path as any other root
+    lam = max(abs(b) for b in bases)
+    ds = dominant_spectrum(es_of(*[([-b, 1], chi) for b, chi in bases.items()]))
+    assert ds.lam == pytest.approx(float(lam))
+    assert ds.lam_bounds[0] <= lam <= ds.lam_bounds[1]
+    assert ds.count == sum(1 for b in bases if abs(b) == lam)
+    c = classify_limit_points(ds)
+    assert c.kind == "periodic" and c.period == (2 if -lam in bases else 1)
 
 
 def test_rotation_matrix_nielsen_pipeline():

@@ -214,6 +214,34 @@ def test_malformed_descriptor_is_an_input_error(tmp_path, sections, names):
     assert err.startswith("error: ") and names in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+    b'{"sections": [{"rank": ' + b"1" * 5000 + b', "phi": [["1"]]}]}',
+])
+def test_undecodable_input_file_is_an_input_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_capture(["validate", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: bad JSON in {path}: ")
+
+
+def test_a_large_rank_without_psi_builds_no_identity(tmp_path):
+    # psi defaults to the identity of phi's size, so a rank of 10**12 is a
+    # size mismatch, not a 10**24-entry identity matrix
+    path = tmp_path / "big_rank.json"
+    path.write_text(json.dumps({"sections": [{"rank": 10 ** 12, "phi": [["2"]]}]}))
+    doc = run_json(["validate", "--input", str(path)])
+    expected = f"expected {10 ** 12}x{10 ** 12}"
+    assert doc["violations"] == [
+        f"size mismatch in section 1: phi is 1x1, {expected}",
+        f"size mismatch in section 1: psi is 1x1, {expected}"]
+    code, _, err = run_capture(["tame", "--input", str(path)])
+    assert code == 1 and "size mismatch" in err
+
+
 RANK5_TORUS = ("torus_matrix:0,0,0,0,-1,1,0,0,0,1,0,1,0,0,-1,"
                "0,0,1,0,2,0,0,0,1,3")
 

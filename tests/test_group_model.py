@@ -51,6 +51,35 @@ def test_validate_denominator_outside_support():
     assert validate(ok) == []
 
 
+def test_validate_names_the_part_of_a_denominator_outside_the_support():
+    def violations(d, primes):
+        return validate(NilpotentSystem(name="d", sections=(
+            section(1, [[Fraction(1, d)]], primes=primes),)))
+
+    # one prime outside S, to any power: named as before
+    assert violations(8, []) == [
+        "denominator 2 outside prime support in section 1 (phi)"]
+    assert violations(2 ** 3 * 3 ** 4, [2]) == [
+        "denominator 3 outside prime support in section 1 (phi)"]
+    assert violations(2 ** 3 * 3 ** 4, [2, 3]) == []
+    # several primes outside S: one violation naming their product
+    assert violations(2 * 3 * 5 * 7, [5]) == [
+        "denominator 42 outside prime support in section 1 (phi)"]
+
+
+def test_validate_factors_no_denominator(monkeypatch):
+    # a 59-digit semiprime denominator took longer than any timeout when
+    # validate factored it
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factorint called")
+
+    monkeypatch.setattr(sympy, "factorint", no_factoring)
+    p, q = sympy.nextprime(10 ** 29), sympy.nextprime(3 * 10 ** 29)
+    assert validate(s_integer(Fraction(1, 4 * p * q), [2])) == [
+        f"denominator {p * q} outside prime support in section 1 (phi)"]
+    assert validate(s_integer(Fraction(5, 4 * p), [2, p])) == []
+
+
 def test_validate_nonprime_support():
     bad = NilpotentSystem(name="bad", sections=(section(1, [[2]], primes=[6]),))
     assert any("not prime" in m for m in validate(bad))

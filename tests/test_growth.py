@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from tdyn.errors import (
     HypothesisViolatedError,
@@ -121,6 +122,55 @@ def test_growth_commuting_blocks():
         name="diag", sections=(section(2, [[2, 0], [0, 3]], [[5, 0], [0, 1]]),))
     rep = growth_rate(sys_, N=16)
     assert rep.exact_value == 15
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+@st.composite
+def tame_diagonal_pairs(draw):
+    """(a, b, S): phi = diag(a), psi = diag(b) of rank 1-3 with |a_i| !=
+    |b_i| (tame), integral or with denominators in S = {2, 3}.  b is
+    distinct and a distinct or constant: square-free characteristic
+    polynomials for the joint blocks, or a scalar phi."""
+    primes = draw(st.sampled_from([(), (2, 3)]))
+    exps = st.integers(0, 2) if primes else st.just(0)
+    entry = st.builds(lambda n, i, j: Fraction(n, 2 ** i * 3 ** j),
+                      st.integers(-9, 9).filter(bool), exps, exps)
+    rank = draw(st.integers(1, 3))
+    a = draw(st.lists(entry, min_size=rank, max_size=rank, unique=True))
+    b = draw(st.lists(entry, min_size=rank, max_size=rank, unique=True))
+    if draw(st.booleans()):
+        a = [a[0]] * rank
+    assume(all(abs(x) != abs(y) for x, y in zip(a, b)))
+    return a, b, primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(tame_diagonal_pairs())
+def test_growth_of_diagonal_pairs_matches_the_closed_form(pair):
+    # every eigenvalue is rational, so each pairing goes through the exact
+    # point enclosure of a linear factor; the oracle is the closed form
+    a, b, primes = pair
+    rank = len(a)
+
+    def diag(v):
+        return [[v[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+    sys_ = NilpotentSystem(name="diag", sections=(
+        section(rank, diag(a), diag(b), primes=primes),))
+    expected = Fraction(1)
+    for x, y in zip(a, b):
+        expected *= max(abs(x), abs(y))
+        for p in primes:
+            expected *= Fraction(p) ** -min(_valuation(x, p), _valuation(y, p))
+    assert growth_rate(sys_, N=6).exact_value == expected
 
 
 def test_growth_derives_joint_blocks_once(monkeypatch):

@@ -209,6 +209,15 @@ def test_residue_exponents_sign_pair():
     assert oracle == {2: 1, -1: -1}
 
 
+def test_residue_exponents_with_a_constant_denominator():
+    # u = 0 is the identically zero sequence; u = z over v = 1 is the
+    # transient a_1 = 1, which no exponent fits
+    one = IntPolynomial.of([1])
+    assert residue_exponents(IntPolynomial.of([0]), one).terms == ()
+    with pytest.raises(InputError, match="deg u <= deg v"):
+        residue_exponents(IntPolynomial.of([0, 1]), one)
+
+
 def test_residue_exponents_rejects_square():
     # n * 2^n needs a double pole
     with pytest.raises(NotSquareFreeError):

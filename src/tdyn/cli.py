@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Results go to stdout, diagnostics to stderr.  Exit codes are stable:
-0 success, 1 input/parse error, 2 non-tame input where tameness is required
-(including root-of-unity eigenvalues), 3 unsupported p-adic pairing,
-4 numeric indeterminacy at the precision ceiling.  All big integers are
-serialized as decimal strings in JSON output, in full: Python's limit on
-int-to-str digits is lifted while a command builds and prints its result.
+Results go to stdout, diagnostics to stderr.  Exit codes are stable: 0
+success, 1 an argument error, otherwise the ``exit_code`` that the class of
+the TdynError raised carries (tdyn.errors: 1 input error, 2 non-tame input
+where tameness is required, 3 unsupported p-adic pairing, 4 numeric
+indeterminacy at the precision ceiling).  All big integers are serialized
+as decimal strings in JSON output, in full: Python's limit on int-to-str
+digits is lifted while a command builds and prints its result.
 """
 
 from __future__ import annotations
@@ -19,19 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
-from .errors import (
-    HypothesisViolatedError,
-    InfiniteValueError,
-    InputError,
-    NoRecurrenceError,
-    NonIntegerResidueError,
-    NotSquareFreeError,
-    NotTameError,
-    PrecisionError,
-    RootOfUnityError,
-    TdynError,
-    UnsupportedPairingError,
-)
+from .errors import InputError, TdynError
 from .exact_linalg import BigIntMatrix, char_poly
 from .group_model import (
     NilpotentSystem,
@@ -76,6 +65,7 @@ class RunConfig:
     nielsen: bool = False
 
     def __post_init__(self):
+        self.moduli = tuple(self.moduli)
         if self.command not in COMMANDS:
             raise InputError(f"unknown command {self.command!r}")
         if self.n < 1:
@@ -101,13 +91,6 @@ def _load_system(config: RunConfig) -> NilpotentSystem:
         # also bad UTF-8, too long an integer literal and too deep nesting
         raise InputError(f"bad JSON in {config.input_path}: {exc}") from exc
     return system_from_json(doc)
-
-
-def _checked(system: NilpotentSystem) -> NilpotentSystem:
-    problems = validate(system)
-    if problems:
-        raise InputError("; ".join(problems))
-    return system
 
 
 def _window_length(system: NilpotentSystem, n: int) -> int:
@@ -158,24 +141,21 @@ def _cmd_validate(config, system):
 
 
 def _cmd_tame(config, system):
-    v = tameness_check(_checked(system))
+    v = tameness_check(system)
     return {"tame": v.tame, "witness_n": v.witness_n,
             "witness_section": v.witness_section,
             "checked_up_to": v.checked_up_to}
 
 
-def _cmd_rseq(config, system):
-    seq = reidemeister.coincidence_sequence(_checked(system), config.n)
-    return {"sequence": [_value_str(v) for v in seq.values]}
-
-
-def _cmd_nseq(config, system):
-    seq = reidemeister.nielsen_sequence(_checked(system), config.n)
+def _cmd_sequence(config, system):
+    """rseq and nseq: the Reidemeister or the Nielsen coincidence sequence."""
+    seq = (reidemeister.nielsen_sequence if config.command == "nseq"
+           else reidemeister.coincidence_sequence)(system, config.n)
     return {"sequence": [_value_str(v) for v in seq.values]}
 
 
 def _cmd_zeta(config, system):
-    seq, rf, es = _zeta_payload(config, _checked(system))
+    seq, rf, es = _zeta_payload(config, system)
     return {
         "window": len(seq.values),
         "zeta": {"num": _poly_strs(rf.numerator), "den": _poly_strs(rf.denominator)},
@@ -186,7 +166,7 @@ def _cmd_zeta(config, system):
 
 
 def _cmd_realize(config, system):
-    seq, rf, es = _zeta_payload(config, _checked(system))
+    seq, rf, es = _zeta_payload(config, system)
     br = zeta.realize_bouquet(es)
     check_n = 2 * (br.a_even.rows + br.a_odd.rows) + 5
     if check_n > len(seq.values):
@@ -203,7 +183,7 @@ def _cmd_realize(config, system):
 
 
 def _cmd_congruence(config, system):
-    seq = _seq_of(config, _checked(system), config.n)
+    seq = _seq_of(config, system, config.n)
     moduli = config.moduli or tuple(range(1, config.n + 1))
     reports = []
     for n in moduli:
@@ -228,7 +208,7 @@ def _growth_terms_payload(terms):
 
 
 def _cmd_growth(config, system):
-    rep = growth.growth_rate(_checked(system), N=config.n)
+    rep = growth.growth_rate(system, N=config.n)
     return {
         "growth": {
             "closed_form_log_terms": _growth_terms_payload(rep.log_terms),
@@ -243,14 +223,14 @@ def _cmd_growth(config, system):
 
 
 def _cmd_entropy(config, system):
-    entropies, gap = growth.entropy_identity(_checked(system), N=config.n)
+    entropies, gap = growth.entropy_identity(system, N=config.n)
     return {"section_entropies": entropies, "entropy_sum": sum(entropies),
             "identity_gap": gap, "hypotheses_note":
             "expansiveness and specification of the dual maps are assumed"}
 
 
 def _cmd_classify(config, system):
-    seq, rf, es = _zeta_payload(config, _checked(system))
+    seq, rf, es = _zeta_payload(config, system)
     ds = asymptotics.dominant_spectrum(es)
     cls = asymptotics.classify_limit_points(ds)
     samples = asymptotics.limit_points_sample(seq, ds, min(config.n, len(seq.values)))
@@ -268,7 +248,6 @@ def _cmd_classify(config, system):
 
 
 def _cmd_padic(config, system):
-    system = _checked(system)
     if config.prime is None:
         raise InputError("padic needs --prime P")
     k = config.section
@@ -289,8 +268,8 @@ def _cmd_padic(config, system):
 _HANDLERS = {
     "validate": _cmd_validate,
     "tame": _cmd_tame,
-    "rseq": _cmd_rseq,
-    "nseq": _cmd_nseq,
+    "rseq": _cmd_sequence,
+    "nseq": _cmd_sequence,
     "zeta": _cmd_zeta,
     "realize": _cmd_realize,
     "congruence": _cmd_congruence,
@@ -354,26 +333,19 @@ def _full_int_strings():
 
 
 def run(config: RunConfig, out=None, err=None) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code.  Every command
+    but validate runs on a system that validates."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         system = _load_system(config)
         with _full_int_strings():
+            if config.command != "validate" and (problems := validate(system)):
+                raise InputError("; ".join(problems))
             result = _HANDLERS[config.command](config, system)
-    except (NotTameError, RootOfUnityError, InfiniteValueError) as exc:
+    except TdynError as exc:
         print(f"error: {exc}", file=err)
-        return 2
-    except UnsupportedPairingError as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    except (PrecisionError, HypothesisViolatedError) as exc:
-        print(f"error: {exc}", file=err)
-        return 4
-    except (InputError, NoRecurrenceError, NonIntegerResidueError,
-            NotSquareFreeError, TdynError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
+        return exc.exit_code
     with _full_int_strings():
         if config.output_format == "json":
             json.dump({"command": config.command, **result}, out, indent=2)
@@ -454,20 +426,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; remap to the documented input-error code
         return 0 if exc.code == 0 else 1
     try:
-        config = RunConfig(
-            command=args.command,
-            builtin=args.builtin,
-            input_path=args.input_path,
-            n=args.n,
-            output_format=args.output_format,
-            prime=getattr(args, "prime", None),
-            section=getattr(args, "section", 1),
-            moduli=tuple(getattr(args, "moduli", []) or ()),
-            nielsen=getattr(args, "nielsen", False),
-        )
-    except InputError as exc:
+        # every argparse dest is a RunConfig field
+        config = RunConfig(**vars(args))
+    except TdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     return run(config)
 
 

@@ -36,11 +36,13 @@ IntLike = Union[int, Fraction]
 
 
 def _as_fraction(x) -> Fraction:
+    """x as a Fraction; the one parser of rational text: an integer, a/b, or
+    a decimal without an exponent, which Fraction would expand in full."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and "e" not in x.lower():
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

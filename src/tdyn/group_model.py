@@ -22,6 +22,7 @@ import sympy
 from .errors import InputError, UnsupportedPairingError
 from .exact_linalg import (
     RatMatrix,
+    _as_fraction,
     char_poly,
     det_rat,
     poly_at_matrix,
@@ -267,19 +268,17 @@ def builtin_example(key: str) -> NilpotentSystem:
     try:
         if name == "z_times_d":
             (d,) = args
-            return z_times_d(Fraction(d))
+            return z_times_d(_as_fraction(d))
         if name == "z_pair":
             a, b = args
-            return z_pair(Fraction(a), Fraction(b))
+            return z_pair(_as_fraction(a), _as_fraction(b))
         if name == "torus_matrix":
-            rows = _square_rows_from_flat([Fraction(a) for a in args])
-            return torus_matrix(rows)
+            return torus_matrix(_square_rows_from_flat(list(map(_as_fraction, args))))
         if name == "heisenberg":
-            rows = _square_rows_from_flat([Fraction(a) for a in args])
-            return heisenberg(rows)
+            return heisenberg(_square_rows_from_flat(list(map(_as_fraction, args))))
         if name == "s_integer":
             d, *ps = args
-            return s_integer(Fraction(d), [int(p) for p in ps])
+            return s_integer(_as_fraction(d), [int(p) for p in ps])
     except InputError:
         raise
     except Exception as exc:
@@ -296,9 +295,10 @@ def _matrix_from_json(rows, what: str) -> RatMatrix:
             or not all(isinstance(row, list) for row in rows)):
         raise InputError(f"{what}: expected a non-empty list of rows")
     try:
-        return RatMatrix.from_rows([[Fraction(str(x)) for x in row] for row in rows])
-    except (ValueError, ZeroDivisionError) as exc:
+        entries = [[_as_fraction(str(x)) for x in row] for row in rows]
+    except InputError as exc:
         raise InputError(f"{what}: bad rational entry ({exc})") from exc
+    return RatMatrix.from_rows(entries)
 
 
 def _int_from_json(value, what: str) -> int:

@@ -159,18 +159,13 @@ def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
     """
     _check_prime(p)
     phi, psi = sec.phi, sec.psi
-
     if psi.is_scalar() or phi.is_scalar():
-        # includes psi = identity; pairs are (xi_i, s) for the scalar s
-        if psi.is_scalar():
-            vals = root_valuations(char_poly(phi), p)
-            s = psi.get(0, 0)
-        else:
-            vals = root_valuations(char_poly(psi), p)
-            s = phi.get(0, 0)
-        w = inf if s == 0 else Fraction(ord_p(s, p))
-        return PadicGrowthFactor(p, _pair_exponent(vals, [w] * len(vals)))
-    return PadicGrowthFactor(p, joint_block_exponent(joint_blocks(sec), p))
+        # one joint block (includes psi = identity): the scalar side s*I has
+        # the single slope of (x - s)^d, so each xi_i pairs with s
+        blocks = [(char_poly(phi), None, None, char_poly(psi))]
+    else:
+        blocks = joint_blocks(sec)
+    return PadicGrowthFactor(p, joint_block_exponent(blocks, p))
 
 
 def joint_block_exponent(blocks, p: int) -> Fraction:

@@ -198,9 +198,11 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
 
 # the primes of the modular pass, tried in turn: 2^61 - 1 is near the word
 # size, and the lift mod 2^127 - 1 holds connection coefficients of up to
-# 126 bits, which covers the widest measured window (the x^10 - x - 1 torus:
-# order 1,024, coefficients of up to 60 bits).  Wider fits take the Fraction
-# loop; add a larger prime only for a measured window that needs it.
+# 126 bits.  Tori read their zeta off the exterior powers, so the class-2
+# system of the companion of x^6 - x - 1 over multiplication by 3 is the
+# measured window that needs the second prime: 260 terms, order 128,
+# coefficients of up to 112 bits.  Wider fits take the Fraction loop; add a
+# larger prime only for a measured window that needs it.
 _BM_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
 
 

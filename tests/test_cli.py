@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from tdyn import growth, polyalg, zeta
+from tdyn import cli, errors, growth, polyalg, zeta
 from tdyn.cli import COMMANDS, RunConfig, _build_parser, _command_parser, main
 from tdyn.exact_linalg import IntPolynomial, companion_matrix
 
@@ -297,6 +297,58 @@ def test_run_config_validation():
     # --precision is gone: certified refinement walks its own precision ladder
     assert run_capture(["rseq", "--builtin", "z_times_d:2",
                         "--precision", "128"])[0] == 1
+
+
+# the exit codes documented in tdyn.errors and tdyn.cli, one per class
+DOCUMENTED_EXIT_CODES = {
+    errors.TdynError: 1, errors.InputError: 1, errors.NoRecurrenceError: 1,
+    errors.NotSquareFreeError: 1, errors.NonIntegerResidueError: 1,
+    errors.NotTameError: 2, errors.RootOfUnityError: 2,
+    errors.InfiniteValueError: 2, errors.UnsupportedPairingError: 3,
+    errors.PrecisionError: 4, errors.HypothesisViolatedError: 4,
+}
+
+
+def test_every_error_class_carries_its_documented_exit_code():
+    classes = {errors.TdynError, *errors.TdynError.__subclasses__()}
+    assert classes == set(DOCUMENTED_EXIT_CODES)
+    for cls, code in DOCUMENTED_EXIT_CODES.items():
+        assert cls.exit_code == code, cls.__name__
+
+
+@pytest.mark.parametrize("cls", list(DOCUMENTED_EXIT_CODES))
+def test_run_returns_the_exit_code_of_the_error_raised(monkeypatch, cls):
+    def failing(config, system):
+        raise cls("boom")
+    monkeypatch.setitem(cli._HANDLERS, "tame", failing)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(RunConfig(command="tame", builtin="z_times_d:2"), out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        DOCUMENTED_EXIT_CODES[cls], "", "error: boom\n")
+
+
+def test_main_passes_the_parsed_arguments_as_the_run_config(monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or 0)
+    assert main(["congruence", "--builtin", "z_times_d:2", "--moduli", "3", "5"]) == 0
+    assert main(["rseq", "--input", "sys.json", "--n", "7"]) == 0
+    congruence, rseq = configs
+    assert congruence.moduli == (3, 5) and congruence.nielsen is False
+    assert rseq == RunConfig(command="rseq", input_path="sys.json", n=7)
+    assert (rseq.prime, rseq.section, rseq.moduli, rseq.nielsen) == (None, 1, (), False)
+    # a RunConfig error exits with its class's code
+    assert run_capture(["rseq", "--builtin", "z_times_d:2", "--n", "0"]) == (
+        1, "", "error: --n must be >= 1\n")
+
+
+def test_only_validate_runs_on_an_invalid_system():
+    from tdyn.group_model import builtin_example, validate
+    key = "s_integer:1/2"  # a denominator 2 outside the empty prime support
+    problems = validate(builtin_example(key))
+    assert problems and run_json(["validate", "--builtin", key])["violations"] == problems
+    for command in COMMANDS[1:]:
+        argv = [command, "--builtin", key] + (["--prime", "2"] if command == "padic" else [])
+        assert run_capture(argv) == (1, "", f"error: {'; '.join(problems)}\n"), command
 
 
 def test_stdout_stderr_separation():

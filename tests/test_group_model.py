@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,27 @@ def test_json_errors():
         system_from_json({"sections": [{"rank": 1}]})
     with pytest.raises(InputError):
         system_from_json({"sections": [{"rank": 1, "phi": [["x"]]}]})
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1E-9999999", "2e3", "-2.5E-3"])
+def test_an_exponent_token_is_rejected_at_once(token):
+    # Fraction would expand 1e10000000 into a ten-million-digit integer
+    start = time.perf_counter()
+    for key in (f"torus_matrix:{token}", f"z_pair:2,{token}", f"s_integer:{token},2"):
+        with pytest.raises(InputError, match="exact rational"):
+            builtin_example(key)
+    with pytest.raises(InputError, match="section 1 phi: bad rational entry"):
+        system_from_json({"sections": [{"rank": 1, "phi": [[token]]}]})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_json_rationals_are_integers_fractions_and_plain_decimals():
+    doc = {"sections": [{"rank": 2, "phi": [["-1/2", 3], [0.25, "1.5"]]}]}
+    assert system_from_json(doc).sections[0].phi.row_lists() == [
+        [Fraction(-1, 2), 3], [Fraction(1, 4), Fraction(3, 2)]]
+    # a JSON number that Python prints with an exponent is rejected too
+    with pytest.raises(InputError, match="1e\\+20"):
+        system_from_json({"sections": [{"rank": 1, "phi": [[1e20]]}]})
 
 
 def test_torus_matrix_builder():

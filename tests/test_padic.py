@@ -3,10 +3,10 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdyn.errors import InputError, UnsupportedPairingError
-from tdyn.exact_linalg import IntPolynomial, RatPolynomial
+from tdyn.exact_linalg import IntPolynomial, RatPolynomial, char_poly
 from tdyn.group_model import section
 from tdyn.padic import (
     newton_polygon,
@@ -187,6 +187,34 @@ def test_padic_growth_factor_noncommuting_rejected():
     sec = section(2, [[1, 1], [0, 2]], [[2, 0], [1, 3]], primes=[2])
     with pytest.raises(UnsupportedPairingError):
         padic_growth_factor(sec, 2)
+
+
+_entry = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda d: st.lists(st.lists(_entry, min_size=d, max_size=d),
+                              min_size=d, max_size=d)),
+       st.sampled_from([0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-4, 9), 6, 12]),
+       st.sampled_from([[2], [3], [2, 3]]),
+       st.booleans())
+def test_scalar_side_pairs_each_eigenvalue_with_the_scalar(rows, s, primes, swap):
+    # oracle: sum over the eigenvalues xi_i of phi of -min(v(xi_i), ord_p s),
+    # with v(0) = inf; min = inf is a common zero, the pair is not tame
+    d = len(rows)
+    scalar = [[s if i == j else 0 for j in range(d)] for i in range(d)]
+    sec = (section(d, scalar, rows, primes=primes) if swap
+           else section(d, rows, scalar, primes=primes))
+    matrix = sec.psi if swap else sec.phi
+    for p in primes:
+        w = inf if s == 0 else Fraction(ord_p(s, p))
+        mins = [min(v, w) for v in root_valuations(char_poly(matrix), p)]
+        if inf in mins:
+            with pytest.raises(UnsupportedPairingError):
+                padic_growth_factor(sec, p)
+        else:
+            assert padic_growth_factor(sec, p).exponent == -sum(mins)
 
 
 def test_integer_matrix_polygon_slopes_nonpositive_contribution():

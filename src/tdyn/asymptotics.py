@@ -3,13 +3,17 @@
 lambda is the maximal root modulus of the exponential-sum polynomials.  It is
 located *exactly*: |root|^2 values are roots of the composed-product
 polynomial (roots r_i * r_j), the largest positive real one equals lambda^2,
-and its multiplicity counts the dominant roots.  Periodicity of the dominant
-angles is likewise decided exactly: the ratio of a dominant root with its
-conjugate is identified among the roots of the ratio polynomial (roots
-r_i / r_j), and the identified irreducible factor is a cyclotomic polynomial
-exactly when the angle is rational.  Both polynomials are built from power
-sums (polyalg).  Indeterminate is the honest fallback when enclosures cannot
-separate quantities at the precision ceiling.
+and its multiplicity counts the dominant roots.  Nothing is factored: the
+square-free parts of every term's product polynomial are refined into one
+pairwise coprime base by gcds, so a root's multiplicity is the exponent of
+its part, and equal roots of different terms are the same root of the same
+base element.  Periodicity of the dominant angles is likewise decided
+exactly: the ratio of a dominant root with its conjugate is a root of the
+ratio polynomial (roots r_i / r_j), and the angle is rational exactly when
+that root lies on one of its cyclotomic factors, which exact division finds.
+Both polynomials are built from power sums (polyalg).  Indeterminate is the
+honest fallback when enclosures cannot separate quantities at the precision
+ceiling.
 """
 
 from __future__ import annotations
@@ -34,7 +38,15 @@ from .enclosures import (
 )
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
-from .polyalg import cyclotomic_order, factor_int, ratio_polynomial, product_polynomial
+from .polyalg import (
+    coprime_base,
+    cyclotomic,
+    cyclotomic_factors,
+    exact_quotient,
+    product_polynomial,
+    ratio_polynomial,
+    squarefree_parts,
+)
 from .reidemeister import ReidemeisterSequence, is_infinite
 from .zeta import ExponentialSum
 
@@ -68,8 +80,8 @@ class Classification:
 
 
 class _RealCandidate:
-    """A positive real root with an exact identity key (its primitive factor
-    and index) and refinable rational intervals."""
+    """A positive real root with an exact identity key (its element of the
+    coprime base and index) and refinable rational intervals."""
 
     def __init__(self, key, multiplicity, root):
         self.key = key
@@ -80,15 +92,20 @@ class _RealCandidate:
         return self.root.box(bits)[:2]
 
 
-def _positive_real_candidates(p: IntPolynomial):
-    """Positive real roots of p as _RealCandidate items (multiplicity from
-    the factorization of p)."""
-    out = []
-    _, factors = factor_int(p)
-    for g, mult in factors:
-        for idx, e in enumerate(real_root_enclosures(g)):
-            if e.real_sign() > 0:
-                out.append(_RealCandidate((tuple(g.coeffs), idx), mult, e))
+def _positive_real_candidates(polys) -> list:
+    """For each polynomial of degree >= 1, its positive real roots as
+    _RealCandidate items.  The square-free parts of all of them are refined
+    into one coprime base, whose elements are isolated once each; a root's
+    key is (base element, index) and its multiplicity the exponent of the
+    part the base element divides."""
+    parts = [(t, part, k) for t, p in enumerate(polys) for part, k in squarefree_parts(p)]
+    out = [[] for _ in polys]
+    for j, (b, labels) in enumerate(coprime_base([part for _, part, _ in parts])):
+        roots = [(idx, e) for idx, e in enumerate(real_root_enclosures(b))
+                 if e.real_sign() > 0]
+        for label in labels:
+            t, _, k = parts[label]
+            out[t] += [_RealCandidate((j, idx), k, e) for idx, e in roots]
     return out
 
 
@@ -113,8 +130,9 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
         return DominantSpectrum(lam=0.0, lam_bounds=(Fraction(0), Fraction(0)),
                                 count=0, dominant_terms=())
     per_term = []
-    for poly, chi in es.terms:
-        cands = _positive_real_candidates(product_polynomial(poly))
+    all_cands = _positive_real_candidates(
+        [product_polynomial(poly) for poly, _ in es.terms])
+    for (poly, chi), cands in zip(es.terms, all_cands):
         if not cands:
             raise InputError(
                 f"no positive real candidate for |root|^2 of {poly.coeffs}; "
@@ -153,11 +171,25 @@ def _dominant_root_indices(poly: IntPolynomial, cand: _RealCandidate) -> tuple:
 
 def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
     """Order m when root_idx / conj(root_idx) is a primitive m-th root of
-    unity, or None when it is provably not a root of unity."""
+    unity, or None when it is provably not a root of unity.
+
+    The ratio is a root of the ratio polynomial rp, and a root of unity
+    exactly when it is a root of one of rp's cyclotomic factors.  When rp has
+    any, the ratio is placed among the roots of those factors and of the
+    square-free parts of the cofactor, which are pairwise coprime."""
     rp = ratio_polynomial(poly)
-    _, factors = factor_int(rp)
-    factor_roots = [(g, root) for g, _mult in factors
-                    for root in poly_root_enclosures(g)]
+    cyclo = cyclotomic_factors(rp)
+    if not cyclo:
+        return None
+    pieces = []
+    for m, mult in cyclo:
+        g = cyclotomic(m)
+        pieces.append((m, g))
+        rp = exact_quotient(rp, g.pow(mult))
+    if rp.degree > 0:
+        pieces += [(None, part) for part, _ in squarefree_parts(rp)]
+    piece_roots = [(i, root) for i, (_, g) in enumerate(pieces)
+                   for root in poly_root_enclosures(g)]
 
     def ratio_box(bits):
         b = encl[idx].box(bits)
@@ -165,9 +197,9 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
 
     for bits in precision_ladder():
         rb = ratio_box(bits)
-        alive = [g for g, root in factor_roots if boxes_intersect(root.box(bits), rb)]
+        alive = {i for i, root in piece_roots if boxes_intersect(root.box(bits), rb)}
         if len(alive) == 1:
-            return cyclotomic_order(alive[0])
+            return pieces[alive.pop()][0]
     raise PrecisionError("could not identify the conjugate ratio among the "
                          "ratio polynomial roots")
 

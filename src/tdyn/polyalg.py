@@ -3,33 +3,38 @@ products).
 
 Thin bridge to sympy's exact routines so the rest of the package works with
 tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
-numeric.  All factoring in tdyn goes through ``factor_int``.  Factoring, gcds
-and exact division run sympy's dense kernels over ZZ (``dup_factor_list``,
-``dup_gcd``, ``dup_exquo``, the algorithms ``Poly`` reaches) on coefficient
-lists, highest degree first, in through ``ZZ.convert`` and out through
-``int``, so no ``Poly`` is built and results are ints under any
-``SYMPY_GROUND_TYPES``.  The product and ratio polynomials are built from
-power sums with Newton's identities (Bostan, Flajolet, Salvy, Schost, "Fast
-computation of special resultants", JSC 41, 2006), as are the
-exterior-power polynomials in ``exact_linalg``, which need no sympy.  Cyclotomic
-polynomials and Euler's totient are computed in plain integer arithmetic:
-building them as sympy expressions would make the first call in a process
-import sympy's tensor and combinatorics packages.
+numeric.  All factoring in tdyn goes through ``factor_int``.  Factoring,
+square-free decomposition, gcds and exact division run sympy's dense kernels
+over ZZ (``dup_factor_list``, ``dup_sqf_list``, ``dup_gcd``, ``dup_exquo``,
+the algorithms ``Poly`` reaches) on coefficient lists, highest degree first,
+in through ``ZZ.convert`` and out through ``int``, so no ``Poly`` is built
+and results are ints under any ``SYMPY_GROUND_TYPES``.  The product and
+ratio polynomials are built in integers from power sums with Newton's
+identities (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
+resultants", JSC 41, 2006), as are the exterior-power polynomials in
+``exact_linalg``, which need no sympy.  Square-free parts are refined into a
+pairwise coprime base by gcds alone (Bach, Driscoll, Shallit, "Factor
+refinement", J. Algorithms 15, 1993).  Cyclotomic polynomials and Euler's
+totient are computed in plain integer arithmetic: building them as sympy
+expressions would make the first call in a process import sympy's tensor
+and combinatorics packages.  Cyclotomic factors are found by exact division,
+with no factoring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 import sympy
-from sympy.polys.densearith import dup_exquo
+from sympy.polys.densearith import dup_div, dup_exquo
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_gcd
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_ddf_zassenhaus
 from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InputError
 from .exact_linalg import IntPolynomial, RatPolynomial, from_power_sums, power_sums
@@ -88,6 +93,41 @@ def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 def is_squarefree(p: IntPolynomial) -> bool:
     return gcd_int(p, p.derivative()).degree == 0
+
+
+def squarefree_parts(p: IntPolynomial) -> list:
+    """Yun's square-free decomposition of p, of degree >= 1: the pairs (part,
+    exponent) with p = c * prod part^exponent for an integer c, each part
+    primitive and square-free with positive degree and leading coefficient,
+    the parts pairwise coprime."""
+    if p.degree < 1:
+        raise InputError("square-free parts need degree >= 1")
+    return [(_from_dense(f), k) for f, k in dup_sqf_list(_dense(p), ZZ)[1]]
+
+
+def coprime_base(polys) -> list:
+    """Factor refinement of square-free primitive polynomials of positive
+    degree: pairs (b, labels), the b pairwise coprime and of positive degree,
+    labels the indices of the inputs that b divides.  Input i is, up to sign,
+    the product of the b whose labels hold i, so two inputs share a root
+    exactly when one b carries both their labels."""
+    base = []
+    for i, s in enumerate(polys):
+        refined = []
+        for b, labels in base:
+            g = gcd_int(s, b)
+            if g.degree == 0:
+                refined.append((b, labels))
+                continue
+            s = exact_quotient(s, g)
+            refined.append((g, labels | {i}))
+            rest = exact_quotient(b, g)
+            if rest.degree > 0:
+                refined.append((rest, labels))
+        base = refined
+        if s.degree > 0:
+            base.append((s, {i}))
+    return base
 
 
 # symmetric_galois_group's budget: it gives up after the first
@@ -150,15 +190,21 @@ def totients(limit: int) -> list:
     return phi
 
 
+def _mobius_divisors(m: int) -> tuple:
+    """The d | m with mu(m/d) = 1, and those with mu(m/d) = -1."""
+    up, down = [m], []
+    for p in sympy.primefactors(m):
+        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    return up, down
+
+
 def cyclotomic(m: int) -> IntPolynomial:
     """The m-th cyclotomic polynomial, the product over d | m of
     (x^d - 1)^mu(m/d): the factors with mu = 1 multiplied out first, then
     exact synthetic divisions by those with mu = -1."""
     if m < 1:
         raise InputError("cyclotomic polynomials are indexed by m >= 1")
-    up, down = [m], []  # the d | m with mu(m/d) = 1 and = -1
-    for p in sympy.primefactors(m):
-        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    up, down = _mobius_divisors(m)
     coeffs = [1]
     for d in up:
         # times x^d - 1
@@ -187,36 +233,96 @@ def cyclotomic_order(p: IntPolynomial) -> Optional[int]:
     return None
 
 
+def _cyclotomic_values(m: int, points) -> list:
+    """cyclotomic(m)(a) for each integer a in points, |a| >= 2, as the
+    product over d | m of (a^d - 1)^mu(m/d)."""
+    up, down = _mobius_divisors(m)
+    return [prod(a ** d - 1 for d in up) // prod(a ** d - 1 for d in down)
+            for a in points]
+
+
+# cyclotomic_factors' evaluation points: cyclotomic(m) dividing p makes
+# cyclotomic(m)(a) divide p(a), a test that costs one integer remainder
+_PROBES = (2, 3)
+
+
 def cyclotomic_factors(p: IntPolynomial):
-    """All (m, multiplicity) with cyclotomic(m) dividing p."""
+    """All (m, multiplicity) with cyclotomic(m) dividing p, m ascending.
+
+    Every m with phi(m) <= deg p is tried by exact division, repeated for
+    the multiplicity, on the cofactor left by the smaller m.  A division is
+    attempted only when cyclotomic(m)(a) divides the cofactor's value at
+    each a in _PROBES, a necessary condition; cyclotomic(m)(2) is about
+    2^phi(m), so an m whose cyclotomic polynomial does not divide rarely
+    passes it.
+    """
+    if p.is_zero:
+        raise InputError("cannot find the cyclotomic factors of the zero polynomial")
     out = []
-    _, factors = factor_int(p)
-    for f, mult in factors:
-        m = cyclotomic_order(f)
-        if m is not None:
+    q, values = _dense(p), [p(a) for a in _PROBES]
+    limit = 2 * p.degree ** 2 + 1  # phi(m) >= sqrt(m/2)
+    phi = totients(limit)
+    for m in range(1, limit + 1):
+        if phi[m] > len(q) - 1:
+            continue
+        probes = _cyclotomic_values(m, _PROBES)
+        if any(v % c for v, c in zip(values, probes)):
+            continue
+        f, mult = _dense(cyclotomic(m)), 0
+        while len(q) >= len(f):
+            quotient, remainder = dup_div(q, f, ZZ)
+            if remainder:
+                break
+            q, mult = quotient, mult + 1
+            values = [v // c for v, c in zip(values, probes)]
+        if mult:
             out.append((m, mult))
-    return sorted(out)
+    return out
+
+
+def _monic_scaled(v: IntPolynomial) -> IntPolynomial:
+    """a^(d-1) v(x/a) for v of degree d and leading coefficient a: monic,
+    integral, with roots a r for the roots r of v."""
+    a, d = v.leading, v.degree
+    return IntPolynomial.of([c * a ** (d - 1 - i) for i, c in enumerate(v.coeffs[:-1])]
+                            + [1])
+
+
+def _from_scaled_power_sums(sums, c: int) -> IntPolynomial:
+    """The primitive polynomial, positive leading coefficient, whose roots
+    are r / c for the algebraic integers r with power sums sums: Newton's
+    identities, whose divisions are then exact (to_int checks it), and
+    x -> c x.  The leading coefficient c^n is positive: c = a^2, or n =
+    d(d - 1) is even."""
+    scaled = [ck * c ** k for k, ck in enumerate(from_power_sums(sums).to_int().coeffs)]
+    content = gcd(*scaled)
+    return IntPolynomial.of(ck // content for ck in scaled)
 
 
 def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
     """Primitive polynomial, positive leading coefficient, whose roots are the
-    cross ratios r_i/r_j (i != j) of the roots of v.  Its power sums are
-    p_k(v) * p_-k(v) - deg v; the p_-k are the power sums of the reversed v."""
+    cross ratios r_i/r_j (i != j) of the roots of v.  With a and b the
+    leading and constant coefficients of v, a r_i and b / r_j are roots of
+    monic integer polynomials, so the cross ratios times ab have the integer
+    power sums P_k(a r) P_k(b / r) - deg v (ab)^k."""
     if v.degree < 1:
         raise InputError("ratio polynomial needs degree >= 1")
     if v.constant == 0:
         raise InputError("ratio polynomial needs a nonzero constant term")
     d = v.degree
     n = d * (d - 1)
-    sums = zip(power_sums(_monic(v), n), power_sums(_monic(v.reverse()), n))
-    return from_power_sums([p * q - d for p, q in sums]).clear_denominators()[0]
+    ab = v.leading * v.constant
+    sums = zip(power_sums(_monic_scaled(v), n), power_sums(_monic_scaled(v.reverse()), n))
+    return _from_scaled_power_sums(
+        [p * q - d * ab ** k for k, (p, q) in enumerate(sums, start=1)], ab)
 
 
 def product_polynomial(v: IntPolynomial) -> IntPolynomial:
     """Primitive polynomial, positive leading coefficient, whose roots are
     all products r_i * r_j of roots of v (ordered pairs, so |r|^2 appears once
-    per complex-conjugate incidence).  Its power sums are p_k(v)^2."""
+    per complex-conjugate incidence).  With a the leading coefficient of v,
+    the products times a^2 have the integer power sums P_k(a r)^2."""
     if v.degree < 1:
         raise InputError("product polynomial needs degree >= 1")
-    sums = power_sums(_monic(v), v.degree ** 2)
-    return from_power_sums([p * p for p in sums]).clear_denominators()[0]
+    sums = power_sums(_monic_scaled(v), v.degree ** 2)
+    return _from_scaled_power_sums([p * p for p in sums], v.leading ** 2)

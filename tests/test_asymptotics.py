@@ -3,13 +3,25 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdyn import asymptotics
 from tdyn.asymptotics import (
+    _RealCandidate,
     classify_limit_points,
     dominant_spectrum,
     limit_points_sample,
 )
-from tdyn.exact_linalg import IntPolynomial
+from tdyn.enclosures import (
+    box_conj,
+    box_div,
+    boxes_intersect,
+    poly_root_enclosures,
+    precision_ladder,
+    real_root_enclosures,
+)
+from tdyn.errors import PrecisionError
+from tdyn.exact_linalg import IntPolynomial, exterior_power_polynomials
 from tdyn.group_model import z_pair, z_times_d
+from tdyn.polyalg import cyclotomic_order, factor_int, ratio_polynomial
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import ExponentialSum, zeta_from_sequence
 
@@ -251,3 +263,94 @@ def test_periodic_claims_verified_algebraically():
             for q in range(1, expected_q):
                 if expected_q % q == 0:
                     assert not power_is_positive_rational(coeffs, q)
+
+
+# ------------------------------------------------ the factoring route as oracle
+
+def _factoring_candidates(polys):
+    """Positive real roots of each product polynomial, keyed by irreducible
+    factor and index, with the factor's multiplicity (the route before the
+    coprime base)."""
+    out = []
+    for p in polys:
+        cands = []
+        for g, mult in factor_int(p)[1]:
+            for idx, e in enumerate(real_root_enclosures(g)):
+                if e.real_sign() > 0:
+                    cands.append(_RealCandidate((tuple(g.coeffs), idx), mult, e))
+        out.append(cands)
+    return out
+
+
+def _factoring_ratio_order(poly, encl, idx):
+    """The conjugate ratio placed among the roots of the irreducible factors
+    of the ratio polynomial (the route before exact division)."""
+    factor_roots = [(g, root) for g, _ in factor_int(ratio_polynomial(poly))[1]
+                    for root in poly_root_enclosures(g)]
+    for bits in precision_ladder():
+        b = encl[idx].box(bits)
+        rb = box_div(b, box_conj(b))
+        alive = [g for g, root in factor_roots if boxes_intersect(root.box(bits), rb)]
+        if len(alive) == 1:
+            return cyclotomic_order(alive[0])
+    raise PrecisionError("oracle could not place the conjugate ratio")
+
+
+def _spectrum_and_class(es):
+    try:
+        ds = dominant_spectrum(es)
+    except PrecisionError as exc:
+        return "precision", str(exc)
+    return ds, classify_limit_points(ds)
+
+
+# distinct irreducible monic factors with a nonzero constant term, so
+# pairwise coprime: rational roots, real and non-real quadratic pairs, and
+# cyclotomic factors
+_FACTOR_POOL = [IntPolynomial.of(c) for c in (
+    [-2, 1], [2, 1], [-3, 1], [1, 1], [-1, 1], [-1, -1, 1], [2, -2, 1],
+    [4, 0, 1], [1, 1, 1], [3, -3, 1], [5, -4, 1], [-2, 0, 1], [-1, -3, 1])]
+
+
+@st.composite
+def shared_root_sums(draw):
+    """Exponential sums of 1-4 distinct terms, each a product of 1-3
+    distinct factors from one small pool: reducible square-free terms, and
+    roots shared across terms.  A term with a repeated root is left out: its
+    roots never reach the dominant count, and both routes refine to the
+    precision ceiling."""
+    pool = draw(st.lists(st.sampled_from(_FACTOR_POOL), min_size=1, max_size=4,
+                         unique=True))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        poly = IntPolynomial.of([1])
+        for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                               unique=True)):
+            poly = poly * f
+        terms[poly] = draw(st.integers(-3, 3).filter(bool))
+    return ExponentialSum(terms=tuple(terms.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_root_sums())
+def test_dominant_spectrum_matches_the_factoring_route(es):
+    got = _spectrum_and_class(es)
+    saved = (asymptotics._positive_real_candidates, asymptotics._conjugate_ratio_order)
+    asymptotics._positive_real_candidates = _factoring_candidates
+    asymptotics._conjugate_ratio_order = _factoring_ratio_order
+    try:
+        expected = _spectrum_and_class(es)
+    finally:
+        asymptotics._positive_real_candidates, asymptotics._conjugate_ratio_order = saved
+    assert got == expected
+
+
+def test_conjugate_ratio_of_the_x6_minus_x_minus_1_wedge2_term_divides_only():
+    # the degree-15 wedge^2 term of the companion of x^6 - x - 1 has a ratio
+    # polynomial of degree 210, whose factorization took 121 s; no cyclotomic
+    # polynomial divides it, so no dominant-type angle of the term is rational
+    w2 = exterior_power_polynomials(IntPolynomial.of([-1, -1, 0, 0, 0, 0, 1]))[2]
+    assert w2.degree == 15
+    encl = poly_root_enclosures(w2)
+    idx = next(i for i, e in enumerate(encl) if not e.is_real)
+    assert asymptotics._conjugate_ratio_order(w2, encl, idx) is None

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -580,3 +581,53 @@ def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
     monkeypatch.setattr(zeta, "symmetric_galois_group", lambda cp: False)
     assert run_json(["zeta", "--builtin", key]) == certified
     assert degrees and max(degrees) <= comb(r, r // 2)
+
+
+RANK4_TORUS = "torus_matrix:0,0,0,-1,1,0,0,2,0,1,0,-3,0,0,1,4"
+
+
+def _recording_factor_int(monkeypatch):
+    """The polynomials factor_int is called on, through every module that
+    holds a binding of it."""
+    factor_int = polyalg.factor_int
+    calls = []
+
+    def recording(p):
+        calls.append(p)
+        return factor_int(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tdyn") and getattr(module, "factor_int", None) is factor_int:
+            monkeypatch.setattr(module, "factor_int", recording)
+    return calls
+
+
+def test_classify_rank4_factors_nothing(monkeypatch):
+    # the product polynomials are split by square-free parts on a coprime
+    # base, and no ratio polynomial is needed: the dominant root is real
+    calls = _recording_factor_int(monkeypatch)
+    doc = run_json(["classify", "--builtin", RANK4_TORUS])
+    assert calls == []
+    assert doc["count"] == 1
+    assert doc["classification"]["kind"] == "periodic"
+
+
+def test_classify_of_x6_minus_x_minus_1_factors_nothing(monkeypatch):
+    # the wedge-3 term has a product polynomial of degree 400, whose
+    # factorization took 175 s; its square-free parts have degrees 20, 90,
+    # 30 and 1, with exponents 1, 2, 6 and 20
+    calls = _recording_factor_int(monkeypatch)
+    doc = run_json(["classify", "--builtin", _selmer_torus(6)])
+    assert calls == []
+    assert doc["count"] == 1
+    assert doc["classification"]["kind"] == "periodic"
+    assert doc["classification"]["period"] == 1
+
+
+def test_entropy_factors_the_characteristic_polynomial_twice(monkeypatch):
+    # once for growth's log terms and once for the dual-torus entropy; the
+    # cyclotomic test divides instead of factoring it a third time
+    calls = _recording_factor_int(monkeypatch)
+    run_json(["entropy", "--builtin", RANK4_TORUS])
+    assert len(calls) == 2
+    assert calls[0] == calls[1] == IntPolynomial.of([1, -2, 3, -4, 1])

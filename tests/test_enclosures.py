@@ -225,7 +225,9 @@ def assert_true_cells(p, engine):
             assert cell(e) == (Fraction(c, 1 << 64), Fraction(c + 1, 1 << 64)), e.index
 
 
-@settings(max_examples=25, deadline=None)
+# derandomized: an unseeded draw of 25 degree <= 10 polynomials could hold
+# several on which CRootOf takes seconds each
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=10),
        st.sampled_from([1, -1, 2, 3]))
 def test_engine_matches_crootof_on_random_polynomials(coeffs, leading):

@@ -21,10 +21,14 @@ from tdyn.exact_linalg import (
     char_poly,
     det_exact,
     exterior_power_polynomials,
+    from_power_sums,
+    power_sums,
 )
 from tdyn.errors import InputError
 from tdyn.polyalg import (
+    coprime_base,
     cyclotomic,
+    cyclotomic_factors,
     cyclotomic_order,
     exact_quotient,
     factor_int,
@@ -33,6 +37,7 @@ from tdyn.polyalg import (
     is_squarefree,
     product_polynomial,
     ratio_polynomial,
+    squarefree_parts,
     symmetric_galois_group,
     to_sympy,
     totients,
@@ -232,6 +237,48 @@ def test_ratio_polynomial_matches_resultant(v):
     assert factor_int(got)[1] == factor_int(oracle)[1]
 
 
+def _monic_over_q(v: IntPolynomial) -> RatPolynomial:
+    return RatPolynomial.of(Fraction(c, v.leading) for c in v.coeffs)
+
+
+def _product_over_q(v: IntPolynomial) -> IntPolynomial:
+    """Power sums of the monic v / lc over Q, squared, through Newton's
+    identities over Q (the Fraction route, oracle)."""
+    sums = power_sums(_monic_over_q(v), v.degree ** 2)
+    return from_power_sums([p * p for p in sums]).clear_denominators()[0]
+
+
+def _ratio_over_q(v: IntPolynomial) -> IntPolynomial:
+    d = v.degree
+    n = d * (d - 1)
+    sums = zip(power_sums(_monic_over_q(v), n), power_sums(_monic_over_q(v.reverse()), n))
+    return from_power_sums([p * q - d for p, q in sums]).clear_denominators()[0]
+
+
+# degree 1-8 with negative and non-unit leading and constant coefficients
+scaled_polynomials = st.builds(
+    lambda cs, lead: IntPolynomial.of(cs + [lead]),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=8).filter(lambda cs: cs[0] != 0),
+    st.sampled_from([1, -1, 2, -3, 6, -12, 2 ** 40]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_polynomials)
+def test_integer_product_and_ratio_polynomials_match_the_fraction_route(v):
+    assert product_polynomial(v) == _product_over_q(v)
+    assert ratio_polynomial(v) == _ratio_over_q(v)
+    assert all(type(c) is int for c in product_polynomial(v).coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(-3, 1, 2), (5, 0, 0, -4), (6, -1, 3, -12),
+                                    (1, 2, 3, 4, 5, -6)])
+def test_integer_product_and_ratio_polynomials_match_resultants(coeffs):
+    # non-monic v with negative or non-unit leading coefficients
+    v = IntPolynomial.of(coeffs)
+    assert product_polynomial(v) == _product_by_resultant(v)
+    assert ratio_polynomial(v) in (_ratio_by_resultant(v), -_ratio_by_resultant(v))
+
+
 # ---------------------------------------------------------------- cyclotomics
 
 def _sympy_cyclotomic(m: int) -> IntPolynomial:
@@ -300,6 +347,98 @@ def monic_polynomials(draw):
                  st.integers(1, 30).map(cyclotomic).filter(lambda p: p.degree <= 6)))
 def test_cyclotomic_order_matches_the_sympy_route(p):
     assert cyclotomic_order(p) == _sympy_cyclotomic_order(p)
+
+
+def _factoring_cyclotomic_factors(p: IntPolynomial):
+    """The (m, multiplicity) of the irreducible factors of p that are
+    cyclotomic (the factoring route, oracle)."""
+    return sorted((cyclotomic_order(f), mult) for f, mult in factor_int(p)[1]
+                  if cyclotomic_order(f) is not None)
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """Up to four cyclotomic factors Phi_m, m <= 40, repeats allowed, times
+    up to two other factors of degree 1-4 with small coefficients, times a
+    content of either sign."""
+    p = IntPolynomial.of([draw(st.sampled_from([1, -1, 2, -3]))])
+    for m in draw(st.lists(st.integers(1, 40), max_size=4)):
+        p = p * cyclotomic(m)
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(1, 4))
+        lead = draw(st.sampled_from([1, -1, 2, 3]))
+        p = p * IntPolynomial.of([draw(st.integers(-5, 5)) for _ in range(d)] + [lead])
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomic_products())
+def test_cyclotomic_factors_match_the_factoring_route_without_factoring(p):
+    if p.is_zero:
+        return
+    calls = []
+    factor = polyalg.factor_int
+    polyalg.factor_int = lambda q: calls.append(q) or factor(q)
+    try:
+        got = cyclotomic_factors(p)
+    finally:
+        polyalg.factor_int = factor
+    assert calls == []
+    assert got == _factoring_cyclotomic_factors(p)
+
+
+def test_cyclotomic_factors_multiplicities_and_large_orders():
+    # x^12 - 1 is Phi_1 Phi_2 Phi_3 Phi_4 Phi_6 Phi_12; Phi_105 has
+    # coefficients other than 0 and +-1, and Phi_210 degree 48
+    assert cyclotomic_factors(IntPolynomial.of([-1] + [0] * 11 + [1])) == [
+        (1, 1), (2, 1), (3, 1), (4, 1), (6, 1), (12, 1)]
+    p = cyclotomic(105) * cyclotomic(105) * cyclotomic(210) * IntPolynomial.of([3, 0, 1])
+    assert cyclotomic_factors(p) == [(105, 2), (210, 1)]
+    assert cyclotomic_factors(IntPolynomial.of([-2, 1])) == []
+    assert cyclotomic_factors(IntPolynomial.of([5])) == []
+
+
+def _product_of_powers(factors) -> IntPolynomial:
+    p = IntPolynomial.of([1])
+    for f, e in factors:
+        p = p * f.pow(e)
+    return p
+
+
+# products of powers of degree <= 2 factors, so repeated roots, and roots
+# shared across the inputs of one list
+powered_products = st.lists(st.tuples(small_factors, st.integers(1, 3)),
+                            min_size=1, max_size=3).map(_product_of_powers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(powered_products, min_size=1, max_size=4))
+def test_squarefree_parts_and_coprime_base_match_the_factorization(polys):
+    # the factoring route as oracle: each part is the product of the
+    # irreducible factors of that exponent, and each base element a product
+    # of irreducible factors that divide exactly the inputs it is labelled with
+    polys = [p for p in polys if p.degree > 0]
+    parts = []
+    for p in polys:
+        factors = factor_int(p)[1]
+        got = squarefree_parts(p)
+        assert sorted(k for _, k in got) == sorted({m for _, m in factors})
+        for part, k in got:
+            assert part.leading > 0
+            assert sorted(factor_int(part)[1], key=repr) == sorted(
+                [(f, 1) for f, m in factors if m == k], key=repr)
+        parts += [part for part, _ in got]
+    base = coprime_base(parts)
+    irreducible = {f for part in parts for f, _ in factor_int(part)[1]}
+    seen = []
+    for b, labels in base:
+        assert b.degree > 0
+        for f, m in factor_int(b)[1]:
+            assert m == 1
+            seen.append(f)
+            assert labels == {i for i, part in enumerate(parts)
+                              if gcd_int(part, f).degree > 0}
+    assert sorted(seen, key=repr) == sorted(irreducible, key=repr)
 
 
 def _exterior_power(rows, k):

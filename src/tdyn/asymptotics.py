@@ -19,7 +19,7 @@ ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -43,6 +43,7 @@ from .polyalg import (
     cyclotomic,
     cyclotomic_factors,
     exact_quotient,
+    is_squarefree,
     product_polynomial,
     ratio_polynomial,
     squarefree_parts,
@@ -61,7 +62,8 @@ _BOUNDS_BITS = 256  # fixed precision of the reported lambda_bounds
 class DominantTerm:
     poly: IntPolynomial
     chi: int
-    root_indices: tuple  # indices into poly_root_enclosures(poly)
+    root_indices: tuple  # CRootOf indices of the dominant roots, ascending
+    roots: tuple = field(compare=False, repr=False)  # their enclosures
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,17 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
     roots of which terms are dominant.
 
     An empty exponential sum (identically zero sequence) reports lambda = 0
-    with count 0.
+    with count 0.  A term with a repeated root raises InputError: the
+    product polynomial counts ordered pairs of roots, so a repeated root's
+    count is not the number of its enclosures.
     """
     if not es.terms:
         return DominantSpectrum(lam=0.0, lam_bounds=(Fraction(0), Fraction(0)),
                                 count=0, dominant_terms=())
+    for poly, _ in es.terms:
+        if not is_squarefree(poly):
+            raise InputError(f"exponential-sum polynomial {poly.coeffs} has a "
+                             "repeated root")
     per_term = []
     all_cands = _positive_real_candidates(
         [product_polynomial(poly) for poly, _ in es.terms])
@@ -145,8 +153,9 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
         if cand.key != overall.key:
             continue
         count += cand.multiplicity
-        indices = _dominant_root_indices(poly, cand)
-        dominant.append(DominantTerm(poly=poly, chi=chi, root_indices=indices))
+        roots = _dominant_roots(poly, cand)
+        dominant.append(DominantTerm(poly=poly, chi=chi, roots=roots,
+                                     root_indices=tuple(e.index for e in roots)))
     (lam_lo, lam_hi), (s_lo, s_hi) = modulus_cell(
         lambda r: r.box(_BOUNDS_BITS)[:2], overall.root)
     lam = math.sqrt((float(s_lo) + float(s_hi)) / 2)
@@ -154,24 +163,24 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
                             dominant_terms=tuple(dominant))
 
 
-def _dominant_root_indices(poly: IntPolynomial, cand: _RealCandidate) -> tuple:
-    """Indices of the roots of poly with |root|^2 equal to the dominant value:
-    non-dominant roots separate under refinement, so refine until exactly
-    ``multiplicity`` survivors remain."""
+def _dominant_roots(poly: IntPolynomial, cand: _RealCandidate) -> tuple:
+    """The enclosures of the roots of poly with |root|^2 equal to the
+    dominant value, by CRootOf index: non-dominant roots separate under
+    refinement, so refine until exactly ``multiplicity`` survivors remain."""
     encl = poly_root_enclosures(poly)
     for bits in precision_ladder():
         s_lo, s_hi = cand.interval(bits)
-        alive = [i for i, e in enumerate(encl)
+        alive = [e for e in encl
                  if e.modsq(bits)[1] >= s_lo and e.modsq(bits)[0] <= s_hi]
         if len(alive) == cand.multiplicity:
-            return tuple(alive)
+            return tuple(sorted(alive, key=lambda e: e.index))
     raise PrecisionError(
         f"could not isolate the dominant roots of {poly.coeffs}")
 
 
-def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
-    """Order m when root_idx / conj(root_idx) is a primitive m-th root of
-    unity, or None when it is provably not a root of unity.
+def _conjugate_ratio_order(poly: IntPolynomial, root):
+    """Order m when root / conj(root), for a root of poly, is a primitive
+    m-th root of unity, or None when it is provably not a root of unity.
 
     The ratio is a root of the ratio polynomial rp, and a root of unity
     exactly when it is a root of one of rp's cyclotomic factors.  When rp has
@@ -188,16 +197,12 @@ def _conjugate_ratio_order(poly: IntPolynomial, encl, idx: int):
         rp = exact_quotient(rp, g.pow(mult))
     if rp.degree > 0:
         pieces += [(None, part) for part, _ in squarefree_parts(rp)]
-    piece_roots = [(i, root) for i, (_, g) in enumerate(pieces)
-                   for root in poly_root_enclosures(g)]
-
-    def ratio_box(bits):
-        b = encl[idx].box(bits)
-        return box_div(b, box_conj(b))
-
+    piece_roots = [(i, r) for i, (_, g) in enumerate(pieces)
+                   for r in poly_root_enclosures(g)]
     for bits in precision_ladder():
-        rb = ratio_box(bits)
-        alive = {i for i, root in piece_roots if boxes_intersect(root.box(bits), rb)}
+        b = root.box(bits)
+        rb = box_div(b, box_conj(b))
+        alive = {i for i, r in piece_roots if boxes_intersect(r.box(bits), rb)}
         if len(alive) == 1:
             return pieces[alive.pop()][0]
     raise PrecisionError("could not identify the conjugate ratio among the "
@@ -218,9 +223,7 @@ def classify_limit_points(ds: DominantSpectrum) -> Classification:
     periods = []
     try:
         for term in ds.dominant_terms:
-            encl = poly_root_enclosures(term.poly)
-            for i in term.root_indices:
-                e = encl[i]
+            for e in term.roots:
                 if e.is_real:
                     periods.append(1 if e.real_sign() > 0 else 2)
                     continue
@@ -229,7 +232,7 @@ def classify_limit_points(ds: DominantSpectrum) -> Classification:
                                   (e.box(bits)[2], e.box(bits)[3],
                                    Fraction(0), Fraction(0))) < 0:
                     continue
-                m = _conjugate_ratio_order(term.poly, encl, i)
+                m = _conjugate_ratio_order(term.poly, e)
                 if m is None:
                     return Classification(
                         kind="interval", period=None,

@@ -14,26 +14,23 @@ pairwise-disjoint disks hold one root each, and a disk centred on the real
 axis holds a real root.  A refined disk is accepted only inside the disk it
 refines, so it keeps its root.
 
-Indices follow sympy's CRootOf order.  Real roots come first, ascending.
-Then come the non-real roots of each irreducible factor, factors in sympy's
-``ordered`` order.  Within a factor they are sorted by the lower-left corner
-(ax, ay) of the unrefined upper-half-plane rectangle that sympy's
-Collins-Krandick isolation (``dup_isolate_complex_roots_sqf``) assigns
-them, and each conjugate comes right before its root.  This is not
-real-part order.  When sympy rewrites CRootOf(p, i) = c * CRootOf(q, i), for
-p(x) a constant times q(x/c), the order is q's.  The engine replays that
-bisection on its disks, with the cut lines scaled by c, and matches the
-disks into sympy's rectangles, scaled by c, when a disk meets a bisection
-line.
+The roots are listed real ones first, ascending, which is CRootOf's order
+for them, so a real root's index is its position.  Each certified
+conjugate pair follows, the conjugate right before its root.  A non-real
+root's CRootOf index is found only when it is read: on a polynomial with one
+non-real pair it is n_real for the conjugate and n_real + 1 for the root;
+otherwise it is the one CRootOf(p, i) whose box meets the root's box on the
+precision ladder, which costs sympy's complex isolation of p.  Moduli and
+angles, all that growth rates and the trichotomy need, never ask for it.
 
 sympy's CRootOf bisection is the fallback, used only where the certificate
 fails, and the test oracle.  A polynomial whose double-precision seeds do
 not converge, even after rescaling, or whose disks do not separate (which
 includes every polynomial with a repeated root), is enclosed by CRootOf
-throughout.  Its non-real roots are when a disk cannot be placed in sympy's
-order, and so is a root whose Newton step leaves its disk.  CRootOf boxes
-come from its isolating intervals, refined as eval_rational refines them,
-without building a sympy expression.
+throughout.  A root whose Newton step leaves its disk is placed among
+CRootOf's roots by the disk as it stands, and takes CRootOf boxes from then
+on.  CRootOf boxes come from its isolating intervals, refined as
+eval_rational refines them, without building a sympy expression.
 
 A reported 64-bit cell that lies within GUARD of a grid point or a float
 rounding boundary is recomputed from CRootOf boxes (``modulus_cell``), so
@@ -52,8 +49,6 @@ from typing import Callable, Optional
 
 import sympy
 from sympy.polys.polyroots import preprocess_roots
-from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
-from sympy.polys.rootoftools import _pure_factors
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
@@ -234,19 +229,11 @@ class _Disk:
         cim = Fraction(cy, 1 << g)
         return (cre - d, cre + d, cim - d, cim + d)
 
-    def holds_root_of(self, coeffs) -> bool:
-        """Whether the disk's root is a root of the factor with these ascending
-        coefficients: the factor's inclusion disk around z lies inside."""
-        dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        rad = _inclusion_radius(coeffs, dcoeffs, self.x, self.y, self.k)
-        return rad is not None and rad <= self.rad
-
-    def meets(self, ax, ay, bx, by) -> bool:
-        """Whether the disk meets the closed rectangle [ax, bx] x [ay, by]."""
-        scale = 1 << self.k
-        ex = max(ax * scale - self.x, 0, self.x - bx * scale)
-        ey = max(ay * scale - self.y, 0, self.y - by * scale)
-        return ex * ex + ey * ey <= self.rad * self.rad
+    def square(self) -> Box:
+        """The square circumscribing the disk as it stands."""
+        r, g = Fraction(self.rad, 1 << self.k), 1 << self.k
+        cre, cim = Fraction(self.x, g), Fraction(self.y, g)
+        return (cre - r, cre + r, cim - r, cim + r)
 
 
 def _disjoint(reals, uppers) -> bool:
@@ -352,137 +339,51 @@ def _certified_roots(p: IntPolynomial):
     return None if seeds is None else _certify(p, seeds)
 
 
-def _replay_bisection(coeffs, c: int, uppers):
-    """sympy's Collins-Krandick bisection (dup_isolate_complex_roots_sqf with
-    eps=None) of an irreducible polynomial f with these coefficients,
-    replayed on the disks of the upper-half-plane roots of f(x/c), with every
-    cut line scaled by c: the disks sorted by the lower-left corner of their
-    final rectangle, or None when a disk meets a bisection line."""
-    lc = abs(coeffs[-1])
-    bound = 2 * max(Fraction(abs(a), lc) for a in coeffs)
-    scale = c << uppers[0].k
-    final = []
-    stack = [((-bound, Fraction(0), bound, bound), uppers)]
-    while stack:
-        (u, v, s, t), inside = stack.pop()
-        if s - u > t - v:
-            m = (u + s) / 2
-            halves = ((u, v, m, t), (m, v, s, t))
-            coord = lambda d: d.x
-        else:
-            m = (v + t) / 2
-            halves = ((u, v, s, m), (u, m, s, t))
-            coord = lambda d: d.y
-        cut = m * scale
-        low, high = [], []
-        for d in inside:
-            c = coord(d)
-            if c + d.rad < cut:
-                low.append(d)
-            elif c - d.rad > cut:
-                high.append(d)
-            else:
-                return None
-        for rect, group in zip(halves, (low, high)):
-            if len(group) == 1:
-                final.append((rect[0], rect[1], group[0]))
-            elif group:
-                stack.append((rect, group))
-    final.sort(key=lambda f: (f[0], f[1]))
-    return [d for _, _, d in final]
-
-
-def _match_rectangles(factor, c: int, uppers):
-    """The disks in the order of sympy's unrefined rectangles of the factor,
-    scaled by c, or None unless every disk meets exactly one rectangle."""
-    rects = [tuple(c * Fraction(int(a.numerator), int(a.denominator))
-                   for a in (r.ax, r.ay, r.bx, r.by))
-             for r in dup_isolate_complex_roots_sqf(factor.rep.to_list(), sympy.ZZ,
-                                                    blackbox=True)
-             if not r.conj]
-    if len(rects) != len(uppers):
-        return None
-    slots = {}
-    for d in uppers:
-        hits = [j for j, rect in enumerate(rects) if d.meets(*rect)]
-        if len(hits) != 1 or hits[0] in slots:
-            return None
-        slots[hits[0]] = d
-    return [slots[j] for j in range(len(rects))]
-
-
-def _ordered_key(factor):
-    """The place of a (PurePoly, multiplicity) pair of an integer polynomial
-    in sympy's ``ordered``, from the coefficients alone, with no expression
-    built.  ``ordered`` sorts by the node count of the expression first: an
-    Integer or x is one node, x^k (k >= 2) or c*x three, c*x^k five, and an
-    Add of several terms one more.  Ties go to sort_key: the number of
-    terms, then the terms from the highest degree, the constant one below
-    every other, by degree and then coefficient; then the multiplicity."""
-    f, m = factor
-    coeffs = [int(a) for a in f.rep.to_list()]
-    n = len(coeffs) - 1
-    terms = [(k > 0, k, c) for k, c in zip(range(n, -1, -1), coeffs) if c]
-    nodes = sum(1 if k == 0 or (k, c) == (1, 1) else 3 if k == 1 or c == 1 else 5
-                for _, k, c in terms)
-    return nodes + (len(terms) > 1), len(terms), terms, m
-
-
-def _complex_order(p: IntPolynomial, uppers):
-    """The upper-half-plane disks in CRootOf order, or None when a disk cannot
-    be placed.  sympy orders the roots of p as those of q, for its rewrite
-    CRootOf(p, i) = c * CRootOf(q, i).  Each disk is assigned to its
-    irreducible factor f of q (as a root of f(x/c)), and each factor's disks
-    are ordered by replaying sympy's bisection of f, or else by matching them
-    into sympy's rectangles of f, with the cut lines and rectangles scaled by
-    c.  Matching runs sympy's complex root isolation, 5-10 ms per polynomial,
-    which the replay avoids."""
-    if not uppers:
-        return []
-    c, q = preprocess_roots(to_sympy(p))
-    c = int(c)
-    factors = sorted(_pure_factors(q), key=_ordered_key)
-    out = []
-    for f, _ in factors:
-        coeffs = [int(a) for a in reversed(f.rep.to_list())]
-        n = len(coeffs) - 1
-        # c^n f(x/c): its roots are c times f's, which are roots of p
-        scaled = [a * c ** (n - i) for i, a in enumerate(coeffs)]
-        mine = (uppers if len(factors) == 1
-                else [d for d in uppers if d.holds_root_of(scaled)])
-        if not mine:
-            continue
-        order = _replay_bisection(coeffs, c, mine)
-        if order is None:
-            order = _match_rectangles(f, c, mine)
-        if order is None:
-            return None
-        out += order
-    return out if len(out) == len(uppers) else None
-
-
 def _rescale(p: IntPolynomial) -> int:
     """The factor c of sympy's rewrite CRootOf(p, i) = c * CRootOf(q, i)."""
     return int(preprocess_roots(to_sympy(p))[0])
 
 
-@dataclass
+def _crootof_index(p: IntPolynomial, first: int, box: Callable) -> int:
+    """The index i >= first of the non-real root of p that box encloses: the
+    one CRootOf(p, i) whose box keeps meeting box(bits) up the ladder."""
+    q = to_sympy(p)
+    left = [(i, sympy.CRootOf(q, i, radicals=False)) for i in range(first, p.degree)]
+    for bits in precision_ladder():
+        b = box(bits)
+        left = [(i, r) for i, r in left if boxes_intersect(_crootof_box(r, bits), b)]
+        if len(left) == 1:
+            return left[0][0]
+    raise PrecisionError(f"could not place a root of {p.coeffs} among CRootOf's roots")
+
+
+@dataclass(eq=False)
 class RootEnclosure:
     """One root of an exact integer polynomial, with refinable rational boxes:
     the exact point of a linear polynomial, a certified engine disk, or
-    sympy's CRootOf when both are None."""
+    sympy's CRootOf when both are None.  ``index`` is the root's CRootOf
+    index; None until read for a non-real engine root whose polynomial has
+    several non-real pairs."""
 
     poly: IntPolynomial
-    index: int
-    disk: Optional[_Disk] = field(default=None, repr=False, compare=False)
+    _index: Optional[int]
+    disk: Optional[_Disk] = field(default=None, repr=False)
     # the root is the conjugate of the disk's upper-half-plane root
-    conjugate: bool = field(default=False, repr=False, compare=False)
+    conjugate: bool = field(default=False, repr=False)
     # the root -c0/c1 of a linear polynomial, which CRootOf also returns exactly
-    point: Optional[Fraction] = field(default=None, repr=False, compare=False)
+    point: Optional[Fraction] = field(default=None, repr=False)
+    # the number of real roots of poly, which CRootOf indexes first
+    n_real: int = field(default=0, repr=False)
 
     def __post_init__(self):
         self._expr = None
         self._boxes = {}
+
+    @property
+    def index(self) -> int:
+        if self._index is None:
+            self._index = _crootof_index(self.poly, self.n_real, self.box)
+        return self._index
 
     def _crootof(self):
         if self._expr is None:
@@ -509,15 +410,21 @@ class RootEnclosure:
         if bits in self._boxes:
             return self._boxes[bits]
         if self.disk is not None and not self.disk.refine(bits + 1):
-            self.disk = None  # Newton left the certified disk: use CRootOf
+            # Newton left the certified disk: place the root by the disk as
+            # it stands, then use CRootOf
+            if self._index is None:
+                held = self._oriented(self.disk.square())
+                self._index = _crootof_index(self.poly, self.n_real, lambda _: held)
+            self.disk = None
         if self.disk is None:
             out = _crootof_box(self._crootof(), bits)
         else:
-            out = self.disk.box(bits)
-            if self.conjugate:
-                out = box_conj(out)
+            out = self._oriented(self.disk.box(bits))
         self._boxes[bits] = out
         return out
+
+    def _oriented(self, b: Box) -> Box:
+        return box_conj(b) if self.conjugate else b
 
     def modsq(self, bits: int):
         return modsq_box(self.box(bits))
@@ -535,11 +442,10 @@ def _linear_root(p: IntPolynomial) -> RootEnclosure:
 
 def poly_root_enclosures(p: IntPolynomial) -> list:
     """Enclosures for all roots of p, one entry per root counted with
-    multiplicity (p.degree entries), in sympy's CRootOf order: real roots
-    ascending, then the non-real roots of each irreducible factor (factors in
-    sympy's ``ordered`` order) by the lower-left corner (ax, ay) of their
-    unrefined upper-half-plane isolating rectangle, each conjugate (negative
-    imaginary part) right before its root."""
+    multiplicity (p.degree entries): the real roots ascending, at their
+    CRootOf indices, then each conjugate pair, the conjugate (negative
+    imaginary part) right before its root.  A pair's indices are known when
+    it is the only one; otherwise each is found when read."""
     if p.is_zero or p.degree < 1:
         return []
     if p.degree == 1:
@@ -548,19 +454,19 @@ def poly_root_enclosures(p: IntPolynomial) -> list:
     if found is None:
         return [RootEnclosure(p, i) for i in range(p.degree)]
     reals, uppers = found
+    n_real = len(reals)
     out = [RootEnclosure(p, i, d) for i, d in enumerate(reals)]
-    uppers = _complex_order(p, uppers)
-    if uppers is None:
-        return out + [RootEnclosure(p, i) for i in range(len(out), p.degree)]
+    pair = (n_real, n_real + 1) if len(uppers) == 1 else (None, None)
     for d in uppers:
-        out.append(RootEnclosure(p, len(out), d, conjugate=True))
-        out.append(RootEnclosure(p, len(out), d))
+        out.append(RootEnclosure(p, pair[0], d, conjugate=True, n_real=n_real))
+        out.append(RootEnclosure(p, pair[1], d, n_real=n_real))
     return out
 
 
 def real_root_enclosures(p: IntPolynomial) -> list:
     """The real entries of poly_root_enclosures(p), with the same indices:
-    real roots come first in CRootOf's order, so no rectangle is needed."""
+    CRootOf indexes the real roots first, ascending, so each index is the
+    root's position."""
     if p.is_zero or p.degree < 1:
         return []
     if p.degree == 1:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import comb, lcm
 from operator import mul
@@ -710,6 +711,7 @@ def from_power_sums(sums: Sequence) -> RatPolynomial:
     return RatPolynomial.of(reversed(_newton_coefficients(sums)))
 
 
+@lru_cache(maxsize=1)
 def exterior_power_polynomials(cp: IntPolynomial) -> list:
     """[char poly of the k-th exterior power of phi for k = 0..d], where cp
     is the monic characteristic polynomial of phi, of degree d.
@@ -718,7 +720,9 @@ def exterior_power_polynomials(cp: IntPolynomial) -> list:
     e_k(lambda^n), read off the characteristic polynomial of phi^n, which
     Newton's identities build from the power sums p_n, p_2n, ..., p_dn of
     cp.  Both polynomials are monic and integral, so every step stays in
-    ints.
+    ints.  The last list is kept and handed to the next caller with the
+    same cp, so a torus's sequence window and its zeta build it once;
+    callers must not change it.
     """
     if not cp.is_monic or cp.degree < 1:
         raise InputError("exterior powers need a monic polynomial of degree >= 1")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from tdyn.enclosures import (
     precision_ladder,
     real_root_enclosures,
 )
-from tdyn.errors import PrecisionError
+from tdyn.errors import InputError, PrecisionError
 from tdyn.exact_linalg import IntPolynomial, exterior_power_polynomials
 from tdyn.group_model import z_pair, z_times_d
 from tdyn.polyalg import cyclotomic_order, factor_int, ratio_polynomial
@@ -184,6 +185,25 @@ def test_classify_two_dominant_pairs_in_one_quartic():
     assert c.kind == "periodic" and c.period == 5
 
 
+def test_dominant_roots_are_listed_by_crootof_index():
+    # x^4 + 2: two pairs, every root dominant; the indices are CRootOf's,
+    # and the enclosures come in the same order
+    term = dominant_spectrum(es_of(([2, 0, 0, 0, 1], 1))).dominant_terms[0]
+    assert term.root_indices == (0, 1, 2, 3)
+    assert tuple(e.index for e in term.roots) == term.root_indices
+
+
+def test_a_term_with_a_repeated_root_is_rejected_at_once():
+    # (x^2 + x + 1)(x^2 - 3x + 3)^2: the product polynomial counts each double
+    # root four times against its two enclosures, and refining CRootOf boxes
+    # to the precision ceiling took more than a minute before it raised
+    term = IntPolynomial.of([1, 1, 1]) * IntPolynomial.of([3, -3, 1]).pow(2)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="repeated root"):
+        dominant_spectrum(es_of((term.coeffs, 1), ([-2, 1], -1)))
+    assert time.perf_counter() - start < 2
+
+
 def test_classify_mixed_real_and_complex_same_modulus():
     # roots 2 and -1 +- i*sqrt(3): all of modulus 2, periods 1 and 3
     ds = dominant_spectrum(es_of(([-2, 1], 1), ([4, 2, 1], 1)))
@@ -282,13 +302,13 @@ def _factoring_candidates(polys):
     return out
 
 
-def _factoring_ratio_order(poly, encl, idx):
+def _factoring_ratio_order(poly, root):
     """The conjugate ratio placed among the roots of the irreducible factors
     of the ratio polynomial (the route before exact division)."""
     factor_roots = [(g, root) for g, _ in factor_int(ratio_polynomial(poly))[1]
                     for root in poly_root_enclosures(g)]
     for bits in precision_ladder():
-        b = encl[idx].box(bits)
+        b = root.box(bits)
         rb = box_div(b, box_conj(b))
         alive = [g for g, root in factor_roots if boxes_intersect(root.box(bits), rb)]
         if len(alive) == 1:
@@ -353,4 +373,4 @@ def test_conjugate_ratio_of_the_x6_minus_x_minus_1_wedge2_term_divides_only():
     assert w2.degree == 15
     encl = poly_root_enclosures(w2)
     idx = next(i for i, e in enumerate(encl) if not e.is_real)
-    assert asymptotics._conjugate_ratio_order(w2, encl, idx) is None
+    assert asymptotics._conjugate_ratio_order(w2, encl[idx]) is None

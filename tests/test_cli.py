@@ -624,6 +624,35 @@ def test_classify_of_x6_minus_x_minus_1_factors_nothing(monkeypatch):
     assert doc["classification"]["period"] == 1
 
 
+@pytest.mark.parametrize("command", ["zeta", "realize", "classify"])
+def test_a_torus_builds_its_exterior_powers_once(command):
+    # the sequence window and the zeta both read them
+    from tdyn.exact_linalg import exterior_power_polynomials
+    exterior_power_polynomials.cache_clear()
+    run_json([command, "--builtin", RANK4_TORUS])
+    info = exterior_power_polynomials.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["growth", "entropy", "classify"])
+@pytest.mark.parametrize("key", ["torus_matrix:1,-2,1,1", RANK4_TORUS])
+def test_spectral_commands_build_no_crootof_order(monkeypatch, command, key):
+    # a root's CRootOf index is found only when read, and these outputs read
+    # none that sympy must factor the polynomial for
+    import traceback
+    import sympy
+    original = sympy.Poly.factor_list
+    callers = []
+
+    def recording(self, *args, **kwargs):
+        callers.append([f.filename for f in traceback.extract_stack()])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", recording)
+    run_json([command, "--builtin", key])
+    assert not [c for c in callers if any(f.endswith("enclosures.py") for f in c)]
+
+
 def test_entropy_factors_the_characteristic_polynomial_twice(monkeypatch):
     # once for growth's log terms and once for the dual-torus entropy; the
     # cyclotomic test divides instead of factoring it a third time

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -7,11 +6,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
-from tdyn import enclosures
 from tdyn.enclosures import (
     _certified_roots,
-    _ordered_key,
     _crootof_box,
+    _Disk,
     _rescale,
     MAX_BITS,
     START_BITS,
@@ -119,16 +117,20 @@ def cell(e):
 
 
 def assert_matches_crootof(p, complex_bits=256):
-    """Same length, is_real and index order as CRootOf, boxes that meet the
-    CRootOf boxes on the ladder (non-real roots up to complex_bits: sympy's
-    complex bisection takes seconds per rung beyond 32 bits) and identical
-    64-bit modulus cells (non-real roots only when complex_bits reaches
-    192, which is where CRootOf's cell comes from)."""
+    """Every CRootOf index once, real roots first and ascending, and each root
+    paired with the CRootOf root of its index: the same is_real, boxes that
+    meet the CRootOf boxes on the ladder (non-real roots up to complex_bits:
+    sympy's complex bisection takes seconds per rung beyond 32 bits) and
+    identical 64-bit modulus cells (non-real roots only when complex_bits
+    reaches 192, which is where CRootOf's cell comes from)."""
     engine, oracle = poly_root_enclosures(p), crootof_route(p)
     assert len(engine) == len(oracle) == p.degree
-    assert [e.index for e in engine] == list(range(p.degree))
-    assert [e.is_real for e in engine] == [o.is_real for o in oracle]
-    for e, o in zip(engine, oracle):
+    assert sorted(e.index for e in engine) == list(range(p.degree))
+    n_real = sum(e.is_real for e in engine)
+    assert [e.index for e in engine[:n_real]] == list(range(n_real))
+    for e in engine:
+        o = oracle[e.index]
+        assert e.is_real == o.is_real
         if e.disk is not None and isinstance(o._crootof(), sympy.CRootOf):
             assert meets_isolating_interval(e, o)
         top = 256 if e.is_real else complex_bits
@@ -243,7 +245,8 @@ def test_index_order_is_the_rectangle_order_not_the_real_part_order(coeffs):
     encl = assert_matches_crootof(poly(*coeffs), complex_bits=32)
     assert_true_cells(poly(*coeffs), encl)
     assert all(e.disk is not None for e in encl)
-    re = [e.box(64)[0] for e in encl if not e.is_real][::2]
+    by_index = sorted(encl, key=lambda e: e.index)
+    re = [e.box(64)[0] for e in by_index if not e.is_real][::2]
     assert re != sorted(re)
 
 
@@ -274,17 +277,49 @@ def test_rescaled_polynomials_stay_on_the_engine(p, c):
     assert_true_cells(p, encl)
 
 
-@pytest.mark.parametrize("disabled", ["_match_rectangles", "_replay_bisection"])
-def test_rescaled_factors_are_ordered_by_the_replay_or_the_match_alone(
-        disabled, monkeypatch):
-    # 3^5 q(x/3) for q = x^5 - 2x^4 + x^3 + x^2 - 2x + 2: sympy orders its two
-    # non-real pairs as q's, which cut lines left at q's scale would not;
-    # either route alone, scaled by c = 3, must place every disk
-    p = poly(*(a * 3 ** (5 - i) for i, a in enumerate((2, -2, 1, 1, -2, 1))))
-    assert _rescale(p) == 3
-    monkeypatch.setattr(enclosures, disabled, lambda *args: None)
-    encl = assert_matches_crootof(p, complex_bits=32)
-    assert all(e.disk is not None for e in encl)
+# 3^5 q(x/3) for q = x^5 - 2x^4 + x^3 + x^2 - 2x + 2: sympy orders its two
+# non-real pairs as q's
+RESCALED_TWO_PAIRS = poly(*(a * 3 ** (5 - i) for i, a in enumerate((2, -2, 1, 1, -2, 1))))
+
+
+@pytest.mark.parametrize("p, pairs", [
+    (poly(2, 0, 0, 0, 1), 2),          # x^4 + 2: no real root
+    (poly(5, 1, 0, 3, 0, 1), 2),       # x^5 + 3x^3 + x + 5: one real root
+    (RESCALED_TWO_PAIRS, 2),
+    (poly(625, -30, 1), 1),            # x^2 - 30x + 625 = 25 q(x/5)
+])
+def test_resolved_indices_are_crootofs(p, pairs):
+    encl = poly_root_enclosures(p)
+    # only several pairs leave an index to be found when it is read
+    assert sum(e._index is None for e in encl) == (2 * pairs if pairs > 1 else 0)
+    assert all(e.disk is not None for e in assert_matches_crootof(p, complex_bits=32))
+    if p == RESCALED_TWO_PAIRS:
+        assert _rescale(p) == 3
+
+
+@pytest.mark.parametrize("read_index_first", [False, True])
+def test_a_root_whose_newton_step_leaves_its_disk_is_placed_by_the_disk(
+        monkeypatch, read_index_first):
+    # x^4 + 2 has two pairs, so the index is found by CRootOf, from the disk
+    # as it stands: no further Newton step is tried for it
+    steps = []
+
+    def leaves(disk, bits):
+        steps.append(bits)
+        return False
+
+    monkeypatch.setattr(_Disk, "refine", leaves)
+    p = poly(2, 0, 0, 0, 1)
+    for k, e in enumerate(poly_root_enclosures(p)):
+        steps.clear()
+        if read_index_first:
+            e.index
+        e.box(8)
+        assert steps == [9] and e.disk is None, k
+        o = RootEnclosure(p, e.index)
+        assert meets_isolating_interval(e, o)
+        assert e.box(32) == o.box(32)
+        assert steps == [9]
 
 
 def _eval_rational_box(value, bits):
@@ -393,22 +428,3 @@ def test_a_wide_first_disk_refines_on_a_finer_grid():
     for bits in precision_ladder():
         lo, hi, _, _ = root.box(bits)
         assert 0 < lo and lo * lo <= n <= hi * hi, bits
-
-
-# products of 2-4 factors of degree 1-4 with small coefficients: repeated
-# factors, equal node counts and equal term counts all occur
-_reducible = st.lists(
-    st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-              st.sampled_from([1, 2, 3, -1])).map(lambda t: IntPolynomial.of(t[0] + [t[1]])),
-    min_size=2, max_size=4).map(lambda fs: math.prod(fs, start=IntPolynomial.of([1])))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_reducible)
-def test_the_integer_factor_key_is_sympys_ordered_order(p):
-    from sympy.core.sorting import ordered
-    from sympy.polys.rootoftools import _pure_factors
-    if p.degree < 1:
-        return
-    factors = _pure_factors(to_sympy(p))
-    assert sorted(factors, key=_ordered_key) == list(ordered(factors))

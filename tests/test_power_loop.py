@@ -329,6 +329,7 @@ def test_exterior_power_polynomials_stay_in_ints(rows):
         return out
 
     cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    exterior_power_polynomials.cache_clear()  # build them, not the last list
     with mock.patch.object(exact_linalg, "_newton_coefficients", checking):
         polys = exterior_power_polynomials(cp)
     assert seen and all(seen)

@@ -11,9 +11,9 @@ digits is lifted while a command builds and prints its result.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -255,11 +255,12 @@ def _cmd_padic(config, system):
         raise InputError(f"--section must be in 1..{len(system.sections)}")
     sec = system.sections[k - 1]
     out = {"section": k, "prime": config.prime}
-    for label, m in (("phi", sec.phi), ("psi", sec.psi)):
-        np_ = newton_polygon(char_poly(m), config.prime)
+    polys = (char_poly(sec.phi), char_poly(sec.psi))
+    for label, f in zip(("phi", "psi"), polys):
+        np_ = newton_polygon(f, config.prime)
         out[f"newton_polygon_{label}"] = [
             {"slope": str(s), "length": length} for s, length in np_.segments]
-    pf = padic_growth_factor(sec, config.prime)
+    pf = padic_growth_factor(sec, config.prime, polys)
     out["growth_factor"] = {"prime": pf.prime, "exponent": str(pf.exponent),
                             "value": pf.value}
     return out
@@ -355,34 +356,33 @@ def run(config: RunConfig, out=None, err=None) -> int:
     return 0
 
 
-def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
-    """The arguments of command name: the one definition behind both the
-    full parser's subparser and the parser of the command alone."""
-    p.add_argument("--builtin", help="catalog key, e.g. z_times_d:2, "
-                   "z_pair:2,1, torus_matrix:2,1,1,1, heisenberg:2,1,1,1, "
-                   "s_integer:1/2,2")
-    p.add_argument("--input", dest="input_path",
-                   help="path to a JSON system descriptor")
-    p.add_argument("--n", type=int, default=40,
-                   help="sequence length / congruence range (default 40)")
-    p.add_argument("--format", dest="output_format", default="table",
-                   choices=("table", "json"))
-    if name in ("zeta", "realize", "congruence", "classify"):
-        p.add_argument("--nielsen", action="store_true",
-                       help="use the Nielsen sequence (zeros at infinite "
-                            "Reidemeister numbers)")
-    if name == "congruence":
-        p.add_argument("--moduli", type=int, nargs="+", default=[],
-                       help="explicit moduli (default 1..N)")
-    if name == "padic":
-        p.add_argument("--prime", type=int, required=True)
-        p.add_argument("--section", type=int, default=1)
+# every command's options, in the order -h lists them, each with the
+# keywords argparse adds it with, which the plain route reads too
+_Option = namedtuple("_Option", "flag dest commands default help kw",
+                     defaults=(None, None, {}))
+_OPTIONS = {o.flag: o for o in (
+    _Option("--builtin", "builtin", COMMANDS, None, "catalog key, e.g. z_times_d:2, "
+            "z_pair:2,1, torus_matrix:2,1,1,1, heisenberg:2,1,1,1, s_integer:1/2,2"),
+    _Option("--input", "input_path", COMMANDS, None, "path to a JSON system descriptor"),
+    _Option("--n", "n", COMMANDS, 40, "sequence length / congruence range (default 40)",
+            {"type": int}),
+    _Option("--format", "output_format", COMMANDS, "table",
+            kw={"choices": ("table", "json")}),
+    _Option("--nielsen", "nielsen", ("zeta", "realize", "congruence", "classify"), False,
+            "use the Nielsen sequence (zeros at infinite Reidemeister numbers)",
+            {"action": "store_true"}),
+    _Option("--moduli", "moduli", ("congruence",), (), "explicit moduli (default 1..N)",
+            {"type": int, "nargs": "+"}),
+    _Option("--prime", "prime", ("padic",), kw={"type": int, "required": True}),
+    _Option("--section", "section", ("padic",), 1, kw={"type": int}),
+)}
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The full argument parser, built at most once per process (parse_args
     leaves a parser unchanged)."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tdyn",
         description="Exact Reidemeister/Nielsen coincidence sequences, zeta "
@@ -391,43 +391,68 @@ def _build_parser() -> argparse.ArgumentParser:
                     "nilpotent group.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_command_arguments(sub.add_parser(name, help=_COMMAND_HELP[name]), name)
+        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+        for o in _OPTIONS.values():
+            if name in o.commands:
+                p.add_argument(o.flag, dest=o.dest, default=o.default, help=o.help, **o.kw)
     return parser
 
 
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command alone, built at most once per process: its
-    help and its errors are those of the full parser's subparser, which
-    argparse names "tdyn NAME" too."""
-    parser = argparse.ArgumentParser(prog=f"tdyn {name}")
-    _add_command_arguments(parser, name)
-    return parser
+def _option_value(kw: dict, values: list):
+    """The value argparse stores for an option added with keywords kw given
+    these strings; ValueError where it stores none."""
+    if kw.get("nargs") == "+" and values:
+        return [kw["type"](v) for v in values]
+    if kw.get("action") == "store_true" and not values:
+        return True
+    (value,) = values  # exactly one, else ValueError
+    value = kw.get("type", str)(value)
+    if "nargs" in kw or "action" in kw or value not in kw.get("choices", (value,)):
+        raise ValueError(value)
+    return value
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """Parse argv, building only the named command's parser when argv starts
-    with a command.  Arguments that parser leaves over (an unknown flag, a
-    stray positional) are reported by the full parser, as the top-level
-    "tdyn:" error that parse_args gives; so is every argv that does not
-    start with a command (none, -h, an unknown command, a leading option)."""
-    if argv and argv[0] in COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+def _plain_fields(argv: list) -> dict:
+    """The RunConfig fields of a plain argv, read off _OPTIONS; ValueError
+    for any other argv.  Plain: a command, then its exact flags, each once,
+    as --flag value or --flag=value, with no value starting with "-", values
+    that argparse takes, and the required flags; argparse gives the same."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError("no command first")
+    options = [o for o in _OPTIONS.values() if argv[0] in o.commands]
+    fields = {"command": argv[0], **{o.dest: o.default for o in options}}
+    seen, i = set(), 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        opt, j = _OPTIONS.get(flag), i + 1
+        while j < len(argv) and not argv[j].startswith("-"):
+            j += 1
+        if (opt not in options or flag in seen
+                or (eq and (j > i + 1 or value.startswith("-")))):
+            raise ValueError(argv[i])
+        seen.add(flag)
+        fields[opt.dest] = _option_value(opt.kw, [value] if eq else argv[i + 1:j])
+        i = j
+    if any(o.kw.get("required") and o.flag not in seen for o in options):
+        raise ValueError("a required flag is missing")
+    return fields
+
+
+def _parse(argv: list) -> RunConfig:
+    """The run config of argv; the full parser takes any argv not plain."""
+    try:
+        fields = _plain_fields(argv)
+    except ValueError:
+        fields = vars(_build_parser().parse_args(argv))
+    return RunConfig(**fields)  # every option's dest is a RunConfig field
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        config = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags; remap to the documented input-error code
         return 0 if exc.code == 0 else 1
-    try:
-        # every argparse dest is a RunConfig field
-        config = RunConfig(**vars(args))
     except TdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -30,13 +30,29 @@ class CongruenceReport:
         assert self.passed == (self.residue == 0)
 
 
+def _factorization(n: int) -> dict:
+    """{p: e} with p^e exactly dividing n >= 1: trial division, cheaper
+    than sympy.factorint's set-up on the moduli of a sequence window, and
+    sympy's factoring above 2^40, where trial division would take up to
+    2^19 steps."""
+    if n >> 40:
+        return sympy.factorint(n)
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def mobius(n: int) -> int:
     """Möbius function: 1 at 1, (-1)^k on k distinct primes, 0 otherwise."""
     if n < 1:
         raise InputError("mobius needs n >= 1")
-    if n == 1:
-        return 1
-    factors = sympy.factorint(n)
+    factors = _factorization(n)
     if any(e > 1 for e in factors.values()):
         return 0
     return (-1) ** len(factors)
@@ -61,7 +77,7 @@ def _mobius_report(n: int, a) -> CongruenceReport:
     nonzero only when n/d is a product of distinct primes of n, so the sum
     runs over the subsets S of those primes, with d = n / prod(S)."""
     terms = [(1, n)]  # (mu(n/d), d)
-    for p in sympy.primefactors(n):
+    for p in _factorization(n):
         terms += [(-mu, d // p) for mu, d in terms]
     return _report(n, sum(mu * a(d) for mu, d in terms))
 

@@ -147,7 +147,8 @@ def _single_slope(vals) -> bool:
     return len(set(vals)) == 1
 
 
-def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
+def padic_growth_factor(sec: AbelianSection, p: int,
+                        char_polys=None) -> PadicGrowthFactor:
     """p-adic factor of the growth rate for one section.
 
     Single-endomorphism case (psi = identity): product over eigenvalues of
@@ -155,14 +156,16 @@ def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
     over the induced pairing, supported when psi (or phi) is scalar or the two
     maps commute with square-free characteristic polynomials and the pairing
     of valuations is certified by single-slope Newton polygons; anything else
-    raises UnsupportedPairingError.
+    raises UnsupportedPairingError.  char_polys, when given, are char(phi)
+    and char(psi), which a caller that has them passes on.
     """
     _check_prime(p)
     phi, psi = sec.phi, sec.psi
     if psi.is_scalar() or phi.is_scalar():
         # one joint block (includes psi = identity): the scalar side s*I has
         # the single slope of (x - s)^d, so each xi_i pairs with s
-        blocks = [(char_poly(phi), None, None, char_poly(psi))]
+        f, g = char_polys or (char_poly(phi), char_poly(psi))
+        blocks = [(f, None, None, g)]
     else:
         blocks = joint_blocks(sec)
     return PadicGrowthFactor(p, joint_block_exponent(blocks, p))

@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdyn import cli, errors, growth, polyalg, zeta
-from tdyn.cli import COMMANDS, RunConfig, _build_parser, _command_parser, main
+from tdyn.cli import COMMANDS, RunConfig, _build_parser, main
 from tdyn.exact_linalg import IntPolynomial, companion_matrix
 
 
@@ -342,6 +343,20 @@ def test_main_passes_the_parsed_arguments_as_the_run_config(monkeypatch):
         1, "", "error: --n must be >= 1\n")
 
 
+def test_padic_builds_each_characteristic_polynomial_once(monkeypatch):
+    from tdyn import exact_linalg, padic
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return exact_linalg.char_poly(m)
+    monkeypatch.setattr(cli, "char_poly", counting)
+    monkeypatch.setattr(padic, "char_poly", counting)
+    doc = run_json(["padic", "--builtin", "torus_matrix:2,1,1,1", "--prime", "2"])
+    assert doc["growth_factor"]["exponent"] == "0"
+    assert len(calls) == 2
+
+
 def test_only_validate_runs_on_an_invalid_system():
     from tdyn.group_model import builtin_example, validate
     key = "s_integer:1/2"  # a denominator 2 outside the empty prime support
@@ -429,20 +444,46 @@ def test_classify_samples_terms_beyond_the_float_range():
     assert abs(doc["samples"][-1] - 1) < 1e-9
 
 
-def test_each_command_parser_is_built_once_per_process():
-    commands = [["rseq", "--builtin", "z_times_d:2", "--n", "5"],
-                ["zeta", "--builtin", "z_pair:2,1", "--format", "json"],
-                ["rseq", "--builtin", "z_pair:2,1", "--n", "4"]]
-    alone = []
-    for argv in commands:
-        _command_parser.cache_clear()
-        alone.append(run_capture(argv))
-    _command_parser.cache_clear()
+# a plain argv of each command, as the benchmark corpus spells them
+PLAIN_ARGVS = [
+    ["validate", "--builtin", "z_times_d:2", "--format", "json"],
+    ["tame", "--builtin", "z_pair:2,-2"],
+    ["rseq", "--builtin", "z_times_d:2", "--n", "5"],
+    ["nseq", "--builtin", "z_pair:2,1", "--n=5", "--format=json"],
+    ["zeta", "--builtin", "z_pair:2,1", "--format", "json"],
+    ["realize", "--nielsen", "--builtin", "z_pair:2,1"],
+    ["congruence", "--builtin", "z_times_d:2", "--n", "12", "--moduli", "3", "5"],
+    ["growth", "--builtin", "z_times_d:3", "--n", "12"],
+    ["entropy", "--builtin", "torus_matrix:2,1,1,1", "--n", "12"],
+    ["classify", "--builtin", "z_pair:2,-2", "--nielsen", "--format", "json"],
+    ["padic", "--builtin", "s_integer:1/2,2", "--prime", "2", "--section", "1"],
+]
+
+
+def full_parser_capture(monkeypatch, argv):
+    """run_capture(argv) with every argv on the full parser."""
+    def not_plain(argv):
+        raise ValueError("the plain route is off")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_plain_fields", not_plain)
+        return run_capture(argv)
+
+
+def test_a_plain_argv_builds_no_parser(monkeypatch):
+    assert [argv[0] for argv in PLAIN_ARGVS] == list(COMMANDS)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
     _build_parser.cache_clear()
-    together = [run_capture(argv) for argv in commands]
-    assert _command_parser.cache_info().misses == 2  # rseq and zeta
-    assert _build_parser.cache_info().misses == 0  # a cold command skips it
-    assert together == alone
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", counting)
+        plain = [run_capture(argv) for argv in PLAIN_ARGVS]
+    assert built == [] and _build_parser.cache_info().misses == 0
+    assert all(code == 0 for code, _, _ in plain), plain
+    assert plain == [full_parser_capture(monkeypatch, argv) for argv in PLAIN_ARGVS]
 
 
 def _subparsers(parser):
@@ -453,8 +494,83 @@ def _subparsers(parser):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_parser_help_is_the_full_parsers(name):
-    assert (_command_parser(name).format_help()
-            == _subparsers(_build_parser())[name].format_help())
+    help_ = _subparsers(_build_parser())[name].format_help()
+    assert help_.startswith(f"usage: tdyn {name} [-h]")
+    assert run_capture([name, "-h"]) == (0, help_, "")
+
+
+@pytest.mark.parametrize("spellings", [
+    [["rseq", "--builtin", "z_times_d:2", "--format", "json"],
+     ["rseq", "--builtin", "z_times_d:2", "--form", "json"],
+     ["rseq", "--bui", "z_times_d:2", "--format=json"]],
+    [["rseq", "--builtin", "z_times_d:2", "--n", "5"],
+     ["rseq", "--builtin", "z_times_d:2", "--n", "3", "--n", "5"],
+     ["rseq", "--builtin", "z_times_d:2", "--n=5"],
+     ["rseq", "--builtin=z_times_d:2", "--n", "05"]],
+    [["congruence", "--builtin", "z_pair:2,1", "--moduli", "6", "--nielsen"],
+     ["congruence", "--builtin", "z_pair:2,1", "--moduli=6", "--nie"],
+     ["congruence", "--builtin", "z_pair:2,1", "--moduli", "4", "--moduli", "6",
+      "--nielsen"]],
+])
+def test_every_spelling_of_a_command_gives_its_output(spellings):
+    outputs = [run_capture(argv) for argv in spellings]
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert outputs == [outputs[0]] * len(spellings)
+
+
+# the flags of every command, abbreviations, and values that the plain route
+# must refuse or read as argparse reads them
+FLAGS = sorted(cli._OPTIONS) + ["--form", "--nie", "--mod", "--b", "--in", "--he"]
+VALUES = ["3", "0", "10001", "-3", "x", "", "json", "xml", "table", "--", "-h",
+          "z_times_d:2", "=", "a=b", " 7", "+2", "1_0"]
+
+
+def _likely_values(flag):
+    kw = cli._OPTIONS[flag].kw
+    if "action" in kw:
+        return []
+    if "choices" in kw:
+        return list(kw["choices"])
+    return ["3", "12", " 7", "0"] if "type" in kw else ["z_times_d:2", "", "a=b"]
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a command and some of its own flags with fitting values, each
+    part replaced by any of FLAGS and VALUES at times."""
+    argv = [draw(st.sampled_from(list(COMMANDS) * 4 + ["bogus", "-h"]))]
+    own = [f for f, o in cli._OPTIONS.items() if argv[0] in o.commands] or FLAGS
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(own if draw(st.integers(0, 5)) else FLAGS))
+        likely = _likely_values(flag) if flag in cli._OPTIONS else []
+        values = draw(st.lists(st.sampled_from(VALUES), max_size=2)
+                      if not likely or not draw(st.integers(0, 5))
+                      else st.lists(st.sampled_from(likely), min_size=1, max_size=1))
+        if values and draw(st.integers(0, 3)) == 0:
+            argv += [f"{flag}={values[0]}", *values[1:]]
+        else:
+            argv += [flag, *values]
+        if not draw(st.integers(0, 5)):
+            argv.append(draw(st.sampled_from(VALUES)))
+    return argv
+
+
+def _config_or_error(fields):
+    try:
+        return RunConfig(**fields)
+    except errors.InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+def test_the_plain_route_reads_argv_as_the_full_parser_does(argv):
+    try:
+        fields = cli._plain_fields(argv)
+    except ValueError:
+        return  # not plain: the full parser alone parses it
+    assert (_config_or_error(fields)
+            == _config_or_error(vars(_build_parser().parse_args(argv))))
 
 
 @pytest.mark.parametrize("argv", [
@@ -471,15 +587,16 @@ def test_command_parser_help_is_the_full_parsers(name):
     [],
     ["bogus"],
     ["--n", "3", "rseq"],
+    ["rseq", "--builtin", "z_times_d:2", "--n=x"],
+    ["zeta", "--builtin", "z_times_d:2", "--nielsen=1"],
+    ["congruence", "--builtin", "z_times_d:2", "--moduli", "2", "-3"],
+    ["rseq", "--builtin=-x"],
+    ["rseq", "--builtin", "z_times_d:2", "--n=3", "4"],
 ])
-def test_malformed_argv_gives_the_full_parsers_output(argv):
-    import contextlib
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            _build_parser().parse_args(argv)
-    expected = (0 if exc.value.code == 0 else 1, out.getvalue(), err.getvalue())
-    assert run_capture(argv) == expected
+def test_malformed_argv_gives_the_full_parsers_output(monkeypatch, argv):
+    code, out, err = run_capture(argv)
+    assert code != 0 or out.startswith("usage: tdyn")
+    assert (code, out, err) == full_parser_capture(monkeypatch, argv)
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from tdyn.congruence import (
+    _factorization,
     _mobius_report,
     dold_check_realization,
     euler_check,
@@ -35,6 +37,11 @@ def test_mobius_report_matches_the_divisor_sum():
         report = _mobius_report(n, values.__getitem__)
         assert report.combination == direct, n
         assert report.residue == direct % n
+
+
+def test_trial_division_factors_as_sympy_does():
+    for n in list(range(1, 20_001)) + [2**40 - 87, 2**40 + 15, 2**61 - 1, 10**30 + 57]:
+        assert _factorization(n) == sympy.factorint(n), n
 
 
 def test_mobius_rejects_nonpositive():

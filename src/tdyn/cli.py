@@ -100,8 +100,8 @@ def _window_length(system: NilpotentSystem, n: int) -> int:
     return max(n, 2 * order_bound + 4)
 
 
-def _seq_of(config: RunConfig, system: NilpotentSystem, length: int):
-    if config.nielsen:
+def _seq_of(nielsen: bool, system: NilpotentSystem, length: int):
+    if nielsen:
         return reidemeister.nielsen_sequence(system, length)
     return reidemeister.coincidence_sequence(system, length)
 
@@ -119,12 +119,18 @@ def _matrix_strs(m: BigIntMatrix) -> list:
 
 
 def _zeta_payload(config: RunConfig, system: NilpotentSystem):
+    """_zeta_of the config's sequence window."""
+    return _zeta_of(config.nielsen, system, _window_length(system, config.n))
+
+
+@lru_cache(maxsize=1)
+def _zeta_of(nielsen: bool, system: NilpotentSystem, window: int):
     """The sequence window and its zeta, which raises unless the zeta
-    reproduces the whole window.  A single finitely generated section with
-    psi = identity is a torus endomorphism, whose zeta is read off the
-    exterior powers of phi (zeta.torus_zeta); every other system's is found
-    by Berlekamp-Massey."""
-    seq = _seq_of(config, system, _window_length(system, config.n))
+    reproduces the whole window; the last one is kept for zeta, realize and
+    classify.  A single finitely generated section with psi = identity is a
+    torus endomorphism, whose zeta is read off the exterior powers of phi
+    (zeta.torus_zeta); every other system's is found by Berlekamp-Massey."""
+    seq = _seq_of(nielsen, system, window)
     if (len(system.sections) == 1 and system.is_finitely_generated
             and system.psi_is_identity):
         rf, es = zeta.torus_zeta(char_poly(system.sections[0].phi).to_int(), seq)
@@ -149,8 +155,7 @@ def _cmd_tame(config, system):
 
 def _cmd_sequence(config, system):
     """rseq and nseq: the Reidemeister or the Nielsen coincidence sequence."""
-    seq = (reidemeister.nielsen_sequence if config.command == "nseq"
-           else reidemeister.coincidence_sequence)(system, config.n)
+    seq = _seq_of(config.command == "nseq", system, config.n)
     return {"sequence": [_value_str(v) for v in seq.values]}
 
 
@@ -170,7 +175,7 @@ def _cmd_realize(config, system):
     br = zeta.realize_bouquet(es)
     check_n = 2 * (br.a_even.rows + br.a_odd.rows) + 5
     if check_n > len(seq.values):
-        seq = reidemeister.extend_sequence(system, seq, check_n)
+        seq = _seq_of(config.nielsen, system, check_n)
     ok = br.lefschetz_values(check_n) == list(seq.values[:check_n])
     return {
         "realization": {"A_e": _matrix_strs(br.a_even),
@@ -183,7 +188,7 @@ def _cmd_realize(config, system):
 
 
 def _cmd_congruence(config, system):
-    seq = _seq_of(config, system, config.n)
+    seq = _seq_of(config.nielsen, system, config.n)
     moduli = config.moduli or tuple(range(1, config.n + 1))
     reports = []
     for n in moduli:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -154,12 +155,14 @@ def _tameness_bound(max_rank: int) -> int:
     return 2 * max(m for m in range(1, limit + 1) if phi[m] <= budget)
 
 
+@lru_cache(maxsize=1)
 def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     """Decide whether all iterated coincidence numbers are finite.
 
     R(phi^n, psi^n) is infinite exactly when det(phi_k^n - psi_k^n) = 0 for
     some section k; the eigenvalue-ratio argument reduces the check to a
-    finite range of n.
+    finite range of n.  The last system's verdict is kept for the next
+    caller with an equal system.
     """
     problems = validate(system)
     if problems:
@@ -177,7 +180,7 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
                            checked_up_to=bound)
 
 
-def joint_blocks(sec: AbelianSection) -> list:
+def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
     """Joint invariant blocks of a commuting pair, the eigenvalue pairing
     shared by the archimedean place and every prime.
 
@@ -186,14 +189,15 @@ def joint_blocks(sec: AbelianSection) -> list:
     ker f(phi), so char(phi_f) = f, and g = char(psi_f).  Raises
     UnsupportedPairingError unless phi and psi commute and both
     characteristic polynomials are square-free, because the pairing is
-    certified only for simultaneously diagonalizable maps.
+    certified only for simultaneously diagonalizable maps.  char_polys,
+    when given, are char(phi) and char(psi).
     """
     phi, psi = sec.phi, sec.psi
     if phi.mul(psi) != psi.mul(phi):
         raise UnsupportedPairingError(
             "phi and psi do not commute; the eigenvalue pairing is not certified")
-    char_phi = char_poly(phi)
-    for cp in (char_phi, char_poly(psi)):
+    char_phi, char_psi = char_polys or (char_poly(phi), char_poly(psi))
+    for cp in (char_phi, char_psi):
         if not is_squarefree(cp.clear_denominators()[0]):
             raise UnsupportedPairingError(
                 "characteristic polynomial is not square-free; simultaneous "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Optional, Union
 
@@ -258,13 +259,15 @@ def _section_terms(sec: AbelianSection):
     return terms
 
 
+@lru_cache(maxsize=1)
 def growth_rate(system: NilpotentSystem, N: int = 40) -> GrowthReport:
     """Closed-form growth rate of the coincidence numbers plus empirical
     R_n**(1/n) diagnostics.
 
     Requires a tame system whose paired eigenvalue moduli differ at the
     archimedean place; the p-adic factors additionally need a certifiable
-    pairing (see padic.padic_growth_factor).
+    pairing (see padic.padic_growth_factor).  The last report is kept for
+    the next caller with equal arguments.
     """
     verdict = tameness_check(system)
     if not verdict.tame:

@@ -167,7 +167,7 @@ def padic_growth_factor(sec: AbelianSection, p: int,
         f, g = char_polys or (char_poly(phi), char_poly(psi))
         blocks = [(f, None, None, g)]
     else:
-        blocks = joint_blocks(sec)
+        blocks = joint_blocks(sec, char_polys)
     return PadicGrowthFactor(p, joint_block_exponent(blocks, p))
 
 

@@ -122,11 +122,26 @@ def section_coincidence_number_snf(sec: AbelianSection, n: int):
     return order
 
 
+# (system, its longest sequence so far), replaced by one assignment so that
+# threads may share it
+_last_sequence = (None, None)
+
+
 def coincidence_sequence(system: NilpotentSystem, N: int) -> ReidemeisterSequence:
-    """R(phi^n, psi^n) for n = 1..N, the product over sections."""
+    """R(phi^n, psi^n) for n = 1..N, the product over sections.  The last
+    system's longest sequence is kept, keyed by the system's value: a
+    shorter request is its prefix and a longer one continues it."""
+    global _last_sequence
     if N < 1:
         raise InputError("sequence length must be >= 1")
-    return extend_sequence(system, ReidemeisterSequence(values=(), kind="reidemeister"), N)
+    last, seq = _last_sequence
+    if last != system:
+        seq = ReidemeisterSequence(values=(), kind="reidemeister")
+    elif N <= len(seq):
+        return ReidemeisterSequence(values=seq.values[:N], kind="reidemeister")
+    seq = extend_sequence(system, seq, N)
+    _last_sequence = (system, seq)
+    return seq
 
 
 def extend_sequence(system: NilpotentSystem, seq: ReidemeisterSequence,

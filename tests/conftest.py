@@ -1,0 +1,19 @@
+import pytest
+
+from tdyn import cli, exact_linalg, group_model, growth, reidemeister
+
+
+def _clear_memos():
+    """Forget every per-system result the library keeps between calls."""
+    for memo in (exact_linalg.exterior_power_polynomials, group_model.tameness_check,
+                 growth.growth_rate, cli._zeta_of):
+        memo.cache_clear()
+    reidemeister._last_sequence = (None, None)
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Each test starts with no result kept from another; a test that runs a
+    command twice under different routes calls the fixture's value between."""
+    _clear_memos()
+    return _clear_memos

@@ -343,18 +343,37 @@ def test_main_passes_the_parsed_arguments_as_the_run_config(monkeypatch):
         1, "", "error: --n must be >= 1\n")
 
 
-def test_padic_builds_each_characteristic_polynomial_once(monkeypatch):
-    from tdyn import exact_linalg, padic
+def _counting_char_polys(monkeypatch):
+    """The matrices char_poly is called on, through every module that
+    calls it on the way to padic's answer."""
+    from tdyn import exact_linalg, group_model, padic
     calls = []
 
     def counting(m):
         calls.append(m)
         return exact_linalg.char_poly(m)
-    monkeypatch.setattr(cli, "char_poly", counting)
-    monkeypatch.setattr(padic, "char_poly", counting)
+    for module in (cli, padic, group_model):
+        monkeypatch.setattr(module, "char_poly", counting)
+    return calls
+
+
+def test_padic_builds_each_characteristic_polynomial_once(monkeypatch):
+    calls = _counting_char_polys(monkeypatch)
     doc = run_json(["padic", "--builtin", "torus_matrix:2,1,1,1", "--prime", "2"])
     assert doc["growth_factor"]["exponent"] == "0"
     assert len(calls) == 2
+
+
+def test_padic_of_a_commuting_pair_passes_its_polynomials_to_the_joint_blocks(
+        monkeypatch, tmp_path):
+    # char phi and char psi once each, and char psi on the one joint block
+    calls = _counting_char_polys(monkeypatch)
+    path = tmp_path / "commuting_pair.json"
+    path.write_text(json.dumps({"name": "commuting_pair", "sections": [
+        {"rank": 2, "phi": [["2", "1"], ["1", "1"]], "psi": [["1", "1"], ["1", "0"]]}]}))
+    doc = run_json(["padic", "--input", str(path), "--prime", "2"])
+    assert doc["growth_factor"]["exponent"] == "0"
+    assert len(calls) == 3
 
 
 def test_only_validate_runs_on_an_invalid_system():
@@ -674,7 +693,7 @@ def test_route_guard_follows_the_number_of_terms(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [7, 8])
-def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
+def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, clear_memos, r):
     # the zeta of the companion torus of x^r - x - 1 is read off the
     # exterior powers of its matrix, the largest of degree C(r, r // 2);
     # the recurrence denominator has degree 126 (r = 7) and 256 (r = 8), and
@@ -696,6 +715,7 @@ def test_zeta_factors_nothing_above_the_middle_exterior_power(monkeypatch, r):
     assert certified["roundtrip_verified"] is True
     assert degrees == []
     monkeypatch.setattr(zeta, "symmetric_galois_group", lambda cp: False)
+    clear_memos()  # the kept zeta would skip the route under test
     assert run_json(["zeta", "--builtin", key]) == certified
     assert degrees and max(degrees) <= comb(r, r // 2)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import sympy
 
 from .errors import InfiniteValueError, InputError
+from .polyalg import mobius_divisors
 from .reidemeister import ReidemeisterSequence, is_infinite
 from .zeta import BouquetRealization
 
@@ -30,32 +31,12 @@ class CongruenceReport:
         assert self.passed == (self.residue == 0)
 
 
-def _factorization(n: int) -> dict:
-    """{p: e} with p^e exactly dividing n >= 1: trial division, cheaper
-    than sympy.factorint's set-up on the moduli of a sequence window, and
-    sympy's factoring above 2^40, where trial division would take up to
-    2^19 steps."""
-    if n >> 40:
-        return sympy.factorint(n)
-    factors, p = {}, 2
-    while p * p <= n:
-        while n % p == 0:
-            n //= p
-            factors[p] = factors.get(p, 0) + 1
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = 1
-    return factors
-
-
 def mobius(n: int) -> int:
     """Möbius function: 1 at 1, (-1)^k on k distinct primes, 0 otherwise."""
     if n < 1:
         raise InputError("mobius needs n >= 1")
-    factors = _factorization(n)
-    if any(e > 1 for e in factors.values()):
-        return 0
-    return (-1) ** len(factors)
+    mu, d = mobius_divisors(n)[-1]  # d = n / rad(n)
+    return mu if d == 1 else 0
 
 
 def _value_at(seq: ReidemeisterSequence, d: int) -> int:
@@ -73,21 +54,25 @@ def _report(n: int, combination: int) -> CongruenceReport:
 
 
 def _mobius_report(n: int, a) -> CongruenceReport:
-    """The report for sum_{d|n} mu(n/d) * a(d) mod n, exactly: mu(n/d) is
-    nonzero only when n/d is a product of distinct primes of n, so the sum
-    runs over the subsets S of those primes, with d = n / prod(S)."""
-    terms = [(1, n)]  # (mu(n/d), d)
-    for p in _factorization(n):
-        terms += [(-mu, d // p) for mu, d in terms]
-    return _report(n, sum(mu * a(d) for mu, d in terms))
+    """The report for sum_{d|n} mu(n/d) * a(d) mod n, exactly, in
+    polyalg.mobius_divisors' order."""
+    return _report(n, sum(mu * a(d) for mu, d in mobius_divisors(n)))
+
+
+def _check_length(seq: ReidemeisterSequence, n: int, modulus: str):
+    """InputError when the modulus n passes the sequence; the message names
+    the modulus but not its value, which may have more digits than str()
+    converts."""
+    if n > len(seq.values):
+        raise InputError(f"sequence has only {len(seq.values)} terms, fewer "
+                         f"than the modulus {modulus}")
 
 
 def gauss_check(seq: ReidemeisterSequence, n: int) -> CongruenceReport:
     """sum_{d|n} mu(n/d) * a_d mod n, exactly."""
     if n < 1:
         raise InputError("modulus must be >= 1")
-    if n > len(seq.values):
-        raise InputError(f"sequence has only {len(seq.values)} terms, need {n}")
+    _check_length(seq, n, "n")
     return _mobius_report(n, lambda d: _value_at(seq, d))
 
 
@@ -97,10 +82,11 @@ def euler_check(seq: ReidemeisterSequence, p: int, r: int) -> CongruenceReport:
         raise InputError(f"{p} is not prime")
     if r < 1:
         raise InputError("exponent must be >= 1")
-    n = p ** r
-    if n > len(seq.values):
-        raise InputError(f"sequence has only {len(seq.values)} terms, need {n}")
-    return _report(n, _value_at(seq, n) - _value_at(seq, p ** (r - 1)))
+    n = 1
+    for _ in range(r):  # p^r, built no further than the sequence length allows
+        n *= p
+        _check_length(seq, n, "p^r")
+    return _report(n, _value_at(seq, n) - _value_at(seq, n // p))
 
 
 def dold_check_realization(br: BouquetRealization, n: int) -> CongruenceReport:

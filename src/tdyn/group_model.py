@@ -181,11 +181,13 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
 
 
 def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
-    """Joint invariant blocks of a commuting pair, the eigenvalue pairing
-    shared by the archimedean place and every prime.
+    """Joint invariant blocks of a commuting pair, the one eigenvalue
+    pairing of a section, shared by the archimedean place and every prime.
 
-    One (f, phi_f, psi_f, g) per monic irreducible factor f of char(phi),
-    in factor_rat's order: phi_f and psi_f are phi and psi restricted to
+    When phi or psi is scalar s*I, the single whole-space block (char(phi),
+    phi, psi, char(psi)): every eigenvalue pairs with s.  Otherwise one
+    (f, phi_f, psi_f, g) per monic irreducible factor f of char(phi), in
+    factor_rat's order: phi_f and psi_f are phi and psi restricted to
     ker f(phi), so char(phi_f) = f, and g = char(psi_f).  Raises
     UnsupportedPairingError unless phi and psi commute and both
     characteristic polynomials are square-free, because the pairing is
@@ -193,10 +195,13 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
     when given, are char(phi) and char(psi).
     """
     phi, psi = sec.phi, sec.psi
-    if phi.mul(psi) != psi.mul(phi):
+    scalar = phi.is_scalar() or psi.is_scalar()
+    if not scalar and phi.mul(psi) != psi.mul(phi):
         raise UnsupportedPairingError(
             "phi and psi do not commute; the eigenvalue pairing is not certified")
     char_phi, char_psi = char_polys or (char_poly(phi), char_poly(psi))
+    if scalar:
+        return [(char_phi, phi, psi, char_psi)]
     for cp in (char_phi, char_psi):
         if not is_squarefree(cp.clear_denominators()[0]):
             raise UnsupportedPairingError(

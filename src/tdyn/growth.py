@@ -36,7 +36,7 @@ from .errors import (
 from .exact_linalg import (BigIntMatrix, RatMatrix, RatPolynomial, char_poly, powers,
                            rat_solve)
 from .group_model import AbelianSection, NilpotentSystem, joint_blocks, tameness_check
-from .padic import joint_block_exponent, padic_growth_factor
+from .padic import joint_block_exponent
 from .polyalg import cyclotomic_factors, factor_rat
 from .reidemeister import coincidence_sequence
 
@@ -132,6 +132,18 @@ def _root_modulus_product_interval(enclosures, indices):
     return lo, hi
 
 
+def _split_by_partner(encl, partner_modsq):
+    """(inside, outside): the indices of the roots whose modulus is above,
+    and at or below, their partner's.  partner_modsq(e, bits) encloses the
+    squared modulus of the partner of the root e; a tie the enclosures
+    cannot separate raises PrecisionError (decide_order)."""
+    inside, outside = [], []
+    for i, e in enumerate(encl):
+        order = decide_order(e.modsq, lambda bits, e=e: partner_modsq(e, bits))
+        (inside if order > 0 else outside).append(i)
+    return inside, outside
+
+
 def _pair_terms(w: RatPolynomial, s, reps: int = 1, encl=None):
     """Terms max(|xi|, |s|) over the roots xi of the monic irreducible w,
     each to the power reps.  Exact where the comparison is rational,
@@ -143,20 +155,13 @@ def _pair_terms(w: RatPolynomial, s, reps: int = 1, encl=None):
     if encl is None:
         encl = poly_root_enclosures(wi)
     s_sq = s_abs * s_abs
-    inside = []
-    outside = 0
-    for i, e in enumerate(encl):
-        try:
-            order = decide_order(e.modsq, lambda _bits: (s_sq, s_sq))
-        except PrecisionError as exc:
-            raise HypothesisViolatedError(
-                f"an eigenvalue modulus of {wi.coeffs} is indistinguishable "
-                f"from |{s}|") from exc
-        if order > 0:
-            inside.append(i)
-        else:
-            outside += 1
-    if len(inside) == len(encl):
+    try:
+        inside, outside = _split_by_partner(encl, lambda _e, _bits: (s_sq, s_sq))
+    except PrecisionError as exc:
+        raise HypothesisViolatedError(
+            f"an eigenvalue modulus of {wi.coeffs} is indistinguishable "
+            f"from |{s}|") from exc
+    if not outside:
         v = abs(w.coeffs[0])  # product of |roots| of a monic polynomial
         if v != 1:
             terms.append(RationalLog(v ** reps))
@@ -166,8 +171,8 @@ def _pair_terms(w: RatPolynomial, s, reps: int = 1, encl=None):
             terms.append(AlgebraicLog(
                 note=f"{len(inside)} root(s) of {wi.coeffs} beyond radius {s_abs}",
                 lo=lo ** reps, hi=hi ** reps))
-        if outside and s_abs not in (0, 1):
-            terms.append(RationalLog(s_abs ** (outside * reps)))
+        if s_abs not in (0, 1):
+            terms.append(RationalLog(s_abs ** (len(outside) * reps)))
     return terms
 
 
@@ -198,28 +203,20 @@ def _commuting_block_terms(blocks):
         fi = f_alpha.clear_denominators()[0]
         encl = poly_root_enclosures(fi)
 
-        def eta_box(e, bits):
+        def eta_modsq(e, bits):
             b = e.box(bits)
             acc_box = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
             for c in reversed(h):
                 acc_box = box_mul(acc_box, b)
                 acc_box = (acc_box[0] + c, acc_box[1] + c, acc_box[2], acc_box[3])
-            return acc_box
+            return modsq_box(acc_box)
 
-        inside = []
-        outside = []
-        for i, e in enumerate(encl):
-            try:
-                order = decide_order(e.modsq,
-                                     lambda bits, e=e: modsq_box(eta_box(e, bits)))
-            except PrecisionError as exc:
-                raise HypothesisViolatedError(
-                    "paired eigenvalue moduli are indistinguishable") from exc
-            if order > 0:
-                inside.append(i)
-            else:
-                outside.append(i)
-        if len(inside) == len(encl):
+        try:
+            inside, outside = _split_by_partner(encl, eta_modsq)
+        except PrecisionError as exc:
+            raise HypothesisViolatedError(
+                "paired eigenvalue moduli are indistinguishable") from exc
+        if not outside:
             v = abs(f_alpha.coeffs[0])
             if v != 1:
                 terms.append(RationalLog(v))
@@ -231,7 +228,7 @@ def _commuting_block_terms(blocks):
             lo, hi = _root_modulus_product_interval(encl, inside)
             for i in outside:
                 (slo, shi), _ = modulus_cell(
-                    lambda r: modsq_box(eta_box(r, _VALUE_BITS)), encl[i])
+                    lambda r: eta_modsq(r, _VALUE_BITS), encl[i])
                 lo *= slo
                 hi *= shi
             terms.append(AlgebraicLog(
@@ -240,20 +237,20 @@ def _commuting_block_terms(blocks):
 
 
 def _section_terms(sec: AbelianSection):
-    """Archimedean and p-adic terms of one section; the joint blocks of a
-    commuting non-scalar pair are derived once for all places."""
-    phi, psi = sec.phi, sec.psi
-    blocks = None
-    if psi.is_scalar():
-        terms = _scalar_pair_terms(char_poly(phi), psi.get(0, 0))
-    elif phi.is_scalar():
-        terms = _scalar_pair_terms(char_poly(psi), phi.get(0, 0))
+    """Archimedean and p-adic terms of one section, all read from its one
+    joint-block decomposition (group_model.joint_blocks): a scalar side
+    s*I pairs every eigenvalue of the other map with s, and any other
+    commuting pair pairs block by block."""
+    blocks = joint_blocks(sec)
+    # a scalar side gives the one block (char phi, phi, psi, char psi)
+    if sec.psi.is_scalar():
+        terms = _scalar_pair_terms(blocks[0][0], sec.psi.get(0, 0))
+    elif sec.phi.is_scalar():
+        terms = _scalar_pair_terms(blocks[0][3], sec.phi.get(0, 0))
     else:
-        blocks = joint_blocks(sec)
         terms = _commuting_block_terms(blocks)
     for p in sorted(sec.prime_support):
-        exponent = (padic_growth_factor(sec, p).exponent if blocks is None
-                    else joint_block_exponent(blocks, p))
+        exponent = joint_block_exponent(blocks, p)
         if exponent != 0:
             terms.append(PadicLog(prime=p, exponent=exponent))
     return terms
@@ -266,7 +263,7 @@ def growth_rate(system: NilpotentSystem, N: int = 40) -> GrowthReport:
 
     Requires a tame system whose paired eigenvalue moduli differ at the
     archimedean place; the p-adic factors additionally need a certifiable
-    pairing (see padic.padic_growth_factor).  The last report is kept for
+    pairing (see padic.joint_block_exponent).  The last report is kept for
     the next caller with equal arguments.
     """
     verdict = tameness_check(system)

@@ -16,7 +16,7 @@ from typing import Union
 import sympy
 
 from .errors import InputError, UnsupportedPairingError
-from .exact_linalg import IntPolynomial, RatPolynomial, char_poly
+from .exact_linalg import IntPolynomial, RatPolynomial
 from .group_model import AbelianSection, joint_blocks
 
 __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations",
@@ -149,32 +149,24 @@ def _single_slope(vals) -> bool:
 
 def padic_growth_factor(sec: AbelianSection, p: int,
                         char_polys=None) -> PadicGrowthFactor:
-    """p-adic factor of the growth rate for one section.
-
-    Single-endomorphism case (psi = identity): product over eigenvalues of
-    max(|xi|_p, 1).  Coincidence case: product of max(|xi_i|_p, |eta_i|_p)
-    over the induced pairing, supported when psi (or phi) is scalar or the two
-    maps commute with square-free characteristic polynomials and the pairing
-    of valuations is certified by single-slope Newton polygons; anything else
-    raises UnsupportedPairingError.  char_polys, when given, are char(phi)
-    and char(psi), which a caller that has them passes on.
+    """p-adic factor of the growth rate for one section: the product of
+    max(|xi_i|_p, |eta_i|_p) over the pairing of group_model.joint_blocks
+    (with psi = identity, of max(|xi|_p, 1) over the eigenvalues of phi).
+    Raises UnsupportedPairingError where joint_blocks certifies no pairing
+    or a block's valuations cannot be paired (joint_block_exponent).
+    char_polys, when given, are char(phi) and char(psi), which a caller
+    that has them passes on.
     """
     _check_prime(p)
-    phi, psi = sec.phi, sec.psi
-    if psi.is_scalar() or phi.is_scalar():
-        # one joint block (includes psi = identity): the scalar side s*I has
-        # the single slope of (x - s)^d, so each xi_i pairs with s
-        f, g = char_polys or (char_poly(phi), char_poly(psi))
-        blocks = [(f, None, None, g)]
-    else:
-        blocks = joint_blocks(sec, char_polys)
-    return PadicGrowthFactor(p, joint_block_exponent(blocks, p))
+    return PadicGrowthFactor(p, joint_block_exponent(joint_blocks(sec, char_polys), p))
 
 
 def joint_block_exponent(blocks, p: int) -> Fraction:
-    """log_p of the p-adic growth factor of a commuting non-scalar pair, from
-    its joint blocks (group_model.joint_blocks), so that callers needing
-    several primes derive the blocks once."""
+    """log_p of the p-adic growth factor of a section, from its joint blocks
+    (group_model.joint_blocks), so that callers needing several primes
+    derive the blocks once.  A block pairs by valuation when one of its two
+    Newton polygons has a single slope: a scalar side's (x - s)^d always
+    does, so each xi_i pairs with s."""
     exponent = Fraction(0)
     for f_alpha, _, _, g_alpha in blocks:
         v_phi = root_valuations(f_alpha, p)

@@ -190,12 +190,32 @@ def totients(limit: int) -> list:
     return phi
 
 
-def _mobius_divisors(m: int) -> tuple:
-    """The d | m with mu(m/d) = 1, and those with mu(m/d) = -1."""
-    up, down = [m], []
-    for p in sympy.primefactors(m):
-        up, down = up + [d // p for d in down], down + [d // p for d in up]
-    return up, down
+def factorization(n: int) -> dict:
+    """{p: e} with p^e exactly dividing n >= 1: trial division, cheaper
+    than sympy.factorint's set-up on the small n of a sequence window or a
+    cyclotomic index, and sympy's factoring above 2^40, where trial
+    division would take up to 2^19 steps."""
+    if n >> 40:
+        return sympy.factorint(n)
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def mobius_divisors(n: int) -> list:
+    """The pairs (mu(n/d), d) over the d | n with mu(n/d) != 0, for n >= 1:
+    n/d runs over the products of subsets of the distinct primes of n,
+    starting at d = n and ending at d = n / rad(n)."""
+    pairs = [(1, n)]
+    for p in factorization(n):
+        pairs += [(-mu, d // p) for mu, d in pairs]
+    return pairs
 
 
 def cyclotomic(m: int) -> IntPolynomial:
@@ -204,12 +224,12 @@ def cyclotomic(m: int) -> IntPolynomial:
     exact synthetic divisions by those with mu = -1."""
     if m < 1:
         raise InputError("cyclotomic polynomials are indexed by m >= 1")
-    up, down = _mobius_divisors(m)
+    pairs = mobius_divisors(m)
     coeffs = [1]
-    for d in up:
+    for d in (d for mu, d in pairs if mu == 1):
         # times x^d - 1
         coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
-    for d in down:
+    for d in (d for mu, d in pairs if mu == -1):
         # over x^d - 1: a_i = q_(i-d) - q_i, so q_i = q_(i-d) - a_i
         q = []
         for i in range(len(coeffs) - d):
@@ -236,9 +256,9 @@ def cyclotomic_order(p: IntPolynomial) -> Optional[int]:
 def _cyclotomic_values(m: int, points) -> list:
     """cyclotomic(m)(a) for each integer a in points, |a| >= 2, as the
     product over d | m of (a^d - 1)^mu(m/d)."""
-    up, down = _mobius_divisors(m)
-    return [prod(a ** d - 1 for d in up) // prod(a ** d - 1 for d in down)
-            for a in points]
+    pairs = mobius_divisors(m)
+    return [prod(a ** d - 1 for mu, d in pairs if mu == 1)
+            // prod(a ** d - 1 for mu, d in pairs if mu == -1) for a in points]
 
 
 # cyclotomic_factors' evaluation points: cyclotomic(m) dividing p makes

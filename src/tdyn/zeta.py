@@ -298,18 +298,14 @@ def _berlekamp_massey_rational(seq: Sequence) -> list:
             m += 1
             continue
         coef = d / b
-        if 2 * L <= n:
-            T = C[:]
-            if len(C) < len(B) + m:
-                C = C + [Fraction(0)] * (len(B) + m - len(C))
-            for i in range(len(B)):
-                C[i + m] -= coef * B[i]
+        T = C[:] if 2 * L <= n else None
+        if len(C) < len(B) + m:
+            C = C + [Fraction(0)] * (len(B) + m - len(C))
+        for i in range(len(B)):
+            C[i + m] -= coef * B[i]
+        if T is not None:
             L, B, b, m = n + 1 - L, T, d, 1
         else:
-            if len(C) < len(B) + m:
-                C = C + [Fraction(0)] * (len(B) + m - len(C))
-            for i in range(len(B)):
-                C[i + m] -= coef * B[i]
             m += 1
     C = C + [Fraction(0)] * (L + 1 - len(C))
     return C[:L + 1]

@@ -1,6 +1,6 @@
 import pytest
 
-from tdyn import cli, exact_linalg, group_model, growth, reidemeister
+from tdyn import cli, exact_linalg, group_model, growth, padic, reidemeister
 
 
 def _clear_memos():
@@ -17,3 +17,18 @@ def clear_memos():
     command twice under different routes calls the fixture's value between."""
     _clear_memos()
     return _clear_memos
+
+
+@pytest.fixture
+def char_poly_calls(monkeypatch):
+    """The matrices char_poly is called on through every module on the way
+    to a growth or p-adic answer.  padic binds no char_poly of its own; it
+    is patched too, so that one it gains is counted."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return exact_linalg.char_poly(m)
+    for module in (cli, group_model, growth, padic):
+        monkeypatch.setattr(module, "char_poly", counting, raising=False)
+    return calls

@@ -4,6 +4,7 @@ import json
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +177,16 @@ def test_exit_code_hypothesis_violation():
         os.unlink(path)
 
 
+def test_growth_names_the_equal_modulus_it_cannot_separate():
+    # phi has the roots 3 +- 4i, of modulus 5 = |psi|: the scalar side's
+    # violation message, pinned word for word
+    path = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+               / "equal_modulus.json")
+    assert run_capture(["growth", "--input", path]) == (
+        4, "", "error: an eigenvalue modulus of (25, -6, 1) is indistinguishable "
+               "from |5|\n")
+
+
 def test_exit_code_input_errors():
     code, _, _ = run_capture(["rseq", "--builtin", "nope:1"])
     assert code == 1
@@ -343,37 +354,21 @@ def test_main_passes_the_parsed_arguments_as_the_run_config(monkeypatch):
         1, "", "error: --n must be >= 1\n")
 
 
-def _counting_char_polys(monkeypatch):
-    """The matrices char_poly is called on, through every module that
-    calls it on the way to padic's answer."""
-    from tdyn import exact_linalg, group_model, padic
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return exact_linalg.char_poly(m)
-    for module in (cli, padic, group_model):
-        monkeypatch.setattr(module, "char_poly", counting)
-    return calls
-
-
-def test_padic_builds_each_characteristic_polynomial_once(monkeypatch):
-    calls = _counting_char_polys(monkeypatch)
+def test_padic_builds_each_characteristic_polynomial_once(char_poly_calls):
     doc = run_json(["padic", "--builtin", "torus_matrix:2,1,1,1", "--prime", "2"])
     assert doc["growth_factor"]["exponent"] == "0"
-    assert len(calls) == 2
+    assert len(char_poly_calls) == 2
 
 
 def test_padic_of_a_commuting_pair_passes_its_polynomials_to_the_joint_blocks(
-        monkeypatch, tmp_path):
+        char_poly_calls, tmp_path):
     # char phi and char psi once each, and char psi on the one joint block
-    calls = _counting_char_polys(monkeypatch)
     path = tmp_path / "commuting_pair.json"
     path.write_text(json.dumps({"name": "commuting_pair", "sections": [
         {"rank": 2, "phi": [["2", "1"], ["1", "1"]], "psi": [["1", "1"], ["1", "0"]]}]}))
     doc = run_json(["padic", "--input", str(path), "--prime", "2"])
     assert doc["growth_factor"]["exponent"] == "0"
-    assert len(calls) == 3
+    assert len(char_poly_calls) == 3
 
 
 def test_only_validate_runs_on_an_invalid_system():

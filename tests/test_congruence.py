@@ -1,11 +1,11 @@
 import random
+import time
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from tdyn.congruence import (
-    _factorization,
     _mobius_report,
     dold_check_realization,
     euler_check,
@@ -15,6 +15,7 @@ from tdyn.congruence import (
 from tdyn.errors import InfiniteValueError, InputError
 from tdyn.exact_linalg import BigIntMatrix
 from tdyn.group_model import z_pair, z_times_d
+from tdyn.polyalg import factorization, mobius_divisors
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import BouquetRealization
 
@@ -26,14 +27,26 @@ def test_mobius_values():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
+def _mu_oracle(m: int) -> int:
+    exponents = sympy.factorint(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
 def test_mobius_report_matches_the_divisor_sum():
-    # the sum over subsets of the distinct primes of n against the sum over
-    # every divisor d of n with mobius(n / d) (oracle)
+    # polyalg.mobius_divisors, the subsets of the distinct primes of n,
+    # against every divisor d of n with mu(n / d) from sympy's factorization
+    # (oracle), and the report's sum over its pairs against the full sum;
+    # first the order the report reads a(d) in, which decides the first
+    # infinite value it meets
+    assert mobius_divisors(30) == [(1, 30), (-1, 15), (-1, 10), (1, 5),
+                                   (-1, 6), (1, 3), (1, 2), (-1, 1)]
     rng = random.Random(13)
     values = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(601)]
     for n in range(1, 601):
-        direct = sum(mobius(n // d) * values[d]
-                     for d in range(1, n + 1) if n % d == 0)
+        pairs = [(_mu_oracle(n // d), d) for d in range(1, n + 1) if n % d == 0]
+        assert sorted(mobius_divisors(n), key=lambda t: t[1]) == [
+            (mu, d) for mu, d in pairs if mu], n
+        direct = sum(mu * values[d] for mu, d in pairs)
         report = _mobius_report(n, values.__getitem__)
         assert report.combination == direct, n
         assert report.residue == direct % n
@@ -41,12 +54,27 @@ def test_mobius_report_matches_the_divisor_sum():
 
 def test_trial_division_factors_as_sympy_does():
     for n in list(range(1, 20_001)) + [2**40 - 87, 2**40 + 15, 2**61 - 1, 10**30 + 57]:
-        assert _factorization(n) == sympy.factorint(n), n
+        assert factorization(n) == sympy.factorint(n), n
 
 
 def test_mobius_rejects_nonpositive():
     with pytest.raises(InputError):
         mobius(0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda seq: euler_check(seq, 2, 20_000),
+    lambda seq: euler_check(seq, 3, 10 ** 7),
+    lambda seq: gauss_check(seq, 10 ** 5000),
+], ids=["euler-2^20000", "euler-3^(10^7)", "gauss-10^5000"])
+def test_a_modulus_past_the_sequence_is_a_prompt_input_error(check):
+    # the modulus has more digits than str() converts, or would take seconds
+    # to build; neither is formed nor printed
+    seq = coincidence_sequence(z_times_d(2), 10)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="fewer than the modulus"):
+        check(seq)
+    assert time.perf_counter() - start < 1
 
 
 def test_gauss_check_doubling_n2():

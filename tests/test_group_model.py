@@ -279,7 +279,11 @@ def test_joint_blocks_factor_both_characteristic_polynomials(pair):
     phi, psi = pair
     assume(_squarefree(char_poly(phi)))
     sec = section(phi.rows, phi, psi)
-    if not _squarefree(char_poly(psi)):
+    if psi.is_scalar():
+        # a scalar psi pairs every eigenvalue of phi with its scalar: one
+        # whole-space block, though (x - s)^d is not square-free for d > 1
+        assert joint_blocks(sec) == [(char_poly(phi), phi, psi, char_poly(psi))]
+    elif not _squarefree(char_poly(psi)):
         with pytest.raises(UnsupportedPairingError):
             joint_blocks(sec)
         return

@@ -18,6 +18,7 @@ from tdyn.group_model import (
     heisenberg,
     s_integer,
     section,
+    tameness_check,
     torus_matrix,
     z_pair,
     z_times_d,
@@ -188,6 +189,30 @@ def test_growth_derives_joint_blocks_once(monkeypatch):
     rep = growth_rate(sys_, N=16)
     assert len(calls) == 1
     assert rep.numeric == 20.0
+
+
+def test_growth_of_a_scalar_section_builds_each_characteristic_polynomial_once(
+        char_poly_calls):
+    # one joint block serves the archimedean place and both primes: char phi
+    # and char psi once each, not again per prime
+    sys_ = NilpotentSystem(name="s-integer", sections=(
+        section(2, [[Fraction(1, 6), 1], [0, 5]], primes=[2, 3]),))
+    rep = growth_rate(sys_, N=8)
+    assert len(char_poly_calls) == 2
+    # eigenvalues 1/6 and 5 against 1: |5| times |1/6|_2 = 2 and |1/6|_3 = 3
+    assert rep.exact_value == 30
+
+
+def test_a_tie_with_the_partner_of_a_commuting_pair_is_a_violation():
+    # phi has the roots 1 +- 2i and psi = 2I - phi pairs them with 1 -+ 2i,
+    # of the same modulus sqrt 5: the commuting pair's violation message
+    phi = [[0, -5], [1, 2]]
+    psi = [[2, 5], [-1, 0]]  # 2I - phi
+    sys_ = NilpotentSystem(name="tie", sections=(section(2, phi, psi),))
+    assert tameness_check(sys_).tame
+    with pytest.raises(HypothesisViolatedError) as info:
+        growth_rate(sys_, N=8)
+    assert str(info.value) == "paired eigenvalue moduli are indistinguishable"
 
 
 def test_growth_commuting_irrational_blocks():

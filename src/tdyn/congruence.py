@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from .errors import InfiniteValueError, InputError
+from .padic import _check_prime
 from .polyalg import mobius_divisors
 from .reidemeister import ReidemeisterSequence, is_infinite
 from .zeta import BouquetRealization
@@ -78,8 +77,7 @@ def gauss_check(seq: ReidemeisterSequence, n: int) -> CongruenceReport:
 
 def euler_check(seq: ReidemeisterSequence, p: int, r: int) -> CongruenceReport:
     """a_{p^r} - a_{p^(r-1)} mod p^r; the prime-power case of the Gauss check."""
-    if not sympy.isprime(p):
-        raise InputError(f"{p} is not prime")
+    _check_prime(p)
     if r < 1:
         raise InputError("exponent must be >= 1")
     n = 1

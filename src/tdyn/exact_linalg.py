@@ -13,8 +13,9 @@ U*A*V = D.  Newton's identities live here once in each direction
 rebuilt from the traces of matrix powers with them, and so are the
 characteristic polynomials of the exterior powers of a matrix.
 
-The iterated determinants det(phi^n - psi^n) have two routes.  For
-psi = identity and a long enough run they are read off power sums of the
+The iterated determinants det(phi^n - psi^n) have two routes, and both
+yield integer numerators over a known power of the denominators.  For a
+scalar psi and a long enough run they are read off power sums of the
 exterior powers, with no matrix power and no elimination; every other run
 is one integer matrix product and one Bareiss elimination per term (see
 ``power_difference_determinants``).
@@ -297,27 +298,29 @@ def det_rat(A: RatMatrix) -> Fraction:
 
 def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int,
                                   last: int):
-    """det(phi^n - psi^n) for n = start, ..., last as exact Fractions.
+    """Integers N_n with det(phi^n - psi^n) = N_n / D^(n d) for n = start,
+    ..., last, where phi = B/L and psi = C/M with B, C integral
+    (``scaled_integer``), D = L M and d the size of phi.
 
-    With psi = identity and phi = B/L for an integer d x d matrix B,
+    For scalar psi = (a/b) I, so that M = b and C = a I,
 
-        det(phi^n - I) = L^(-nd) * sum_{k=0..d} (-L^n)^(d-k) * tr wedge^k B^n,
+        N_n = sum_{k=0..d} e_k(B^n) * b^(n k) * (-(a L)^n)^(d-k),
 
-    the expansion of det(B^n - t I) in the traces of the exterior powers
-    (Fel'shtyn, Mem. AMS 699, 2000).  tr wedge^k B^n is the n-th power sum of
-    the roots of W_k = char(wedge^k B) (``exterior_power_polynomials``), so
-    each term costs 2^d multiply-adds of a big integer by a fixed one.
-    Setting up those streams costs about sum_k C(d, k)^2 Newton steps, so
-    this route is taken only when at least 2^d terms, the total order of the
-    streams, are asked for.  Every other run, and every psi other than the
-    identity, is the Bareiss loop: with psi = C/M the n-th value is
-    det(B^n M^n - C^n L^n) / (L M)^(n d), one integer matrix product per
-    factor and step (none for psi = identity) and one elimination.
+    the expansion of det(b^n B^n - (a L)^n I) in the traces
+    e_k(B^n) = tr wedge^k B^n of the exterior powers (Fel'shtyn, Mem. AMS
+    699, 2000).  tr wedge^k B^n is the n-th power sum of the roots of
+    W_k = char(wedge^k B) (``exterior_power_polynomials``), so each term
+    costs 2^d multiply-adds of a big integer by a fixed one.  Setting up
+    those streams costs about sum_k C(d, k)^2 Newton steps, so this route is
+    taken only when at least 2^d terms, the total order of the streams, are
+    asked for.  Every other run, and every psi that is not scalar, is the
+    Bareiss loop: N_n = det(B^n M^n - C^n L^n), one integer matrix product
+    per factor and step (none for a scalar psi) and one elimination.
     """
     if not (phi.is_square and (psi.rows, psi.cols) == (phi.rows, phi.cols)):
         raise InputError("power differences need two square matrices of one size")
-    if last - start + 1 >= 2 ** phi.rows and psi.is_identity():
-        return _exterior_determinants(phi, start, last)
+    if last - start + 1 >= 2 ** phi.rows and psi.is_scalar():
+        return _exterior_determinants(phi, psi, start, last)
     return _bareiss_determinants(phi, psi, start, last)
 
 
@@ -333,25 +336,28 @@ def _bareiss_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int)
         Mn *= M
         diff = BigIntMatrix._of(d, d, tuple(b * Mn - c * Ln
                                             for b, c in zip(Bn.entries, Cn.entries)))
-        yield Fraction(det_exact(diff), (Ln * Mn) ** d)
+        yield det_exact(diff)
 
 
-def _exterior_determinants(phi: RatMatrix, start: int, last: int):
-    """det(phi^n - I) for n = start..last from the power-sum streams of the
+def _exterior_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int):
+    """N_n for a scalar psi = (a/b) I from the power-sum streams of the
     exterior powers (the identity in power_difference_determinants)."""
-    d = phi.rows
     B, L = phi.scaled_integer()
+    c = psi.get(0, 0)
+    aL, b = c.numerator * L, c.denominator
     streams = [_power_sum_stream(w)
                for w in exterior_power_polynomials(char_poly(B).to_int())]
-    Ld = L ** d
-    Ln, Lnd = L ** (start - 1), Ld ** (start - 1)
+    aLn, bn = aL ** (start - 1), b ** (start - 1)
     for traces in islice(zip(*streams), start - 1, last):
-        Ln *= L
-        Lnd *= Ld
-        t, value = -Ln, 0
-        for trace in traces:  # Horner in t = -L^n, tr wedge^0 B^n = 1 first
-            value = value * t + trace
-        yield Fraction(value, Lnd)
+        aLn *= aL
+        bn *= b
+        # homogeneous Horner: tr wedge^0 B^n = 1 first, each later trace
+        # times one more power of b^n
+        t, value, scale = -aLn, 0, 1
+        for trace in traces:
+            value = value * t + trace * scale
+            scale *= bn
+        yield value
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import sympy
 
 from .errors import InputError, UnsupportedPairingError
 from .exact_linalg import (
+    IntPolynomial,
     RatMatrix,
     _as_fraction,
     char_poly,
@@ -31,7 +32,7 @@ from .exact_linalg import (
     rat_kernel_basis,
     restrict_to_invariant_subspace,
 )
-from .polyalg import factor_rat, is_squarefree, totients
+from .polyalg import cyclotomic_factors, factor_rat, is_squarefree, totients
 
 __all__ = [
     "AbelianSection",
@@ -149,10 +150,33 @@ def _tameness_bound(max_rank: int) -> int:
     n = 1 .. 2*max{such m} is enough (the factor 2 is lcm safety).
     """
     budget = max_rank * max_rank
-    # totient(m) >= sqrt(m/2), so m <= 2*budget^2 + 1 exhausts all candidates
-    limit = 2 * budget * budget + 1
+    # totient(m) >= sqrt(m) for every m but 2 and 6, so m <= max(budget^2, 6)
+    # exhausts all candidates
+    limit = max(budget * budget, 6)
     phi = totients(limit)
     return 2 * max(m for m in range(1, limit + 1) if phi[m] <= budget)
+
+
+def _first_scalar_zero(sec: AbelianSection) -> Optional[int]:
+    """The least n with det(phi^n - c^n I) = 0 on a section whose psi is
+    c I, or None when there is none.
+
+    With phi = B/L and c = a/b, phi^n - c^n I is singular exactly when some
+    eigenvalue ratio lambda/c is an n-th root of unity.  The ratios are the
+    roots of sum_i k_i (a L)^i b^(d-i) x^i, where char(B) = sum_i k_i x^i,
+    so the least such n is the least m whose cyclotomic polynomial divides
+    it.  For c = 0 that polynomial is the constant det B, zero exactly when
+    phi itself is singular, at n = 1.
+    """
+    B, L = sec.phi.scaled_integer()
+    c = sec.psi.get(0, 0)
+    aL, b = c.numerator * L, c.denominator
+    ratios = IntPolynomial.of(k * aL ** i * b ** (sec.rank - i)
+                              for i, k in enumerate(char_poly(B).to_int().coeffs))
+    if ratios.is_zero:
+        return 1
+    orders = cyclotomic_factors(ratios)
+    return orders[0][0] if orders else None
 
 
 @lru_cache(maxsize=1)
@@ -160,22 +184,36 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     """Decide whether all iterated coincidence numbers are finite.
 
     R(phi^n, psi^n) is infinite exactly when det(phi_k^n - psi_k^n) = 0 for
-    some section k; the eigenvalue-ratio argument reduces the check to a
-    finite range of n.  The last system's verdict is kept for the next
+    some section k.  A section with a scalar psi has its least such n in
+    closed form (``_first_scalar_zero``), which computes no determinant;
+    every other section is iterated up to the bound of the eigenvalue-ratio
+    argument, or up to the least zero of a scalar section when that is
+    smaller.  The witness is the least (n, k), and checked_up_to is the
+    bound either way.  The last system's verdict is kept for the next
     caller with an equal system.
     """
     problems = validate(system)
     if problems:
         raise InputError("; ".join(problems))
-    max_rank = max(sec.rank for sec in system.sections)
-    bound = _tameness_bound(max_rank)
-    dets = [power_difference_determinants(sec.phi, sec.psi, 1, bound)
-            for sec in system.sections]
+    bound = _tameness_bound(max(sec.rank for sec in system.sections))
+    zeros, iterated = [], []
+    for k, sec in enumerate(system.sections, start=1):
+        if not sec.psi.is_scalar():
+            iterated.append((k, sec))
+        elif (n := _first_scalar_zero(sec)) is not None:
+            zeros.append((n, k))
+    last = min(zeros)[0] if zeros else bound
+    dets = [power_difference_determinants(sec.phi, sec.psi, 1, last)
+            for _, sec in iterated]
     for n, row in enumerate(zip(*dets), start=1):
-        for k, det in enumerate(row, start=1):
-            if det == 0:
-                return TamenessVerdict(tame=False, witness_n=n,
-                                       witness_section=k, checked_up_to=bound)
+        zero = [k for (k, _), det in zip(iterated, row) if det == 0]
+        if zero:
+            zeros.append((n, zero[0]))
+            break
+    if zeros:
+        n, k = min(zeros)
+        return TamenessVerdict(tame=False, witness_n=n, witness_section=k,
+                               checked_up_to=bound)
     return TamenessVerdict(tame=True, witness_n=None, witness_section=None,
                            checked_up_to=bound)
 

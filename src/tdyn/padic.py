@@ -24,8 +24,10 @@ __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations",
 
 
 def _check_prime(p: int):
+    """InputError unless p is prime; the message prints p only below 2^64,
+    since str() refuses integers of more than 4,300 digits."""
     if not sympy.isprime(p):
-        raise InputError(f"{p} is not prime")
+        raise InputError(f"{p if abs(p) < 2 ** 64 else 'p'} is not prime")
 
 
 def ord_p(q: Union[int, Fraction], p: int) -> int:

@@ -9,14 +9,17 @@ when the determinant vanishes.  A multi-section value is the product over
 sections (the product formula for nilpotent systems); Nielsen values replace
 infinity by 0 and require finitely generated input.
 
-Sequences read det(phi^n - psi^n) from
-``exact_linalg.power_difference_determinants``.  For psi = identity and at
-least 2^d terms on a rank-d section it reads them off the power sums of the
-exterior powers of phi, det(phi^n - I) = sum_k (-1)^(d-k) tr wedge^k phi^n
-for integer phi (Fel'shtyn, Mem. AMS 699, 2000), exact for every such
-section, tame or not; shorter runs and psi other than the identity take one
-matrix product and one Bareiss elimination per term.  The single-term
-routes below (``section_coincidence_number`` over Fractions and
+Sequences read the integer numerator N_n of det(phi^n - psi^n) = N_n / D^(nd)
+from ``exact_linalg.power_difference_determinants``, where D is the product
+of the denominators of phi and psi.  validate puts every prime of D in S, so
+D^(nd) is an S-unit and the n-th value is the S-free part of |N_n|: no
+Fraction is built per term.  For a scalar psi = c I and at least 2^d terms
+on a rank-d section N_n is read off the power sums of the exterior powers of
+phi, det(phi^n - c^n I) = sum_k (-c^n)^(d-k) tr wedge^k phi^n (Fel'shtyn,
+Mem. AMS 699, 2000), exact for every such section, tame or not; shorter runs
+and a psi that is not scalar take one matrix product and one Bareiss
+elimination per term.  The single-term routes below
+(``section_coincidence_number`` over Fractions and
 ``section_coincidence_number_snf``) are independent of both.
 """
 
@@ -29,7 +32,7 @@ from .errors import InputError
 from .exact_linalg import (det_rat, mat_pow, power_difference_determinants,
                            smith_normal_form)
 from .group_model import AbelianSection, NilpotentSystem, validate
-from .padic import ord_p
+from .padic import _ord_int, ord_p
 
 __all__ = ["INFINITY", "Infinity", "is_infinite", "ReidemeisterSequence",
            "section_coincidence_number", "section_coincidence_number_snf",
@@ -148,7 +151,8 @@ def extend_sequence(system: NilpotentSystem, seq: ReidemeisterSequence,
                     N: int) -> ReidemeisterSequence:
     """seq, the first len(seq) terms of system's sequence of its kind,
     continued to n = 1..N: only the terms past seq are computed, from
-    phi^(len(seq)+1) and psi^(len(seq)+1) on."""
+    phi^(len(seq)+1) and psi^(len(seq)+1) on.  Each section's value is the
+    S-free part of its determinant numerator."""
     problems = validate(system)
     if problems:
         raise InputError("; ".join(problems))
@@ -162,7 +166,10 @@ def extend_sequence(system: NilpotentSystem, seq: ReidemeisterSequence,
             continue
         total = 1
         for det, support in zip(row, primes):
-            total *= _adelic_value(det, support)
+            value = abs(det)
+            for p in support:
+                value //= p ** _ord_int(value, p)
+            total *= value
         values.append(total)
     return ReidemeisterSequence(values=tuple(values), kind=seq.kind)
 

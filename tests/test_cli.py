@@ -667,8 +667,9 @@ def test_realize_computes_each_sequence_term_once(monkeypatch):
 
 def test_route_guard_follows_the_number_of_terms(monkeypatch):
     # 40 terms of a rank-8 torus are fewer than the 2^8 of the streams'
-    # total order: Bareiss, and no exterior powers built; the tameness bound
-    # 420 of a rank-7 torus is at least 2^7: the streams, and no elimination
+    # total order: Bareiss, and no exterior powers built; the tameness of a
+    # rank-7 torus, up to its bound 420, is read off the cyclotomic factors
+    # of char phi: no determinant on either route
     from tdyn import exact_linalg
     calls = []
     for name in ("exterior_power_polynomials", "det_exact"):
@@ -683,8 +684,8 @@ def test_route_guard_follows_the_number_of_terms(monkeypatch):
     counts.clear()
     doc = run_json(["tame", "--builtin", _selmer_torus(7)])
     assert doc["tame"] is True and doc["checked_up_to"] == 420
-    assert "det_exact" not in calls and "exterior_power_polynomials" in calls
-    assert counts == {"_exterior_determinants": 420}
+    assert "det_exact" not in calls and "exterior_power_polynomials" not in calls
+    assert counts == {}
 
 
 @pytest.mark.parametrize("r", [7, 8])

@@ -77,6 +77,14 @@ def test_a_modulus_past_the_sequence_is_a_prompt_input_error(check):
     assert time.perf_counter() - start < 1
 
 
+def test_a_prime_too_long_to_print_is_an_input_error():
+    # 10^5000 has more digits than str() converts; the message must not
+    # print it
+    seq = coincidence_sequence(z_times_d(2), 10)
+    with pytest.raises(InputError, match="^p is not prime$"):
+        euler_check(seq, 10 ** 5000, 1)
+
+
 def test_gauss_check_doubling_n2():
     seq = coincidence_sequence(z_times_d(2), 4)
     rep = gauss_check(seq, 2)

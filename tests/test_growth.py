@@ -194,11 +194,13 @@ def test_growth_derives_joint_blocks_once(monkeypatch):
 def test_growth_of_a_scalar_section_builds_each_characteristic_polynomial_once(
         char_poly_calls):
     # one joint block serves the archimedean place and both primes: char phi
-    # and char psi once each, not again per prime
+    # and char psi once each, not again per prime; the third is the tameness
+    # check's char B of phi = B/6, whose cyclotomic factors decide it
     sys_ = NilpotentSystem(name="s-integer", sections=(
         section(2, [[Fraction(1, 6), 1], [0, 5]], primes=[2, 3]),))
     rep = growth_rate(sys_, N=8)
-    assert len(char_poly_calls) == 2
+    assert len(char_poly_calls) == 3
+    assert char_poly_calls[0] == sys_.sections[0].phi.scaled_integer()[0]
     # eigenvalues 1/6 and 5 against 1: |5| times |1/6|_2 = 2 and |1/6|_3 = 3
     assert rep.exact_value == 30
 

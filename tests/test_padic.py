@@ -225,3 +225,10 @@ def test_integer_matrix_polygon_slopes_nonpositive_contribution():
         rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
         sec = section(d, rows, primes=[2])
         assert padic_growth_factor(sec, 2).exponent == 0
+
+
+def test_a_prime_too_long_to_print_is_an_input_error():
+    # 10^5000 has more digits than str() converts; the message must not
+    # print it
+    with pytest.raises(InputError, match="^p is not prime$"):
+        ord_p(12, 10 ** 5000)

@@ -1,11 +1,14 @@
 """The power-difference determinants against the independent routes.
 
-``coincidence_sequence`` and ``tameness_check`` both read det(phi^n - psi^n)
-from ``power_difference_determinants``.  For psi = identity and at least 2^d
-terms it reads them off the power sums of the exterior powers; otherwise it
-runs the Bareiss loop on scaled integer matrices.  The oracles here are the
-Bareiss loop itself, called directly, and each value recomputed from scratch
-over Fraction (``mat_pow`` + ``det_rat``) or from the Smith normal form.
+``coincidence_sequence`` reads the integer numerators N_n of
+det(phi^n - psi^n) = N_n / D^(nd) from ``power_difference_determinants``,
+and so does ``tameness_check`` on a section whose psi is not scalar.  For a
+scalar psi and at least 2^d terms it reads them off the power sums of the
+exterior powers; otherwise it runs the Bareiss loop on scaled integer
+matrices.  The oracles here are the Bareiss loop itself, called directly,
+each value recomputed from scratch over Fraction (``mat_pow`` + ``det_rat``)
+or from the Smith normal form, and, for the closed-form tameness of a scalar
+psi, the iteration over the determinants up to the bound.
 """
 
 from fractions import Fraction
@@ -122,12 +125,20 @@ def test_infinite_cases():
     assert list(seq.values) == [product_oracle(z_pair(2, -2), n) for n in range(1, 7)]
 
 
+def denominator(phi, psi):
+    """D = L M for phi = B/L and psi = C/M: det(phi^n - psi^n) = N_n / D^(nd)."""
+    return phi.scaled_integer()[1] * psi.scaled_integer()[1]
+
+
 def test_determinants_are_exact():
     phi = RatMatrix.from_rows([[Fraction(1, 2), 1], [0, 3]])
     psi = RatMatrix.from_rows([[1, 0], [Fraction(1, 3), 2]])
+    assert denominator(phi, psi) == 6
     dets = power_difference_determinants(phi, psi, 1, 7)
     for n in range(1, 8):
-        assert next(dets) == det_rat(mat_pow(phi, n).sub(mat_pow(psi, n)))
+        N = next(dets)
+        assert type(N) is int
+        assert Fraction(N, 6 ** (2 * n)) == det_rat(mat_pow(phi, n).sub(mat_pow(psi, n)))
 
 
 # ---------------------------------------------------------------- tameness
@@ -176,7 +187,10 @@ def test_tameness_bound_matches_sympy_totient():
                    if sympy.totient(m) <= budget)
         expected.append(2 * best)
     assert expected == [4, 24, 60, 120, 180, 252, 420]
-    assert [_tameness_bound(r) for r in range(1, 8)] == expected
+    # the sieve stops at max(r^4, 6), since totient(m) >= sqrt(m) for every
+    # m but 2 and 6; the bounds are those of the sieve up to 2 r^4 + 1
+    assert [_tameness_bound(r) for r in range(1, 13)] == expected + [
+        480, 660, 840, 924, 1260]
 
 
 # ---------------------------------------------------------------- products
@@ -254,8 +268,12 @@ def identity_phis(draw, max_rank=6, integer=False):
 def test_exterior_route_matches_the_bareiss_loop(phi, start, count):
     identity = RatMatrix.identity(phi.rows)
     last = start + count - 1
-    exterior = list(exact_linalg._exterior_determinants(phi, start, last))
+    # both routes yield N_n over the same D^(nd), D = phi's denominator
+    exterior = list(exact_linalg._exterior_determinants(phi, identity, start, last))
     assert exterior == list(exact_linalg._bareiss_determinants(phi, identity, start, last))
+    D = denominator(phi, identity)
+    assert [Fraction(N, D ** (n * phi.rows)) for n, N in enumerate(exterior, start=start)] == [
+        det_rat(mat_pow(phi, n).sub(identity)) for n in range(start, last + 1)]
     assert len(exterior) == count
     # past the guard power_difference_determinants takes the same route
     long = list(power_difference_determinants(
@@ -266,11 +284,16 @@ def test_exterior_route_matches_the_bareiss_loop(phi, start, count):
 def test_exterior_route_meets_zero_determinants():
     # an 8-cycle and the order-3 rotation: zeros at every multiple of 24
     cycle = [[int(j == (i - 1) % 8) for j in range(8)] for i in range(8)]
-    assert list(exact_linalg._exterior_determinants(RatMatrix.from_rows(cycle), 1, 3)) == [0] * 3
+    assert list(exact_linalg._exterior_determinants(
+        RatMatrix.from_rows(cycle), RatMatrix.identity(8), 1, 3)) == [0] * 3
     rot = RatMatrix.from_rows([[0, -1, 0], [1, -1, 0], [0, 0, Fraction(1, 2)]])
-    dets = list(exact_linalg._exterior_determinants(rot, 1, 12))
-    assert dets == list(exact_linalg._bareiss_determinants(rot, RatMatrix.identity(3), 1, 12))
+    identity = RatMatrix.identity(3)
+    dets = list(exact_linalg._exterior_determinants(rot, identity, 1, 12))
+    assert dets == list(exact_linalg._bareiss_determinants(rot, identity, 1, 12))
     assert [n for n, v in enumerate(dets, start=1) if v == 0] == [3, 6, 9, 12]
+    # N_n = det(rot^n - I) 2^(3n), D = 2
+    assert [Fraction(N, 2 ** (3 * n)) for n, N in enumerate(dets, start=1)] == [
+        det_rat(mat_pow(rot, n).sub(identity)) for n in range(1, 13)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,10 +310,7 @@ def test_exterior_route_matches_the_snf_route(phi, start):
 
 def _forcing(route):
     """power_difference_determinants pinned to one route."""
-    if route == "bareiss":
-        return exact_linalg._bareiss_determinants
-    return lambda phi, psi, start, last: exact_linalg._exterior_determinants(
-        phi, start, last)
+    return getattr(exact_linalg, f"_{route}_determinants")
 
 
 @settings(max_examples=25, deadline=None)
@@ -337,3 +357,113 @@ def test_exterior_power_polynomials_stay_in_ints(rows):
     assert seen and all(seen)
     assert all(type(c) is int for w in polys for c in w.coeffs)
     assert polys == [char_poly(_wedge(rows, k)).to_int() for k in range(len(rows) + 1)]
+
+
+# ---------------------------------------------------------------- scalar psi
+
+# rotations of order 3, 4 and 6: scaled by c they put c times a root of
+# unity among phi's eigenvalues, so det(phi^n - c^n I) = 0 at the multiples
+ORDERED_ROTATIONS = {3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]], 6: [[1, -1], [1, 0]]}
+
+
+@st.composite
+def scalar_sections(draw, max_rank=4):
+    """A section with psi = c I: c from rationals, so negative, zero and
+    non-integer; phi rational, with phi - c I singular, or with c times a
+    rotation of order 3, 4 or 6 on top of a block triangular matrix."""
+    d = draw(st.integers(min_value=1, max_value=max_rank))
+    primes = tuple(p for p in PRIMES if draw(st.booleans()))
+    entry = rationals(primes)
+    c = draw(entry)
+    rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    kind = draw(st.sampled_from(("plain", "singular", "rotation")))
+    if kind == "rotation" and d < 2:
+        kind = "singular"
+    if kind == "singular":  # rows of phi - c I: the last is twice the first
+        rows[-1] = [2 * x for x in rows[0]] if d > 1 else [Fraction(0)]
+        rows = [[x + (c if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif kind == "rotation":
+        block = ORDERED_ROTATIONS[draw(st.sampled_from(sorted(ORDERED_ROTATIONS)))]
+        for i in range(d):
+            for j in range(2):
+                rows[i][j] = c * block[i][j] if i < 2 else Fraction(0)
+    return section(d, rows, RatMatrix.identity(d).scale(c), primes=primes)
+
+
+@st.composite
+def planted_pairs(draw):
+    """A rank-3 section with psi not scalar: phi = diag(c R, x) and
+    psi = diag(c, c, y), R a rotation of order 3, 4 or 6 and y != c, so the
+    witness of a zero may lie in a section iterated term by term."""
+    c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+    x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3).filter(lambda v: v != c))
+    R = ORDERED_ROTATIONS[draw(st.sampled_from(sorted(ORDERED_ROTATIONS)))]
+    phi = [[c * R[0][0], c * R[0][1], 0], [c * R[1][0], c * R[1][1], 0], [0, 0, x]]
+    return section(3, phi, [[c, 0, 0], [0, c, 0], [0, 0, y]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalar_sections(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=8))
+def test_scalar_routes_yield_numerators_over_the_stated_denominator(sec, start, count):
+    phi, psi, d = sec.phi, sec.psi, sec.rank
+    last = start + count - 1
+    D = denominator(phi, psi)
+    expected = [det_rat(mat_pow(phi, n).sub(mat_pow(psi, n)))
+                for n in range(start, last + 1)]
+    for route in (exact_linalg._exterior_determinants, exact_linalg._bareiss_determinants):
+        got = list(route(phi, psi, start, last))
+        assert all(type(N) is int for N in got)
+        assert [Fraction(N, D ** (n * d)) for n, N in enumerate(got, start=start)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(scalar_sections(), min_size=1, max_size=2),
+       st.integers(min_value=1, max_value=18))
+def test_sequence_of_scalar_sections_matches_section_route(secs, N):
+    # N >= 2^d puts a rank-d section on the exterior-power route
+    system = NilpotentSystem(name="drawn", sections=tuple(secs))
+    seq = coincidence_sequence(system, N)
+    assert list(seq.values) == [product_oracle(system, n) for n in range(1, N + 1)]
+
+
+def iterated_tameness(system):
+    """The verdict by iterating power_difference_determinants over every
+    section, n = 1 .. the bound, n first and then the section."""
+    bound = _tameness_bound(max(sec.rank for sec in system.sections))
+    dets = [power_difference_determinants(sec.phi, sec.psi, 1, bound)
+            for sec in system.sections]
+    for n, row in enumerate(zip(*dets), start=1):
+        for k, det in enumerate(row, start=1):
+            if det == 0:
+                return TamenessVerdict(False, n, k, bound)
+    return TamenessVerdict(True, None, None, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(scalar_sections(max_rank=3), planted_pairs(),
+                          sections(max_rank=3)), min_size=1, max_size=3))
+def test_closed_form_tameness_matches_the_iteration(secs):
+    system = NilpotentSystem(name="drawn", sections=tuple(secs))
+    assert tameness_check(system) == iterated_tameness(system)
+
+
+def test_closed_form_tameness_takes_the_least_witness():
+    # section 1: 2 R_6 against 2 I, zero at n = 6; section 2: the planted
+    # pair with R_4, zero at n = 4 in a section iterated term by term;
+    # section 3: phi singular against psi = 0, zero at n = 1
+    six = section(2, [[2, -2], [2, 0]], [[2, 0], [0, 2]])
+    four = section(3, [[0, -1, 0], [1, 0, 0], [0, 0, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 3]])
+    singular = section(2, [[1, 2], [2, 4]], [[0, 0], [0, 0]])
+    cases = [((six,), (6, 1)), ((six, four), (4, 2)), ((four, six), (4, 1)),
+             ((six, four, singular), (1, 3)), ((singular, four), (1, 1))]
+    for secs, witness in cases:
+        system = NilpotentSystem(name="planted", sections=secs)
+        verdict = tameness_check(system)
+        assert verdict == iterated_tameness(system) == reference_tameness(system)
+        assert (verdict.witness_n, verdict.witness_section) == witness
+    # psi = 0: a zero at n = 1 exactly when phi is singular, else none
+    assert tameness_check(z_pair(0, 0)) == TamenessVerdict(False, 1, 1, 4)
+    assert tameness_check(z_pair(2, 0)) == TamenessVerdict(True, None, None, 4)
+    assert coincidence_sequence(z_pair(0, 0), 3).values == (INFINITY,) * 3

@@ -44,15 +44,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Optional
 
 import sympy
-from sympy.polys.polyroots import preprocess_roots
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
-from .polyalg import to_sympy
+from .polyalg import factorization, to_sympy
 
 __all__ = [
     "Box",
@@ -340,8 +339,31 @@ def _certified_roots(p: IntPolynomial):
 
 
 def _rescale(p: IntPolynomial) -> int:
-    """The factor c of sympy's rewrite CRootOf(p, i) = c * CRootOf(q, i)."""
-    return int(preprocess_roots(to_sympy(p))[0])
+    """The factor c of sympy's rewrite CRootOf(p, i) = c * CRootOf(q, i),
+    with p(c y) = c^n q(y): the integer basis of p's primitive part that
+    sympy's preprocess_roots finds, in integers.  Only when the lowest
+    nonzero coefficient outweighs the leading one is there a basis.  With
+    two terms, a_k x^k and a_n x^n, it is the exact (n - k)-th root of
+    |a_k|, if there is one; otherwise the largest c > 1 with c^(n - k)
+    dividing every a_k below the leading term.  No basis gives 1."""
+    terms = [(k, c) for k, c in enumerate(p.coeffs) if c]
+    if len(terms) < 2:
+        return 1
+    content = gcd(*p.coeffs)
+    n, lead = terms[-1]
+    lows = [(n - k, abs(c) // content) for k, c in terms[:-1]]
+    if abs(lead) // content >= lows[0][1]:
+        return 1
+    if len(lows) == 1:
+        (m, a), = lows
+        root, exact = sympy.integer_nthroot(a, m)
+        return root if exact else 1
+    c = 1
+    for q, e in factorization(gcd(*(a for _, a in lows))).items():
+        while e and any(a % q ** (e * m) for m, a in lows):
+            e -= 1
+        c *= q ** e
+    return c
 
 
 def _crootof_index(p: IntPolynomial, first: int, box: Callable) -> int:

@@ -108,6 +108,8 @@ def _outside_part(d: int, s_part: int) -> int:
     while g > 1:
         d //= g
         g = gcd(d, g)
+    if d == 1:  # every integer entry, and every denominator inside S
+        return 1
     power = sympy.perfect_power(d)
     return power[0] if power else d
 

@@ -8,22 +8,28 @@ square-free decomposition, gcds and exact division run sympy's dense kernels
 over ZZ (``dup_factor_list``, ``dup_sqf_list``, ``dup_gcd``, ``dup_exquo``,
 the algorithms ``Poly`` reaches) on coefficient lists, highest degree first,
 in through ``ZZ.convert`` and out through ``int``, so no ``Poly`` is built
-and results are ints under any ``SYMPY_GROUND_TYPES``.  The product and
-ratio polynomials are built in integers from power sums with Newton's
-identities (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
-resultants", JSC 41, 2006), as are the exterior-power polynomials in
-``exact_linalg``, which need no sympy.  Square-free parts are refined into a
-pairwise coprime base by gcds alone (Bach, Driscoll, Shallit, "Factor
-refinement", J. Algorithms 15, 1993).  Cyclotomic polynomials and Euler's
-totient are computed in plain integer arithmetic: building them as sympy
-expressions would make the first call in a process import sympy's tensor
-and combinatorics packages.  Cyclotomic factors are found by exact division,
-with no factoring.
+and results are ints under any ``SYMPY_GROUND_TYPES``.  Before Zassenhaus
+and the gcd, ``factor_int`` and ``is_squarefree`` try a certificate modulo
+a few small primes that do not divide the leading coefficient (Dedekind's
+reduction argument, Cohen, GTM 138, 3.5): a polynomial irreducible modulo
+such a prime is irreducible, and one square-free modulo it is square-free.
+The primes come from ``primes``, the stream the S_d certificate reads too.
+The product and ratio polynomials are built in integers from power sums
+with Newton's identities (Bostan, Flajolet, Salvy, Schost, "Fast
+computation of special resultants", JSC 41, 2006), as are the
+exterior-power polynomials in ``exact_linalg``, which need no sympy.
+Square-free parts are refined into a pairwise coprime base by gcds alone
+(Bach, Driscoll, Shallit, "Factor refinement", J. Algorithms 15, 1993).
+Cyclotomic polynomials and Euler's totient are computed in plain integer
+arithmetic: building them as sympy expressions would make the first call in
+a process import sympy's tensor and combinatorics packages.  Cyclotomic
+factors are found by exact division, with no factoring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice, takewhile
 from math import gcd, isqrt, prod
 from typing import Optional
 
@@ -32,7 +38,14 @@ from sympy.polys.densearith import dup_div, dup_exquo
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_gcd
 from sympy.polys.factortools import dup_factor_list
-from sympy.polys.galoistools import gf_ddf_zassenhaus
+from sympy.polys.galoistools import (
+    gf_ddf_zassenhaus,
+    gf_frobenius_map,
+    gf_frobenius_monomial_base,
+    gf_gcd,
+    gf_sqf_p,
+    gf_sub,
+)
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -57,13 +70,64 @@ def _from_dense(f: list) -> IntPolynomial:
     return IntPolynomial.of([int(c) for c in reversed(f)] or [0])
 
 
+def primes():
+    """2, 3, 5, 7, ...: every prime in turn, each found by trial division by
+    the smaller ones.  The one prime stream of the mod-p certificates."""
+    found = []
+    for n in count(2):
+        if all(n % q for q in takewhile(lambda q: q * q <= n, found)):
+            found.append(n)
+            yield n
+
+
+# factor_int and is_squarefree try their mod-p certificates modulo this many
+# primes that do not divide the leading coefficient before the route over Z
+_CERTIFICATE_PRIMES = 8
+
+
+def _reductions(coeffs):
+    """(p, f) for the first _CERTIFICATE_PRIMES primes p that do not divide
+    the leading coefficient of coeffs (ascending, degree >= 1), with f the
+    monic reduction of the polynomial modulo p, highest degree first, of
+    the same degree."""
+    lead = coeffs[-1]
+    for p in islice((p for p in primes() if lead % p), _CERTIFICATE_PRIMES):
+        inverse = pow(lead, -1, p)
+        yield p, [c * inverse % p for c in reversed(coeffs)]
+
+
+def _irreducible_mod(f: list, p: int) -> bool:
+    """Ben-Or's test for the monic f over GF(p), highest degree first: f of
+    degree n is irreducible unless it shares a factor with x^(p^i) - x for
+    some i <= n/2, whose irreducible factors are those of degree dividing
+    i.  A reducible f has a factor of degree at most n/2, so the test needs
+    no square-free input, and it stops at the first shared factor."""
+    x = [1, 0]
+    base = gf_frobenius_monomial_base(f, p, ZZ)
+    h = x
+    for _ in range((len(f) - 1) // 2):
+        h = gf_frobenius_map(h, f, base, p, ZZ)
+        if gf_gcd(f, gf_sub(h, x, p, ZZ), p, ZZ) != [1]:
+            return False
+    return True
+
+
 def factor_int(p: IntPolynomial):
     """Irreducible primitive factors with multiplicity; (content_sign_unit, factors).
 
     Factors carry positive leading coefficients (sympy's convention over Z).
+    A polynomial of positive degree that is irreducible modulo a prime not
+    dividing its leading coefficient (the degree is kept, so a factorization
+    over Z would survive the reduction) is its content times one primitive
+    factor; every other goes through sympy's Zassenhaus route.
     """
     if p.is_zero:
         raise InputError("cannot factor the zero polynomial")
+    if p.degree >= 1:
+        unit = gcd(*p.coeffs) * (1 if p.leading > 0 else -1)
+        q = [c // unit for c in p.coeffs]
+        if any(_irreducible_mod(f, prime) for prime, f in _reductions(q)):
+            return unit, [(IntPolynomial.of(q), 1)]
     unit, factors = dup_factor_list(_dense(p), ZZ)
     return int(unit), [(_from_dense(f), m) for f, m in factors]
 
@@ -92,6 +156,12 @@ def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
+    """Whether p has no repeated factor over Q.  A repeated factor stays
+    repeated modulo a prime that does not divide the leading coefficient,
+    so p square-free modulo one such prime is square-free; otherwise
+    gcd(p, p') decides."""
+    if p.degree >= 1 and any(gf_sqf_p(f, prime, ZZ) for prime, f in _reductions(p.coeffs)):
+        return True
     return gcd_int(p, p.derivative()).degree == 0
 
 
@@ -161,12 +231,7 @@ def symmetric_galois_group(cp: IntPolynomial) -> bool:
     if disc == 0 or (disc > 0 and isqrt(disc) ** 2 == disc):
         return False
     transitive = primitive = transposition = False
-    p, tried = 1, 0
-    while tried < _CYCLE_PRIMES * d:
-        p = sympy.nextprime(p)
-        if disc % p == 0:
-            continue
-        tried += 1
+    for p in islice((p for p in primes() if disc % p), _CYCLE_PRIMES * d):
         # distinct-degree factorization: (product of the factors of degree k, k)
         cycles = sorted(k for g, k in gf_ddf_zassenhaus([int(c) % p for c in f], p, ZZ)
                         for _ in range((len(g) - 1) // k))

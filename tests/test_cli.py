@@ -271,6 +271,42 @@ def test_classify_rank5_torus():
     assert lo - slack <= numeric <= hi + slack
 
 
+RANK4_TORUS = "torus_matrix:0,0,0,-1,1,0,0,2,0,1,0,-3,0,0,1,4"
+
+
+def test_growth_and_entropy_stay_off_sympys_poly_layer(monkeypatch):
+    # the characteristic polynomials are irreducible modulo a small prime,
+    # square-free modulo one, and rescaled in integers: no Poly is built and
+    # neither Zassenhaus, preprocess_roots nor nextprime runs
+    import sympy
+    import sympy.polys.polyroots
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.append(name) or real(*a, **k))
+    new = sympy.Poly.__new__
+    monkeypatch.setattr(sympy.Poly, "__new__",
+                        lambda cls, *a, **k: calls.append("Poly") or new(cls, *a, **k))
+    counting(polyalg, "dup_factor_list")
+    counting(sympy.polys.polyroots, "preprocess_roots")
+    counting(sympy, "nextprime")
+    pair = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+               / "commuting_pair.json")
+    for source in (["--builtin", "torus_matrix:2,1,1,1"], ["--builtin", RANK4_TORUS],
+                   ["--builtin", RANK5_TORUS], ["--input", pair]):
+        assert run_capture(["growth", *source])[0] == 0
+        # entropy is defined for psi = identity; the pair's is an exit 1
+        assert run_capture(["entropy", *source])[0] == (1 if source[0] == "--input" else 0)
+    assert calls == []
+    # the counters see the routes they guard
+    sympy.nextprime(2)
+    polyalg.factor_int(IntPolynomial.of([1, 0, 0, 0, 1]))
+    sympy.polys.polyroots.preprocess_roots(polyalg.to_sympy(IntPolynomial.of([1, 1])))
+    assert calls == ["nextprime", "dup_factor_list", "Poly", "preprocess_roots"]
+
+
 def _selmer_torus(r):
     """Companion torus of x^r - x - 1 (irreducible, no root of unity)."""
     rows = [[0] * r for _ in range(r)]

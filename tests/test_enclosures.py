@@ -4,6 +4,7 @@ from math import floor, isqrt
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.polyroots import preprocess_roots
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from tdyn.enclosures import (
@@ -275,6 +276,36 @@ def test_rescaled_polynomials_stay_on_the_engine(p, c):
     encl = assert_matches_crootof(p, complex_bits=32)
     assert all(e.disk is not None for e in encl)
     assert_true_cells(p, encl)
+
+
+@st.composite
+def rescalable_polynomials(draw):
+    """c^n q(x / c) times a content and a sign, for a small q of degree n
+    with some zero coefficients and c in 1-6: sympy's integer basis, its
+    two-term case, and polynomials with no basis or a smaller one."""
+    q = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 4, 12]), min_size=1, max_size=6))
+    q.append(draw(st.sampled_from([1, -1, 2, 3, -8])))
+    c, content = draw(st.integers(1, 6)), draw(st.sampled_from([1, -1, 2, -6, 2 ** 70]))
+    n = len(q) - 1
+    return IntPolynomial.of([content * a * c ** (n - k) for k, a in enumerate(q)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rescalable_polynomials())
+def test_rescale_matches_preprocess_roots(p):
+    assert _rescale(p) == int(preprocess_roots(to_sympy(p))[0])
+
+
+@pytest.mark.parametrize("p, c", [
+    (poly(1024, 512, 0, 0, 0, 1), 4),        # x^5 + 512x + 1024 = 4^5 (y^5 + 2y + 1)
+    (poly(8, 0, 0, 27), 1),                  # 27x^3 + 8: the leading term outweighs
+    (poly(27, 0, 0, 8), 3),                  # 8x^3 + 27: two terms, 27 = 3^3
+    (poly(24, 0, 0, 1), 1),                  # x^3 + 24: two terms, no cube root
+    (poly(24, 8, 0, 1), 2),                  # x^3 + 8x + 24 = 2^3 (y^3 + 2y + 3)
+    (poly(0, 64, 0, 1), 8),                  # x^3 + 64x: a zero constant term
+])
+def test_rescale_pins_the_integer_basis(p, c):
+    assert _rescale(p) == c == int(preprocess_roots(to_sympy(p))[0])
 
 
 # 3^5 q(x/3) for q = x^5 - 2x^4 + x^3 + x^2 - 2x + 2: sympy orders its two

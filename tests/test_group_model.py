@@ -81,6 +81,24 @@ def test_validate_factors_no_denominator(monkeypatch):
     assert validate(s_integer(Fraction(5, 4 * p), [2, p])) == []
 
 
+def test_validate_reads_no_perfect_power_of_a_denominator_inside_the_support(monkeypatch):
+    # every integer entry has denominator 1, and a denominator whose primes
+    # all lie in S leaves 1 after the gcd steps: neither needs perfect_power
+    calls = []
+    perfect_power = sympy.perfect_power
+    monkeypatch.setattr(sympy, "perfect_power",
+                        lambda n: calls.append(n) or perfect_power(n))
+    assert validate(torus_matrix([[2, 1], [1, 1]])) == []
+    assert validate(builtin_example("heisenberg:2,1,1,3")) == []
+    assert validate(s_integer(Fraction(3, 2), [2])) == []
+    assert validate(s_integer(Fraction(5, 12), [2, 3])) == []
+    assert calls == []
+    # an S-integer section with a prime outside S still reduces its power
+    assert validate(s_integer(Fraction(1, 2 * 27), [2])) == [
+        "denominator 3 outside prime support in section 1 (phi)"]
+    assert calls == [27]
+
+
 def test_validate_nonprime_support():
     bad = NilpotentSystem(name="bad", sections=(section(1, [[2]], primes=[6]),))
     assert any("not prime" in m for m in validate(bad))

@@ -1,5 +1,6 @@
 """factor_int, gcd_int and exact_quotient, on sympy's dense kernels, against
-the ``Poly``-level calls; factor_rat, the monic factoring bridge over Q,
+the ``Poly``-level calls; the mod-p certificates of factor_int and
+is_squarefree against dup_factor_list and the gcd route; factor_rat, the monic factoring bridge over Q,
 against sympy factoring the rational polynomial directly; the product and ratio polynomials built from
 power sums against bivariate resultants as the oracle; the integer
 cyclotomic polynomials and their identification against sympy's
@@ -7,7 +8,7 @@ cyclotomic polynomials and their identification against sympy's
 the characteristic polynomial of the explicit matrix of minors."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import sympy
 import pytest
@@ -137,6 +138,94 @@ def test_the_dense_bridge_builds_no_poly(monkeypatch):
     gcd_int(p, q)
     exact_quotient(p, IntPolynomial.of([3, 0, 2]))
     assert built == []
+
+
+# ---------------------------------------------------------------- the mod-p certificates
+
+# products of one to three pieces, each a small polynomial, a cyclotomic
+# polynomial or x, some squared, times a content and a sign: irreducible,
+# reducible, repeated-factor, cyclotomic, zero-constant, non-primitive and
+# negative-leading cases
+_pieces = st.tuples(
+    st.lists(st.integers(-4, 4), min_size=2, max_size=6).map(IntPolynomial.of).filter(
+        lambda p: p.degree >= 1)
+    | st.integers(1, 12).map(cyclotomic)
+    | st.just(IntPolynomial.of([0, 1])),
+    st.integers(1, 2))
+
+
+def _product(pieces, content):
+    p = IntPolynomial.of([content])
+    for f, k in pieces:
+        p = p * f.pow(k)
+    return p
+
+
+certificate_polynomials = st.builds(
+    _product, st.lists(_pieces, min_size=1, max_size=3), st.sampled_from([1, -1, 2, -6]))
+
+
+@pytest.fixture
+def zassenhaus_calls(monkeypatch):
+    """The polynomials factor_int hands to sympy's dup_factor_list."""
+    calls = []
+    factor_list = polyalg.dup_factor_list
+    monkeypatch.setattr(polyalg, "dup_factor_list",
+                        lambda f, K: calls.append(f) or factor_list(f, K))
+    return calls
+
+
+def test_primes_are_the_primes_in_order():
+    assert list(islice(polyalg.primes(), 200)) == list(sympy.primerange(2, sympy.prime(200) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_polynomials)
+def test_factor_int_matches_dup_factor_list(p):
+    unit, factors = polyalg.dup_factor_list(polyalg._dense(p), polyalg.ZZ)
+    assert factor_int(p) == (int(unit), [(polyalg._from_dense(f), m) for f, m in factors])
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_polynomials)
+def test_is_squarefree_matches_the_gcd_route(p):
+    assert is_squarefree(p) == (gcd_int(p, p.derivative()).degree == 0)
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_an_irreducible_polynomial_with_a_d_cycle_skips_zassenhaus(r, zassenhaus_calls):
+    # x^r - x - 1 has Galois group S_r, whose r-cycles show modulo a small prime
+    p = _selmer_poly(r)
+    assert factor_int(p) == (1, [(p, 1)])
+    assert factor_int(IntPolynomial.of([-2]) * p) == (-2, [(p, 1)])
+    assert zassenhaus_calls == []
+
+
+@pytest.mark.parametrize("coeffs, why", [
+    ([1, 0, 0, 0, 1], "x^4 + 1: reducible modulo every prime"),
+    ([1, 0, -10, 0, 1], "x^4 - 10x^2 + 1: reducible modulo every prime"),
+    ([1, 2, 0, -1, -1, -1, 1], "(x^2 - x - 1)(x^4 - x - 1)"),
+])
+def test_a_polynomial_with_no_certificate_falls_back_to_zassenhaus(coeffs, why,
+                                                                   zassenhaus_calls):
+    p = IntPolynomial.of(coeffs)
+    assert not any(polyalg._irreducible_mod(f, q) for q, f in polyalg._reductions(p.coeffs))
+    assert factor_int(p) == _poly_factor_int(p), why
+    assert len(zassenhaus_calls) == 1, why
+
+
+def test_a_square_free_polynomial_with_no_certificate_takes_the_gcd_route(monkeypatch):
+    # the discriminant of x (x - 9699690) is 9699690^2, and 9699690 is the
+    # product of the primes up to 19: modulo each it is x^2
+    p = IntPolynomial.of([0, -9699690, 1])
+    assert [q for q, _ in polyalg._reductions(p.coeffs)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    gcds = []
+    monkeypatch.setattr(polyalg, "gcd_int", lambda a, b: gcds.append(a) or gcd_int(a, b))
+    assert is_squarefree(p) and gcds == [p]
+    gcds.clear()
+    assert not is_squarefree(IntPolynomial.of([-1, 1]).pow(2) * p) and len(gcds) == 1
+    gcds.clear()
+    assert is_squarefree(_selmer_poly(7) * _selmer_poly(5)) and gcds == []
 
 
 def _sympy_monic_factors(p: RatPolynomial):
@@ -512,9 +601,9 @@ def test_the_galois_certificate_spends_a_bounded_budget(monkeypatch):
     # a reducible cp never shows a d-cycle, and F20 has 5-cycles but no
     # transposition: each stops after 8 d good primes
     tried = []
-    nextprime = polyalg.sympy.nextprime
-    monkeypatch.setattr(polyalg.sympy, "nextprime",
-                        lambda p: tried.append(nextprime(p)) or tried[-1])
+    primes = polyalg.primes
+    monkeypatch.setattr(polyalg, "primes",
+                        lambda: (tried.append(p) or p for p in primes()))
 
     def good_primes(p):
         disc = int(polyalg.dup_discriminant(polyalg._dense(p), polyalg.ZZ))

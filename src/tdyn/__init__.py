@@ -41,13 +41,11 @@ from .exact_linalg import (
     IntPolynomial,
     RatMatrix,
     RatPolynomial,
-    SmithForm,
     char_poly,
     companion_matrix,
     det_exact,
     det_rat,
     mat_pow,
-    smith_normal_form,
 )
 from .group_model import (
     AbelianSection,
@@ -82,6 +80,7 @@ from .padic import (
     padic_growth_factor,
     root_valuations,
 )
+from .polyalg import SmithForm, smith_normal_form
 from .reidemeister import (
     INFINITY,
     ReidemeisterSequence,

@@ -51,7 +51,7 @@ import sympy
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
-from .polyalg import factorization, to_sympy
+from .polyalg import to_sympy
 
 __all__ = [
     "Box",
@@ -338,34 +338,6 @@ def _certified_roots(p: IntPolynomial):
     return None if seeds is None else _certify(p, seeds)
 
 
-def _rescale(p: IntPolynomial) -> int:
-    """The factor c of sympy's rewrite CRootOf(p, i) = c * CRootOf(q, i),
-    with p(c y) = c^n q(y): the integer basis of p's primitive part that
-    sympy's preprocess_roots finds, in integers.  Only when the lowest
-    nonzero coefficient outweighs the leading one is there a basis.  With
-    two terms, a_k x^k and a_n x^n, it is the exact (n - k)-th root of
-    |a_k|, if there is one; otherwise the largest c > 1 with c^(n - k)
-    dividing every a_k below the leading term.  No basis gives 1."""
-    terms = [(k, c) for k, c in enumerate(p.coeffs) if c]
-    if len(terms) < 2:
-        return 1
-    content = gcd(*p.coeffs)
-    n, lead = terms[-1]
-    lows = [(n - k, abs(c) // content) for k, c in terms[:-1]]
-    if abs(lead) // content >= lows[0][1]:
-        return 1
-    if len(lows) == 1:
-        (m, a), = lows
-        root, exact = sympy.integer_nthroot(a, m)
-        return root if exact else 1
-    c = 1
-    for q, e in factorization(gcd(*(a for _, a in lows))).items():
-        while e and any(a % q ** (e * m) for m, a in lows):
-            e -= 1
-        c *= q ** e
-    return c
-
-
 def _crootof_index(p: IntPolynomial, first: int, box: Callable) -> int:
     """The index i >= first of the non-real root of p that box encloses: the
     one CRootOf(p, i) whose box keeps meeting box(bits) up the ladder."""
@@ -609,8 +581,10 @@ def modulus_cell(square: Callable, root: RootEnclosure):
     """
     lo, hi = square(root)
     if root.disk is not None:
-        # CRootOf boxes of a root of a rescaled polynomial are that much wider
-        pad = (_rescale(root.poly) + 1) * (hi - lo) + GUARD
+        # CRootOf boxes of a root of a polynomial that sympy rescales by c are
+        # that much wider; c^(n - k) divides every a_k below the leading
+        # term, so c divides their gcd
+        pad = (gcd(*root.poly.coeffs[:-1]) + 1) * (hi - lo) + GUARD
         if not _settled(lo - pad, hi + pad):
             lo, hi = square(root.oracle())
     return interval_sqrt(max(lo, Fraction(0)), hi), (lo, hi)

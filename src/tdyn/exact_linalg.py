@@ -6,9 +6,10 @@ share a base class that differs only in the entry type, and each subclass
 adds its own extras.  Everything here is immutable after construction and
 every operation is a pure function, so values can be shared freely across
 threads.  Successive matrix powers come from one loop (``powers``, one
-product per step).  Determinants use fraction-free Bareiss elimination, and
-the Smith normal form keeps full unimodular transforms so callers can recheck
-U*A*V = D.  Newton's identities live here once in each direction
+product per step).  Determinants use fraction-free Bareiss elimination;
+the Smith normal form, their independent oracle, is sympy's and lives in
+``polyalg``, so nothing here imports sympy.  Newton's identities live here
+once in each direction
 (coefficients to power sums and back); the characteristic polynomial is
 rebuilt from the traces of matrix powers with them, and so are the
 characteristic polynomials of the exterior powers of a matrix.
@@ -358,117 +359,6 @@ def _exterior_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int
             value = value * t + trace * scale
             scale *= bn
         yield value
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """U*A*V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... , zeros last."""
-
-    D: BigIntMatrix
-    U: BigIntMatrix
-    V: BigIntMatrix
-    rank: int
-
-    def diagonal(self) -> list:
-        return [self.D.get(i, i) for i in range(min(self.D.rows, self.D.cols))]
-
-
-def _smallest_entry(M, t, m, n):
-    """Pivot rule: smallest nonzero |entry| in the working submatrix, lowest (row, col) on ties."""
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = M[i][j]
-            if v != 0 and (best is None or abs(v) < abs(M[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def smith_normal_form(A: BigIntMatrix) -> SmithForm:
-    m, n = A.rows, A.cols
-    M = A.row_lists()
-    U = BigIntMatrix.identity(m).row_lists()
-    V = BigIntMatrix.identity(n).row_lists()
-
-    def swap_rows(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for row in M:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        piv = _smallest_entry(M, t, m, n)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            if M[t][t] < 0:
-                negate_row(t)
-            p = M[t][t]
-            restart = False
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // p
-                    if q:
-                        add_row(i, t, -q)
-                    if M[i][t]:
-                        # remainder becomes a strictly smaller pivot
-                        swap_rows(i, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // p
-                    if q:
-                        add_col(j, t, -q)
-                    if M[t][j]:
-                        swap_cols(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # row/col t clean; force the pivot to divide the rest of the submatrix
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if M[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        t += 1
-
-    D = BigIntMatrix.from_rows(M)
-    rank = sum(1 for i in range(min(m, n)) if D.get(i, i) != 0)
-    return SmithForm(D=D, U=BigIntMatrix.from_rows(U), V=BigIntMatrix.from_rows(V), rank=rank)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Exact polynomial algebra helpers (factorization, cyclotomics, composed
-products).
+products) and the Smith normal form.
 
 Thin bridge to sympy's exact routines so the rest of the package works with
 tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
@@ -23,11 +23,14 @@ Square-free parts are refined into a pairwise coprime base by gcds alone
 Cyclotomic polynomials and Euler's totient are computed in plain integer
 arithmetic: building them as sympy expressions would make the first call in
 a process import sympy's tensor and combinatorics packages.  Cyclotomic
-factors are found by exact division, with no factoring.
+factors are found by exact division, with no factoring.  The Smith normal
+form of an integer matrix, with its unimodular transforms, is sympy's
+``smith_normal_decomp`` over ZZ, its entries read back through ``int``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, takewhile
 from math import gcd, isqrt, prod
@@ -46,11 +49,14 @@ from sympy.polys.galoistools import (
     gf_sqf_p,
     gf_sub,
 )
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InputError
-from .exact_linalg import IntPolynomial, RatPolynomial, from_power_sums, power_sums
+from .exact_linalg import (BigIntMatrix, IntPolynomial, RatPolynomial, from_power_sums,
+                           power_sums)
 
 _X = sympy.Symbol("x")
 
@@ -411,3 +417,24 @@ def product_polynomial(v: IntPolynomial) -> IntPolynomial:
         raise InputError("product polynomial needs degree >= 1")
     sums = power_sums(_monic_scaled(v), v.degree ** 2)
     return _from_scaled_power_sums([p * p for p in sums], v.leading ** 2)
+
+
+@dataclass(frozen=True)
+class SmithForm:
+    """U*A*V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... , zeros last."""
+
+    D: BigIntMatrix
+    U: BigIntMatrix
+    V: BigIntMatrix
+    rank: int
+
+    def diagonal(self) -> list:
+        return [self.D.get(i, i) for i in range(min(self.D.rows, self.D.cols))]
+
+
+def smith_normal_form(A: BigIntMatrix) -> SmithForm:
+    """sympy's smith_normal_decomp of A over ZZ, as int matrices."""
+    D, U, V = (BigIntMatrix.from_rows([[int(x) for x in row] for row in M.to_list()])
+               for M in smith_normal_decomp(DomainMatrix.from_list(A.row_lists(), ZZ)))
+    rank = sum(1 for i in range(min(D.rows, D.cols)) if D.get(i, i))
+    return SmithForm(D=D, U=U, V=V, rank=rank)

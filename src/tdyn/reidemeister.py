@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .exact_linalg import (det_rat, mat_pow, power_difference_determinants,
-                           smith_normal_form)
+from .exact_linalg import det_rat, mat_pow, power_difference_determinants
 from .group_model import AbelianSection, NilpotentSystem, validate
 from .padic import _ord_int, ord_p
+from .polyalg import smith_normal_form
 
 __all__ = ["INFINITY", "Infinity", "is_infinite", "ReidemeisterSequence",
            "section_coincidence_number", "section_coincidence_number_snf",

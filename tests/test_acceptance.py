@@ -19,12 +19,7 @@ from tdyn.asymptotics import (
 from tdyn.cli import main as cli_main
 from tdyn.congruence import dold_check_realization, euler_check, gauss_check
 from tdyn.errors import TdynError
-from tdyn.exact_linalg import (
-    BigIntMatrix,
-    IntPolynomial,
-    det_exact,
-    smith_normal_form,
-)
+from tdyn.exact_linalg import BigIntMatrix, IntPolynomial, det_exact
 from tdyn.group_model import (
     NilpotentSystem,
     s_integer,
@@ -35,6 +30,7 @@ from tdyn.group_model import (
 )
 from tdyn.growth import entropy_dual_torus, growth_rate, verify_entropy_identity
 from tdyn.padic import newton_polygon, ord_p
+from tdyn.polyalg import smith_normal_form
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import ExponentialSum, expand, realize_bouquet, zeta_from_sequence
 

@@ -22,8 +22,8 @@ from tdyn.exact_linalg import (
     powers,
     rat_kernel_basis,
     rat_solve,
-    smith_normal_form,
 )
+from tdyn.polyalg import smith_normal_form
 
 
 # ---------------------------------------------------------------- oracles
@@ -135,6 +135,8 @@ def test_det_rat_scaling():
 
 def snf_checks(A):
     sf = smith_normal_form(A)
+    # ints under every SYMPY_GROUND_TYPES, never gmpy2's mpz
+    assert all(type(x) is int for M in (sf.D, sf.U, sf.V) for x in M.entries)
     assert sf.U.mul(A).mul(sf.V) == sf.D
     assert abs(det_exact(sf.U)) == 1
     assert abs(det_exact(sf.V)) == 1
@@ -180,6 +182,35 @@ def test_snf_random_matches_det():
 def test_snf_rectangular():
     A = BigIntMatrix.from_rows([[2, 4, 6], [4, 8, 10]])
     snf_checks(A)
+
+
+@st.composite
+def snf_matrices(draw):
+    """m x n integer matrices, 1 <= m, n <= 6, entries up to 10^12, with
+    some rows zero and some repeating an earlier row."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([3, 10 ** 12]))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
+    return BigIntMatrix.from_rows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snf_matrices())
+def test_snf_properties(A):
+    sf = snf_checks(A)
+    if A.is_square:
+        prod = 1
+        for x in sf.diagonal():
+            prod *= x
+        assert abs(prod) == abs(det_exact(A))
 
 
 # ---------------------------------------------------------------- char poly

@@ -2,6 +2,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdyn.errors import InputError
 from tdyn.group_model import (
@@ -95,20 +96,36 @@ def test_s_integer_half_matches_coset_oracle():
         assert value == s_integer_index_oracle(Fraction(1, 2) ** n - 1, (2,))
 
 
-def test_snf_and_det_paths_agree():
-    rng = random.Random(17)
-    for _ in range(60):
-        d = rng.randint(1, 3)
-        phi = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
-        psi = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
-        sec = section(d, phi, psi)
-        for n in (1, 2, 3):
-            a = section_coincidence_number(sec, n)
-            b = section_coincidence_number_snf(sec, n)
-            if is_infinite(a):
-                assert is_infinite(b)
-            else:
-                assert a == b
+@st.composite
+def integer_sections(draw):
+    """A rank-d integer section, 1 <= d <= 6, with entries in [-4, 4]; psi is
+    drawn freely, equal to phi, or sharing phi's zero last column, so that
+    phi^n - psi^n is singular for every n in the last two kinds."""
+    d = draw(st.integers(1, 6))
+    square = st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                      min_size=d, max_size=d)
+    phi, psi = draw(square), draw(square)
+    kind = draw(st.sampled_from(["free", "equal", "kernel"]))
+    if kind == "equal":
+        psi = phi
+    elif kind == "kernel":
+        for row in phi + psi:
+            row[-1] = 0
+    return section(d, phi, psi), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_sections(), st.integers(1, 6))
+def test_snf_and_det_paths_agree(drawn, n):
+    sec, kind = drawn
+    a = section_coincidence_number(sec, n)
+    b = section_coincidence_number_snf(sec, n)
+    if kind != "free":
+        assert is_infinite(a)
+    if is_infinite(a):
+        assert is_infinite(b)
+    else:
+        assert a == b
 
 
 def test_snf_path_rejects_s_integer_sections():

@@ -28,10 +28,9 @@ print("\npolygon of x^2 - 2 at p=2:", np_.segments,
 g = IntPolynomial.of([1, -3, 1])  # both roots 5-adic units
 print("polygon of x^2 - 3x + 1 at p=5:", newton_polygon(g, 5).segments)
 
-# mixed slopes: (x - 2)(x - 1/2)
-from tdyn import RatPolynomial
-h = RatPolynomial.of([1, Fraction(-5, 2), 1])
-print("valuations of (x-2)(x-1/2) at p=2:", root_valuations(h, 2))
+# mixed slopes: (x - 2)(2x - 1), the roots 2 and 1/2
+h = IntPolynomial.of([2, -5, 2])
+print("valuations of (x-2)(2x-1) at p=2:", root_valuations(h, 2))
 
 # the p-adic factor of the growth rate of x/2 on Z[1/2]
 sec = s_integer(Fraction(1, 2), [2]).sections[0]

@@ -40,7 +40,6 @@ from .exact_linalg import (
     BigIntMatrix,
     IntPolynomial,
     RatMatrix,
-    RatPolynomial,
     char_poly,
     companion_matrix,
     det_exact,

@@ -36,7 +36,7 @@ from .enclosures import (
     real_part_sign,
     real_root_enclosures,
 )
-from .errors import InputError, PrecisionError
+from .errors import InputError, PrecisionError, finite_float
 from .exact_linalg import IntPolynomial
 from .polyalg import (
     coprime_base,
@@ -158,7 +158,7 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
                                      root_indices=tuple(e.index for e in roots)))
     (lam_lo, lam_hi), (s_lo, s_hi) = modulus_cell(
         lambda r: r.box(_BOUNDS_BITS)[:2], overall.root)
-    lam = math.sqrt((float(s_lo) + float(s_hi)) / 2)
+    lam = math.sqrt(finite_float("lambda", lambda: (float(s_lo) + float(s_hi)) / 2))
     return DominantSpectrum(lam=lam, lam_bounds=(lam_lo, lam_hi), count=count,
                             dominant_terms=tuple(dominant))
 

@@ -133,7 +133,7 @@ def _zeta_of(nielsen: bool, system: NilpotentSystem, window: int):
     seq = _seq_of(nielsen, system, window)
     if (len(system.sections) == 1 and system.is_finitely_generated
             and system.psi_is_identity):
-        rf, es = zeta.torus_zeta(char_poly(system.sections[0].phi).to_int(), seq)
+        rf, es = zeta.torus_zeta(char_poly(system.sections[0].phi), seq)
     else:
         rf, es = zeta.zeta_from_sequence(seq)
     return seq, rf, es

@@ -65,3 +65,12 @@ class InfiniteValueError(TdynError):
     """An infinite Reidemeister number appeared where a finite value is required."""
 
     exit_code = 2
+
+
+def finite_float(field: str, compute) -> float:
+    """compute(), a float; InputError naming the field where the value is
+    past the double range, which Python reports as an OverflowError."""
+    try:
+        return compute()
+    except OverflowError:
+        raise InputError(f"{field} is past the double range") from None

@@ -1,18 +1,19 @@
 """Exact dense linear algebra over arbitrary-precision integers and rationals.
 
-Each container has one implementation over Z and Q: the dense matrix
-(BigIntMatrix, RatMatrix) and the polynomial (IntPolynomial, RatPolynomial)
-share a base class that differs only in the entry type, and each subclass
-adds its own extras.  Everything here is immutable after construction and
-every operation is a pure function, so values can be shared freely across
-threads.  Successive matrix powers come from one loop (``powers``, one
-product per step).  Determinants use fraction-free Bareiss elimination;
-the Smith normal form, their independent oracle, is sympy's and lives in
-``polyalg``, so nothing here imports sympy.  Newton's identities live here
-once in each direction
-(coefficients to power sums and back); the characteristic polynomial is
-rebuilt from the traces of matrix powers with them, and so are the
-characteristic polynomials of the exterior powers of a matrix.
+The dense matrix has one implementation over Z and Q: BigIntMatrix and
+RatMatrix share a base class that differs only in the entry type.  The one
+polynomial class is IntPolynomial: a rational polynomial is read only for
+its roots, so it is held as its primitive integer multiple.  Everything
+here is immutable after construction and every operation is a pure
+function, so values can be shared freely across threads.  Successive
+matrix powers come from one loop (``powers``, one product per step).
+Determinants use fraction-free Bareiss elimination; the Smith normal form,
+their independent oracle, is sympy's and lives in ``polyalg``, so nothing
+here imports sympy.  Newton's identities live here once in each direction,
+in integers; ``from_power_sums`` builds every polynomial with roots r / c
+for algebraic integers r: the characteristic polynomials, from the traces
+of integer matrix powers, those of exterior powers, and polyalg's product
+and ratio polynomials.
 
 The iterated determinants det(phi^n - psi^n) have two routes, and both
 yield integer numerators over a known power of the denominators.  For a
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -347,7 +348,7 @@ def _exterior_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int
     c = psi.get(0, 0)
     aL, b = c.numerator * L, c.denominator
     streams = [_power_sum_stream(w)
-               for w in exterior_power_polynomials(char_poly(B).to_int())]
+               for w in exterior_power_polynomials(char_poly(B))]
     aLn, bn = aL ** (start - 1), b ** (start - 1)
     for traces in islice(zip(*streams), start - 1, last):
         aLn *= aL
@@ -362,9 +363,8 @@ def _exterior_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int
 
 
 @dataclass(frozen=True)
-class _Polynomial:
-    """Polynomial with coefficients in ascending degree order; a subclass
-    fixes the coefficient type ``_entry`` and the converter ``_convert``.
+class IntPolynomial:
+    """Integer polynomial, coefficients in ascending degree order.
 
     The zero polynomial is stored as (0,) with degree 0 and is_zero True, which
     avoids the -infinity degree convention.
@@ -375,15 +375,15 @@ class _Polynomial:
     def __post_init__(self):
         if not self.coeffs:
             raise InputError("empty coefficient list")
-        entry = self._entry
-        if not all(isinstance(c, entry) for c in self.coeffs):
-            raise InputError(f"{type(self).__name__} coefficients must be {entry.__name__}s")
+        if not all(isinstance(c, int) for c in self.coeffs):
+            raise InputError("IntPolynomial coefficients must be ints")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             raise InputError("unnormalized coefficients (trailing zeros)")
 
     @classmethod
-    def of(cls, coeffs: Iterable[IntLike]):
-        cs = list(map(cls._convert, coeffs))
+    def of(cls, coeffs: Iterable[IntLike]) -> "IntPolynomial":
+        """Trailing zeros dropped; a non-integer is rejected (``_as_int``)."""
+        cs = list(map(_as_int, coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -400,18 +400,6 @@ class _Polynomial:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def __call__(self, x):
-        acc = 0 if isinstance(x, int) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-class IntPolynomial(_Polynomial):
-    """Integer polynomial, coefficients in ascending degree order."""
-
-    _entry = _convert = int
-
     @property
     def leading(self) -> int:
         return self.coeffs[-1]
@@ -419,6 +407,12 @@ class IntPolynomial(_Polynomial):
     @property
     def constant(self) -> int:
         return self.coeffs[0]
+
+    def __call__(self, x):
+        acc = 0 if isinstance(x, int) else Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -460,30 +454,6 @@ class IntPolynomial(_Polynomial):
         if self.is_zero:
             return self
         return IntPolynomial.of(tuple(reversed(self.coeffs)))
-
-    def to_fractions(self) -> tuple:
-        return tuple(Fraction(c) for c in self.coeffs)
-
-
-class RatPolynomial(_Polynomial):
-    """Polynomial with exact rational coefficients, ascending degree order."""
-
-    _entry = Fraction
-    _convert = staticmethod(_as_fraction)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int(self) -> IntPolynomial:
-        if not self.is_integral:
-            raise InputError("polynomial has non-integer coefficients")
-        return IntPolynomial.of(self.coeffs)
-
-    def clear_denominators(self) -> tuple:
-        """Return (q, L) with q integral and q = L * self."""
-        L = lcm(*(c.denominator for c in self.coeffs))
-        return IntPolynomial.of(int(c * L) for c in self.coeffs), L
 
 
 def _rref(rows: list, pivot_cols: int) -> list:
@@ -560,8 +530,7 @@ def restrict_to_invariant_subspace(M: RatMatrix, basis: Sequence) -> RatMatrix:
 
 def power_sums(poly, N: int) -> list:
     """Sums of n-th powers of the roots of a monic polynomial, n = 1..N, by
-    Newton's identities: ints for an IntPolynomial, Fractions for a
-    RatPolynomial."""
+    Newton's identities."""
     if not poly.is_monic or poly.degree < 1:
         raise InputError("power sums need a monic polynomial of degree >= 1")
     return list(islice(_power_sum_stream(poly), N))
@@ -591,20 +560,26 @@ def _power_sum_stream(poly):
 def _newton_coefficients(sums: Sequence) -> list:
     """[1, c_1, ..., c_D], highest degree first, of the monic polynomial of
     degree D = len(sums) whose roots have the power sums sums[0], sums[1],
-    ... (Newton's identities, exact over Q).  The coefficients stay ints
-    while each division by k is exact, and become Fractions from the first
-    one that is not."""
+    ... (Newton's identities).  The polynomial is integral when the roots
+    are algebraic integers, so every division by k is exact; InputError
+    where one is not."""
     e = [1]
     for k in range(1, len(sums) + 1):
-        s = -sum(e[i] * sums[k - 1 - i] for i in range(k))
-        e.append(s // k if isinstance(s, int) and s % k == 0 else Fraction(s, k))
+        q, r = divmod(-sum(e[i] * sums[k - 1 - i] for i in range(k)), k)
+        if r:
+            raise InputError("the power sums are not those of a monic integer polynomial")
+        e.append(q)
     return e
 
 
-def from_power_sums(sums: Sequence) -> RatPolynomial:
-    """The monic polynomial whose roots have the power sums sums[0],
-    sums[1], ... (``_newton_coefficients`` as a RatPolynomial)."""
-    return RatPolynomial.of(reversed(_newton_coefficients(sums)))
+def from_power_sums(sums: Sequence, c: int = 1) -> IntPolynomial:
+    """The primitive polynomial, positive leading coefficient, whose roots
+    are r / c for the roots r of the monic integer polynomial with the
+    power sums sums[0], sums[1], ... (``_newton_coefficients``): x -> c x,
+    then division by the content."""
+    scaled = [ck * c ** k for k, ck in enumerate(reversed(_newton_coefficients(sums)))]
+    content = gcd(*scaled) if scaled[-1] > 0 else -gcd(*scaled)
+    return IntPolynomial(tuple(ck // content for ck in scaled))
 
 
 @lru_cache(maxsize=1)
@@ -630,23 +605,18 @@ def exterior_power_polynomials(cp: IntPolynomial) -> list:
         c = _newton_coefficients(sums[n - 1::n][:d])  # char poly of phi^n
         for k in range(d + 1):
             traces[k].append(-c[k] if k % 2 else c[k])
-    # the constructor rejects a non-int coefficient
-    return [IntPolynomial(tuple(reversed(_newton_coefficients(t[:m]))))
-            for t, m in zip(traces, degrees)]
+    return [from_power_sums(t[:m]) for t, m in zip(traces, degrees)]
 
 
-def char_poly(A: Matrix) -> RatPolynomial:
-    """det(X*I - A), monic, exact: with A = B/L for an integer matrix B, the
-    power sums of the eigenvalues are tr(B^k)/L^k, ints when L = 1, which
-    keeps Newton's identities in ints."""
+def char_poly(A: Matrix) -> IntPolynomial:
+    """The primitive polynomial, positive leading coefficient, with the
+    eigenvalues of A as roots: det(X*I - A) for an integer A, and for A =
+    B/L with B integral, L^d det(X*I - A) over its content, from the traces
+    of the powers of B (``from_power_sums`` with c = L)."""
     if not A.is_square:
         raise InputError("characteristic polynomial of a non-square matrix")
     B, L = (A, 1) if isinstance(A, BigIntMatrix) else A.scaled_integer()
-    sums = [Bk.trace() if L == 1 else Fraction(Bk.trace(), L ** k)
-            for k, Bk in enumerate(islice(powers(B), A.rows), start=1)]
-    poly = from_power_sums(sums)
-    assert L != 1 or poly.is_integral, "integer matrix produced non-integer char poly"
-    return poly
+    return from_power_sums([Bk.trace() for Bk in islice(powers(B), A.rows)], L)
 
 
 def diagonal_blocks(A: Matrix) -> list:
@@ -675,7 +645,7 @@ def diagonal_blocks(A: Matrix) -> list:
     return blocks
 
 
-def poly_at_matrix(p: "RatPolynomial", A: RatMatrix) -> RatMatrix:
+def poly_at_matrix(p: IntPolynomial, A: RatMatrix) -> RatMatrix:
     """p(A), exactly (Horner over matrices)."""
     if not A.is_square:
         raise InputError("polynomial of a non-square matrix")

@@ -32,7 +32,7 @@ from .exact_linalg import (
     rat_kernel_basis,
     restrict_to_invariant_subspace,
 )
-from .polyalg import cyclotomic_factors, factor_rat, is_squarefree, totients
+from .polyalg import cyclotomic_factors, factor_int, is_squarefree, totients
 
 __all__ = [
     "AbelianSection",
@@ -174,7 +174,7 @@ def _first_scalar_zero(sec: AbelianSection) -> Optional[int]:
     c = sec.psi.get(0, 0)
     aL, b = c.numerator * L, c.denominator
     ratios = IntPolynomial.of(k * aL ** i * b ** (sec.rank - i)
-                              for i, k in enumerate(char_poly(B).to_int().coeffs))
+                              for i, k in enumerate(char_poly(B).coeffs))
     if ratios.is_zero:
         return 1
     orders = cyclotomic_factors(ratios)
@@ -226,8 +226,8 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
 
     When phi or psi is scalar s*I, the single whole-space block (char(phi),
     phi, psi, char(psi)): every eigenvalue pairs with s.  Otherwise one
-    (f, phi_f, psi_f, g) per monic irreducible factor f of char(phi), in
-    factor_rat's order: phi_f and psi_f are phi and psi restricted to
+    (f, phi_f, psi_f, g) per irreducible factor f of char(phi), in
+    factor_int's order: phi_f and psi_f are phi and psi restricted to
     ker f(phi), so char(phi_f) = f, and g = char(psi_f).  Raises
     UnsupportedPairingError unless phi and psi commute and both
     characteristic polynomials are square-free, because the pairing is
@@ -243,12 +243,12 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
     if scalar:
         return [(char_phi, phi, psi, char_psi)]
     for cp in (char_phi, char_psi):
-        if not is_squarefree(cp.clear_denominators()[0]):
+        if not is_squarefree(cp):
             raise UnsupportedPairingError(
                 "characteristic polynomial is not square-free; simultaneous "
                 "diagonalizability cannot be certified")
     blocks = []
-    for f, _ in factor_rat(char_phi):
+    for f, _ in factor_int(char_phi)[1]:
         basis = rat_kernel_basis(poly_at_matrix(f, phi))
         psi_f = restrict_to_invariant_subspace(psi, basis)
         blocks.append((f, restrict_to_invariant_subspace(phi, basis), psi_f,

@@ -32,12 +32,13 @@ from .errors import (
     PrecisionError,
     RootOfUnityError,
     UnsupportedPairingError,
+    finite_float,
 )
-from .exact_linalg import (BigIntMatrix, RatMatrix, RatPolynomial, char_poly, powers,
+from .exact_linalg import (BigIntMatrix, IntPolynomial, RatMatrix, char_poly, powers,
                            rat_solve)
 from .group_model import AbelianSection, NilpotentSystem, joint_blocks, tameness_check
 from .padic import joint_block_exponent
-from .polyalg import cyclotomic_factors, factor_rat
+from .polyalg import cyclotomic_factors, factor_int
 from .reidemeister import coincidence_sequence
 
 __all__ = ["RationalLog", "AlgebraicLog", "PadicLog", "GrowthReport",
@@ -100,9 +101,10 @@ def _term_log(term: LogTerm) -> float:
     return float(term.exponent) * math.log(term.prime)
 
 
-def _product_of_terms(terms):
+def _product_of_terms(terms, field: str):
     """(float value, exact Fraction or None) for a product of log terms;
-    the exact value exists when every factor is rational."""
+    the exact value exists when every factor is rational.  A value past the
+    double range is an InputError naming the field."""
     exact: Optional[Fraction] = Fraction(1)
     for t in terms:
         if isinstance(t, RationalLog):
@@ -113,8 +115,8 @@ def _product_of_terms(terms):
             exact = None
             break
     if exact is not None:
-        return float(exact), exact
-    return math.exp(sum(_term_log(t) for t in terms)), None
+        return finite_float(field, lambda: float(exact)), exact
+    return finite_float(field, lambda: math.exp(sum(_term_log(t) for t in terms))), None
 
 
 def _modulus(e):
@@ -144,41 +146,40 @@ def _split_by_partner(encl, partner_modsq):
     return inside, outside
 
 
-def _pair_terms(w: RatPolynomial, s, reps: int = 1, encl=None):
-    """Terms max(|xi|, |s|) over the roots xi of the monic irreducible w,
+def _pair_terms(w: IntPolynomial, s, reps: int = 1, encl=None):
+    """Terms max(|xi|, |s|) over the roots xi of the irreducible w,
     each to the power reps.  Exact where the comparison is rational,
     certified intervals otherwise.  encl: the root enclosures of w, if the
     caller already has them."""
     s_abs = abs(Fraction(s))
     terms = []
-    wi = w.clear_denominators()[0]
     if encl is None:
-        encl = poly_root_enclosures(wi)
+        encl = poly_root_enclosures(w)
     s_sq = s_abs * s_abs
     try:
         inside, outside = _split_by_partner(encl, lambda _e, _bits: (s_sq, s_sq))
     except PrecisionError as exc:
         raise HypothesisViolatedError(
-            f"an eigenvalue modulus of {wi.coeffs} is indistinguishable "
+            f"an eigenvalue modulus of {w.coeffs} is indistinguishable "
             f"from |{s}|") from exc
     if not outside:
-        v = abs(w.coeffs[0])  # product of |roots| of a monic polynomial
+        v = Fraction(abs(w.constant), w.leading)  # the product of |roots|
         if v != 1:
             terms.append(RationalLog(v ** reps))
     else:
         if inside:
             lo, hi = _root_modulus_product_interval(encl, inside)
             terms.append(AlgebraicLog(
-                note=f"{len(inside)} root(s) of {wi.coeffs} beyond radius {s_abs}",
+                note=f"{len(inside)} root(s) of {w.coeffs} beyond radius {s_abs}",
                 lo=lo ** reps, hi=hi ** reps))
         if s_abs not in (0, 1):
             terms.append(RationalLog(s_abs ** (len(outside) * reps)))
     return terms
 
 
-def _scalar_pair_terms(base: RatPolynomial, s: Fraction):
+def _scalar_pair_terms(base: IntPolynomial, s: Fraction):
     """_pair_terms over the irreducible factors of base."""
-    return [t for w, reps in factor_rat(base) for t in _pair_terms(w, s, reps)]
+    return [t for w, reps in factor_int(base)[1] for t in _pair_terms(w, s, reps)]
 
 
 def _commuting_block_terms(blocks):
@@ -186,7 +187,7 @@ def _commuting_block_terms(blocks):
     characteristic polynomials, paired block by block (joint_blocks)."""
     terms = []
     for f_alpha, phi_block, psi_block, g_alpha in blocks:
-        if len(factor_rat(g_alpha)) > 1:
+        if len(factor_int(g_alpha)[1]) > 1:
             raise UnsupportedPairingError(
                 "block characteristic polynomial of psi is reducible; the "
                 "pairing is ambiguous")
@@ -200,8 +201,7 @@ def _commuting_block_terms(blocks):
         h = rat_solve(system, list(psi_block.entries))
         assert h is not None, "commuting map must be polynomial in a cyclic map"
 
-        fi = f_alpha.clear_denominators()[0]
-        encl = poly_root_enclosures(fi)
+        encl = poly_root_enclosures(f_alpha)
 
         def eta_modsq(e, bits):
             b = e.box(bits)
@@ -216,12 +216,11 @@ def _commuting_block_terms(blocks):
         except PrecisionError as exc:
             raise HypothesisViolatedError(
                 "paired eigenvalue moduli are indistinguishable") from exc
-        if not outside:
-            v = abs(f_alpha.coeffs[0])
-            if v != 1:
-                terms.append(RationalLog(v))
-        elif not inside:
-            v = abs(g_alpha.coeffs[0])
+        if not (inside and outside):
+            # one side dominates on the whole block: the product of |roots|
+            # of f_alpha where every |xi| is above its |eta|, else of g_alpha
+            f = f_alpha if inside else g_alpha
+            v = Fraction(abs(f.constant), f.leading)
             if v != 1:
                 terms.append(RationalLog(v))
         else:
@@ -232,7 +231,7 @@ def _commuting_block_terms(blocks):
                 lo *= slo
                 hi *= shi
             terms.append(AlgebraicLog(
-                note=f"mixed dominant pairing on block {fi.coeffs}", lo=lo, hi=hi))
+                note=f"mixed dominant pairing on block {f_alpha.coeffs}", lo=lo, hi=hi))
     return terms
 
 
@@ -276,17 +275,17 @@ def growth_rate(system: NilpotentSystem, N: int = 40) -> GrowthReport:
         terms.extend(_section_terms(sec))
     arch_terms = [t for t in terms if not isinstance(t, PadicLog)]
     padic_terms = [t for t in terms if isinstance(t, PadicLog)]
-    arch_numeric, arch_exact = _product_of_terms(arch_terms)
-    padic_numeric, padic_exact = _product_of_terms(padic_terms)
+    arch_numeric, arch_exact = _product_of_terms(arch_terms, "archimedean")
+    padic_numeric, padic_exact = _product_of_terms(padic_terms, "padic")
     if arch_exact is not None and padic_exact is not None:
         exact: Optional[Fraction] = arch_exact * padic_exact
-        numeric = float(exact)
+        numeric = finite_float("numeric", lambda: float(exact))
     else:
         exact = None
         numeric = arch_numeric * padic_numeric
 
     seq = coincidence_sequence(system, N)
-    empirical = tuple(math.exp(math.log(v) / n)
+    empirical = tuple(finite_float("empirical", lambda: math.exp(math.log(v) / n))
                       for n, v in enumerate(seq.values, start=1))
     agreement = abs(empirical[-1] - numeric) / numeric if numeric else math.inf
     return GrowthReport(log_terms=tuple(terms), numeric=numeric,
@@ -309,14 +308,14 @@ def entropy_dual_torus(A) -> float:
     if isinstance(A, RatMatrix):
         A = A.to_bigint()
     cp = char_poly(A)
-    cyclo = cyclotomic_factors(cp.to_int())
+    cyclo = cyclotomic_factors(cp)
     if cyclo:
         orders = ", ".join(str(m) for m, _ in cyclo)
         raise RootOfUnityError(
             f"characteristic polynomial has cyclotomic factor(s) of order {orders}")
     total = 0.0
-    for w, mult in factor_rat(cp):
-        encl = poly_root_enclosures(w.clear_denominators()[0])
+    for w, mult in factor_int(cp)[1]:
+        encl = poly_root_enclosures(w)
         try:
             for t in _pair_terms(w, 1, encl=encl):
                 total += mult * _term_log(t)

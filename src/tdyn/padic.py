@@ -15,8 +15,8 @@ from typing import Union
 
 import sympy
 
-from .errors import InputError, UnsupportedPairingError
-from .exact_linalg import IntPolynomial, RatPolynomial
+from .errors import InputError, UnsupportedPairingError, finite_float
+from .exact_linalg import IntPolynomial
 from .group_model import AbelianSection, joint_blocks
 
 __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations",
@@ -66,24 +66,18 @@ class NewtonPolygon:
     segments: tuple  # of (slope: Fraction, length: int)
 
 
-def _coeff_fractions(f) -> tuple:
-    if isinstance(f, IntPolynomial):
-        return f.to_fractions()
-    if isinstance(f, RatPolynomial):
-        return f.coeffs
-    return tuple(Fraction(c) for c in f)
-
-
-def newton_polygon(f, p: int) -> NewtonPolygon:
-    """Newton polygon of a nonzero rational-coefficient polynomial at p.
+def newton_polygon(f: IntPolynomial, p: int) -> NewtonPolygon:
+    """Newton polygon at p of a nonzero integer polynomial.  A rational
+    polynomial is read as its integer multiple (exact_linalg.char_poly):
+    scaling moves every point by one constant and the polygon's slopes not
+    at all.
 
     Zero roots (trailing zero coefficients) are excluded: the polygon starts
     at the first nonzero coefficient, so total length = degree - (multiplicity
     of the root 0).
     """
     _check_prime(p)
-    coeffs = _coeff_fractions(f)
-    points = [(i, Fraction(ord_p(c, p))) for i, c in enumerate(coeffs) if c != 0]
+    points = [(i, _ord_int(c, p)) for i, c in enumerate(f.coeffs) if c]
     if not points:
         raise InputError("newton_polygon of the zero polynomial")
     # lower hull, left to right (Andrew monotone chain, lower part only)
@@ -102,19 +96,16 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     return NewtonPolygon(prime=p, segments=tuple(segments))
 
 
-def root_valuations(f, p: int) -> list:
+def root_valuations(f: IntPolynomial, p: int) -> list:
     """Valuations of all roots of f, zero roots reported as math.inf.
 
     Returned with multiplicity; a segment of slope s contributes ``length``
     copies of -s.
     """
-    coeffs = _coeff_fractions(f)
-    zeros = 0
-    while zeros < len(coeffs) and coeffs[zeros] == 0:
-        zeros += 1
-    vals: list = [inf] * zeros
-    if zeros == len(coeffs):
+    if f.is_zero:
         raise InputError("zero polynomial has no root valuations")
+    zeros = next(i for i, c in enumerate(f.coeffs) if c)
+    vals: list = [inf] * zeros
     for slope, length in newton_polygon(f, p).segments:
         vals.extend([-slope] * length)
     return vals
@@ -129,7 +120,10 @@ class PadicGrowthFactor:
 
     @property
     def value(self) -> float:
-        return float(self.prime) ** float(self.exponent)
+        if not self.exponent:
+            return 1.0
+        return finite_float("growth_factor value",
+                            lambda: float(self.prime) ** float(self.exponent))
 
 
 def _pair_exponent(v_list, w_list) -> Fraction:

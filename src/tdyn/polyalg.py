@@ -2,8 +2,11 @@
 products) and the Smith normal form.
 
 Thin bridge to sympy's exact routines so the rest of the package works with
-tdyn's own polynomial types.  Everything stays over Z or Q; nothing here is
-numeric.  All factoring in tdyn goes through ``factor_int``.  Factoring,
+tdyn's one polynomial type, ``IntPolynomial``.  Everything stays over Z;
+nothing here is numeric.  All factoring in tdyn goes through
+``factor_int``: a rational characteristic polynomial is held as its
+primitive integer multiple, whose primitive factors over Z are its
+irreducible factors over Q up to constants.  Factoring,
 square-free decomposition, gcds and exact division run sympy's dense kernels
 over ZZ (``dup_factor_list``, ``dup_sqf_list``, ``dup_gcd``, ``dup_exquo``,
 the algorithms ``Poly`` reaches) on coefficient lists, highest degree first,
@@ -16,8 +19,9 @@ such a prime is irreducible, and one square-free modulo it is square-free.
 The primes come from ``primes``, the stream the S_d certificate reads too.
 The product and ratio polynomials are built in integers from power sums
 with Newton's identities (Bostan, Flajolet, Salvy, Schost, "Fast
-computation of special resultants", JSC 41, 2006), as are the
-exterior-power polynomials in ``exact_linalg``, which need no sympy.
+computation of special resultants", JSC 41, 2006) by
+``exact_linalg.from_power_sums``, as are the characteristic and
+exterior-power polynomials, which need no sympy.
 Square-free parts are refined into a pairwise coprime base by gcds alone
 (Bach, Driscoll, Shallit, "Factor refinement", J. Algorithms 15, 1993).
 Cyclotomic polynomials and Euler's totient are computed in plain integer
@@ -31,7 +35,6 @@ form of an integer matrix, with its unimodular transforms, is sympy's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice, takewhile
 from math import gcd, isqrt, prod
 from typing import Optional
@@ -55,15 +58,12 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InputError
-from .exact_linalg import (BigIntMatrix, IntPolynomial, RatPolynomial, from_power_sums,
-                           power_sums)
+from .exact_linalg import BigIntMatrix, IntPolynomial, from_power_sums, power_sums
 
 _X = sympy.Symbol("x")
 
 
 def to_sympy(p: IntPolynomial) -> sympy.Poly:
-    if not isinstance(p, IntPolynomial):
-        raise InputError(f"cannot convert {type(p).__name__} to a sympy polynomial")
     return sympy.Poly(list(reversed(p.coeffs)), _X, domain=sympy.ZZ)
 
 
@@ -136,17 +136,6 @@ def factor_int(p: IntPolynomial):
             return unit, [(IntPolynomial.of(q), 1)]
     unit, factors = dup_factor_list(_dense(p), ZZ)
     return int(unit), [(_from_dense(f), m) for f, m in factors]
-
-
-def factor_rat(p: RatPolynomial):
-    """Monic irreducible factors over Q with multiplicity, in factor_int's
-    order (factor_int of p with its denominators cleared)."""
-    _, factors = factor_int(p.clear_denominators()[0])
-    return [(_monic(f), m) for f, m in factors]
-
-
-def _monic(p: IntPolynomial) -> RatPolynomial:
-    return RatPolynomial.of(Fraction(c, p.leading) for c in p.coeffs)
 
 
 def exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -379,17 +368,6 @@ def _monic_scaled(v: IntPolynomial) -> IntPolynomial:
                             + [1])
 
 
-def _from_scaled_power_sums(sums, c: int) -> IntPolynomial:
-    """The primitive polynomial, positive leading coefficient, whose roots
-    are r / c for the algebraic integers r with power sums sums: Newton's
-    identities, whose divisions are then exact (to_int checks it), and
-    x -> c x.  The leading coefficient c^n is positive: c = a^2, or n =
-    d(d - 1) is even."""
-    scaled = [ck * c ** k for k, ck in enumerate(from_power_sums(sums).to_int().coeffs)]
-    content = gcd(*scaled)
-    return IntPolynomial.of(ck // content for ck in scaled)
-
-
 def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
     """Primitive polynomial, positive leading coefficient, whose roots are the
     cross ratios r_i/r_j (i != j) of the roots of v.  With a and b the
@@ -404,7 +382,7 @@ def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
     n = d * (d - 1)
     ab = v.leading * v.constant
     sums = zip(power_sums(_monic_scaled(v), n), power_sums(_monic_scaled(v.reverse()), n))
-    return _from_scaled_power_sums(
+    return from_power_sums(
         [p * q - d * ab ** k for k, (p, q) in enumerate(sums, start=1)], ab)
 
 
@@ -416,7 +394,7 @@ def product_polynomial(v: IntPolynomial) -> IntPolynomial:
     if v.degree < 1:
         raise InputError("product polynomial needs degree >= 1")
     sums = power_sums(_monic_scaled(v), v.degree ** 2)
-    return _from_scaled_power_sums([p * p for p in sums], v.leading ** 2)
+    return from_power_sums([p * p for p in sums], v.leading ** 2)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
     itself."""
     total = [0] * N
     for block, count in Counter(diagonal_blocks(A)).items():
-        sums = power_sums(char_poly(block).to_int(), N)
+        sums = power_sums(char_poly(block), N)
         total = [t + count * s for t, s in zip(total, sums)]
     return total
 

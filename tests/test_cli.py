@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import sys
@@ -829,3 +830,76 @@ def test_entropy_factors_the_characteristic_polynomial_twice(monkeypatch):
     run_json(["entropy", "--builtin", RANK4_TORUS])
     assert len(calls) == 2
     assert calls[0] == calls[1] == IntPolynomial.of([1, -2, 3, -4, 1])
+
+
+def _scalar(c, d):
+    return [[c if i == j else "0" for j in range(d)] for i in range(d)]
+
+
+# systems with rational sections of rank 2 and 3 beyond the benchmark's one
+# of rank 1: a commuting non-scalar pair (psi = 2 phi + I), a scalar psi, a
+# scalar phi, and two sections
+RATIONAL_SYSTEMS = [
+    [{"rank": 2, "phi": [["1/2", "3"], ["0", "5/4"]], "psi": [["2", "6"], ["0", "7/2"]],
+      "primes": [2, 3]}],
+    [{"rank": 3, "phi": [["0", "0", "1/3"], ["1", "0", "-2"], ["0", "1", "5/3"]],
+      "psi": _scalar("2/3", 3), "primes": [2, 3]}],
+    [{"rank": 2, "phi": _scalar("5/2", 2), "psi": [["1", "1/2"], ["2", "3"]],
+      "primes": [2]}],
+    [{"rank": 2, "phi": [["7/2", "1"], ["1", "1"]], "primes": [2]},
+     {"rank": 1, "phi": [["5/2"]], "psi": [["1/3"]], "primes": [2, 3]}],
+]
+NO_RECURRENCE = "error: no recurrence of admissible order fits the 40-term window\n"
+
+# (exit code, md5 prefix of the JSON stdout, stderr) of each command on each
+# system above
+RATIONAL_PINS = {
+    "growth": [(0, "ff96796b", ""), (0, "dc51ff53", ""), (0, "bce21bd2", ""),
+               (0, "6052c421", "")],
+    "padic --prime 2": [(0, "f4e26a2d", ""), (0, "eb1d6173", ""), (0, "18c31a95", ""),
+                        (0, "2e031be5", "")],
+    "padic --prime 3": [(0, "a995aab2", ""), (0, "1c50a296", ""), (0, "a995aab2", ""),
+                        (0, "a995aab2", "")],
+    "classify": [(1, "d41d8cd9", NO_RECURRENCE), (1, "d41d8cd9", NO_RECURRENCE),
+                 (0, "7d1765fc", ""), (1, "d41d8cd9", NO_RECURRENCE)],
+    "tame": [(0, "c5591a71", ""), (0, "e2b1b32c", ""), (0, "c5591a71", ""),
+             (0, "c5591a71", "")],
+    "rseq --n 12": [(0, "0a78ba79", ""), (0, "3330ae1f", ""), (0, "5b921953", ""),
+                    (0, "b3569568", "")],
+}
+
+
+@pytest.mark.parametrize("command", list(RATIONAL_PINS))
+@pytest.mark.parametrize("index", range(len(RATIONAL_SYSTEMS)))
+def test_rational_sections_are_pinned(tmp_path, command, index):
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps({"sections": RATIONAL_SYSTEMS[index]}))
+    code, out, err = run_capture(command.split() + ["--input", str(path),
+                                                    "--format", "json"])
+    assert (code, hashlib.md5(out.encode()).hexdigest()[:8], err) == \
+        RATIONAL_PINS[command][index]
+
+
+_TEN_TO_400 = "1" + "0" * 400
+_M1279 = str(2 ** 1279 - 1)  # a Mersenne prime
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--builtin", f"z_times_d:{_TEN_TO_400}"],
+    ["growth", "--builtin", f"torus_matrix:0,1,1,{_TEN_TO_400}"],
+    ["growth", "--builtin", f"s_integer:1/{_M1279},{_M1279}"],
+    ["entropy", "--builtin", f"z_times_d:{_TEN_TO_400}"],
+    ["classify", "--builtin", f"z_times_d:{_TEN_TO_400}"],
+    ["padic", "--builtin", f"s_integer:1/{_M1279},{_M1279}", "--prime", _M1279],
+], ids=["growth-exact", "growth-interval", "growth-padic", "entropy", "classify",
+        "padic"])
+def test_a_value_past_the_double_range_is_an_input_error(argv):
+    code, out, err = run_capture(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "past the double range" in err
+    assert "Traceback" not in err
+
+
+def test_a_zero_padic_exponent_is_one_at_any_prime():
+    doc = run_json(["padic", "--builtin", "z_pair:3,2", "--prime", _M1279])
+    assert doc["growth_factor"] == {"prime": 2 ** 1279 - 1, "exponent": "0", "value": 1.0}

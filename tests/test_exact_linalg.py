@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -10,7 +11,6 @@ from tdyn.exact_linalg import (
     BigIntMatrix,
     IntPolynomial,
     RatMatrix,
-    RatPolynomial,
     char_poly,
     companion_matrix,
     diagonal_blocks,
@@ -53,6 +53,15 @@ def poly_mul(a, b):
 def poly_add(a, b):
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def primitive(coeffs):
+    """The primitive integer multiple, positive leading coefficient, of a
+    rational polynomial given by its ascending coefficients."""
+    L = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * L) for c in coeffs]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return IntPolynomial.of(c // g for c in ints)
 
 
 def char_poly_symbolic(rows):
@@ -237,9 +246,8 @@ def test_char_poly_matches_symbolic_oracle():
             d = rng.randint(1, 4)
             rows = [[Fraction(x, rng.choice((1, den))) for x in row]
                     for row in random_int_matrix(rng, d)]
-            expected = char_poly_symbolic(rows)
-            got = char_poly(RatMatrix.from_rows(rows))
-            assert list(got.coeffs) == expected
+            expected = primitive(char_poly_symbolic(rows))
+            assert char_poly(RatMatrix.from_rows(rows)) == expected
 
 
 def test_char_poly_cayley_hamilton():
@@ -260,32 +268,41 @@ def test_char_poly_cayley_hamilton():
 @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
                 min_size=1, max_size=6))
 def test_power_sums_round_trip(lower):
-    # monic over Q, zero constant terms included
-    p = RatPolynomial.of(lower + [1])
-    sums = power_sums(p, p.degree)
-    assert from_power_sums(sums) == p
+    # p monic over Q, zero constant terms included: with c the lcm of its
+    # denominators, c^d p(x / c) is monic over Z, and from_power_sums of
+    # its power sums with c is p's primitive multiple
+    c = lcm(*(q.denominator for q in lower))
+    d = len(lower)
+    m = IntPolynomial.of([q * c ** (d - i) for i, q in enumerate(lower)] + [1])
+    assert from_power_sums(power_sums(m, d), c) == primitive(lower + [1])
 
 
 def _from_power_sums_over_q(sums):
-    """Newton's identities with every coefficient a Fraction (oracle)."""
+    """Newton's identities with every coefficient a Fraction (oracle),
+    ascending."""
     e = [Fraction(1)]
     for k in range(1, len(sums) + 1):
         e.append(-sum(e[i] * sums[k - 1 - i] for i in range(k)) / k)
-    return RatPolynomial(tuple(reversed(e)))
+    return e[::-1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-9, 9) | st.integers(-2 ** 80, 2 ** 80), max_size=8)
        | st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=6))
 def test_from_power_sums_matches_the_fraction_loop(sums):
-    # arbitrary power sums: the int coefficients give way to Fractions at the
-    # first division by k that is not exact
-    assert from_power_sums(sums) == _from_power_sums_over_q(sums)
+    # arbitrary power sums: the Fraction loop's polynomial where it is
+    # integral, an InputError at the first division by k that is not exact
+    expected = _from_power_sums_over_q(sums)
+    if all(c.denominator == 1 for c in expected):
+        assert from_power_sums(sums) == IntPolynomial.of(expected)
+    else:
+        with pytest.raises(InputError, match="not those of a monic integer polynomial"):
+            from_power_sums(sums)
 
 
 def test_char_poly_rational_matrix():
     A = RatMatrix.from_rows([[Fraction(1, 2)]])
-    assert char_poly(A).coeffs == (Fraction(-1, 2), Fraction(1))
+    assert char_poly(A).coeffs == (-1, 2)  # 2x - 1, primitive, with the root 1/2
 
 
 # ---------------------------------------------------------------- companion
@@ -303,7 +320,7 @@ def test_companion_char_poly_roundtrip():
         coeffs = [rng.randint(-4, 4) for _ in range(d)] + [1]
         p = IntPolynomial.of(coeffs)
         M = companion_matrix(p)
-        assert char_poly(M).to_int() == p
+        assert char_poly(M) == p
 
 
 def test_companion_rejects_non_monic():
@@ -332,11 +349,15 @@ def test_polynomial_arithmetic():
     assert p(Fraction(1, 2)) == Fraction(3, 2)
 
 
-def test_rat_polynomial_to_int():
-    p = RatPolynomial.of([Fraction(1), Fraction(2)])
-    assert p.to_int().coeffs == (1, 2)
-    with pytest.raises(InputError):
-        RatPolynomial.of([Fraction(1, 2)]).to_int()
+@pytest.mark.parametrize("c", [Fraction(1, 2), 2.9])
+def test_int_polynomial_rejects_a_coefficient_that_is_not_an_integer(c):
+    with pytest.raises(InputError, match="exact integer|exact rational"):
+        IntPolynomial.of([c, 1])
+
+
+def test_int_polynomial_reads_an_integral_fraction_as_its_integer():
+    p = IntPolynomial.of([Fraction(4, 2), 1])
+    assert p.coeffs == (2, 1) and type(p.constant) is int
 
 
 # ------------------------------------------------------- RREF vs sympy
@@ -399,12 +420,9 @@ def test_rat_solve_solves_exactly_the_consistent_systems(system):
     (lambda: BigIntMatrix(1, 2, (1, Fraction(1))), "BigIntMatrix entries must be ints"),
     (lambda: RatMatrix(1, 2, (Fraction(1), 1)), "RatMatrix entries must be Fractions"),
     (lambda: IntPolynomial((1, Fraction(1))), "IntPolynomial coefficients must be ints"),
-    (lambda: RatPolynomial((Fraction(1), 1)),
-     "RatPolynomial coefficients must be Fractions"),
     (lambda: BigIntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
     (lambda: RatMatrix.from_rows([[1], [2, 3]]), "ragged rows"),
     (lambda: IntPolynomial((1, 0)), "unnormalized coefficients"),
-    (lambda: RatPolynomial((Fraction(1), Fraction(0))), "unnormalized coefficients"),
 ])
 def test_containers_reject_the_other_entry_type(make, message):
     with pytest.raises(InputError, match=message):
@@ -497,23 +515,15 @@ def test_blockwise_char_poly_equals_the_whole_matrix_char_poly(blocks, data):
     A = BigIntMatrix.from_rows(rows)
     parts = diagonal_blocks(A)
     assert sum(b.rows for b in parts) == n
-    product = RatPolynomial.of([1])
+    product = [1]
     for b in parts:
-        product = RatPolynomial.of(_poly_mul(product.coeffs, char_poly(b).coeffs))
-    assert product == char_poly(A)
+        product = poly_mul(product, char_poly(b).coeffs)
+    assert IntPolynomial.of(product) == char_poly(A)
     # the blocks tile A's diagonal, and A is zero off them
     assert BigIntMatrix.block_diag(parts) == A
     # the split is finest: no block splits further
     for b in parts:
         assert len(diagonal_blocks(b)) == 1
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def test_diagonal_blocks_of_a_coupled_matrix():

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from tdyn.errors import InputError, UnsupportedPairingError
 from tdyn.exact_linalg import (
     BigIntMatrix,
+    IntPolynomial,
     RatMatrix,
-    RatPolynomial,
     char_poly,
     mat_pow,
     poly_at_matrix,
@@ -260,18 +260,18 @@ def test_torus_matrix_builder():
 
 # ------------------------------------------------------------- joint blocks
 
-def _poly_product(polys) -> RatPolynomial:
-    acc = [Fraction(1)]
+def _poly_product(polys) -> IntPolynomial:
+    acc = [1]
     for p in polys:
-        out = [Fraction(0)] * (len(acc) + len(p.coeffs) - 1)
+        out = [0] * (len(acc) + len(p.coeffs) - 1)
         for i, a in enumerate(acc):
             for j, b in enumerate(p.coeffs):
                 out[i + j] += a * b
         acc = out
-    return RatPolynomial.of(acc)
+    return IntPolynomial.of(acc)
 
 
-def _squarefree(p: RatPolynomial) -> bool:
+def _squarefree(p: IntPolynomial) -> bool:
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(p.coeffs)], x)
@@ -285,10 +285,10 @@ def polynomial_pairs(draw):
     d = draw(st.integers(1, 3))
     small = st.integers(-3, 3)
     phi = RatMatrix.from_rows([[draw(small) for _ in range(d)] for _ in range(d)])
-    h = RatPolynomial.of(draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=2),
-        min_size=1, max_size=3)))
-    return phi, poly_at_matrix(h, phi)
+    h = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                      min_size=1, max_size=3))
+    # h(phi) = (2 h)(phi) / 2, with 2 h integral
+    return phi, poly_at_matrix(IntPolynomial.of(2 * c for c in h), phi).scale(Fraction(1, 2))
 
 
 @settings(max_examples=120, deadline=None)

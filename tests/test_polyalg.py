@@ -1,14 +1,16 @@
 """factor_int, gcd_int and exact_quotient, on sympy's dense kernels, against
 the ``Poly``-level calls; the mod-p certificates of factor_int and
-is_squarefree against dup_factor_list and the gcd route; factor_rat, the monic factoring bridge over Q,
-against sympy factoring the rational polynomial directly; the product and ratio polynomials built from
-power sums against bivariate resultants as the oracle; the integer
+is_squarefree against dup_factor_list and the gcd route; factor_int of a
+rational polynomial with its denominators cleared against sympy factoring
+it over QQ; the product and ratio polynomials built from power sums against
+bivariate resultants and against Newton's identities over Q as oracles; the integer
 cyclotomic polynomials and their identification against sympy's
 ``cyclotomic_poly`` and ``totient``; the exterior-power polynomials against
 the characteristic polynomial of the explicit matrix of minors."""
 
 from fractions import Fraction
 from itertools import combinations, islice
+from math import lcm
 
 import sympy
 import pytest
@@ -18,12 +20,9 @@ from tdyn import polyalg
 from tdyn.exact_linalg import (
     BigIntMatrix,
     IntPolynomial,
-    RatPolynomial,
     char_poly,
     det_exact,
     exterior_power_polynomials,
-    from_power_sums,
-    power_sums,
 )
 from tdyn.errors import InputError
 from tdyn.polyalg import (
@@ -33,7 +32,6 @@ from tdyn.polyalg import (
     cyclotomic_order,
     exact_quotient,
     factor_int,
-    factor_rat,
     gcd_int,
     is_squarefree,
     product_polynomial,
@@ -228,14 +226,15 @@ def test_a_square_free_polynomial_with_no_certificate_takes_the_gcd_route(monkey
     assert is_squarefree(_selmer_poly(7) * _selmer_poly(5)) and gcds == []
 
 
-def _sympy_monic_factors(p: RatPolynomial):
-    """Monic factors from sympy's factorization over QQ."""
+def _sympy_monic_factors(p: list):
+    """Monic factors, as ascending Fraction lists, from sympy's
+    factorization over QQ of the polynomial with ascending coefficients p."""
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], _X, domain=sympy.QQ)
+                       for c in reversed(p)], _X, domain=sympy.QQ)
     out = []
     for f, mult in poly.factor_list()[1]:
         coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
-        out.append((RatPolynomial.of(coeffs), mult))
+        out.append((coeffs, mult))
     return out
 
 
@@ -258,13 +257,18 @@ def rational_polynomials(draw):
         factor = [draw(coeff) for _ in range(draw(st.integers(1, 2)))] + [draw(nonzero)]
         for _ in range(draw(st.integers(1, 2))):
             acc = _mul(acc, factor)
-    return RatPolynomial.of(acc)
+    return acc
 
 
 @settings(max_examples=200, deadline=None)
 @given(rational_polynomials())
 def test_factor_rat_matches_sympy_over_q(p):
-    assert factor_rat(p) == _sympy_monic_factors(p)
+    # the primitive factors of the polynomial with its denominators
+    # cleared, made monic, are its monic irreducible factors over QQ
+    L = lcm(*(c.denominator for c in p))
+    _, factors = factor_int(IntPolynomial.of(c * L for c in p))
+    assert [([Fraction(c, f.leading) for c in f.coeffs], m) for f, m in factors] == \
+        _sympy_monic_factors(p)
 
 
 # ---------------------------------------------------------------- composed products
@@ -326,22 +330,42 @@ def test_ratio_polynomial_matches_resultant(v):
     assert factor_int(got)[1] == factor_int(oracle)[1]
 
 
-def _monic_over_q(v: IntPolynomial) -> RatPolynomial:
-    return RatPolynomial.of(Fraction(c, v.leading) for c in v.coeffs)
+def _power_sums_over_q(v: IntPolynomial, N: int) -> list:
+    """p_1, ..., p_N of the roots of v by Newton's identities on the monic
+    v / lc over Q, with every coefficient a Fraction (oracle)."""
+    a = [Fraction(c, v.leading) for c in v.coeffs]
+    d = v.degree
+    ps = []
+    for k in range(1, N + 1):
+        acc = -k * a[d - k] if k <= d else Fraction(0)
+        for i in range(1, min(k - 1, d) + 1):
+            acc -= a[d - i] * ps[k - i - 1]
+        ps.append(acc)
+    return ps
+
+
+def _from_power_sums_over_q(sums) -> IntPolynomial:
+    """The monic polynomial with these power sums by Newton's identities
+    over Q, with its denominators cleared (oracle)."""
+    e = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        e.append(-sum(e[i] * sums[k - 1 - i] for i in range(k)) / k)
+    L = lcm(*(c.denominator for c in e))
+    return IntPolynomial.of(c * L for c in reversed(e))
 
 
 def _product_over_q(v: IntPolynomial) -> IntPolynomial:
-    """Power sums of the monic v / lc over Q, squared, through Newton's
-    identities over Q (the Fraction route, oracle)."""
-    sums = power_sums(_monic_over_q(v), v.degree ** 2)
-    return from_power_sums([p * p for p in sums]).clear_denominators()[0]
+    """Power sums of the roots of v, squared, through Newton's identities
+    over Q (the Fraction route, oracle)."""
+    sums = _power_sums_over_q(v, v.degree ** 2)
+    return _from_power_sums_over_q([p * p for p in sums])
 
 
 def _ratio_over_q(v: IntPolynomial) -> IntPolynomial:
     d = v.degree
     n = d * (d - 1)
-    sums = zip(power_sums(_monic_over_q(v), n), power_sums(_monic_over_q(v.reverse()), n))
-    return from_power_sums([p * q - d for p, q in sums]).clear_denominators()[0]
+    sums = zip(_power_sums_over_q(v, n), _power_sums_over_q(v.reverse(), n))
+    return _from_power_sums_over_q([p * q - d for p, q in sums])
 
 
 # degree 1-8 with negative and non-unit leading and constant coefficients
@@ -543,9 +567,9 @@ def _exterior_power(rows, k):
 @given(st.integers(1, 5).flatmap(lambda d: st.lists(
     st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
 def test_exterior_power_polynomials_match_the_minor_matrices(rows):
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    cp = char_poly(BigIntMatrix.from_rows(rows))
     assert exterior_power_polynomials(cp) == [
-        char_poly(_exterior_power(rows, k)).to_int() for k in range(len(rows) + 1)]
+        char_poly(_exterior_power(rows, k)) for k in range(len(rows) + 1)]
 
 
 # ---------------------------------------------------------------- the S_d certificate

@@ -350,13 +350,13 @@ def test_exterior_power_polynomials_stay_in_ints(rows):
         seen.append(all(type(x) is int for x in list(sums) + out))
         return out
 
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    cp = char_poly(BigIntMatrix.from_rows(rows))
     exterior_power_polynomials.cache_clear()  # build them, not the last list
     with mock.patch.object(exact_linalg, "_newton_coefficients", checking):
         polys = exterior_power_polynomials(cp)
     assert seen and all(seen)
     assert all(type(c) is int for w in polys for c in w.coeffs)
-    assert polys == [char_poly(_wedge(rows, k)).to_int() for k in range(len(rows) + 1)]
+    assert polys == [char_poly(_wedge(rows, k)) for k in range(len(rows) + 1)]
 
 
 # ---------------------------------------------------------------- scalar psi

@@ -751,7 +751,7 @@ def _torus_window(system, sequence):
     """(window, characteristic polynomial) of a one-section torus, with the
     window length the CLI uses."""
     phi = system.sections[0].phi
-    return sequence(system, 2 * 2 ** phi.rows + 4), char_poly(phi).to_int()
+    return sequence(system, 2 * 2 ** phi.rows + 4), char_poly(phi)
 
 
 def _both_routes(system):
@@ -846,7 +846,7 @@ def test_a_repeated_wedge_power_is_never_marked(monkeypatch):
 def test_certified_wedge_powers_are_irreducible(rows):
     # oracle: factor_int finds every square-free W_k of a certified cp
     # irreducible, so torus_zeta may pass it through as its own factor
-    cp = char_poly(BigIntMatrix.from_rows(rows)).to_int()
+    cp = char_poly(BigIntMatrix.from_rows(rows))
     if symmetric_galois_group(cp):
         for w in exterior_power_polynomials(cp):
             if is_squarefree(w):

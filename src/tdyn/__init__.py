@@ -24,6 +24,7 @@ from .congruence import (
     mobius,
 )
 from .errors import (
+    DoubleRangeError,
     HypothesisViolatedError,
     InfiniteValueError,
     InputError,
@@ -95,11 +96,11 @@ from .zeta import (
     RationalFunction,
     berlekamp_massey,
     expand,
+    exterior_zeta,
     minimal_recurrence,
     power_sums,
     realize_bouquet,
     residue_exponents,
-    torus_zeta,
     zeta_from_sequence,
 )
 

@@ -127,13 +127,13 @@ def _zeta_payload(config: RunConfig, system: NilpotentSystem):
 def _zeta_of(nielsen: bool, system: NilpotentSystem, window: int):
     """The sequence window and its zeta, which raises unless the zeta
     reproduces the whole window; the last one is kept for zeta, realize and
-    classify.  A single finitely generated section with psi = identity is a
-    torus endomorphism, whose zeta is read off the exterior powers of phi
-    (zeta.torus_zeta); every other system's is found by Berlekamp-Massey."""
+    classify.  When every section is finitely generated with psi = c I, the
+    zeta is read off the exterior powers of the phi (zeta.exterior_zeta);
+    every other system's is found by Berlekamp-Massey."""
     seq = _seq_of(nielsen, system, window)
-    if (len(system.sections) == 1 and system.is_finitely_generated
-            and system.psi_is_identity):
-        rf, es = zeta.torus_zeta(char_poly(system.sections[0].phi), seq)
+    if system.is_finitely_generated and all(s.psi.is_scalar() for s in system.sections):
+        rf, es = zeta.exterior_zeta([(char_poly(s.phi), int(s.psi.get(0, 0)))
+                                     for s in system.sections], seq)
     else:
         rf, es = zeta.zeta_from_sequence(seq)
     return seq, rf, es

@@ -67,10 +67,14 @@ class InfiniteValueError(TdynError):
     exit_code = 2
 
 
+class DoubleRangeError(InputError):
+    """A numeric output field is past the double range; the message names it."""
+
+
 def finite_float(field: str, compute) -> float:
-    """compute(), a float; InputError naming the field where the value is
-    past the double range, which Python reports as an OverflowError."""
+    """compute(), a float; DoubleRangeError naming the field where the value
+    is past the double range, which Python reports as an OverflowError."""
     try:
         return compute()
     except OverflowError:
-        raise InputError(f"{field} is past the double range") from None
+        raise DoubleRangeError(f"{field} is past the double range") from None

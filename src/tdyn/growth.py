@@ -26,6 +26,7 @@ from .enclosures import (
     poly_root_enclosures,
 )
 from .errors import (
+    DoubleRangeError,
     HypothesisViolatedError,
     InputError,
     NotTameError,
@@ -339,7 +340,11 @@ def entropy_identity(system: NilpotentSystem, N: int = 40) -> tuple:
         raise InputError("the entropy identity needs psi = identity")
     if not system.is_finitely_generated:
         raise InputError("the entropy identity needs finitely generated sections")
-    report = growth_rate(system, N=N)
+    try:
+        report = growth_rate(system, N=N)
+    except DoubleRangeError:
+        # the entropy output has none of the growth report's fields
+        raise DoubleRangeError("identity_gap is past the double range") from None
     log_growth = math.log(report.numeric)
     entropies = [entropy_dual_torus(sec.phi) for sec in system.sections]
     entropy_sum = sum(entropies)

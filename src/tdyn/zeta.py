@@ -21,30 +21,28 @@ The generating function passed to residue_exponents follows the same
 indexing: sum_{n >= 1} a_n z^n agrees with the series of u/v (the constant
 term of u/v is the model value sum_alpha chi_alpha * deg v_alpha).
 
-The zeta function of a torus
-----------------------------
-For one finitely generated section phi = A with psi = identity, a torus
-endomorphism, R_n = |det(I - A^n)| where it is finite, N_n = |det(I - A^n)|
-always, and det(I - A^n) = sum_k (-1)^k tr wedge^k A^n.  Each eigenvalue
-lambda of the integer matrix A gives det(I - A^n) the factor 1 - lambda^n:
-always negative for real lambda > 1, negative exactly for even n for real
-lambda < -1, positive for real 0 < |lambda| < 1, 0 for lambda = 1 and 0 or 2
-for lambda = -1.  A complex pair gives |1 - lambda^n|^2 >= 0, and
-lambda = 0 gives 1.  So the sign of a nonzero det(I - A^n) is e * s^n for
-fixed e, s in {1, -1}, and
-
-    a_n = sum_k e (-1)^k * (sum of n-th powers of the roots of W_k(s x))
-
-where W_k is the characteristic polynomial of wedge^k A: the zeta function is
-an alternating product of the reversed W_k(s x) to the powers -+1
-(Fel'shtyn, Mem. AMS 699, 2000).  torus_zeta reads it off the W_k with no
-recurrence to find.  When the Galois group of A's characteristic polynomial
-is certified to be the full symmetric group (polyalg.symmetric_galois_group,
-from Frobenius cycle types), which is transitive on k-subsets of roots, each
-W_k is a power of one irreducible polynomial, so a square-free W_k is
-irreducible and is not factored; every other W_k goes to Zassenhaus
-(factor_int).  Every other system goes through Berlekamp-Massey
-(zeta_from_sequence), which is the torus route's test oracle.
+The zeta function of a system with scalar psi
+---------------------------------------------
+On a finitely generated section, phi = A is an integer matrix, and for
+psi = c I, det(c^n I - A^n) = sum_k (-1)^k c^(n(d-k)) tr wedge^k A^n: an
+exponential sum over the characteristic polynomials W_k of wedge^k A with
+their roots scaled by c^(d-k).  The product over the sections is the sum
+over tuples of terms of their composed products, with roots r r' and power
+sums p_n(v) p_n(w) (Bostan, Flajolet, Salvy and Schost, JSC 41, 2006).
+Each eigenvalue lambda gives the factor c^n - lambda^n, of fixed sign, or
+sign (-1)^n or (-1)^(n+1), or 0 for every n or every even n when lambda is
+real, and |c^n - lambda^n|^2 >= 0 for a complex pair.  So a nonzero product
+has the sign e * s^n for fixed e, s in {1, -1}, and R_n (and N_n, 0 exactly
+where the product is) is e s^n times it: the zeta function is an
+alternating product over the irreducible factors of the composed products
+(Fel'shtyn, Mem. AMS 699, 2000), which exterior_zeta reads off with no
+recurrence to find.  When the Galois group of char A is certified to be
+the full symmetric group (polyalg.symmetric_galois_group), which is
+transitive on k-subsets of roots, a square-free W_k is irreducible and is
+not factored; scaling keeps irreducibility.  Systems with an S-integer
+section or a non-scalar psi go through Berlekamp-Massey
+(zeta_from_sequence), the closed form's test oracle, whose exponents come
+from one factorization of the recurrence denominator and one linear solve.
 """
 
 from __future__ import annotations
@@ -52,6 +50,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -69,11 +69,11 @@ from .exact_linalg import (
     companion_matrix,
     diagonal_blocks,
     exterior_power_polynomials,
+    from_power_sums,
     power_sums,
     rat_solve,
 )
 from .polyalg import (
-    exact_quotient,
     factor_int,
     gcd_int,
     is_squarefree,
@@ -89,7 +89,7 @@ __all__ = [
     "minimal_recurrence",
     "residue_exponents",
     "zeta_from_sequence",
-    "torus_zeta",
+    "exterior_zeta",
     "expand",
     "realize_bouquet",
     "power_sums",
@@ -198,10 +198,10 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
 
 # the primes of the modular pass, tried in turn: 2^61 - 1 is near the word
 # size, and the lift mod 2^127 - 1 holds connection coefficients of up to
-# 126 bits.  Tori read their zeta off the exterior powers, so the class-2
-# system of the companion of x^6 - x - 1 over multiplication by 3 is the
-# measured window that needs the second prime: 260 terms, order 128,
-# coefficients of up to 112 bits.  Wider fits take the Fraction loop; add a
+# 126 bits.  Systems with scalar psi read their zeta off the exterior
+# powers, so the measured window that needs the second prime is phi = the
+# companion of x^6 - x - 1 with psi = phi^2 + I: 132 terms, order 64,
+# coefficients of up to 84 bits.  Wider fits take the Fraction loop; add a
 # larger prime only for a measured window that needs it.
 _BM_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
 
@@ -368,55 +368,10 @@ def expand(rf: RationalFunction, N: int) -> list:
     return [a[n] - b[n] for n in range(1, N + 1)]
 
 
-# exponents split off first by _factor_by_exponent_class: no other value
-# occurs on the perfbench corpus, and any other lands in the remainder
-_EXPONENT_CLASSES = (1, -1, 2, -2)
-
-def _gcd_split(p: IntPolynomial, divisors) -> list:
-    """p as (piece, label) pairs, pieces of positive degree whose product is
-    p up to sign: gcd(p, s) for each (s, label) in divisors in turn, each
-    divided out of p before the next, then (what is left, None)."""
-    pieces = []
-    for s, label in divisors:
-        if p.degree == 0:
-            break
-        g = gcd_int(p, s)
-        if g.degree > 0:
-            pieces.append((g, label))
-            p = exact_quotient(p, g)
-    return pieces + [(p, None)] if p.degree > 0 else pieces
-
-
-def _factor_key(f: IntPolynomial, m: int):
-    """factor_int's order: degree, multiplicity, then the coefficients from
-    the leading one."""
-    return len(f.coeffs), m, f.coeffs[::-1]
-
-
-def _factor_by_exponent_class(u: IntPolynomial, v: IntPolynomial) -> list:
-    """factor_int(v)[1] for a squarefree v coprime to u, one exponent class
-    at a time, as (factor, multiplicity, class) triples.
-
-    At a root z0 = 1/lambda of v, u/v has the simple pole of
-    chi/(1 - lambda z), so u(z0) = -chi * z0 * v'(z0): the roots with
-    exponent c are exactly the roots of gcd(v, u + c z v') (Rothstein-Trager).
-    v is split by these exact gcds for c in _EXPONENT_CLASSES, and every
-    factor of the part of class c has exponent c; the factors of what is
-    left have class None.  The factors are sorted by _factor_key, so the
-    result does not depend on the classes tried.
-    """
-    zdv = IntPolynomial.of((0,) + v.derivative().coeffs)
-    parts = _gcd_split(v, ((u + IntPolynomial.of(c * x for x in zdv.coeffs), c)
-                           for c in _EXPONENT_CLASSES))
-    factors = [(f, m, c) for part, c in parts for f, m in factor_int(part)[1]]
-    return sorted(factors, key=lambda fmc: _factor_key(fmc[0], fmc[1]))
-
-
 def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     """Exponents chi_alpha per irreducible factor of v for the sequence with
-    sum_{n>=1} a_n z^n = series of u/v.  A factor of an exponent class has
-    that exponent; the others are solved for by exact linear algebra on
-    power sums, with the known terms subtracted.
+    sum_{n>=1} a_n z^n = series of u/v, solved for by exact linear algebra
+    on power sums.
 
     Errors: v not squarefree (polynomial-times-exponential terms are outside
     the rational-zeta normal form), deg u > deg v, and non-integer or
@@ -433,40 +388,34 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     if u.degree > v.degree:
         # a polynomial part of u/v is a transient, which no exponent fits
         raise InputError("u/v must have deg u <= deg v")
-    factors = []  # (v_alpha, chi_alpha), chi_alpha None where not yet known
-    for w, mult, c in _factor_by_exponent_class(u, v):
-        assert mult == 1
+    polys = []  # the v_alpha, in factor_int's order of the factors of v
+    for w, _ in factor_int(v)[1]:
         if w.constant == -1:
             w = -w
         if w.constant != 1:
             raise InputError("factor of v(0)=1 polynomial must have unit constant")
-        factors.append((w.reverse(), c))
-    unknown = [p for p, c in factors if c is None]
-    solved = {}
-    if unknown:
-        # a_n minus the known terms; r = the degree left is enough rows, as
-        # the power sums of distinct nonzero roots form a Vandermonde system
-        r = sum(p.degree for p in unknown)
-        a = _series_div(list(u.coeffs), v.coeffs, r)[1:]  # a_1 .. a_r
-        for p, c in factors:
-            if c is not None:
-                a = [x - c * s for x, s in zip(a, power_sums(p, r))]
-        sums = [power_sums(p, r) for p in unknown]
-        matrix = RatMatrix(r, len(unknown),
-                           tuple(Fraction(s[n]) for n in range(r) for s in sums))
-        sol = rat_solve(matrix, [Fraction(x) for x in a])
-        if sol is None:
+        polys.append(w.reverse())
+    if not polys:
+        return ExponentialSum(terms=())
+    # r = deg v rows suffice, as the power sums of distinct nonzero roots
+    # form a Vandermonde system
+    r = v.degree
+    a = _series_div(list(u.coeffs), v.coeffs, r)[1:]  # a_1 .. a_r
+    sums = [power_sums(p, r) for p in polys]
+    matrix = RatMatrix(r, len(polys),
+                       tuple(Fraction(s[n]) for n in range(r) for s in sums))
+    sol = rat_solve(matrix, [Fraction(x) for x in a])
+    if sol is None:
+        raise NonIntegerResidueError(
+            "no Galois-constant exponents reproduce the sequence; it is not "
+            "an integer exponential sum")
+    for x in sol:
+        if x.denominator != 1:
             raise NonIntegerResidueError(
-                "no Galois-constant exponents reproduce the sequence; it is not "
-                "an integer exponential sum")
-        for x in sol:
-            if x.denominator != 1:
-                raise NonIntegerResidueError(
-                    f"factor exponent {x} is not an integer; refusing to round")
-        if any(x == 0 for x in sol):
-            raise NonIntegerResidueError("zero exponent contradicts minimality of v")
-        solved = dict(zip(unknown, map(int, sol)))
-    return ExponentialSum(terms=tuple((p, solved.get(p, c)) for p, c in factors))
+                f"factor exponent {x} is not an integer; refusing to round")
+    if any(x == 0 for x in sol):
+        raise NonIntegerResidueError("zero exponent contradicts minimality of v")
+    return ExponentialSum(terms=tuple(zip(polys, map(int, sol))))
 
 
 def zeta_from_sequence(seq: SequenceLike):
@@ -489,39 +438,72 @@ def zeta_from_sequence(seq: SequenceLike):
     return _verified_zeta(residue_exponents(u_shifted, v), values)
 
 
-def torus_zeta(cp: IntPolynomial, seq: SequenceLike):
-    """(zeta, ExponentialSum) of the Reidemeister or Nielsen sequence seq of
-    the torus endomorphism A with characteristic polynomial cp, read off the
-    exterior powers of A (see the module docstring); verifies the roundtrip
-    over the full window before returning, as zeta_from_sequence does.
+def _scaled(f: IntPolynomial, t: int) -> IntPolynomial:
+    """t^deg f(x / t): the roots of f times t; x^deg f for t = 0."""
+    d = f.degree
+    return IntPolynomial.of(a * t ** (d - i) for i, a in enumerate(f.coeffs))
 
-    e * s and e are the signs of a_1 / det(I - A) and a_2 / det(I - A^2).
-    Where one of these determinants is 0, A has the eigenvalue 1 or -1, so
-    every term of that parity is 0 and its sign is taken as 1.  The terms
-    are in zeta_from_sequence's order.
+
+def _section_terms(cp: IntPolynomial, c: int) -> Counter:
+    """det(c^n I - A^n) as {monic irreducible v: chi}, for the integer
+    matrix A with characteristic polynomial cp: the factors of each W_k,
+    scaled by c^(d-k), with exponent (-1)^k times their multiplicity.
+    Roots 0 add nothing for n >= 1 and are left out."""
+    symmetric = symmetric_galois_group(cp)
+    chis = Counter()
+    for k, w in enumerate(exterior_power_polynomials(cp)):
+        factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
+        for f, m in factors:
+            chis[_scaled(f, c ** (cp.degree - k))] += (-1) ** k * m
+    return Counter({f: chi for f, chi in chis.items() if chi and f.constant})
+
+
+def _composed_products(left: Counter, right: Counter) -> Counter:
+    """The product of two exponential sums {v: chi}, over the irreducible
+    factors of the composed products of their terms (roots r r')."""
+    chis = Counter()
+    for f, a in left.items():
+        for g, b in right.items():
+            if f.degree == 1 or g.degree == 1:
+                line, other = (f, g) if f.degree == 1 else (g, f)
+                factors = [(_scaled(other, -line.constant), 1)]
+            else:
+                n = f.degree * g.degree
+                sums = map(mul, power_sums(f, n), power_sums(g, n))
+                factors = factor_int(from_power_sums(list(sums)))[1]
+            for h, m in factors:
+                chis[h] += a * b * m
+    return Counter({h: chi for h, chi in chis.items() if chi})
+
+
+def exterior_zeta(sections: Sequence[tuple], seq: SequenceLike):
+    """(zeta, ExponentialSum) of the Reidemeister or Nielsen sequence seq of
+    a system whose sections are all finitely generated with psi = c I,
+    given as the pairs (characteristic polynomial of phi, c), read off the
+    exterior powers of each phi (see the module docstring); verifies the
+    roundtrip over the full window before returning, as zeta_from_sequence
+    does.
+
+    e * s and e are the signs of a_1 and a_2 against the products of
+    cp(c) = det(c I - A) and cp(c) (-1)^d cp(-c) = det(c^2 I - A^2); where
+    one is 0, every term of that parity is 0 and its sign is taken as 1.
+    The sign is the first term, x - s with exponent e.
     """
     values = _finite_values(seq)
     if len(values) < 2:
         raise InputError("need at least two sequence values")
-    det1 = cp(1)  # det(I - A)
-    det2 = det1 * (-1) ** cp.degree * cp(-1)  # det(I - A) det(I + A)
+    det1 = prod(cp(c) for cp, c in sections)
+    det2 = det1 * prod((-1) ** cp.degree * cp(-c) for cp, c in sections)
     es = -1 if values[0] * det1 < 0 else 1
     e = -1 if values[1] * det2 < 0 else 1
-    symmetric = symmetric_galois_group(cp)
-    chis = Counter()
-    for k, w in enumerate(exterior_power_polynomials(cp)):
-        if es * e == -1:  # s = -1: (-1)^deg W_k(-x), the roots of W_k negated
-            w = IntPolynomial.of((-c if (w.degree - i) % 2 else c)
-                                 for i, c in enumerate(w.coeffs))
-        factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
-        for f, m in factors:
-            chis[f] += (-e if k % 2 else e) * m
-    # the root 0 (the factor x) adds nothing for n >= 1; the order is the one
-    # of the factors +-p.reverse() of the recurrence denominator, with
-    # positive leading coefficients
-    terms = sorted(((p, chi) for p, chi in chis.items() if chi and p.constant),
-                   key=lambda t: _factor_key(t[0].reverse() if t[0].constant > 0
-                                             else -t[0].reverse(), 1))
+    chis = Counter({IntPolynomial.of([-es * e, 1]): e})
+    for cp, c in sections:
+        chis = _composed_products(chis, _section_terms(cp, c))
+    # zeta_from_sequence's order, factor_int's of the factors +-v.reverse()
+    # of the recurrence denominator: by degree, then by the coefficients
+    # from the leading one, which are those of +-v from the constant
+    terms = sorted(chis.items(), key=lambda t: (
+        t[0].degree, [c if t[0].constant > 0 else -c for c in t[0].coeffs]))
     return _verified_zeta(ExponentialSum(terms=tuple(terms)), values)
 
 

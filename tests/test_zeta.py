@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -17,6 +18,7 @@ from tdyn.errors import (
     NonIntegerResidueError,
     NoRecurrenceError,
     NotSquareFreeError,
+    TdynError,
 )
 from tdyn.exact_linalg import (
     BigIntMatrix,
@@ -29,9 +31,15 @@ from tdyn.exact_linalg import (
     powers,
     rat_solve,
 )
-from tdyn import zeta
-from tdyn.cli import main
-from tdyn.group_model import builtin_example, torus_matrix, z_pair, z_times_d
+from tdyn import group_model, zeta
+from tdyn.cli import RunConfig, _window_length, main
+from tdyn.group_model import (
+    NilpotentSystem,
+    builtin_example,
+    torus_matrix,
+    z_pair,
+    z_times_d,
+)
 from tdyn.polyalg import factor_int, gcd_int, is_squarefree, symmetric_galois_group
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
@@ -41,11 +49,11 @@ from tdyn.zeta import (
     minimal_recurrence,
     power_sums,
     realize_bouquet,
+    exterior_zeta,
     residue_exponents,
-    torus_zeta,
     zeta_from_sequence,
 )
-from tdyn.zeta import _berlekamp_massey_rational, _factor_by_exponent_class
+from tdyn.zeta import _berlekamp_massey_rational
 
 
 # ---------------------------------------------------------------- oracles
@@ -585,7 +593,7 @@ def test_berlekamp_massey_lifts_wide_coefficients(terms, extra):
     assert calls == ([1] if wide else [])
 
 
-# ---------------------------------------------------------------- class split
+# ---------------------------------------------------------------- exponents
 
 def _numerator(values, v):
     """u with sum_{n>=1} a_n z^n = u/v, built as zeta_from_sequence does."""
@@ -629,27 +637,7 @@ def _read_exponents(u, v):
         return type(exc), str(exc)
 
 
-@settings(max_examples=100, deadline=None)
-@given(exponential_sums)
-def test_class_split_factorization_matches_factor_int(terms):
-    order = sum(poly.degree for poly, _ in terms)
-    values = exponential_sum_values(terms, 2 * order + 4)
-    v = minimal_recurrence(values)
-    if v is None or v.degree == 0:
-        return  # the exponents cancelled
-    u = _numerator(values, v)
-    expected = factor_int(v)[1]
-    split = _factor_by_exponent_class(u, v)
-    assert [(f, m) for f, m, _ in split] == expected
-    # each class is the exponent the full solve finds for the factor, and a
-    # factor is left without one only if its exponent is in no class
-    solved = dict(_solved_exponents(u, v))
-    for f, _, c in split:
-        chi = solved[(f if f.constant == 1 else -f).reverse()]
-        assert c == chi if c is not None else chi not in zeta._EXPONENT_CLASSES
-
-
-# exponents from -5 to 5, so that +-3, +-4 and +-5 fall in no class
+# exponents from -5 to 5
 wide_exponential_sums = st.lists(
     st.tuples(root_polys, st.integers(-5, 5).filter(bool)),
     min_size=1, max_size=4)
@@ -668,8 +656,8 @@ def test_class_read_exponents_match_the_full_solve(terms):
 
 
 # squarefree v = prod (1 - lambda z) over distinct small integers lambda, so
-# that the residues of a random u/v are rational: integers in a class,
-# integers outside every class, fractions, or zero
+# that the residues of a random u/v are rational: small or large integers,
+# fractions, or zero
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
        .flatmap(lambda roots: st.tuples(
@@ -684,46 +672,10 @@ def test_class_read_exponents_match_the_full_solve_on_any_residues(vu):
     assert _read_exponents(u, v) == _solved_exponents(u, v)
 
 
-@pytest.mark.parametrize("terms", [
-    # exponent 3 is in no tried class: (1 - 2z) is the remainder
-    [(IntPolynomial.of([-2, 1]), 3), (IntPolynomial.of([3, 1]), -1)],
-    # classes -2 and 4 plus a quadratic factor of exponent 1
-    [(IntPolynomial.of([5, 1]), -2), (IntPolynomial.of([-7, 1]), 4),
-     (IntPolynomial.of([-1, -1, 1]), 1)],
-])
-def test_class_split_remainder(monkeypatch, terms):
-    order = sum(poly.degree for poly, _ in terms)
-    values = exponential_sum_values(terms, 2 * order + 4)
-    v = minimal_recurrence(values)
-    u = _numerator(values, v)
-    split = _factor_by_exponent_class(u, v)
-    assert [(f, m) for f, m, _ in split] == factor_int(v)[1]
-    # each root polynomial is irreducible here, so it is a factor's reversal
-    chis = [dict(terms)[(f if f.constant == 1 else -f).reverse()] for f, _, _ in split]
-    assert [c for _, _, c in split] == [
-        chi if chi in zeta._EXPONENT_CLASSES else None for chi in chis]
-    assert None in [c for _, _, c in split]
-    # the remainder is still solved for, in one rat_solve
-    calls = []
-    monkeypatch.setattr(zeta, "rat_solve", lambda *a: calls.append(1) or rat_solve(*a))
-    assert dict(residue_exponents(u, v).terms) == dict(terms)
-    assert calls == [1]
-
-
 def test_residue_exponents_rejects_a_polynomial_part():
     # z^2 / (1 - z) = z^2 + z^3 + ...: a_1 = 0 is a transient
     with pytest.raises(InputError):
         residue_exponents(IntPolynomial.of([0, 0, 1]), IntPolynomial.of([1, -1]))
-
-
-def test_zeta_of_the_rank6_torus_solves_for_no_exponent(monkeypatch):
-    # every exponent of R_n = |det(I - A^n)| is +-1: all are read off a class
-    seq = coincidence_sequence(torus_matrix(_selmer(6)), 2 * 2 ** 6 + 4)
-    calls = []
-    monkeypatch.setattr(zeta, "rat_solve", lambda *a: calls.append(1) or rat_solve(*a))
-    _, es = zeta_from_sequence(seq)
-    assert calls == []
-    assert {chi for _, chi in es.terms} <= {1, -1}
 
 
 # ---------------------------------------------------------------- the torus zeta
@@ -761,7 +713,7 @@ def _both_routes(system):
     for sequence in (coincidence_sequence, nielsen_sequence):
         seq, cp = _torus_window(system, sequence)
         pair = []
-        for route in (zeta_from_sequence, lambda s: torus_zeta(cp, s)):
+        for route in (zeta_from_sequence, lambda s: exterior_zeta([(cp, 1)], s)):
             try:
                 pair.append(route(seq))
             except InfiniteValueError:
@@ -811,7 +763,7 @@ def test_uncertified_tori_fall_back_to_zassenhaus(monkeypatch, rows):
     oracle = zeta_from_sequence(seq)
     factored = []
     monkeypatch.setattr(zeta, "factor_int", lambda p: factored.append(p) or factor_int(p))
-    assert torus_zeta(cp, seq) == oracle
+    assert exterior_zeta([(cp, 1)], seq) == oracle
     assert [p.degree for p in factored] == [math.comb(len(rows), k)
                                             for k in range(len(rows) + 1)]
 
@@ -836,7 +788,7 @@ def test_a_repeated_wedge_power_is_never_marked(monkeypatch):
     monkeypatch.setattr(zeta, "symmetric_galois_group", lambda p: True)
     factored = []
     monkeypatch.setattr(zeta, "factor_int", lambda p: factored.append(p) or factor_int(p))
-    assert torus_zeta(cp, seq) == oracle
+    assert exterior_zeta([(cp, 1)], seq) == oracle
     assert [p.degree for p in factored] == [6]
 
 
@@ -845,7 +797,7 @@ def test_a_repeated_wedge_power_is_never_marked(monkeypatch):
     st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)))
 def test_certified_wedge_powers_are_irreducible(rows):
     # oracle: factor_int finds every square-free W_k of a certified cp
-    # irreducible, so torus_zeta may pass it through as its own factor
+    # irreducible, so exterior_zeta may pass it through as its own factor
     cp = char_poly(BigIntMatrix.from_rows(rows))
     if symmetric_galois_group(cp):
         for w in exterior_power_polynomials(cp):
@@ -858,9 +810,9 @@ def test_torus_zeta_rejects_a_foreign_window():
     seq, _ = _torus_window(torus_matrix(T4), coincidence_sequence)
     _, cp = _torus_window(torus_matrix(T5), coincidence_sequence)
     with pytest.raises(NonIntegerResidueError):
-        torus_zeta(cp, seq)
+        exterior_zeta([(cp, 1)], seq)
     with pytest.raises(InputError):
-        torus_zeta(cp, seq.values[:1])
+        exterior_zeta([(cp, 1)], seq.values[:1])
 
 
 @pytest.mark.parametrize("r", [7, 10])
@@ -905,3 +857,104 @@ def test_the_rank10_window_needs_no_fraction_loop(monkeypatch):
     C = berlekamp_massey(seq)
     assert len(C) == 1025 and calls == []
     assert max(abs(c.numerator) for c in C).bit_length() > 60
+
+
+# ---------------------------------------------------------------- scalar psi
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+def _scalar_system(blocks):
+    """The system of the finitely generated sections (phi, c I), and its
+    (characteristic polynomial, c) pairs."""
+    sections = tuple(group_model.section(len(rows), rows, [
+        [c if i == j else 0 for j in range(len(rows))] for i in range(len(rows))])
+        for rows, c in blocks)
+    return (NilpotentSystem(name="scalar", sections=sections),
+            [(char_poly(BigIntMatrix.from_rows(rows)), c) for rows, c in blocks])
+
+
+def _route(route, seq):
+    """route(seq), or the type and message of the TdynError it raises."""
+    try:
+        return route(seq)
+    except TdynError as exc:
+        return type(exc), str(exc)
+
+
+_square_blocks = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+             min_size=d, max_size=d),
+    st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_square_blocks, min_size=1, max_size=3)
+       .filter(lambda blocks: sum(len(rows) for rows, _ in blocks) <= 5))
+@example([([[1, 1], [1, 2]], 2), ([[3]], -1)])           # class 2, c < 0
+@example([([[2, 1], [1, 1]], 0), ([[0, 1], [1, 0]], 0)])  # c = 0, singular phi
+@example([([[2, 0], [0, 3]], 2)])                        # phi - c I singular
+@example([([[0, -1], [1, 0]], -1), ([[2]], 3)])          # a root of unity times c
+def test_exterior_zeta_matches_berlekamp_massey(blocks):
+    # Reidemeister windows that are not tame raise in both routes, and their
+    # Nielsen windows, with 0 where R_n is infinite, have a zeta in both
+    system, pairs = _scalar_system(blocks)
+    window = _window_length(system, RunConfig("zeta").n)
+    for sequence in (coincidence_sequence, nielsen_sequence):
+        seq = sequence(system, window)
+        assert (_route(lambda s: exterior_zeta(pairs, s), seq)
+                == _route(zeta_from_sequence, seq))
+
+
+_C6_SYSTEMS = {
+    "class2": [(_selmer(6), 1), ([[3]], 1)],
+    "c6_psi2": [(_selmer(6), 2)],
+}
+
+
+def _write_system(system, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(group_model.system_to_json(system)))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "equal_modulus", "class2", "c6_psi2"])
+@pytest.mark.parametrize("command", ["zeta", "realize", "classify"])
+def test_scalar_psi_runs_no_berlekamp_massey(monkeypatch, tmp_path, name, command):
+    if name == "heisenberg":
+        source = ["--builtin", "heisenberg:2,1,1,3"]
+    elif name == "equal_modulus":
+        source = ["--input", str(INPUTS / "equal_modulus.json")]
+    else:
+        source = ["--input", _write_system(_scalar_system(_C6_SYSTEMS[name])[0], tmp_path)]
+    calls = []
+    monkeypatch.setattr(zeta, "berlekamp_massey", lambda s: calls.append(s))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, *source, "--format", "json"]) == 0
+    assert calls == []
+
+
+def test_the_c6_window_with_psi_phi_squared_plus_one_needs_the_second_prime(
+        monkeypatch, tmp_path):
+    # the measured window of the 2^127 - 1 lift: 132 terms, order 64 and
+    # connection coefficients of 84 bits, which 2^61 - 1 does not lift
+    phi_rows = _selmer(6)
+    psi_rows = [[sum(phi_rows[i][k] * phi_rows[k][j] for k in range(6)) + (i == j)
+                 for j in range(6)] for i in range(6)]
+    system = NilpotentSystem(name="c6-phi2+1",
+                             sections=(group_model.section(6, phi_rows, psi_rows),))
+    seq = coincidence_sequence(system, 132).values
+    C = berlekamp_massey(seq)
+    assert len(C) == 65
+    assert max(abs(c.numerator) for c in C).bit_length() == 84
+    assert not zeta._generates(zeta._berlekamp_massey_mod(seq, zeta._BM_PRIMES[0]), seq)
+
+    def fraction_loop(s):
+        raise AssertionError("the Fraction loop ran")
+    monkeypatch.setattr(zeta, "_berlekamp_massey_rational", fraction_loop)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["zeta", "--input", _write_system(system, tmp_path),
+                     "--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["window"] == 132 and doc["roundtrip_verified"] is True

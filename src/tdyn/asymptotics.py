@@ -34,7 +34,6 @@ from .enclosures import (
     poly_root_enclosures,
     precision_ladder,
     real_part_sign,
-    real_root_enclosures,
 )
 from .errors import InputError, PrecisionError, finite_float
 from .exact_linalg import IntPolynomial
@@ -103,8 +102,8 @@ def _positive_real_candidates(polys) -> list:
     parts = [(t, part, k) for t, p in enumerate(polys) for part, k in squarefree_parts(p)]
     out = [[] for _ in polys]
     for j, (b, labels) in enumerate(coprime_base([part for _, part, _ in parts])):
-        roots = [(idx, e) for idx, e in enumerate(real_root_enclosures(b))
-                 if e.real_sign() > 0]
+        roots = [(idx, e) for idx, e in enumerate(poly_root_enclosures(b))
+                 if e.is_real and e.real_sign() > 0]
         for label in labels:
             t, _, k = parts[label]
             out[t] += [_RealCandidate((j, idx), k, e) for idx, e in roots]

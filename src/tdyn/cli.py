@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
 from .errors import InputError, TdynError
-from .exact_linalg import BigIntMatrix, char_poly
+from .exact_linalg import char_poly
 from .group_model import (
     NilpotentSystem,
     builtin_example,
@@ -114,10 +114,6 @@ def _poly_strs(p) -> list:
     return [str(c) for c in p.coeffs]
 
 
-def _matrix_strs(m: BigIntMatrix) -> list:
-    return [[str(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-
-
 def _zeta_payload(config: RunConfig, system: NilpotentSystem):
     """_zeta_of the config's sequence window."""
     return _zeta_of(config.nielsen, system, _window_length(system, config.n))
@@ -178,8 +174,8 @@ def _cmd_realize(config, system):
         seq = _seq_of(config.nielsen, system, check_n)
     ok = br.lefschetz_values(check_n) == list(seq.values[:check_n])
     return {
-        "realization": {"A_e": _matrix_strs(br.a_even),
-                        "A_o": _matrix_strs(br.a_odd)},
+        "realization": {"A_e": br.a_even.str_rows(),
+                        "A_o": br.a_odd.str_rows()},
         "n_spheres": br.n_spheres,
         "n_circles": br.n_circles,
         "trace_check_up_to": check_n,

@@ -27,9 +27,10 @@ sympy's CRootOf bisection is the fallback, used only where the certificate
 fails, and the test oracle.  A polynomial whose double-precision seeds do
 not converge, even after rescaling, or whose disks do not separate (which
 includes every polynomial with a repeated root), is enclosed by CRootOf
-throughout.  A root whose Newton step leaves its disk is placed among
-CRootOf's roots by the disk as it stands, and takes CRootOf boxes from then
-on.  CRootOf boxes come from its isolating intervals, refined as
+throughout; its real roots are counted by continued fractions on its
+square-free parts, with no factoring, so ``is_real`` builds no CRootOf.  A
+root whose Newton step leaves its disk is placed among CRootOf's roots by
+the disk as it stands, and takes CRootOf boxes from then on.  CRootOf boxes come from its isolating intervals, refined as
 eval_rational refines them, without building a sympy expression.
 
 A reported 64-bit cell that lies within GUARD of a grid point or a float
@@ -51,13 +52,12 @@ import sympy
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
-from .polyalg import to_sympy
+from .polyalg import real_root_count, to_sympy
 
 __all__ = [
     "Box",
     "RootEnclosure",
     "poly_root_enclosures",
-    "real_root_enclosures",
     "box_conj",
     "box_mul",
     "box_pow",
@@ -366,8 +366,8 @@ class RootEnclosure:
     conjugate: bool = field(default=False, repr=False)
     # the root -c0/c1 of a linear polynomial, which CRootOf also returns exactly
     point: Optional[Fraction] = field(default=None, repr=False)
-    # the number of real roots of poly, which CRootOf indexes first
-    n_real: int = field(default=0, repr=False)
+    # the number of real roots of poly, which CRootOf indexes first, if known
+    n_real: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self):
         self._expr = None
@@ -396,6 +396,8 @@ class RootEnclosure:
             return True
         if self.disk is not None:
             return self.disk.y == 0
+        if self.n_real is not None:
+            return self.index < self.n_real
         return bool(self._crootof().is_real)
 
     def box(self, bits: int) -> Box:
@@ -439,37 +441,24 @@ def poly_root_enclosures(p: IntPolynomial) -> list:
     multiplicity (p.degree entries): the real roots ascending, at their
     CRootOf indices, then each conjugate pair, the conjugate (negative
     imaginary part) right before its root.  A pair's indices are known when
-    it is the only one; otherwise each is found when read."""
+    it is the only one; otherwise each is found when read.  The one entry
+    point: a caller after the real roots takes the is_real entries."""
     if p.is_zero or p.degree < 1:
         return []
     if p.degree == 1:
         return [_linear_root(p)]
     found = _certified_roots(p)
     if found is None:
-        return [RootEnclosure(p, i) for i in range(p.degree)]
+        n_real = real_root_count(p)
+        return [RootEnclosure(p, i, n_real=n_real) for i in range(p.degree)]
     reals, uppers = found
     n_real = len(reals)
-    out = [RootEnclosure(p, i, d) for i, d in enumerate(reals)]
+    out = [RootEnclosure(p, i, d, n_real=n_real) for i, d in enumerate(reals)]
     pair = (n_real, n_real + 1) if len(uppers) == 1 else (None, None)
     for d in uppers:
         out.append(RootEnclosure(p, pair[0], d, conjugate=True, n_real=n_real))
         out.append(RootEnclosure(p, pair[1], d, n_real=n_real))
     return out
-
-
-def real_root_enclosures(p: IntPolynomial) -> list:
-    """The real entries of poly_root_enclosures(p), with the same indices:
-    CRootOf indexes the real roots first, ascending, so each index is the
-    root's position."""
-    if p.is_zero or p.degree < 1:
-        return []
-    if p.degree == 1:
-        return [_linear_root(p)]
-    found = _certified_roots(p)
-    if found is None:
-        n_real = len(to_sympy(p).real_roots(radicals=False))
-        return [RootEnclosure(p, i) for i in range(n_real)]
-    return [RootEnclosure(p, i, d) for i, d in enumerate(found[0])]
 
 
 def _imul(a: Box, b: Box, i: int, j: int):

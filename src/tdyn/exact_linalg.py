@@ -120,6 +120,10 @@ class _DenseMatrix:
     def row_lists(self) -> list:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
 
+    def str_rows(self) -> list:
+        """The rows as lists of decimal strings ("3", "-1/2"), as printed."""
+        return [[str(e) for e in row] for row in self.row_lists()]
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -224,9 +228,7 @@ class RatMatrix(_DenseMatrix):
         return B, L
 
     def is_identity(self) -> bool:
-        return self.is_square and all(
-            self.get(i, j) == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols))
+        return self.is_scalar() and self.get(0, 0) == 1
 
     def is_scalar(self) -> bool:
         if not self.is_square:
@@ -511,21 +513,19 @@ def rat_kernel_basis(A: RatMatrix) -> list:
 
 
 def restrict_to_invariant_subspace(M: RatMatrix, basis: Sequence) -> RatMatrix:
-    """Matrix of M on the subspace spanned by ``basis`` (must be M-invariant)."""
+    """Matrix X of M on the subspace spanned by ``basis``: B X = M B for B
+    with the basis vectors as columns, solved by one elimination of
+    [B | M B].  InputError unless the basis is independent and M-invariant."""
     if not basis:
         raise InputError("empty basis")
-    n = M.rows
-    k = len(basis)
+    n, k = M.rows, len(basis)
     B = RatMatrix(n, k, tuple(_as_fraction(basis[j][i]) for i in range(n) for j in range(k)))
-    cols = []
-    for j in range(k):
-        image = [sum((M.get(i, l) * basis[j][l] for l in range(n)), Fraction(0))
-                 for i in range(n)]
-        sol = rat_solve(B, image)
-        if sol is None:
-            raise InputError("subspace is not invariant under the map")
-        cols.append(sol)
-    return RatMatrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
+    rows = [b + mb for b, mb in zip(B.row_lists(), M.mul(B).row_lists())]
+    if len(_rref(rows, k)) < k:
+        raise InputError("basis vectors are linearly dependent")
+    if any(any(row[k:]) for row in rows[k:]):
+        raise InputError("subspace is not invariant under the map")
+    return RatMatrix._of(k, k, tuple(chain.from_iterable(row[k:] for row in rows[:k])))
 
 
 def power_sums(poly, N: int) -> list:

@@ -225,10 +225,12 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
     pairing of a section, shared by the archimedean place and every prime.
 
     When phi or psi is scalar s*I, the single whole-space block (char(phi),
-    phi, psi, char(psi)): every eigenvalue pairs with s.  Otherwise one
-    (f, phi_f, psi_f, g) per irreducible factor f of char(phi), in
-    factor_int's order: phi_f and psi_f are phi and psi restricted to
-    ker f(phi), so char(phi_f) = f, and g = char(psi_f).  Raises
+    None, char(psi)): every eigenvalue pairs with s.  Otherwise one (f, h, g)
+    per irreducible factor f of char(phi), in factor_int's order: on ker
+    f(phi), psi = h(phi) pairs each root xi of f with h(xi).  f irreducible
+    makes any nonzero v there cyclic, so psi on the basis v, phi v, ...,
+    phi^(m-1) v (m = deg f) has first column h, ascending Fractions, and
+    characteristic polynomial g.  Raises
     UnsupportedPairingError unless phi and psi commute and both
     characteristic polynomials are square-free, because the pairing is
     certified only for simultaneously diagonalizable maps.  char_polys,
@@ -241,7 +243,7 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
             "phi and psi do not commute; the eigenvalue pairing is not certified")
     char_phi, char_psi = char_polys or (char_poly(phi), char_poly(psi))
     if scalar:
-        return [(char_phi, phi, psi, char_psi)]
+        return [(char_phi, None, char_psi)]
     for cp in (char_phi, char_psi):
         if not is_squarefree(cp):
             raise UnsupportedPairingError(
@@ -249,10 +251,11 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
                 "diagonalizability cannot be certified")
     blocks = []
     for f, _ in factor_int(char_phi)[1]:
-        basis = rat_kernel_basis(poly_at_matrix(f, phi))
-        psi_f = restrict_to_invariant_subspace(psi, basis)
-        blocks.append((f, restrict_to_invariant_subspace(phi, basis), psi_f,
-                       char_poly(psi_f)))
+        krylov = [RatMatrix(phi.rows, 1, rat_kernel_basis(poly_at_matrix(f, phi))[0])]
+        while len(krylov) < f.degree:
+            krylov.append(phi.mul(krylov[-1]))
+        psi_f = restrict_to_invariant_subspace(psi, [v.entries for v in krylov])
+        blocks.append((f, psi_f.entries[::f.degree], char_poly(psi_f)))
     return blocks
 
 
@@ -401,18 +404,14 @@ def system_from_json(doc) -> NilpotentSystem:
                            sections=tuple(sections))
 
 
-def _matrix_to_json(m: RatMatrix):
-    return [[str(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-
-
 def system_to_json(system: NilpotentSystem) -> dict:
     return {
         "name": system.name,
         "sections": [
             {
                 "rank": sec.rank,
-                "phi": _matrix_to_json(sec.phi),
-                "psi": _matrix_to_json(sec.psi),
+                "phi": sec.phi.str_rows(),
+                "psi": sec.psi.str_rows(),
                 "primes": sorted(sec.prime_support),
             }
             for sec in system.sections

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Optional, Union
 
 from .enclosures import (
@@ -35,8 +34,7 @@ from .errors import (
     UnsupportedPairingError,
     finite_float,
 )
-from .exact_linalg import (BigIntMatrix, IntPolynomial, RatMatrix, char_poly, powers,
-                           rat_solve)
+from .exact_linalg import BigIntMatrix, IntPolynomial, RatMatrix, char_poly
 from .group_model import AbelianSection, NilpotentSystem, joint_blocks, tameness_check
 from .padic import joint_block_exponent
 from .polyalg import cyclotomic_factors, factor_int
@@ -185,23 +183,15 @@ def _scalar_pair_terms(base: IntPolynomial, s: Fraction):
 
 def _commuting_block_terms(blocks):
     """max(|xi_i|, |eta_i|) terms for commuting phi, psi with square-free
-    characteristic polynomials, paired block by block (joint_blocks)."""
+    characteristic polynomials, paired block by block: each block of
+    joint_blocks carries its pairing polynomial h, and eta = h(xi) for
+    each root xi of its f."""
     terms = []
-    for f_alpha, phi_block, psi_block, g_alpha in blocks:
+    for f_alpha, h, g_alpha in blocks:
         if len(factor_int(g_alpha)[1]) > 1:
             raise UnsupportedPairingError(
                 "block characteristic polynomial of psi is reducible; the "
                 "pairing is ambiguous")
-        # psi_block is a polynomial h in phi_block (the block is a field);
-        # the pairing is eta = h(xi)
-        m = f_alpha.degree
-        cols = [RatMatrix.identity(m).entries,
-                *(pw.entries for pw in islice(powers(phi_block), m - 1))]
-        system = RatMatrix(m * m, m, tuple(cols[j][i] for i in range(m * m)
-                                           for j in range(m)))
-        h = rat_solve(system, list(psi_block.entries))
-        assert h is not None, "commuting map must be polynomial in a cyclic map"
-
         encl = poly_root_enclosures(f_alpha)
 
         def eta_modsq(e, bits):
@@ -242,11 +232,11 @@ def _section_terms(sec: AbelianSection):
     s*I pairs every eigenvalue of the other map with s, and any other
     commuting pair pairs block by block."""
     blocks = joint_blocks(sec)
-    # a scalar side gives the one block (char phi, phi, psi, char psi)
+    # a scalar side gives the one block (char phi, None, char psi)
     if sec.psi.is_scalar():
         terms = _scalar_pair_terms(blocks[0][0], sec.psi.get(0, 0))
     elif sec.phi.is_scalar():
-        terms = _scalar_pair_terms(blocks[0][3], sec.phi.get(0, 0))
+        terms = _scalar_pair_terms(blocks[0][2], sec.phi.get(0, 0))
     else:
         terms = _commuting_block_terms(blocks)
     for p in sorted(sec.prime_support):

@@ -164,7 +164,7 @@ def joint_block_exponent(blocks, p: int) -> Fraction:
     Newton polygons has a single slope: a scalar side's (x - s)^d always
     does, so each xi_i pairs with s."""
     exponent = Fraction(0)
-    for f_alpha, _, _, g_alpha in blocks:
+    for f_alpha, _, g_alpha in blocks:
         v_phi = root_valuations(f_alpha, p)
         v_psi = root_valuations(g_alpha, p)
         if _single_slope(v_phi):

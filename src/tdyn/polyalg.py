@@ -7,9 +7,10 @@ nothing here is numeric.  All factoring in tdyn goes through
 ``factor_int``: a rational characteristic polynomial is held as its
 primitive integer multiple, whose primitive factors over Z are its
 irreducible factors over Q up to constants.  Factoring,
-square-free decomposition, gcds and exact division run sympy's dense kernels
-over ZZ (``dup_factor_list``, ``dup_sqf_list``, ``dup_gcd``, ``dup_exquo``,
-the algorithms ``Poly`` reaches) on coefficient lists, highest degree first,
+square-free decomposition, gcds, exact division and real-root counts run
+sympy's dense kernels over ZZ (``dup_factor_list``, ``dup_sqf_list``,
+``dup_gcd``, ``dup_exquo``, ``dup_isolate_real_roots_sqf``, the algorithms
+``Poly`` reaches) on coefficient lists, highest degree first,
 in through ``ZZ.convert`` and out through ``int``, so no ``Poly`` is built
 and results are ints under any ``SYMPY_GROUND_TYPES``.  Before Zassenhaus
 and the gcd, ``factor_int`` and ``is_squarefree`` try a certificate modulo
@@ -55,6 +56,7 @@ from sympy.polys.galoistools import (
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InputError
@@ -168,6 +170,14 @@ def squarefree_parts(p: IntPolynomial) -> list:
     if p.degree < 1:
         raise InputError("square-free parts need degree >= 1")
     return [(_from_dense(f), k) for f, k in dup_sqf_list(_dense(p), ZZ)[1]]
+
+
+def real_root_count(p: IntPolynomial) -> int:
+    """The number of real roots of p, of degree >= 1, with multiplicity:
+    the continued-fraction isolation of each of its square-free parts
+    (Vincent-Collins-Akritas), with no factoring."""
+    return sum(k * len(dup_isolate_real_roots_sqf(f, ZZ))
+               for f, k in dup_sqf_list(_dense(p), ZZ)[1])
 
 
 def coprime_base(polys) -> list:

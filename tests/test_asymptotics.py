@@ -17,7 +17,6 @@ from tdyn.enclosures import (
     boxes_intersect,
     poly_root_enclosures,
     precision_ladder,
-    real_root_enclosures,
 )
 from tdyn.errors import InputError, PrecisionError
 from tdyn.exact_linalg import IntPolynomial, exterior_power_polynomials
@@ -295,8 +294,8 @@ def _factoring_candidates(polys):
     for p in polys:
         cands = []
         for g, mult in factor_int(p)[1]:
-            for idx, e in enumerate(real_root_enclosures(g)):
-                if e.real_sign() > 0:
+            for idx, e in enumerate(poly_root_enclosures(g)):
+                if e.is_real and e.real_sign() > 0:
                     cands.append(_RealCandidate((tuple(g.coeffs), idx), mult, e))
         out.append(cands)
     return out

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.polyroots import preprocess_roots
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
+from tdyn import polyalg
 from tdyn.enclosures import (
     _certified_roots,
     _crootof_box,
@@ -21,7 +22,6 @@ from tdyn.enclosures import (
     poly_root_enclosures,
     precision_ladder,
     real_part_sign,
-    real_root_enclosures,
 )
 from tdyn.errors import PrecisionError
 from tdyn.exact_linalg import IntPolynomial
@@ -30,6 +30,11 @@ from tdyn.polyalg import product_polynomial, to_sympy
 
 def poly(*coeffs):
     return IntPolynomial.of(coeffs)
+
+
+def real_entries(p):
+    """The real entries of poly_root_enclosures(p), which come first."""
+    return [e for e in poly_root_enclosures(p) if e.is_real]
 
 
 def recorded(fn):
@@ -50,8 +55,8 @@ def test_precision_ladder_starts_at_8_and_passes_the_old_precisions():
 
 
 def test_decide_order_settles_separated_values_at_8_bits():
-    sqrt2 = real_root_enclosures(poly(-2, 0, 1))[1]
-    sqrt3 = real_root_enclosures(poly(-3, 0, 1))[1]
+    sqrt2 = real_entries(poly(-2, 0, 1))[1]
+    sqrt3 = real_entries(poly(-3, 0, 1))[1]
     fa, asked = recorded(sqrt2.modsq)
     assert decide_order(fa, sqrt3.modsq) == -1
     assert decide_order(sqrt3.modsq, sqrt2.modsq) == 1
@@ -92,7 +97,7 @@ def test_poly_root_enclosures_count_multiplicity():
     encl = poly_root_enclosures(p)
     assert len(encl) == p.degree == 5
     assert [e.is_real for e in encl] == [True, True, True, False, False]
-    assert len(real_root_enclosures(p)) == 3
+    assert len(real_entries(p)) == 3
 
 
 # ------------------------------------------------- the engine vs CRootOf
@@ -156,12 +161,12 @@ FACTORS = [
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4))
-def test_real_root_enclosures_match_the_filtered_full_isolation(factors):
+def test_real_entries_match_the_filtered_full_isolation(factors):
     # a factor drawn twice gives repeated roots
     p = poly(3)
     for f in factors:
         p = p * f
-    fast = real_root_enclosures(p)
+    fast = real_entries(p)
     oracle = [o for o in crootof_route(p) if o.is_real]
     assert [e.index for e in fast] == [o.index for o in oracle]
     for e, o in zip(fast, oracle):
@@ -404,7 +409,24 @@ def test_repeated_roots_fall_back_to_crootof():
     p = poly(1, 0, 1).pow(2) * poly(-2, 1)
     encl = assert_matches_crootof(p, complex_bits=16)
     assert all(e.disk is None for e in encl)
-    assert len(real_root_enclosures(p)) == 1
+    assert len(real_entries(p)) == 1
+
+
+def test_the_real_entries_of_the_fallback_need_no_factoring_and_no_crootof(monkeypatch):
+    # (x^2 + 1)^2 (x - 2), which the engine cannot certify: its real root is
+    # counted on the square-free parts, and is_real reads the CRootOf index
+    p = poly(1, 0, 1).pow(2) * poly(-2, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored the polynomial or built a CRootOf")
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
+    monkeypatch.setattr(polyalg, "dup_factor_list", refuse)
+    monkeypatch.setattr(sympy.polys.rootoftools.ComplexRootOf, "__new__", refuse)
+    encl = poly_root_enclosures(p)
+    real = real_entries(p)
+    assert [e.index for e in real] == [0]
+    assert all(e.disk is None and e._expr is None for e in encl + real)
 
 
 def test_a_modulus_on_the_grid_takes_the_crootof_cell():
@@ -433,7 +455,7 @@ def test_interval_sqrt_gives_the_64_bit_cell():
 ])
 def test_linear_roots_are_exact_points_without_crootof(coeffs, root):
     p = poly(*coeffs)
-    for (e,) in (poly_root_enclosures(p), real_root_enclosures(p)):
+    for (e,) in (poly_root_enclosures(p), real_entries(p)):
         assert e.is_real and e.real_sign() == (1 if root > 0 else -1)
         o = e.oracle()
         for bits in (b for b in precision_ladder() if b <= 256):

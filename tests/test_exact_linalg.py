@@ -22,6 +22,7 @@ from tdyn.exact_linalg import (
     powers,
     rat_kernel_basis,
     rat_solve,
+    restrict_to_invariant_subspace,
 )
 from tdyn.polyalg import smith_normal_form
 
@@ -412,6 +413,38 @@ def test_rat_solve_solves_exactly_the_consistent_systems(system):
     assert (x is not None) == consistent
     if x is not None:
         assert _apply(rows, x) == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_restriction_solves_b_x_equal_m_b(data):
+    # M keeps the span of the first k unit vectors; the basis is k vectors
+    # of that span, dependent ones included
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    rows = [[Fraction(0) if i >= k > j else data.draw(frac) for j in range(n)]
+            for i in range(n)]
+    basis = [[data.draw(frac) if i < k else Fraction(0) for i in range(n)]
+             for _ in range(k)]
+    M = RatMatrix.from_rows(rows)
+    if _sympy_matrix(basis).rank() < k:
+        with pytest.raises(InputError, match="linearly dependent"):
+            restrict_to_invariant_subspace(M, basis)
+        return
+    X = restrict_to_invariant_subspace(M, basis)
+    assert (X.rows, X.cols) == (k, k)
+    for j in range(k):
+        # M b_j = sum_i X[i][j] b_i
+        image = [sum((X.get(i, j) * basis[i][t] for i in range(k)), Fraction(0))
+                 for t in range(n)]
+        assert _apply(rows, basis[j]) == image
+
+
+def test_restriction_rejects_a_span_that_is_not_invariant():
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(InputError, match="not invariant"):
+        restrict_to_invariant_subspace(swap, [(Fraction(1), Fraction(0))])
 
 
 # ---------------------------------------------------------------- containers

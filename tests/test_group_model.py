@@ -14,6 +14,7 @@ from tdyn.exact_linalg import (
     char_poly,
     mat_pow,
     poly_at_matrix,
+    rat_kernel_basis,
 )
 from tdyn.group_model import (
     builtin_example,
@@ -300,18 +301,28 @@ def test_joint_blocks_factor_both_characteristic_polynomials(pair):
     if psi.is_scalar():
         # a scalar psi pairs every eigenvalue of phi with its scalar: one
         # whole-space block, though (x - s)^d is not square-free for d > 1
-        assert joint_blocks(sec) == [(char_poly(phi), phi, psi, char_poly(psi))]
+        assert joint_blocks(sec) == [(char_poly(phi), None, char_poly(psi))]
     elif not _squarefree(char_poly(psi)):
         with pytest.raises(UnsupportedPairingError):
             joint_blocks(sec)
         return
     blocks = joint_blocks(sec)
-    assert _poly_product(f for f, _, _, _ in blocks) == char_poly(phi)
-    assert _poly_product(g for _, _, _, g in blocks) == char_poly(psi)
-    for f, phi_f, psi_f, g in blocks:
+    assert _poly_product(f for f, _, _ in blocks) == char_poly(phi)
+    assert _poly_product(g for _, _, g in blocks) == char_poly(psi)
+    if psi.is_scalar():
+        return
+    for f, h, g in blocks:
         assert f.is_monic
-        assert char_poly(phi_f) == f
-        assert char_poly(psi_f) == g
+        # h holds deg f ascending coefficients, so deg h < deg f
+        assert len(h) == f.degree and all(isinstance(c, Fraction) for c in h)
+        # psi v = sum_j h_j phi^j v on the whole block ker f(phi)
+        for v in rat_kernel_basis(poly_at_matrix(f, phi)):
+            column = RatMatrix(phi.rows, 1, v)
+            image, acc = column, RatMatrix.from_rows([[0]] * phi.rows)
+            for c in h:
+                acc = acc.add(image.scale(c))
+                image = phi.mul(image)
+            assert psi.mul(column) == acc
 
 
 def test_joint_blocks_jordan_pair_is_rejected():

@@ -5,8 +5,12 @@ cyclotomic identification, linear roots and root enclosures build no
 expression, also for the non-real roots of polynomials that sympy rescales
 (x^2 - 30x + 625 in ``classify`` of the equal-modulus pair, x^2 + 2x + 4 in
 ``growth`` of the torus [[0, -4], [1, -2]]), so the CLI commands below must
-leave both modules unimported, in a fresh process."""
+leave both modules unimported, in a fresh process.
 
+No linter is installed, so an ``ast`` walk checks that every name a module
+of the package imports is used there or exported in its ``__all__``."""
+
+import ast
 import json
 import os
 import subprocess
@@ -76,3 +80,30 @@ def test_the_factors_of_a_reducible_polynomial_are_ordered_without_an_expression
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["4 4", "[]"]
+
+
+def _unused_imports(path: Path) -> list:
+    """The names that the module at path imports (from __future__ aside)
+    but neither references nor lists in its __all__."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    # an attribute chain a.b.c references its base, the Name a
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_every_import_of_a_module_is_used_or_exported():
+    modules = sorted(p for p in (SRC / "tdyn").glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 12
+    unused = {p.name: names for p in modules if (names := _unused_imports(p))}
+    assert unused == {}

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
 from .errors import InputError, TdynError
-from .exact_linalg import char_poly
+from .exact_linalg import char_poly, commuting_form, det_exact
 from .group_model import (
     NilpotentSystem,
     builtin_example,
@@ -123,13 +123,14 @@ def _zeta_payload(config: RunConfig, system: NilpotentSystem):
 def _zeta_of(nielsen: bool, system: NilpotentSystem, window: int):
     """The sequence window and its zeta, which raises unless the zeta
     reproduces the whole window; the last one is kept for zeta, realize and
-    classify.  When every section is finitely generated with psi = c I, the
-    zeta is read off the exterior powers of the phi (zeta.exterior_zeta);
-    every other system's is found by Berlekamp-Massey."""
+    classify.  When every section is finitely generated with a
+    commuting_form, the zeta is read off its exterior powers
+    (zeta.exterior_zeta); every other system's, by Berlekamp-Massey."""
     seq = _seq_of(nielsen, system, window)
-    if system.is_finitely_generated and all(s.psi.is_scalar() for s in system.sections):
-        rf, es = zeta.exterior_zeta([(char_poly(s.phi), int(s.psi.get(0, 0)))
-                                     for s in system.sections], seq)
+    forms = [commuting_form(s.phi, s.psi) for s in system.sections]
+    if system.is_finitely_generated and all(forms):
+        rf, es = zeta.exterior_zeta([(char_poly(B), t, det_exact(q))
+                                     for B, t, q, _ in forms], seq)
     else:
         rf, es = zeta.zeta_from_sequence(seq)
     return seq, rf, es

@@ -16,11 +16,11 @@ of integer matrix powers, those of exterior powers, and polyalg's product
 and ratio polynomials.
 
 The iterated determinants det(phi^n - psi^n) have two routes, and both
-yield integer numerators over a known power of the denominators.  For a
-scalar psi and a long enough run they are read off power sums of the
-exterior powers, with no matrix power and no elimination; every other run
-is one integer matrix product and one Bareiss elimination per term (see
-``power_difference_determinants``).
+yield integer numerators over a known power of the denominators.  For
+commuting phi, psi with an invertible side and a long enough run they are
+read off power sums of the exterior powers of psi^-1 phi, with no matrix
+power and no elimination; every other run is one integer matrix product and
+one Bareiss elimination per term (``power_difference_determinants``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -223,9 +223,8 @@ class RatMatrix(_DenseMatrix):
     def scaled_integer(self) -> tuple:
         """Return (B, L) with B integral and B = L * self."""
         L = lcm(*(e.denominator for e in self.entries))
-        B = BigIntMatrix(self.rows, self.cols,
-                         tuple(int(e * L) for e in self.entries))
-        return B, L
+        return BigIntMatrix._of(self.rows, self.cols, tuple(
+            e.numerator * (L // e.denominator) for e in self.entries)), L
 
     def is_identity(self) -> bool:
         return self.is_scalar() and self.get(0, 0) == 1
@@ -300,31 +299,53 @@ def det_rat(A: RatMatrix) -> Fraction:
     return Fraction(det_exact(B), L ** A.rows)
 
 
+def commuting_form(phi: RatMatrix, psi: RatMatrix):
+    """(B, t, q, sign) for commuting square phi, psi of one size with an
+    invertible side, None for any other pair.  With phi = B0 / L and
+    psi = C0 / M, (p, q) = (M B0, L C0) and sign = 1, or the reverse and
+    sign = (-1)^d when only phi is invertible; B = t q^-1 p is integral, t > 0
+    least, and det(phi^n - psi^n) (L M)^(n d) = sign det(q)^n det(B^n - t^n I)
+    / t^(n d).  One elimination of [q | p] tells whether q is invertible and
+    reads q^-1 p, whose eigenvalues are ratios of paired eigenvalues."""
+    (B0, L), (C0, M) = phi.scaled_integer(), psi.scaled_integer()
+    d = phi.rows
+    P = BigIntMatrix._of(d, d, tuple(M * e for e in B0.entries))
+    Q = BigIntMatrix._of(d, d, tuple(L * e for e in C0.entries))
+    if P.mul(Q) != Q.mul(P):
+        return None
+    for p, q, sign in ((P, Q, 1), (Q, P, (-1) ** d)):
+        rows = [list(map(Fraction, a + b)) for a, b in zip(q.row_lists(), p.row_lists())]
+        if len(_rref(rows, d)) == d:
+            ratio = RatMatrix._of(d, d, tuple(chain.from_iterable(row[d:] for row in rows)))
+            return (*ratio.scaled_integer(), q, sign)
+    return None
+
+
 def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int,
                                   last: int):
     """Integers N_n with det(phi^n - psi^n) = N_n / D^(n d) for n = start,
-    ..., last, where phi = B/L and psi = C/M with B, C integral
+    ..., last, where phi = B0/L and psi = C0/M with B0, C0 integral
     (``scaled_integer``), D = L M and d the size of phi.
 
-    For scalar psi = (a/b) I, so that M = b and C = a I,
+    For a pair with a ``commuting_form`` (B, t, q, sign),
 
-        N_n = sum_{k=0..d} e_k(B^n) * b^(n k) * (-(a L)^n)^(d-k),
+        N_n = sign * (det(q) / t^d)^n * sum_{k=0..d} e_k(B^n) * (-t^n)^(d-k),
 
-    the expansion of det(b^n B^n - (a L)^n I) in the traces
-    e_k(B^n) = tr wedge^k B^n of the exterior powers (Fel'shtyn, Mem. AMS
-    699, 2000).  tr wedge^k B^n is the n-th power sum of the roots of
+    the expansion of det(B^n - t^n I) in the traces e_k(B^n) = tr wedge^k B^n
+    of the exterior powers (Fel'shtyn, Mem. AMS 699, 2000), then an exact
+    division.  tr wedge^k B^n is the n-th power sum of the roots of
     W_k = char(wedge^k B) (``exterior_power_polynomials``), so each term
     costs 2^d multiply-adds of a big integer by a fixed one.  Setting up
     those streams costs about sum_k C(d, k)^2 Newton steps, so this route is
     taken only when at least 2^d terms, the total order of the streams, are
-    asked for.  Every other run, and every psi that is not scalar, is the
-    Bareiss loop: N_n = det(B^n M^n - C^n L^n), one integer matrix product
-    per factor and step (none for a scalar psi) and one elimination.
+    asked for.  Every other run and pair is the Bareiss loop:
+    N_n = det(B0^n M^n - C0^n L^n), one integer matrix product per factor
+    and step and one elimination.
     """
     if not (phi.is_square and (psi.rows, psi.cols) == (phi.rows, phi.cols)):
         raise InputError("power differences need two square matrices of one size")
-    if last - start + 1 >= 2 ** phi.rows and psi.is_scalar():
-        return _exterior_determinants(phi, psi, start, last)
+    if last - start + 1 >= 2 ** phi.rows and (form := commuting_form(phi, psi)):
+        return _exterior_determinants(form, start, last)
     return _bareiss_determinants(phi, psi, start, last)
 
 
@@ -333,8 +354,7 @@ def _bareiss_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int)
     B, L = phi.scaled_integer()
     C, M = psi.scaled_integer()
     Ln, Mn = L ** (start - 1), M ** (start - 1)
-    pairs = zip(powers(B, start),
-                repeat(C) if psi.is_identity() else powers(C, start))
+    pairs = zip(powers(B, start), powers(C, start))
     for Bn, Cn in islice(pairs, max(last - start + 1, 0)):
         Ln *= L
         Mn *= M
@@ -343,25 +363,20 @@ def _bareiss_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int)
         yield det_exact(diff)
 
 
-def _exterior_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int):
-    """N_n for a scalar psi = (a/b) I from the power-sum streams of the
-    exterior powers (the identity in power_difference_determinants)."""
-    B, L = phi.scaled_integer()
-    c = psi.get(0, 0)
-    aL, b = c.numerator * L, c.denominator
+def _exterior_determinants(form: tuple, start: int, last: int):
+    """N_n from the power-sum streams of the exterior powers of the B of a
+    commuting_form (the identity in power_difference_determinants)."""
+    B, t, q, sign = form
     streams = [_power_sum_stream(w)
                for w in exterior_power_polynomials(char_poly(B))]
-    aLn, bn = aL ** (start - 1), b ** (start - 1)
+    a, b = Fraction(det_exact(q), t ** B.rows).as_integer_ratio()
+    tn, an, bn = -t ** (start - 1), a ** (start - 1), b ** (start - 1)
     for traces in islice(zip(*streams), start - 1, last):
-        aLn *= aL
-        bn *= b
-        # homogeneous Horner: tr wedge^0 B^n = 1 first, each later trace
-        # times one more power of b^n
-        t, value, scale = -aLn, 0, 1
+        tn, an, bn = tn * t, an * a, bn * b
+        value = 0  # det(B^n - t^n I) by Horner in tn = -t^n, tr wedge^0 B^n = 1 first
         for trace in traces:
-            value = value * t + trace * scale
-            scale *= bn
-        yield value
+            value = value * tn + trace
+        yield sign * value // bn * an
 
 
 @dataclass(frozen=True)
@@ -472,8 +487,8 @@ def _rref(rows: list, pivot_cols: int) -> list:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if (pv := rows[r][c]) != 1:
+            rows[r] = [x / pv for x in rows[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]

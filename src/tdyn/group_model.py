@@ -26,6 +26,7 @@ from .exact_linalg import (
     RatMatrix,
     _as_fraction,
     char_poly,
+    commuting_form,
     det_rat,
     poly_at_matrix,
     power_difference_determinants,
@@ -159,40 +160,19 @@ def _tameness_bound(max_rank: int) -> int:
     return 2 * max(m for m in range(1, limit + 1) if phi[m] <= budget)
 
 
-def _first_scalar_zero(sec: AbelianSection) -> Optional[int]:
-    """The least n with det(phi^n - c^n I) = 0 on a section whose psi is
-    c I, or None when there is none.
-
-    With phi = B/L and c = a/b, phi^n - c^n I is singular exactly when some
-    eigenvalue ratio lambda/c is an n-th root of unity.  The ratios are the
-    roots of sum_i k_i (a L)^i b^(d-i) x^i, where char(B) = sum_i k_i x^i,
-    so the least such n is the least m whose cyclotomic polynomial divides
-    it.  For c = 0 that polynomial is the constant det B, zero exactly when
-    phi itself is singular, at n = 1.
-    """
-    B, L = sec.phi.scaled_integer()
-    c = sec.psi.get(0, 0)
-    aL, b = c.numerator * L, c.denominator
-    ratios = IntPolynomial.of(k * aL ** i * b ** (sec.rank - i)
-                              for i, k in enumerate(char_poly(B).coeffs))
-    if ratios.is_zero:
-        return 1
-    orders = cyclotomic_factors(ratios)
-    return orders[0][0] if orders else None
-
-
 @lru_cache(maxsize=1)
 def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     """Decide whether all iterated coincidence numbers are finite.
 
     R(phi^n, psi^n) is infinite exactly when det(phi_k^n - psi_k^n) = 0 for
-    some section k.  A section with a scalar psi has its least such n in
-    closed form (``_first_scalar_zero``), which computes no determinant;
-    every other section is iterated up to the bound of the eigenvalue-ratio
-    argument, or up to the least zero of a scalar section when that is
-    smaller.  The witness is the least (n, k), and checked_up_to is the
-    bound either way.  The last system's verdict is kept for the next
-    caller with an equal system.
+    some section k.  With a commuting_form (B, t, q, sign) that is a nonzero
+    multiple of det(A^n - I), A = B / t, so the least such n is the least m
+    whose cyclotomic polynomial divides char(B)(t x), with A's roots: no
+    determinant is computed.  Every other section is iterated up to the
+    bound of the eigenvalue-ratio argument, or to the least closed-form zero
+    when that is smaller.  The witness is the least (n, k), and
+    checked_up_to is the bound either way.  The last verdict is kept for the
+    next caller with an equal system.
     """
     problems = validate(system)
     if problems:
@@ -200,10 +180,15 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     bound = _tameness_bound(max(sec.rank for sec in system.sections))
     zeros, iterated = [], []
     for k, sec in enumerate(system.sections, start=1):
-        if not sec.psi.is_scalar():
+        form = commuting_form(sec.phi, sec.psi)
+        if form is None:
             iterated.append((k, sec))
-        elif (n := _first_scalar_zero(sec)) is not None:
-            zeros.append((n, k))
+            continue
+        B, t = form[:2]
+        orders = cyclotomic_factors(IntPolynomial.of(
+            c * t ** i for i, c in enumerate(char_poly(B).coeffs)))
+        if orders:
+            zeros.append((orders[0][0], k))
     last = min(zeros)[0] if zeros else bound
     dets = [power_difference_determinants(sec.phi, sec.psi, 1, last)
             for _, sec in iterated]
@@ -212,11 +197,8 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
         if zero:
             zeros.append((n, zero[0]))
             break
-    if zeros:
-        n, k = min(zeros)
-        return TamenessVerdict(tame=False, witness_n=n, witness_section=k,
-                               checked_up_to=bound)
-    return TamenessVerdict(tame=True, witness_n=None, witness_section=None,
+    n, k = min(zeros, default=(None, None))
+    return TamenessVerdict(tame=not zeros, witness_n=n, witness_section=k,
                            checked_up_to=bound)
 
 

@@ -13,13 +13,11 @@ Sequences read the integer numerator N_n of det(phi^n - psi^n) = N_n / D^(nd)
 from ``exact_linalg.power_difference_determinants``, where D is the product
 of the denominators of phi and psi.  validate puts every prime of D in S, so
 D^(nd) is an S-unit and the n-th value is the S-free part of |N_n|: no
-Fraction is built per term.  For a scalar psi = c I and at least 2^d terms
-on a rank-d section N_n is read off the power sums of the exterior powers of
-phi, det(phi^n - c^n I) = sum_k (-c^n)^(d-k) tr wedge^k phi^n (Fel'shtyn,
-Mem. AMS 699, 2000), exact for every such section, tame or not; shorter runs
-and a psi that is not scalar take one matrix product and one Bareiss
-elimination per term.  The single-term routes below
-(``section_coincidence_number`` over Fractions and
+Fraction is built per term.  For a pair with a ``commuting_form`` and at
+least 2^d terms on a rank-d section N_n is read off the power sums of the
+exterior powers, exact for every such section, tame or not; other runs and
+pairs take one matrix product and one Bareiss elimination per term.  The
+single-term routes below (``section_coincidence_number`` over Fractions and
 ``section_coincidence_number_snf``) are independent of both.
 """
 

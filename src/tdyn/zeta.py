@@ -21,28 +21,31 @@ The generating function passed to residue_exponents follows the same
 indexing: sum_{n >= 1} a_n z^n agrees with the series of u/v (the constant
 term of u/v is the model value sum_alpha chi_alpha * deg v_alpha).
 
-The zeta function of a system with scalar psi
----------------------------------------------
-On a finitely generated section, phi = A is an integer matrix, and for
-psi = c I, det(c^n I - A^n) = sum_k (-1)^k c^(n(d-k)) tr wedge^k A^n: an
-exponential sum over the characteristic polynomials W_k of wedge^k A with
-their roots scaled by c^(d-k).  The product over the sections is the sum
-over tuples of terms of their composed products, with roots r r' and power
-sums p_n(v) p_n(w) (Bostan, Flajolet, Salvy and Schost, JSC 41, 2006).
-Each eigenvalue lambda gives the factor c^n - lambda^n, of fixed sign, or
-sign (-1)^n or (-1)^(n+1), or 0 for every n or every even n when lambda is
-real, and |c^n - lambda^n|^2 >= 0 for a complex pair.  So a nonzero product
-has the sign e * s^n for fixed e, s in {1, -1}, and R_n (and N_n, 0 exactly
-where the product is) is e s^n times it: the zeta function is an
-alternating product over the irreducible factors of the composed products
-(Fel'shtyn, Mem. AMS 699, 2000), which exterior_zeta reads off with no
-recurrence to find.  When the Galois group of char A is certified to be
-the full symmetric group (polyalg.symmetric_galois_group), which is
-transitive on k-subsets of roots, a square-free W_k is irreducible and is
-not factored; scaling keeps irreducibility.  Systems with an S-integer
-section or a non-scalar psi go through Berlekamp-Massey
-(zeta_from_sequence), the closed form's test oracle, whose exponents come
-from one factorization of the recurrence denominator and one linear solve.
+The zeta function of a system of commuting sections
+---------------------------------------------------
+A finitely generated section with an exact_linalg.commuting_form
+(B, t, q, sign) has A = q^-1 p = B / t and, for delta = det q,
+delta^n det(I - A^n) = sum_k (-1)^k delta^n tr wedge^k A^n: an exponential
+sum over the characteristic polynomials W_k of wedge^k B with their roots
+scaled by delta / t^k, the algebraic integers prod_S xi prod_(not S) eta
+over k-subsets S of paired eigenvalues.  The product over the sections
+is the sum over tuples of terms of their composed products, with roots
+r r' and power sums p_n(v) p_n(w) (Bostan, Flajolet, Salvy and Schost, JSC
+41, 2006).  A real eigenvalue alpha of A gives the factor 1 - alpha^n, of
+fixed sign, or sign (-1)^(n+1), or 0 for every n or every even n, a complex
+pair |1 - alpha^n|^2 >= 0, and delta^n the sign of delta to the n.  So a
+nonzero product has the sign e * s^n for fixed e, s in {1, -1}, and R_n
+(and N_n, 0 exactly where the product is) is e s^n times it: the zeta
+function is an alternating product over the irreducible factors of the
+composed products (Fel'shtyn, Mem. AMS 699, 2000), which exterior_zeta
+reads off with no recurrence to find.  When the Galois group of char B is
+certified to be the full symmetric group (polyalg.symmetric_galois_group),
+which is transitive on k-subsets of roots, a square-free W_k is
+irreducible and is not factored; scaling keeps irreducibility.  Systems
+with an S-integer section, or a section that does not commute or has both
+sides singular, go through Berlekamp-Massey (zeta_from_sequence), the
+closed form's test oracle, whose exponents come from one factorization of
+the recurrence denominator and one linear solve.
 """
 
 from __future__ import annotations
@@ -198,11 +201,10 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
 
 # the primes of the modular pass, tried in turn: 2^61 - 1 is near the word
 # size, and the lift mod 2^127 - 1 holds connection coefficients of up to
-# 126 bits.  Systems with scalar psi read their zeta off the exterior
-# powers, so the measured window that needs the second prime is phi = the
-# companion of x^6 - x - 1 with psi = phi^2 + I: 132 terms, order 64,
-# coefficients of up to 84 bits.  Wider fits take the Fraction loop; add a
-# larger prime only for a measured window that needs it.
+# 126 bits, as the oracle's window of the companion of x^6 - x - 1 with
+# psi = phi^2 + I needs (132 terms, order 64, 84 bits), which the CLI reads
+# off the exterior powers.  Wider fits take the Fraction loop; add a larger
+# prime only for a window that needs it.
 _BM_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
 
 
@@ -438,23 +440,23 @@ def zeta_from_sequence(seq: SequenceLike):
     return _verified_zeta(residue_exponents(u_shifted, v), values)
 
 
-def _scaled(f: IntPolynomial, t: int) -> IntPolynomial:
-    """t^deg f(x / t): the roots of f times t; x^deg f for t = 0."""
+def _scaled(f: IntPolynomial, t) -> IntPolynomial:
+    """t^deg f(x / t), integral: the roots of f times t; x^deg f for t = 0."""
     d = f.degree
     return IntPolynomial.of(a * t ** (d - i) for i, a in enumerate(f.coeffs))
 
 
-def _section_terms(cp: IntPolynomial, c: int) -> Counter:
-    """det(c^n I - A^n) as {monic irreducible v: chi}, for the integer
-    matrix A with characteristic polynomial cp: the factors of each W_k,
-    scaled by c^(d-k), with exponent (-1)^k times their multiplicity.
+def _section_terms(cp: IntPolynomial, t: int, delta: int) -> Counter:
+    """delta^n det(I - A^n) as {monic irreducible v: chi}, for A = B / t and
+    cp = char B: the factors of each W_k = char wedge^k B, their roots
+    scaled by delta / t^k, with exponent (-1)^k times their multiplicity.
     Roots 0 add nothing for n >= 1 and are left out."""
     symmetric = symmetric_galois_group(cp)
     chis = Counter()
     for k, w in enumerate(exterior_power_polynomials(cp)):
         factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
         for f, m in factors:
-            chis[_scaled(f, c ** (cp.degree - k))] += (-1) ** k * m
+            chis[_scaled(f, Fraction(delta, t ** k))] += (-1) ** k * m
     return Counter({f: chi for f, chi in chis.items() if chi and f.constant})
 
 
@@ -478,32 +480,31 @@ def _composed_products(left: Counter, right: Counter) -> Counter:
 
 def exterior_zeta(sections: Sequence[tuple], seq: SequenceLike):
     """(zeta, ExponentialSum) of the Reidemeister or Nielsen sequence seq of
-    a system whose sections are all finitely generated with psi = c I,
-    given as the pairs (characteristic polynomial of phi, c), read off the
-    exterior powers of each phi (see the module docstring); verifies the
-    roundtrip over the full window before returning, as zeta_from_sequence
-    does.
+    a finitely generated system, given the triples (char B, t, det q) of
+    its sections' commuting_form (B, t, q, sign), read off the exterior
+    powers of each B (see the module docstring); verifies the roundtrip over
+    the full window before returning, as zeta_from_sequence does.
 
     e * s and e are the signs of a_1 and a_2 against the products of
-    cp(c) = det(c I - A) and cp(c) (-1)^d cp(-c) = det(c^2 I - A^2); where
-    one is 0, every term of that parity is 0 and its sign is taken as 1.
-    The sign is the first term, x - s with exponent e.
+    delta cp(t) and delta^2 (-1)^d cp(t) cp(-t), the signs of det(q - p) and
+    det(q^2 - p^2); where one is 0, every term of that parity is 0 and its
+    sign is taken as 1.  The sign is the first term, x - s with exponent e.
     """
     values = _finite_values(seq)
     if len(values) < 2:
         raise InputError("need at least two sequence values")
-    det1 = prod(cp(c) for cp, c in sections)
-    det2 = det1 * prod((-1) ** cp.degree * cp(-c) for cp, c in sections)
+    det1 = prod(delta * cp(t) for cp, t, delta in sections)
+    det2 = det1 * prod(delta * (-1) ** cp.degree * cp(-t) for cp, t, delta in sections)
     es = -1 if values[0] * det1 < 0 else 1
     e = -1 if values[1] * det2 < 0 else 1
     chis = Counter({IntPolynomial.of([-es * e, 1]): e})
-    for cp, c in sections:
-        chis = _composed_products(chis, _section_terms(cp, c))
+    for cp, t, delta in sections:
+        chis = _composed_products(chis, _section_terms(cp, t, delta))
     # zeta_from_sequence's order, factor_int's of the factors +-v.reverse()
     # of the recurrence denominator: by degree, then by the coefficients
     # from the leading one, which are those of +-v from the constant
-    terms = sorted(chis.items(), key=lambda t: (
-        t[0].degree, [c if t[0].constant > 0 else -c for c in t[0].coeffs]))
+    terms = sorted(chis.items(), key=lambda term: (
+        term[0].degree, [c if term[0].constant > 0 else -c for c in term[0].coeffs]))
     return _verified_zeta(ExponentialSum(terms=tuple(terms)), values)
 
 

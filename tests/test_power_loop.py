@@ -2,13 +2,14 @@
 
 ``coincidence_sequence`` reads the integer numerators N_n of
 det(phi^n - psi^n) = N_n / D^(nd) from ``power_difference_determinants``,
-and so does ``tameness_check`` on a section whose psi is not scalar.  For a
-scalar psi and at least 2^d terms it reads them off the power sums of the
-exterior powers; otherwise it runs the Bareiss loop on scaled integer
-matrices.  The oracles here are the Bareiss loop itself, called directly,
-each value recomputed from scratch over Fraction (``mat_pow`` + ``det_rat``)
-or from the Smith normal form, and, for the closed-form tameness of a scalar
-psi, the iteration over the determinants up to the bound.
+and so does ``tameness_check`` on a section with no commuting_form.  For a
+pair that commutes, with an invertible side, and at least 2^d terms it
+reads them off the power sums of the exterior powers of B = t phi psi^-1;
+otherwise it runs the Bareiss loop on scaled integer matrices.  The oracles
+here are the Bareiss loop itself, called directly, each value recomputed
+afresh over Fraction (``mat_pow`` + ``det_rat``) or from the Smith
+normal form, and, for the closed-form tameness, the Bareiss loop iterated
+up to the bound.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from itertools import combinations
 from unittest import mock
 
 import sympy
+from draws import commuting_sections
 from hypothesis import given, settings, strategies as st
 
 from tdyn import exact_linalg, group_model
@@ -23,6 +25,7 @@ from tdyn.exact_linalg import (
     BigIntMatrix,
     RatMatrix,
     char_poly,
+    commuting_form,
     det_exact,
     det_rat,
     exterior_power_polynomials,
@@ -230,6 +233,11 @@ def test_bigint_mul_matches_triple_loop(pair):
 
 # ---------------------------------------------------------------- exterior-power route
 
+def exterior(phi, psi, start, last):
+    """The exterior-power route on the commuting_form of (phi, psi)."""
+    return exact_linalg._exterior_determinants(commuting_form(phi, psi), start, last)
+
+
 # blocks with root-of-unity eigenvalues: det(block^n - I) = 0 at the
 # multiples of the order
 ROTATIONS = ([[0, -1], [1, 0]], [[0, -1], [1, -1]], [[1, -1], [1, 0]])
@@ -269,26 +277,25 @@ def test_exterior_route_matches_the_bareiss_loop(phi, start, count):
     identity = RatMatrix.identity(phi.rows)
     last = start + count - 1
     # both routes yield N_n over the same D^(nd), D = phi's denominator
-    exterior = list(exact_linalg._exterior_determinants(phi, identity, start, last))
-    assert exterior == list(exact_linalg._bareiss_determinants(phi, identity, start, last))
+    streams = list(exterior(phi, identity, start, last))
+    assert streams == list(exact_linalg._bareiss_determinants(phi, identity, start, last))
     D = denominator(phi, identity)
-    assert [Fraction(N, D ** (n * phi.rows)) for n, N in enumerate(exterior, start=start)] == [
+    assert [Fraction(N, D ** (n * phi.rows)) for n, N in enumerate(streams, start=start)] == [
         det_rat(mat_pow(phi, n).sub(identity)) for n in range(start, last + 1)]
-    assert len(exterior) == count
+    assert len(streams) == count
     # past the guard power_difference_determinants takes the same route
     long = list(power_difference_determinants(
         phi, identity, start, start + max(count, 2 ** phi.rows) - 1))
-    assert long[:count] == exterior
+    assert long[:count] == streams
 
 
 def test_exterior_route_meets_zero_determinants():
     # an 8-cycle and the order-3 rotation: zeros at every multiple of 24
     cycle = [[int(j == (i - 1) % 8) for j in range(8)] for i in range(8)]
-    assert list(exact_linalg._exterior_determinants(
-        RatMatrix.from_rows(cycle), RatMatrix.identity(8), 1, 3)) == [0] * 3
+    assert list(exterior(RatMatrix.from_rows(cycle), RatMatrix.identity(8), 1, 3)) == [0] * 3
     rot = RatMatrix.from_rows([[0, -1, 0], [1, -1, 0], [0, 0, Fraction(1, 2)]])
     identity = RatMatrix.identity(3)
-    dets = list(exact_linalg._exterior_determinants(rot, identity, 1, 12))
+    dets = list(exterior(rot, identity, 1, 12))
     assert dets == list(exact_linalg._bareiss_determinants(rot, identity, 1, 12))
     assert [n for n, v in enumerate(dets, start=1) if v == 0] == [3, 6, 9, 12]
     # N_n = det(rot^n - I) 2^(3n), D = 2
@@ -310,7 +317,7 @@ def test_exterior_route_matches_the_snf_route(phi, start):
 
 def _forcing(route):
     """power_difference_determinants pinned to one route."""
-    return getattr(exact_linalg, f"_{route}_determinants")
+    return exterior if route == "exterior" else exact_linalg._bareiss_determinants
 
 
 @settings(max_examples=25, deadline=None)
@@ -403,23 +410,31 @@ def planted_pairs(draw):
     return section(3, phi, [[c, 0, 0], [0, c, 0], [0, 0, y]])
 
 
-@settings(max_examples=80, deadline=None)
-@given(scalar_sections(), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=8))
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(scalar_sections(), commuting_sections(max_rank=4)),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=8))
 def test_scalar_routes_yield_numerators_over_the_stated_denominator(sec, start, count):
+    # psi = c I or psi = h(phi): the streams run on every pair with a
+    # commuting_form, and only a pair with both sides singular has none
     phi, psi, d = sec.phi, sec.psi, sec.rank
     last = start + count - 1
     D = denominator(phi, psi)
     expected = [det_rat(mat_pow(phi, n).sub(mat_pow(psi, n)))
                 for n in range(start, last + 1)]
-    for route in (exact_linalg._exterior_determinants, exact_linalg._bareiss_determinants):
+    routes = [exact_linalg._bareiss_determinants]
+    if commuting_form(phi, psi) is None:
+        assert det_rat(phi) == det_rat(psi) == 0
+    else:
+        routes.append(exterior)
+    for route in routes:
         got = list(route(phi, psi, start, last))
         assert all(type(N) is int for N in got)
         assert [Fraction(N, D ** (n * d)) for n, N in enumerate(got, start=start)] == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(scalar_sections(), min_size=1, max_size=2),
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(scalar_sections(), commuting_sections(max_rank=4)),
+                min_size=1, max_size=2),
        st.integers(min_value=1, max_value=18))
 def test_sequence_of_scalar_sections_matches_section_route(secs, N):
     # N >= 2^d puts a rank-d section on the exterior-power route
@@ -429,10 +444,10 @@ def test_sequence_of_scalar_sections_matches_section_route(secs, N):
 
 
 def iterated_tameness(system):
-    """The verdict by iterating power_difference_determinants over every
-    section, n = 1 .. the bound, n first and then the section."""
+    """The verdict by iterating the Bareiss loop over every section, n = 1
+    .. the bound, n first and then the section."""
     bound = _tameness_bound(max(sec.rank for sec in system.sections))
-    dets = [power_difference_determinants(sec.phi, sec.psi, 1, bound)
+    dets = [exact_linalg._bareiss_determinants(sec.phi, sec.psi, 1, bound)
             for sec in system.sections]
     for n, row in enumerate(zip(*dets), start=1):
         for k, det in enumerate(row, start=1):
@@ -441,9 +456,10 @@ def iterated_tameness(system):
     return TamenessVerdict(True, None, None, bound)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.lists(st.one_of(scalar_sections(max_rank=3), planted_pairs(),
-                          sections(max_rank=3)), min_size=1, max_size=3))
+                          sections(max_rank=3), commuting_sections()),
+                min_size=1, max_size=3))
 def test_closed_form_tameness_matches_the_iteration(secs):
     system = NilpotentSystem(name="drawn", sections=tuple(secs))
     assert tameness_check(system) == iterated_tameness(system)

@@ -2,6 +2,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from draws import commuting_sections
 from hypothesis import given, settings, strategies as st
 
 from tdyn.errors import InputError
@@ -126,6 +127,18 @@ def test_snf_and_det_paths_agree(drawn, n):
         assert is_infinite(b)
     else:
         assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_sections(max_rank=4, integer=True), st.integers(0, 4))
+def test_commuting_sequence_matches_the_snf_route(sec, extra):
+    # the Fraction route above never reaches the streams: 2^d terms or more
+    # of psi = h(phi) read them off the exterior powers of the
+    # commuting_form, or run the Bareiss loop when both sides are singular
+    N = 2 ** sec.rank + extra
+    seq = coincidence_sequence(NilpotentSystem(name="drawn", sections=(sec,)), N)
+    assert list(seq.values) == [section_coincidence_number_snf(sec, n)
+                                for n in range(1, N + 1)]
 
 
 def test_snf_path_rejects_s_integer_sections():

@@ -10,6 +10,7 @@ from unittest.mock import patch
 
 import pytest
 import sympy
+from draws import commuting_sections
 from hypothesis import example, given, settings, strategies as st
 
 from tdyn.errors import (
@@ -25,7 +26,10 @@ from tdyn.exact_linalg import (
     IntPolynomial,
     RatMatrix,
     char_poly,
+    commuting_form,
     companion_matrix,
+    det_exact,
+    det_rat,
     exterior_power_polynomials,
     mat_pow,
     powers,
@@ -713,7 +717,7 @@ def _both_routes(system):
     for sequence in (coincidence_sequence, nielsen_sequence):
         seq, cp = _torus_window(system, sequence)
         pair = []
-        for route in (zeta_from_sequence, lambda s: exterior_zeta([(cp, 1)], s)):
+        for route in (zeta_from_sequence, lambda s: exterior_zeta([(cp, 1, 1)], s)):
             try:
                 pair.append(route(seq))
             except InfiniteValueError:
@@ -763,7 +767,7 @@ def test_uncertified_tori_fall_back_to_zassenhaus(monkeypatch, rows):
     oracle = zeta_from_sequence(seq)
     factored = []
     monkeypatch.setattr(zeta, "factor_int", lambda p: factored.append(p) or factor_int(p))
-    assert exterior_zeta([(cp, 1)], seq) == oracle
+    assert exterior_zeta([(cp, 1, 1)], seq) == oracle
     assert [p.degree for p in factored] == [math.comb(len(rows), k)
                                             for k in range(len(rows) + 1)]
 
@@ -788,7 +792,7 @@ def test_a_repeated_wedge_power_is_never_marked(monkeypatch):
     monkeypatch.setattr(zeta, "symmetric_galois_group", lambda p: True)
     factored = []
     monkeypatch.setattr(zeta, "factor_int", lambda p: factored.append(p) or factor_int(p))
-    assert exterior_zeta([(cp, 1)], seq) == oracle
+    assert exterior_zeta([(cp, 1, 1)], seq) == oracle
     assert [p.degree for p in factored] == [6]
 
 
@@ -810,9 +814,9 @@ def test_torus_zeta_rejects_a_foreign_window():
     seq, _ = _torus_window(torus_matrix(T4), coincidence_sequence)
     _, cp = _torus_window(torus_matrix(T5), coincidence_sequence)
     with pytest.raises(NonIntegerResidueError):
-        exterior_zeta([(cp, 1)], seq)
+        exterior_zeta([(cp, 1, 1)], seq)
     with pytest.raises(InputError):
-        exterior_zeta([(cp, 1)], seq.values[:1])
+        exterior_zeta([(cp, 1, 1)], seq.values[:1])
 
 
 @pytest.mark.parametrize("r", [7, 10])
@@ -859,19 +863,24 @@ def test_the_rank10_window_needs_no_fraction_loop(monkeypatch):
     assert max(abs(c.numerator) for c in C).bit_length() > 60
 
 
-# ---------------------------------------------------------------- scalar psi
+# ---------------------------------------------------------------- commuting pairs
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
-def _scalar_system(blocks):
-    """The system of the finitely generated sections (phi, c I), and its
-    (characteristic polynomial, c) pairs."""
-    sections = tuple(group_model.section(len(rows), rows, [
-        [c if i == j else 0 for j in range(len(rows))] for i in range(len(rows))])
-        for rows, c in blocks)
-    return (NilpotentSystem(name="scalar", sections=sections),
-            [(char_poly(BigIntMatrix.from_rows(rows)), c) for rows, c in blocks])
+def _scalar_section(rows, c):
+    """The finitely generated section (phi, c I)."""
+    d = len(rows)
+    return group_model.section(d, rows, [[c if i == j else 0 for j in range(d)]
+                                         for i in range(d)])
+
+
+def _phi2_plus_1_section(r):
+    """The companion of x^r - x - 1 against psi = phi^2 + I."""
+    phi = _selmer(r)
+    psi = [[sum(phi[i][k] * phi[k][j] for k in range(r)) + (i == j) for j in range(r)]
+           for i in range(r)]
+    return group_model.section(r, phi, psi)
 
 
 def _route(route, seq):
@@ -882,33 +891,47 @@ def _route(route, seq):
         return type(exc), str(exc)
 
 
-_square_blocks = st.integers(1, 3).flatmap(lambda d: st.tuples(
+_scalar_sections = st.integers(1, 3).flatmap(lambda d: st.builds(
+    _scalar_section,
     st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
              min_size=d, max_size=d),
     st.integers(-3, 3)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(_square_blocks, min_size=1, max_size=3)
-       .filter(lambda blocks: sum(len(rows) for rows, _ in blocks) <= 5))
-@example([([[1, 1], [1, 2]], 2), ([[3]], -1)])           # class 2, c < 0
-@example([([[2, 1], [1, 1]], 0), ([[0, 1], [1, 0]], 0)])  # c = 0, singular phi
-@example([([[2, 0], [0, 3]], 2)])                        # phi - c I singular
-@example([([[0, -1], [1, 0]], -1), ([[2]], 3)])          # a root of unity times c
-def test_exterior_zeta_matches_berlekamp_massey(blocks):
+@given(st.lists(st.one_of(_scalar_sections, commuting_sections(integer=True)),
+                min_size=1, max_size=3)
+       .filter(lambda secs: sum(sec.rank for sec in secs) <= 5))
+@example([_scalar_section([[1, 1], [1, 2]], 2), _scalar_section([[3]], -1)])  # c < 0
+@example([_scalar_section([[2, 1], [1, 1]], 0),   # c = 0: the roles swap
+          _scalar_section([[0, 1], [1, 0]], 0)])
+@example([_scalar_section([[2, 0], [0, 3]], 2)])  # phi - c I singular
+@example([_scalar_section([[0, -1], [1, 0]], -1),  # a root of unity times c
+          _scalar_section([[2]], 3)])
+@example([group_model.section(2, [[2, 1], [0, 3]], [[0, 1], [0, 1]])])  # psi = phi - 2I
+@example([_phi2_plus_1_section(3)])
+@example([group_model.section(2, [[1, 0], [0, 0]], [[0, 0], [0, 1]])])  # no form
+def test_exterior_zeta_matches_berlekamp_massey(sections):
+    # psi = c I and psi = h(phi) with deg h <= 2, singular sides included.
     # Reidemeister windows that are not tame raise in both routes, and their
-    # Nielsen windows, with 0 where R_n is infinite, have a zeta in both
-    system, pairs = _scalar_system(blocks)
+    # Nielsen windows, with 0 where R_n is infinite, have a zeta in both.  A
+    # section with both sides singular has no commuting_form
+    system = NilpotentSystem(name="drawn", sections=tuple(sections))
+    forms = [commuting_form(sec.phi, sec.psi) for sec in sections]
+    assert all(forms) or any(det_rat(sec.phi) == det_rat(sec.psi) == 0 for sec in sections)
+    triples = [(char_poly(B), t, det_exact(q)) for B, t, q, _ in filter(None, forms)]
     window = _window_length(system, RunConfig("zeta").n)
     for sequence in (coincidence_sequence, nielsen_sequence):
         seq = sequence(system, window)
-        assert (_route(lambda s: exterior_zeta(pairs, s), seq)
-                == _route(zeta_from_sequence, seq))
+        if all(forms):
+            assert (_route(lambda s: exterior_zeta(triples, s), seq)
+                    == _route(zeta_from_sequence, seq))
 
 
-_C6_SYSTEMS = {
-    "class2": [(_selmer(6), 1), ([[3]], 1)],
-    "c6_psi2": [(_selmer(6), 2)],
+_NO_BM_SYSTEMS = {
+    "class2": (_scalar_section(_selmer(6), 1), _scalar_section([[3]], 1)),
+    "c6_psi2": (_scalar_section(_selmer(6), 2),),
+    "c6_phi2_plus_1": (_phi2_plus_1_section(6),),
 }
 
 
@@ -918,15 +941,26 @@ def _write_system(system, tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "equal_modulus", "class2", "c6_psi2"])
-@pytest.mark.parametrize("command", ["zeta", "realize", "classify"])
+# classify on the companion of x^6 - x - 1 with psi = phi^2 + I runs past
+# 300 s in its root isolation, so that system runs zeta and realize only
+_NO_BM_CASES = [(command, name) for name in (
+    "heisenberg", "equal_modulus", "class2", "c6_psi2", "commuting_pair", "c6_phi2_plus_1")
+    for command in ("zeta", "realize", "classify")
+    if (command, name) != ("classify", "c6_phi2_plus_1")]
+
+
+@pytest.mark.parametrize("command, name", _NO_BM_CASES,
+                         ids=[f"{command}-{name}" for command, name in _NO_BM_CASES])
 def test_scalar_psi_runs_no_berlekamp_massey(monkeypatch, tmp_path, name, command):
+    # every section commutes, with an invertible side: psi = c I, and the
+    # commuting pairs with psi = phi^2 + I and of commuting_pair.json
     if name == "heisenberg":
         source = ["--builtin", "heisenberg:2,1,1,3"]
-    elif name == "equal_modulus":
-        source = ["--input", str(INPUTS / "equal_modulus.json")]
+    elif name in ("equal_modulus", "commuting_pair"):
+        source = ["--input", str(INPUTS / f"{name}.json")]
     else:
-        source = ["--input", _write_system(_scalar_system(_C6_SYSTEMS[name])[0], tmp_path)]
+        system = NilpotentSystem(name=name, sections=_NO_BM_SYSTEMS[name])
+        source = ["--input", _write_system(system, tmp_path)]
     calls = []
     monkeypatch.setattr(zeta, "berlekamp_massey", lambda s: calls.append(s))
     with contextlib.redirect_stdout(io.StringIO()):
@@ -934,15 +968,44 @@ def test_scalar_psi_runs_no_berlekamp_massey(monkeypatch, tmp_path, name, comman
     assert calls == []
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("both_singular", (0, {"command": "zeta", "window": 40,
+                           "zeta": {"num": ["1"], "den": ["1", "-1"]},
+                           "exponential_sum": [{"poly": ["-1", "1"], "chi": "1"}],
+                           "roundtrip_verified": True}, "")),
+    ("noncommuting_pair", (1, None, "error: recurrence denominator has a repeated "
+                           "factor; the sequence is not a plain integer exponential sum\n")),
+])
+def test_pairs_without_a_commuting_form_keep_berlekamp_massey(
+        monkeypatch, tmp_path, name, expected):
+    # phi = diag(1, 0) and psi = diag(0, 1) commute with both sides
+    # singular, and the pair of noncommuting_pair.json does not commute: the
+    # zeta or the error is Berlekamp-Massey's, as it was before the closed
+    # form took every commuting pair with an invertible side
+    if name == "both_singular":
+        system = NilpotentSystem(name=name, sections=(
+            group_model.section(2, [[1, 0], [0, 0]], [[0, 0], [0, 1]]),))
+        path = _write_system(system, tmp_path)
+    else:
+        path = str(INPUTS / f"{name}.json")
+    calls = []
+    original = zeta.berlekamp_massey
+    monkeypatch.setattr(zeta, "berlekamp_massey", lambda s: calls.append(s) or original(s))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["zeta", "--input", path, "--format", "json"])
+    assert calls
+    assert (code, json.loads(out.getvalue()) if out.getvalue() else None,
+            err.getvalue()) == expected
+
+
 def test_the_c6_window_with_psi_phi_squared_plus_one_needs_the_second_prime(
         monkeypatch, tmp_path):
     # the measured window of the 2^127 - 1 lift: 132 terms, order 64 and
-    # connection coefficients of 84 bits, which 2^61 - 1 does not lift
-    phi_rows = _selmer(6)
-    psi_rows = [[sum(phi_rows[i][k] * phi_rows[k][j] for k in range(6)) + (i == j)
-                 for j in range(6)] for i in range(6)]
-    system = NilpotentSystem(name="c6-phi2+1",
-                             sections=(group_model.section(6, phi_rows, psi_rows),))
+    # connection coefficients of 84 bits, which 2^61 - 1 does not lift.  The
+    # CLI reads this zeta off the exterior powers and runs no
+    # Berlekamp-Massey on it (test_scalar_psi_runs_no_berlekamp_massey)
+    system = NilpotentSystem(name="c6-phi2+1", sections=(_phi2_plus_1_section(6),))
     seq = coincidence_sequence(system, 132).values
     C = berlekamp_massey(seq)
     assert len(C) == 65

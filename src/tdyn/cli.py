@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
 from .errors import InputError, TdynError
-from .exact_linalg import char_poly, commuting_form, det_exact
+from .exact_linalg import char_poly
 from .group_model import (
     NilpotentSystem,
     builtin_example,
@@ -29,7 +29,7 @@ from .group_model import (
     tameness_check,
     validate,
 )
-from .padic import newton_polygon, padic_growth_factor
+from .padic import newton_polygon, padic_growth_factor, zeta_scale
 from .reidemeister import is_infinite
 
 # the commands, in the order --help lists them, with their help lines
@@ -123,14 +123,14 @@ def _zeta_payload(config: RunConfig, system: NilpotentSystem):
 def _zeta_of(nielsen: bool, system: NilpotentSystem, window: int):
     """The sequence window and its zeta, which raises unless the zeta
     reproduces the whole window; the last one is kept for zeta, realize and
-    classify.  When every section is finitely generated with a
-    commuting_form, the zeta is read off its exterior powers
+    classify.  When every section has a commuting_form with a zeta scale
+    (padic.zeta_scale), the zeta is read off its exterior powers
     (zeta.exterior_zeta); every other system's, by Berlekamp-Massey."""
     seq = _seq_of(nielsen, system, window)
-    forms = [commuting_form(s.phi, s.psi) for s in system.sections]
-    if system.is_finitely_generated and all(forms):
-        rf, es = zeta.exterior_zeta([(char_poly(B), t, det_exact(q))
-                                     for B, t, q, _ in forms], seq)
+    scales = [s.form and zeta_scale(s.form, s.prime_support) for s in system.sections]
+    if all(scales):
+        rf, es = zeta.exterior_zeta([(s.form[0], s.form[1], scale) for s, scale
+                                     in zip(system.sections, scales)], seq)
     else:
         rf, es = zeta.zeta_from_sequence(seq)
     return seq, rf, es

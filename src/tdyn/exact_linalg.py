@@ -300,8 +300,8 @@ def det_rat(A: RatMatrix) -> Fraction:
 
 
 def commuting_form(phi: RatMatrix, psi: RatMatrix):
-    """(B, t, q, sign) for commuting square phi, psi of one size with an
-    invertible side, None for any other pair.  With phi = B0 / L and
+    """(char B, t, det q, sign) for commuting square phi, psi of one size
+    with an invertible side, None for any other pair.  With phi = B0 / L and
     psi = C0 / M, (p, q) = (M B0, L C0) and sign = 1, or the reverse and
     sign = (-1)^d when only phi is invertible; B = t q^-1 p is integral, t > 0
     least, and det(phi^n - psi^n) (L M)^(n d) = sign det(q)^n det(B^n - t^n I)
@@ -317,17 +317,18 @@ def commuting_form(phi: RatMatrix, psi: RatMatrix):
         rows = [list(map(Fraction, a + b)) for a, b in zip(q.row_lists(), p.row_lists())]
         if len(_rref(rows, d)) == d:
             ratio = RatMatrix._of(d, d, tuple(chain.from_iterable(row[d:] for row in rows)))
-            return (*ratio.scaled_integer(), q, sign)
+            B, t = ratio.scaled_integer()
+            return char_poly(B), t, det_exact(q), sign
     return None
 
 
-def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int,
+def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, form, start: int,
                                   last: int):
     """Integers N_n with det(phi^n - psi^n) = N_n / D^(n d) for n = start,
     ..., last, where phi = B0/L and psi = C0/M with B0, C0 integral
     (``scaled_integer``), D = L M and d the size of phi.
 
-    For a pair with a ``commuting_form`` (B, t, q, sign),
+    For a pair whose ``commuting_form`` is form = (char B, t, det q, sign),
 
         N_n = sign * (det(q) / t^d)^n * sum_{k=0..d} e_k(B^n) * (-t^n)^(d-k),
 
@@ -344,7 +345,7 @@ def power_difference_determinants(phi: RatMatrix, psi: RatMatrix, start: int,
     """
     if not (phi.is_square and (psi.rows, psi.cols) == (phi.rows, phi.cols)):
         raise InputError("power differences need two square matrices of one size")
-    if last - start + 1 >= 2 ** phi.rows and (form := commuting_form(phi, psi)):
+    if form and last - start + 1 >= 2 ** phi.rows:
         return _exterior_determinants(form, start, last)
     return _bareiss_determinants(phi, psi, start, last)
 
@@ -366,10 +367,9 @@ def _bareiss_determinants(phi: RatMatrix, psi: RatMatrix, start: int, last: int)
 def _exterior_determinants(form: tuple, start: int, last: int):
     """N_n from the power-sum streams of the exterior powers of the B of a
     commuting_form (the identity in power_difference_determinants)."""
-    B, t, q, sign = form
-    streams = [_power_sum_stream(w)
-               for w in exterior_power_polynomials(char_poly(B))]
-    a, b = Fraction(det_exact(q), t ** B.rows).as_integer_ratio()
+    cp, t, delta, sign = form
+    streams = [_power_sum_stream(w) for w in exterior_power_polynomials(cp)]
+    a, b = Fraction(delta, t ** cp.degree).as_integer_ratio()
     tn, an, bn = -t ** (start - 1), a ** (start - 1), b ** (start - 1)
     for traces in islice(zip(*streams), start - 1, last):
         tn, an, bn = tn * t, an * a, bn * b

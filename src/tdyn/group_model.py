@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -62,6 +62,11 @@ class AbelianSection:
     phi: RatMatrix
     psi: RatMatrix
     prime_support: frozenset = field(default_factory=frozenset)
+
+    @cached_property
+    def form(self):
+        """exact_linalg.commuting_form(phi, psi), computed once per section."""
+        return commuting_form(self.phi, self.psi)
 
 
 @dataclass(frozen=True)
@@ -165,9 +170,9 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     """Decide whether all iterated coincidence numbers are finite.
 
     R(phi^n, psi^n) is infinite exactly when det(phi_k^n - psi_k^n) = 0 for
-    some section k.  With a commuting_form (B, t, q, sign) that is a nonzero
-    multiple of det(A^n - I), A = B / t, so the least such n is the least m
-    whose cyclotomic polynomial divides char(B)(t x), with A's roots: no
+    some section k.  With a commuting_form that is a nonzero multiple of
+    det(A^n - I), A = B / t, so the least such n is the least m whose
+    cyclotomic polynomial divides char(B)(t x), with A's roots: no
     determinant is computed.  Every other section is iterated up to the
     bound of the eigenvalue-ratio argument, or to the least closed-form zero
     when that is smaller.  The witness is the least (n, k), and
@@ -180,17 +185,16 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     bound = _tameness_bound(max(sec.rank for sec in system.sections))
     zeros, iterated = [], []
     for k, sec in enumerate(system.sections, start=1):
-        form = commuting_form(sec.phi, sec.psi)
-        if form is None:
+        if sec.form is None:
             iterated.append((k, sec))
             continue
-        B, t = form[:2]
+        cp, t = sec.form[:2]
         orders = cyclotomic_factors(IntPolynomial.of(
-            c * t ** i for i, c in enumerate(char_poly(B).coeffs)))
+            c * t ** i for i, c in enumerate(cp.coeffs)))
         if orders:
             zeros.append((orders[0][0], k))
     last = min(zeros)[0] if zeros else bound
-    dets = [power_difference_determinants(sec.phi, sec.psi, 1, last)
+    dets = [power_difference_determinants(sec.phi, sec.psi, None, 1, last)
             for _, sec in iterated]
     for n, row in enumerate(zip(*dets), start=1):
         zero = [k for (k, _), det in zip(iterated, row) if det == 0]

@@ -19,7 +19,7 @@ from .errors import InputError, UnsupportedPairingError, finite_float
 from .exact_linalg import IntPolynomial
 from .group_model import AbelianSection, joint_blocks
 
-__all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations",
+__all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations", "zeta_scale",
            "PadicGrowthFactor", "padic_growth_factor", "joint_block_exponent"]
 
 
@@ -109,6 +109,22 @@ def root_valuations(f: IntPolynomial, p: int) -> list:
     for slope, length in newton_polygon(f, p).segments:
         vals.extend([-slope] * length)
     return vals
+
+
+def zeta_scale(form, primes):
+    """delta kappa for a commuting_form (char B, t, delta, sign) over the
+    primes S, None if some root beta of char B has beta / t a p-adic unit.
+    Otherwise |alpha^n - 1|_p = max(1, |alpha|_p)^n for alpha = beta / t, so
+    R_n = |(delta kappa)^n det(A^n - I)| with kappa the product over S of
+    p^(-v_p(delta) + sum_beta max(0, v_p(t) - v_p(beta)))."""
+    cp, t, delta, _ = form
+    scale = Fraction(delta)
+    for p in primes:
+        v_t, vals = _ord_int(t, p), root_valuations(cp, p)
+        if v_t in vals:
+            return None
+        scale *= Fraction(p) ** int(sum(max(0, v_t - v) for v in vals) - _ord_int(delta, p))
+    return scale
 
 
 @dataclass(frozen=True)

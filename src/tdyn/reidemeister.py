@@ -155,7 +155,7 @@ def extend_sequence(system: NilpotentSystem, seq: ReidemeisterSequence,
     if problems:
         raise InputError("; ".join(problems))
     primes = [sorted(sec.prime_support) for sec in system.sections]
-    dets = [power_difference_determinants(sec.phi, sec.psi, len(seq) + 1, N)
+    dets = [power_difference_determinants(sec.phi, sec.psi, sec.form, len(seq) + 1, N)
             for sec in system.sections]
     values = list(seq.values)
     for row in zip(*dets):

@@ -23,17 +23,17 @@ term of u/v is the model value sum_alpha chi_alpha * deg v_alpha).
 
 The zeta function of a system of commuting sections
 ---------------------------------------------------
-A finitely generated section with an exact_linalg.commuting_form
-(B, t, q, sign) has A = q^-1 p = B / t and, for delta = det q,
-delta^n det(I - A^n) = sum_k (-1)^k delta^n tr wedge^k A^n: an exponential
-sum over the characteristic polynomials W_k of wedge^k B with their roots
-scaled by delta / t^k, the algebraic integers prod_S xi prod_(not S) eta
-over k-subsets S of paired eigenvalues.  The product over the sections
-is the sum over tuples of terms of their composed products, with roots
-r r' and power sums p_n(v) p_n(w) (Bostan, Flajolet, Salvy and Schost, JSC
-41, 2006).  A real eigenvalue alpha of A gives the factor 1 - alpha^n, of
+A section with an exact_linalg.commuting_form (char B, t, det q, sign) and
+a zeta scale c (padic.zeta_scale) has A = q^-1 p = B / t, R_n = |c^n
+det(I - A^n)| and c^n det(I - A^n) = sum_k (-1)^k c^n tr wedge^k A^n: an
+exponential sum over the characteristic polynomials W_k of wedge^k B with
+their roots scaled by c / t^k, algebraic integers (prod_S xi prod_(not S)
+eta over k-subsets S of paired eigenvalues on a lattice, where c = det q).
+The product over the sections is the sum over tuples of terms of their
+composed products, with roots r r' and power sums p_n(v) p_n(w) (Bostan,
+Flajolet, Salvy and Schost, JSC 41, 2006).  A real eigenvalue alpha of A gives the factor 1 - alpha^n, of
 fixed sign, or sign (-1)^(n+1), or 0 for every n or every even n, a complex
-pair |1 - alpha^n|^2 >= 0, and delta^n the sign of delta to the n.  So a
+pair |1 - alpha^n|^2 >= 0, and c^n the sign of c to the n.  So a
 nonzero product has the sign e * s^n for fixed e, s in {1, -1}, and R_n
 (and N_n, 0 exactly where the product is) is e s^n times it: the zeta
 function is an alternating product over the irreducible factors of the
@@ -41,11 +41,11 @@ composed products (Fel'shtyn, Mem. AMS 699, 2000), which exterior_zeta
 reads off with no recurrence to find.  When the Galois group of char B is
 certified to be the full symmetric group (polyalg.symmetric_galois_group),
 which is transitive on k-subsets of roots, a square-free W_k is
-irreducible and is not factored; scaling keeps irreducibility.  Systems
-with an S-integer section, or a section that does not commute or has both
-sides singular, go through Berlekamp-Massey (zeta_from_sequence), the
-closed form's test oracle, whose exponents come from one factorization of
-the recurrence denominator and one linear solve.
+irreducible and is not factored; scaling keeps irreducibility.
+Berlekamp-Massey (zeta_from_sequence) serves only pairs with no form and
+S-integer sections with a p-adic unit ratio, whose errors it raises, and is
+the closed form's test oracle; its exponents come from one factorization
+of the recurrence denominator and one linear solve.
 """
 
 from __future__ import annotations
@@ -202,9 +202,9 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
 # the primes of the modular pass, tried in turn: 2^61 - 1 is near the word
 # size, and the lift mod 2^127 - 1 holds connection coefficients of up to
 # 126 bits, as the oracle's window of the companion of x^6 - x - 1 with
-# psi = phi^2 + I needs (132 terms, order 64, 84 bits), which the CLI reads
-# off the exterior powers.  Wider fits take the Fraction loop; add a larger
-# prime only for a window that needs it.
+# psi = phi^2 + I needs (132 terms, order 64, 84 bits).  The CLI runs it only
+# on pairs with no form and S-integer sections with a unit ratio.  Wider
+# fits take the Fraction loop; add a larger prime for a window that needs it.
 _BM_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
 
 
@@ -446,17 +446,17 @@ def _scaled(f: IntPolynomial, t) -> IntPolynomial:
     return IntPolynomial.of(a * t ** (d - i) for i, a in enumerate(f.coeffs))
 
 
-def _section_terms(cp: IntPolynomial, t: int, delta: int) -> Counter:
-    """delta^n det(I - A^n) as {monic irreducible v: chi}, for A = B / t and
+def _section_terms(cp: IntPolynomial, t: int, scale: Fraction) -> Counter:
+    """scale^n det(I - A^n) as {monic irreducible v: chi}, for A = B / t and
     cp = char B: the factors of each W_k = char wedge^k B, their roots
-    scaled by delta / t^k, with exponent (-1)^k times their multiplicity.
+    scaled by scale / t^k, with exponent (-1)^k times their multiplicity.
     Roots 0 add nothing for n >= 1 and are left out."""
     symmetric = symmetric_galois_group(cp)
     chis = Counter()
     for k, w in enumerate(exterior_power_polynomials(cp)):
         factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
         for f, m in factors:
-            chis[_scaled(f, Fraction(delta, t ** k))] += (-1) ** k * m
+            chis[_scaled(f, Fraction(scale, t ** k))] += (-1) ** k * m
     return Counter({f: chi for f, chi in chis.items() if chi and f.constant})
 
 
@@ -480,26 +480,26 @@ def _composed_products(left: Counter, right: Counter) -> Counter:
 
 def exterior_zeta(sections: Sequence[tuple], seq: SequenceLike):
     """(zeta, ExponentialSum) of the Reidemeister or Nielsen sequence seq of
-    a finitely generated system, given the triples (char B, t, det q) of
-    its sections' commuting_form (B, t, q, sign), read off the exterior
-    powers of each B (see the module docstring); verifies the roundtrip over
-    the full window before returning, as zeta_from_sequence does.
+    a system, given the triples (char B, t, c) of its sections'
+    commuting_form and zeta scale c (padic.zeta_scale), read off the
+    exterior powers of each B (see the module docstring); verifies the
+    roundtrip over the full window before returning, as zeta_from_sequence does.
 
     e * s and e are the signs of a_1 and a_2 against the products of
-    delta cp(t) and delta^2 (-1)^d cp(t) cp(-t), the signs of det(q - p) and
+    c cp(t) and c^2 (-1)^d cp(t) cp(-t), the signs of det(q - p) and
     det(q^2 - p^2); where one is 0, every term of that parity is 0 and its
     sign is taken as 1.  The sign is the first term, x - s with exponent e.
     """
     values = _finite_values(seq)
     if len(values) < 2:
         raise InputError("need at least two sequence values")
-    det1 = prod(delta * cp(t) for cp, t, delta in sections)
-    det2 = det1 * prod(delta * (-1) ** cp.degree * cp(-t) for cp, t, delta in sections)
+    det1 = prod(c * cp(t) for cp, t, c in sections)
+    det2 = det1 * prod(c * (-1) ** cp.degree * cp(-t) for cp, t, c in sections)
     es = -1 if values[0] * det1 < 0 else 1
     e = -1 if values[1] * det2 < 0 else 1
     chis = Counter({IntPolynomial.of([-es * e, 1]): e})
-    for cp, t, delta in sections:
-        chis = _composed_products(chis, _section_terms(cp, t, delta))
+    for cp, t, c in sections:
+        chis = _composed_products(chis, _section_terms(cp, t, c))
     # zeta_from_sequence's order, factor_int's of the factors +-v.reverse()
     # of the recurrence denominator: by degree, then by the coefficients
     # from the leading one, which are those of +-v from the constant

@@ -22,13 +22,15 @@ def clear_memos():
 @pytest.fixture
 def char_poly_calls(monkeypatch):
     """The matrices char_poly is called on through every module on the way
-    to a growth or p-adic answer.  padic binds no char_poly of its own; it
-    is patched too, so that one it gains is counted."""
+    to a growth or p-adic answer, exact_linalg's own commuting_form
+    included.  padic binds no char_poly of its own; it is patched too, so
+    that one it gains is counted."""
     calls = []
+    original = exact_linalg.char_poly
 
     def counting(m):
         calls.append(m)
-        return exact_linalg.char_poly(m)
-    for module in (cli, group_model, growth, padic):
+        return original(m)
+    for module in (cli, exact_linalg, group_model, growth, padic):
         monkeypatch.setattr(module, "char_poly", counting, raising=False)
     return calls

@@ -706,22 +706,23 @@ def test_route_guard_follows_the_number_of_terms(monkeypatch):
     # 40 terms of a rank-8 torus are fewer than the 2^8 of the streams'
     # total order: Bareiss, and no exterior powers built; the tameness of a
     # rank-7 torus, up to its bound 420, is read off the cyclotomic factors
-    # of char phi: no determinant on either route
+    # of char phi: no determinant on either route, and one Bareiss
+    # elimination in all, det q = det I of the section's commuting form
     from tdyn import exact_linalg
     calls = []
     for name in ("exterior_power_polynomials", "det_exact"):
         original = getattr(exact_linalg, name)
         monkeypatch.setattr(exact_linalg, name, lambda *a, _f=original, _n=name: (
-            calls.append(_n), _f(*a))[1])
+            calls.append((_n, a)), _f(*a))[1])
     counts = _counting_routes(monkeypatch)
     assert len(run_json(["rseq", "--builtin", _selmer_torus(8), "--n", "40"])["sequence"]) == 40
-    assert "exterior_power_polynomials" not in calls
+    assert "exterior_power_polynomials" not in dict(calls)
     assert counts == {"_bareiss_determinants": 40}
     calls.clear()
     counts.clear()
     doc = run_json(["tame", "--builtin", _selmer_torus(7)])
     assert doc["tame"] is True and doc["checked_up_to"] == 420
-    assert "det_exact" not in calls and "exterior_power_polynomials" not in calls
+    assert calls == [("det_exact", (exact_linalg.BigIntMatrix.identity(7),))]
     assert counts == {}
 
 

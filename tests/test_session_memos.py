@@ -154,9 +154,9 @@ def test_a_session_computes_each_shared_result_once(monkeypatch):
     computed = []
     original = reidemeister.power_difference_determinants
 
-    def recording(phi, psi, start, last):
+    def recording(phi, psi, form, start, last):
         computed.extend(range(start, last + 1))
-        return original(phi, psi, start, last)
+        return original(phi, psi, form, start, last)
 
     monkeypatch.setattr(reidemeister, "power_difference_determinants", recording)
     for command in COMMANDS:

@@ -26,9 +26,7 @@ from tdyn.exact_linalg import (
     IntPolynomial,
     RatMatrix,
     char_poly,
-    commuting_form,
     companion_matrix,
-    det_exact,
     det_rat,
     exterior_power_polynomials,
     mat_pow,
@@ -36,7 +34,7 @@ from tdyn.exact_linalg import (
     rat_solve,
 )
 from tdyn import group_model, zeta
-from tdyn.cli import RunConfig, _window_length, main
+from tdyn.cli import RunConfig, _window_length, _zeta_of, main
 from tdyn.group_model import (
     NilpotentSystem,
     builtin_example,
@@ -44,6 +42,7 @@ from tdyn.group_model import (
     z_pair,
     z_times_d,
 )
+from tdyn.padic import root_valuations, zeta_scale
 from tdyn.polyalg import factor_int, gcd_int, is_squarefree, symmetric_galois_group
 from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
 from tdyn.zeta import (
@@ -898,8 +897,37 @@ _scalar_sections = st.integers(1, 3).flatmap(lambda d: st.builds(
     st.integers(-3, 3)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(_scalar_sections, commuting_sections(integer=True)),
+def _s_integer_scalar_section(rows, den, c):
+    """The section (phi / den, c I) over the primes 2 and 3 that divide its
+    denominators."""
+    d = len(rows)
+    phi = RatMatrix.from_rows(rows).scale(Fraction(1, den))
+    primes = [p for p in (2, 3) if any(e.denominator % p == 0 for e in phi.entries + (c,))]
+    return group_model.section(d, phi, RatMatrix.identity(d).scale(c), primes=primes)
+
+
+_s_integer_scalar_sections = st.integers(1, 3).flatmap(lambda d: st.builds(
+    _s_integer_scalar_section,
+    st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+             min_size=d, max_size=d),
+    st.sampled_from((1, 2, 3)),
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))))
+
+
+def _has_unit_ratio(sec):
+    """Whether some eigenvalue of A = psi^-1 phi (phi^-1 psi when psi is
+    singular) is a p-adic unit for a p in S: A's columns by rat_solve, its
+    valuations off the Newton polygon of its own characteristic polynomial."""
+    p_side, q_side = (sec.phi, sec.psi) if det_rat(sec.psi) else (sec.psi, sec.phi)
+    d = sec.rank
+    cols = [rat_solve(q_side, [p_side.get(i, j) for i in range(d)]) for j in range(d)]
+    A = RatMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
+    return any(0 in root_valuations(char_poly(A), p) for p in sec.prime_support)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_scalar_sections, commuting_sections(integer=True),
+                          _s_integer_scalar_sections, commuting_sections()),
                 min_size=1, max_size=3)
        .filter(lambda secs: sum(sec.rank for sec in secs) <= 5))
 @example([_scalar_section([[1, 1], [1, 2]], 2), _scalar_section([[3]], -1)])  # c < 0
@@ -912,26 +940,44 @@ _scalar_sections = st.integers(1, 3).flatmap(lambda d: st.builds(
 @example([_phi2_plus_1_section(3)])
 @example([group_model.section(2, [[1, 0], [0, 0]], [[0, 0], [0, 1]])])  # no form
 def test_exterior_zeta_matches_berlekamp_massey(sections):
-    # psi = c I and psi = h(phi) with deg h <= 2, singular sides included.
-    # Reidemeister windows that are not tame raise in both routes, and their
-    # Nielsen windows, with 0 where R_n is infinite, have a zeta in both.  A
-    # section with both sides singular has no commuting_form
+    # psi = c I and psi = h(phi) with deg h <= 2, singular sides included,
+    # over Z and over Z[1/2], Z[1/3] and Z[1/6].  Reidemeister windows that
+    # are not tame raise in both routes, and the Nielsen windows of finitely
+    # generated systems, with 0 where R_n is infinite, have a zeta in both.
+    # A section with both sides singular has no commuting_form, and an
+    # S-integer one with a p-adic unit ratio no zeta scale: the CLI takes
+    # Berlekamp-Massey for both
     system = NilpotentSystem(name="drawn", sections=tuple(sections))
-    forms = [commuting_form(sec.phi, sec.psi) for sec in sections]
-    assert all(forms) or any(det_rat(sec.phi) == det_rat(sec.psi) == 0 for sec in sections)
-    triples = [(char_poly(B), t, det_exact(q)) for B, t, q, _ in filter(None, forms)]
+    assert all(sec.form for sec in sections) or any(
+        det_rat(sec.phi) == det_rat(sec.psi) == 0 for sec in sections)
+    scales = [sec.form and zeta_scale(sec.form, sec.prime_support) for sec in sections]
+    for sec, scale in zip(sections, scales):
+        if sec.form:
+            assert (scale is None) == _has_unit_ratio(sec)
     window = _window_length(system, RunConfig("zeta").n)
-    for sequence in (coincidence_sequence, nielsen_sequence):
-        seq = sequence(system, window)
-        if all(forms):
-            assert (_route(lambda s: exterior_zeta(triples, s), seq)
-                    == _route(zeta_from_sequence, seq))
+    for nielsen in (False, True):
+        if nielsen and not system.is_finitely_generated:
+            continue
+        seq = (nielsen_sequence if nielsen else coincidence_sequence)(system, window)
+        oracle = _route(zeta_from_sequence, seq)
+        if all(scales):
+            triples = [(sec.form[0], sec.form[1], c) for sec, c in zip(sections, scales)]
+            assert _route(lambda s: exterior_zeta(triples, s), seq) == oracle
+        else:
+            _zeta_of.cache_clear()
+            with patch.object(zeta, "exterior_zeta",
+                              side_effect=AssertionError("the closed form ran")):
+                assert _route(lambda s: _zeta_of(nielsen, system, window)[1:], seq) == oracle
+            _zeta_of.cache_clear()
 
 
 _NO_BM_SYSTEMS = {
     "class2": (_scalar_section(_selmer(6), 1), _scalar_section([[3]], 1)),
     "c6_psi2": (_scalar_section(_selmer(6), 2),),
     "c6_phi2_plus_1": (_phi2_plus_1_section(6),),
+    # the companion of x^6 - x - 1 halved, over Z[1/2]: its roots are 2-adic
+    # units, so every ratio has |alpha|_2 = 2 and the zeta scale is 2^6
+    "s_integer_c6": (_s_integer_scalar_section(_selmer(6), 2, Fraction(1)),),
 }
 
 
@@ -944,7 +990,8 @@ def _write_system(system, tmp_path):
 # classify on the companion of x^6 - x - 1 with psi = phi^2 + I runs past
 # 300 s in its root isolation, so that system runs zeta and realize only
 _NO_BM_CASES = [(command, name) for name in (
-    "heisenberg", "equal_modulus", "class2", "c6_psi2", "commuting_pair", "c6_phi2_plus_1")
+    "heisenberg", "equal_modulus", "class2", "c6_psi2", "commuting_pair", "c6_phi2_plus_1",
+    "s_integer", "s_integer_c6")
     for command in ("zeta", "realize", "classify")
     if (command, name) != ("classify", "c6_phi2_plus_1")]
 
@@ -953,9 +1000,13 @@ _NO_BM_CASES = [(command, name) for name in (
                          ids=[f"{command}-{name}" for command, name in _NO_BM_CASES])
 def test_scalar_psi_runs_no_berlekamp_massey(monkeypatch, tmp_path, name, command):
     # every section commutes, with an invertible side: psi = c I, and the
-    # commuting pairs with psi = phi^2 + I and of commuting_pair.json
+    # commuting pairs with psi = phi^2 + I and of commuting_pair.json; the
+    # S-integer sections 3/2 over Z[1/2] and the halved rank-6 companion have
+    # no 2-adic unit ratio, so they have a zeta scale too
     if name == "heisenberg":
         source = ["--builtin", "heisenberg:2,1,1,3"]
+    elif name == "s_integer":
+        source = ["--builtin", "s_integer:3/2,2"]
     elif name in ("equal_modulus", "commuting_pair"):
         source = ["--input", str(INPUTS / f"{name}.json")]
     else:
@@ -968,6 +1019,23 @@ def test_scalar_psi_runs_no_berlekamp_massey(monkeypatch, tmp_path, name, comman
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, computed", [
+    (["realize", "--builtin", "heisenberg:2,1,1,3"], 2),
+    (["zeta", "--builtin", "torus_matrix:" + ",".join(str(x) for row in T4 for x in row)], 1),
+])
+def test_each_section_computes_its_commuting_form_once(monkeypatch, clear_memos, argv,
+                                                      computed):
+    # the sequence, the tameness verdict and the zeta read one form per
+    # section: two sections of the Heisenberg system, one of the torus
+    calls = []
+    original = group_model.commuting_form
+    monkeypatch.setattr(group_model, "commuting_form",
+                        lambda phi, psi: calls.append(1) or original(phi, psi))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--format", "json"]) == 0
+    assert len(calls) == computed
+
+
 @pytest.mark.parametrize("name, expected", [
     ("both_singular", (0, {"command": "zeta", "window": 40,
                            "zeta": {"num": ["1"], "den": ["1", "-1"]},
@@ -975,17 +1043,23 @@ def test_scalar_psi_runs_no_berlekamp_massey(monkeypatch, tmp_path, name, comman
                            "roundtrip_verified": True}, "")),
     ("noncommuting_pair", (1, None, "error: recurrence denominator has a repeated "
                            "factor; the sequence is not a plain integer exponential sum\n")),
+    ("s_integer_unit_ratio", (1, None, "error: no recurrence of admissible order fits "
+                              "the 40-term window\n")),
 ])
 def test_pairs_without_a_commuting_form_keep_berlekamp_massey(
         monkeypatch, tmp_path, name, expected):
     # phi = diag(1, 0) and psi = diag(0, 1) commute with both sides
     # singular, and the pair of noncommuting_pair.json does not commute: the
     # zeta or the error is Berlekamp-Massey's, as it was before the closed
-    # form took every commuting pair with an invertible side
+    # form took every commuting pair with an invertible side.  On
+    # s_integer:3,2, alpha = 3 is a 2-adic unit, so |3^n - 1|_2 varies with
+    # n and the section has no zeta scale: R_n is no exponential sum
     if name == "both_singular":
         system = NilpotentSystem(name=name, sections=(
             group_model.section(2, [[1, 0], [0, 0]], [[0, 0], [0, 1]]),))
         path = _write_system(system, tmp_path)
+    elif name == "s_integer_unit_ratio":
+        path = _write_system(builtin_example("s_integer:3,2"), tmp_path)
     else:
         path = str(INPUTS / f"{name}.json")
     calls = []

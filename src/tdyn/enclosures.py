@@ -24,7 +24,7 @@ precision ladder, which costs sympy's complex isolation of p.  Moduli and
 angles, all that growth rates and the trichotomy need, never ask for it.
 
 sympy's CRootOf bisection is the fallback, used only where the certificate
-fails, and the test oracle.  A polynomial whose double-precision seeds do
+fails, and the test oracle; sympy is imported only there.  A polynomial whose double-precision seeds do
 not converge, even after rescaling, or whose disks do not separate (which
 includes every polynomial with a repeated root), is enclosed by CRootOf
 throughout; its real roots are counted by continued fractions on its
@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional
-
-import sympy
 
 from .errors import InputError, PrecisionError
 from .exact_linalg import IntPolynomial
@@ -102,6 +100,7 @@ def _crootof_box(value, bits: int) -> Box:
     CRootOf root.  root's isolating interval is refined to size 2^-bits as
     eval_rational does, without building the value as a sympy expression,
     and its box of half-width 2^-bits around the centre is scaled by c."""
+    import sympy
     c, root = value.as_coeff_Mul()
     c = Fraction(int(c.p), int(c.q))
     if root is sympy.S.One:
@@ -341,6 +340,7 @@ def _certified_roots(p: IntPolynomial):
 def _crootof_index(p: IntPolynomial, first: int, box: Callable) -> int:
     """The index i >= first of the non-real root of p that box encloses: the
     one CRootOf(p, i) whose box keeps meeting box(bits) up the ladder."""
+    import sympy
     q = to_sympy(p)
     left = [(i, sympy.CRootOf(q, i, radicals=False)) for i in range(first, p.degree)]
     for bits in precision_ladder():
@@ -383,6 +383,7 @@ class RootEnclosure:
         if self._expr is None:
             # a Rational, a CRootOf or an integer times a CRootOf, as sympy
             # rewrites roots of reducible or rescaled polynomials (_crootof_box)
+            import sympy
             self._expr = sympy.CRootOf(to_sympy(self.poly), self.index, radicals=False)
         return self._expr
 

@@ -18,8 +18,6 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-import sympy
-
 from .errors import InputError, UnsupportedPairingError
 from .exact_linalg import (
     IntPolynomial,
@@ -33,7 +31,7 @@ from .exact_linalg import (
     rat_kernel_basis,
     restrict_to_invariant_subspace,
 )
-from .polyalg import cyclotomic_factors, factor_int, is_squarefree, totients
+from .polyalg import cyclotomic_factors, factor_int, is_prime, is_squarefree, totients
 
 __all__ = [
     "AbelianSection",
@@ -116,7 +114,8 @@ def _outside_part(d: int, s_part: int) -> int:
         g = gcd(d, g)
     if d == 1:  # every integer entry, and every denominator inside S
         return 1
-    power = sympy.perfect_power(d)
+    from sympy import perfect_power
+    power = perfect_power(d)
     return power[0] if power else d
 
 
@@ -135,7 +134,7 @@ def validate(system: NilpotentSystem) -> list:
                                   f"{m.rows}x{m.cols}, expected {sec.rank}x{sec.rank}")
         s_part = 1
         for p in sec.prime_support:
-            if sympy.isprime(p):
+            if is_prime(p):
                 s_part *= p
             else:
                 violations.append(f"{p} in prime support of section {k} is not prime")

@@ -13,11 +13,10 @@ from fractions import Fraction
 from math import inf
 from typing import Union
 
-import sympy
-
 from .errors import InputError, UnsupportedPairingError, finite_float
 from .exact_linalg import IntPolynomial
 from .group_model import AbelianSection, joint_blocks
+from .polyalg import is_prime
 
 __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations", "zeta_scale",
            "PadicGrowthFactor", "padic_growth_factor", "joint_block_exponent"]
@@ -26,7 +25,7 @@ __all__ = ["ord_p", "NewtonPolygon", "newton_polygon", "root_valuations", "zeta_
 def _check_prime(p: int):
     """InputError unless p is prime; the message prints p only below 2^64,
     since str() refuses integers of more than 4,300 digits."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise InputError(f"{p if abs(p) < 2 ** 64 else 'p'} is not prime")
 
 

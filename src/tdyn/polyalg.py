@@ -1,81 +1,82 @@
 """Exact polynomial algebra helpers (factorization, cyclotomics, composed
 products) and the Smith normal form.
 
-Thin bridge to sympy's exact routines so the rest of the package works with
-tdyn's one polynomial type, ``IntPolynomial``.  Everything stays over Z;
-nothing here is numeric.  All factoring in tdyn goes through
+Everything works on tdyn's one polynomial type, ``IntPolynomial``, and stays
+over Z; nothing here is numeric.  All factoring in tdyn goes through
 ``factor_int``: a rational characteristic polynomial is held as its
 primitive integer multiple, whose primitive factors over Z are its
-irreducible factors over Q up to constants.  Factoring,
-square-free decomposition, gcds, exact division and real-root counts run
-sympy's dense kernels over ZZ (``dup_factor_list``, ``dup_sqf_list``,
-``dup_gcd``, ``dup_exquo``, ``dup_isolate_real_roots_sqf``, the algorithms
-``Poly`` reaches) on coefficient lists, highest degree first,
-in through ``ZZ.convert`` and out through ``int``, so no ``Poly`` is built
-and results are ints under any ``SYMPY_GROUND_TYPES``.  Before Zassenhaus
-and the gcd, ``factor_int`` and ``is_squarefree`` try a certificate modulo
-a few small primes that do not divide the leading coefficient (Dedekind's
-reduction argument, Cohen, GTM 138, 3.5): a polynomial irreducible modulo
-such a prime is irreducible, and one square-free modulo it is square-free.
-The primes come from ``primes``, the stream the S_d certificate reads too.
-The product and ratio polynomials are built in integers from power sums
-with Newton's identities (Bostan, Flajolet, Salvy, Schost, "Fast
-computation of special resultants", JSC 41, 2006) by
-``exact_linalg.from_power_sums``, as are the characteristic and
-exterior-power polynomials, which need no sympy.
-Square-free parts are refined into a pairwise coprime base by gcds alone
-(Bach, Driscoll, Shallit, "Factor refinement", J. Algorithms 15, 1993).
-Cyclotomic polynomials and Euler's totient are computed in plain integer
-arithmetic: building them as sympy expressions would make the first call in
-a process import sympy's tensor and combinatorics packages.  Cyclotomic
-factors are found by exact division, with no factoring.  The Smith normal
-form of an integer matrix, with its unimodular transforms, is sympy's
-``smith_normal_decomp`` over ZZ, its entries read back through ``int``.
+irreducible factors over Q up to constants.
+
+The kernels are in-tree, on plain int lists with ascending coefficients:
+- over GF(p): product, remainder, gcd and the Frobenius powers x^(p^k) mod
+  f, which feed Ben-Or's irreducibility test, the square-free test and the
+  distinct-degree cycle types of ``symmetric_galois_group`` (Cohen, GTM 138,
+  3.4-3.5);
+- over Z: division with remainder (``exact_quotient`` and
+  ``cyclotomic_factors``), the discriminant, the gcd with its cofactors (the
+  heuristic gcd of Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989, with a
+  primitive remainder sequence behind it) and Yun's square-free parts;
+- ``is_prime``: Miller-Rabin, deterministic below 3.3 * 10^24.
+
+sympy is imported only inside the fallbacks that need it: Zassenhaus
+(``dup_factor_list``) in ``factor_int`` after the mod-p certificate fails,
+the continued-fraction isolator of ``real_root_count``, ``to_sympy`` (for
+``CRootOf``), ``smith_normal_decomp`` in ``smith_normal_form``,
+``factorint`` above 2^40 and ``isprime`` above the Miller-Rabin bound.
+Their results are read back through ``int``, so they are ints under any
+``SYMPY_GROUND_TYPES``.
+
+Before Zassenhaus and the gcd, ``factor_int`` and ``is_squarefree`` try a
+certificate modulo a few small primes that do not divide the leading
+coefficient (Dedekind's reduction argument, Cohen, GTM 138, 3.5): a
+polynomial irreducible modulo such a prime is irreducible, and one
+square-free modulo it is square-free.  The primes come from ``primes``, the
+stream the S_d certificate reads too.  The product and ratio polynomials are
+built in integers from power sums with Newton's identities (Bostan,
+Flajolet, Salvy, Schost, "Fast computation of special resultants", JSC 41,
+2006) by ``exact_linalg.from_power_sums``, as are the characteristic and
+exterior-power polynomials.  Square-free parts are refined into a pairwise
+coprime base by gcds alone (Bach, Driscoll, Shallit, "Factor refinement",
+J. Algorithms 15, 1993).  Cyclotomic polynomials and Euler's totient are
+computed in plain integer arithmetic, and cyclotomic factors are found by
+exact division, with no factoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, takewhile
+from itertools import count, islice, takewhile, zip_longest
 from math import gcd, isqrt, prod
 from typing import Optional
 
-import sympy
-from sympy.polys.densearith import dup_div, dup_exquo
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_discriminant, dup_gcd
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.galoistools import (
-    gf_ddf_zassenhaus,
-    gf_frobenius_map,
-    gf_frobenius_monomial_base,
-    gf_gcd,
-    gf_sqf_p,
-    gf_sub,
-)
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
-from sympy.polys.polyerrors import ExactQuotientFailed
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
-from sympy.polys.sqfreetools import dup_sqf_list
-
 from .errors import InputError
-from .exact_linalg import BigIntMatrix, IntPolynomial, from_power_sums, power_sums
-
-_X = sympy.Symbol("x")
-
-
-def to_sympy(p: IntPolynomial) -> sympy.Poly:
-    return sympy.Poly(list(reversed(p.coeffs)), _X, domain=sympy.ZZ)
-
-
-def _dense(p: IntPolynomial) -> list:
-    """p as a dense ZZ list, highest degree first; the zero polynomial is []."""
-    return [] if p.is_zero else [ZZ.convert(c) for c in reversed(p.coeffs)]
+from .exact_linalg import (
+    BigIntMatrix,
+    IntPolynomial,
+    det_exact,
+    from_power_sums,
+    power_sums,
+)
 
 
-def _from_dense(f: list) -> IntPolynomial:
-    return IntPolynomial.of([int(c) for c in reversed(f)] or [0])
+def to_sympy(p: IntPolynomial) -> "sympy.Poly":
+    import sympy
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain=sympy.ZZ)
+
+
+def _coeffs(p: IntPolynomial) -> list:
+    """p's ascending coefficients; the zero polynomial is []."""
+    return [] if p.is_zero else list(p.coeffs)
+
+
+def _poly(f: list) -> IntPolynomial:
+    return IntPolynomial(tuple(f) or (0,))
+
+
+def _strip(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def primes():
@@ -88,6 +89,297 @@ def primes():
             yield n
 
 
+# ---------------------------------------------------------------- over GF(p)
+# ascending lists of residues, the zero polynomial []
+
+def _gf_mul(f: list, g: list, p: int) -> list:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _strip([c % p for c in out])
+
+
+def _gf_rem(f: list, g: list, p: int) -> list:
+    """f mod g over GF(p), g nonzero."""
+    n = len(g) - 1
+    inverse = pow(g[-1], -1, p)
+    r = list(f)
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i] * inverse % p
+        if c:
+            r[i - n:i] = [a - c * b for a, b in zip(r[i - n:i], g)]
+    return _strip([c % p for c in r[:n]])
+
+
+def _gf_gcd(f: list, g: list, p: int) -> list:
+    """The monic gcd over GF(p) of f and g, not both zero."""
+    while g:
+        f, g = g, _gf_rem(f, g, p)
+    inverse = pow(f[-1], -1, p)
+    return [c * inverse % p for c in f]
+
+
+def _frobenius_powers(f: list, p: int):
+    """x^p, x^(p^2), ... mod f over GF(p), f of degree n >= 1.  Raising to
+    the p-th power is a ring map, h(x)^p = h(x^p), so each is the one
+    before evaluated at x^p: a combination of x^(ip) mod f, i < n."""
+    n = len(f) - 1
+    xp, square, e = [1], _gf_rem([0, 1], f, p), p
+    while e:
+        if e & 1:
+            xp = _gf_rem(_gf_mul(xp, square, p), f, p)
+        e >>= 1
+        if e:
+            square = _gf_rem(_gf_mul(square, square, p), f, p)
+    base = [[1]]
+    for _ in range(n - 1):
+        base.append(_gf_rem(_gf_mul(base[-1], xp, p), f, p))
+    h = _gf_rem([0, 1], f, p)
+    while True:
+        acc = [0] * n
+        for c, b in zip(h, base):
+            if c:
+                for j, v in enumerate(b):
+                    acc[j] += c * v
+        h = _strip([c % p for c in acc])
+        yield h
+
+
+def _minus_x(h: list, p: int) -> list:
+    h = h + [0] * (2 - len(h))
+    h[1] = (h[1] - 1) % p
+    return _strip(h)
+
+
+def _irreducible_mod(f: list, p: int) -> bool:
+    """Ben-Or's test for the monic f over GF(p): f of degree n is
+    irreducible unless it shares a factor with x^(p^i) - x for some i <=
+    n/2, whose irreducible factors are those of degree dividing i.  A
+    reducible f has a factor of degree at most n/2, so the test needs no
+    square-free input, and it stops at the first shared factor."""
+    for _, h in zip(range((len(f) - 1) // 2), _frobenius_powers(f, p)):
+        if len(_gf_gcd(f, _minus_x(h, p), p)) > 1:
+            return False
+    return True
+
+
+def _squarefree_mod(f: list, p: int) -> bool:
+    """Whether the nonzero f is square-free over GF(p): gcd(f, f') = 1."""
+    derivative = _strip([i * c % p for i, c in enumerate(f)][1:])
+    return len(_gf_gcd(f, derivative, p)) == 1
+
+
+def _cycle_type(f: list, p: int) -> list:
+    """The ascending degrees of the irreducible factors of the monic f, of
+    degree >= 1 and square-free over GF(p), by distinct-degree
+    factorization: gcd(f, x^(p^i) - x) is the product of the factors of
+    degree dividing i, so its degree less that of the factors found below i
+    counts those of degree i.  Once 2i exceeds the degree left, what is left
+    is one factor."""
+    cycles, rest = [], len(f) - 1
+    for i, h in enumerate(_frobenius_powers(f, p), start=1):
+        shared = len(_gf_gcd(f, _minus_x(h, p), p)) - 1
+        k = (shared - sum(j for j in cycles if i % j == 0)) // i
+        cycles += [i] * k
+        rest -= i * k
+        if 2 * (i + 1) > rest:
+            break
+    if rest:
+        cycles.append(rest)
+    return cycles
+
+
+# ---------------------------------------------------------------- over Z
+# ascending int lists, the zero polynomial []
+
+def _divmod(f: list, g: list):
+    """(q, r) with f = q g + r: division steps while the leading coefficient
+    of g divides that of the remainder (sympy's ``dup_rr_div``), so r is
+    zero exactly when g divides f over Z; ZeroDivisionError for g zero."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    n, lead = len(g) - 1, g[-1]
+    q, r = [0] * max(len(f) - n, 0), list(f)
+    while len(r) > n:
+        c, rem = divmod(r[-1], lead)
+        if rem:
+            break
+        i = len(r) - 1
+        q[i - n] = c
+        r[i - n:i] = [a - c * b for a, b in zip(r[i - n:i], g)]
+        r.pop()
+        _strip(r)
+    return _strip(q), r
+
+
+def _primitive(f: list) -> list:
+    """The nonzero f over its content, with a positive leading coefficient."""
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return f if c == 1 else [a // c for a in f]
+
+
+def _derivative(f: list) -> list:
+    return [i * a for i, a in enumerate(f)][1:]
+
+
+# the heuristic gcd tries this many evaluation points before the remainder
+# sequence takes over (sympy's HEU_GCD_MAX)
+_HEURISTIC_POINTS = 6
+
+
+def _interpolate(v: int, x: int) -> list:
+    """The polynomial with coefficients in (-x/2, x/2] and value v at x."""
+    f = []
+    while v:
+        c = v % x
+        if c > x // 2:
+            c -= x
+        f.append(c)
+        v = (v - c) // x
+    return f
+
+
+def _exact(f: list, g: list):
+    """f / g when g divides f over Z, else None."""
+    q, r = _divmod(f, g)
+    return None if r else q
+
+
+def _readings(f: list, g: list, x: int):
+    """Candidates for the gcd of f and g from their values at x: the integer
+    gcd of the values read back as a polynomial, then f and g over their
+    cofactors read back the same way."""
+    fx, gx = _poly(f)(x), _poly(g)(x)
+    if fx and gx:
+        hx = gcd(fx, gx)
+        yield _primitive(_interpolate(hx, x))
+        yield _exact(f, _interpolate(fx // hx, x))
+        yield _exact(g, _interpolate(gx // hx, x))
+
+
+def _heuristic_gcd(f: list, g: list):
+    """(h, f / h, g / h) for the gcd h of f and g, of degree >= 1 and with
+    coprime contents, or None: past twice the coefficients' size, a
+    candidate read off the values at x that divides both is the gcd."""
+    f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
+    b = 2 * min(f_norm, g_norm) + 29
+    x = max(min(b, 99 * isqrt(b)),
+            2 * min(f_norm // abs(f[-1]), g_norm // abs(g[-1])) + 4)
+    for _ in range(_HEURISTIC_POINTS):
+        for h in _readings(f, g, x):
+            if h and (cff := _exact(f, h)) is not None and (cfg := _exact(g, h)) is not None:
+                return h, cff, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _remainder_sequence_gcd(f: list, g: list):
+    """(h, f / h, g / h) as _heuristic_gcd, by the primitive remainder
+    sequence: pseudo-remainders, each divided by its content."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while b:
+        n, lead = len(b) - 1, b[-1]
+        r = list(a)
+        while len(r) > n:
+            c = r.pop()
+            r = [lead * v for v in r]
+            r[len(r) - n:] = [v - c * w for v, w in zip(r[len(r) - n:], b)]
+            _strip(r)
+        a, b = b, _primitive(r) if r else r
+    h = _primitive(a)
+    return h, _exact(f, h), _exact(g, h)
+
+
+def _gcd(f: list, g: list):
+    """(h, f / h, g / h): h the gcd over Z with a positive leading
+    coefficient and content the gcd of the contents (sympy's ``dup_gcd``),
+    zero only when both are."""
+    if not f or not g:
+        sign = -1 if (f or g or [0])[-1] < 0 else 1
+        return [sign * a for a in f or g], [sign] if f else [], [sign] if g else []
+    c = gcd(gcd(*f), gcd(*g))
+    if c != 1:
+        f, g = [a // c for a in f], [a // c for a in g]
+    if len(f) == 1 or len(g) == 1:
+        return [c], f, g
+    h, cff, cfg = _heuristic_gcd(f, g) or _remainder_sequence_gcd(f, g)
+    return [c * a for a in h], cff, cfg
+
+
+def _squarefree_decomposition(f: list) -> list:
+    """Yun's algorithm on the nonzero f: the pairs (part, k), k ascending,
+    with f = c * prod part^k for an integer c, the parts primitive,
+    square-free, pairwise coprime and of positive degree and leading
+    coefficient (sympy's ``dup_sqf_list``)."""
+    f, parts, k = _primitive(f), [], 1
+    if len(f) == 1:
+        return parts
+    _, p, q = _gcd(f, _derivative(f))
+    while True:
+        h = _strip([a - b for a, b in zip_longest(q, _derivative(p), fillvalue=0)])
+        if not h:
+            parts.append((p, k))
+            return parts
+        g, p, q = _gcd(p, h)
+        if len(g) > 1:
+            parts.append((g, k))
+        k += 1
+
+
+def _discriminant(f: list) -> int:
+    """The discriminant (-1)^(n(n-1)/2) res(f, f') / lc(f) of f, of degree n,
+    with the resultant the determinant of the Sylvester matrix; 0 for
+    degree <= 0."""
+    n = len(f) - 1
+    if n < 1:
+        return 0
+    d = _derivative(f)
+    rows = ([[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
+            + [[0] * i + d[::-1] + [0] * (n - 1 - i) for i in range(n)])
+    resultant = det_exact(BigIntMatrix.from_rows(rows))
+    return (-1) ** (n * (n - 1) // 2) * resultant // f[-1]
+
+
+# ---------------------------------------------------------------- primality
+
+# Miller-Rabin to the first 13 prime bases is deterministic below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: deterministic Miller-Rabin below
+    _MILLER_RABIN_BOUND, sympy's isprime above it."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MILLER_RABIN_BOUND:
+        from sympy import isprime
+        return isprime(n)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------- the public helpers
+
 # factor_int and is_squarefree try their mod-p certificates modulo this many
 # primes that do not divide the leading coefficient before the route over Z
 _CERTIFICATE_PRIMES = 8
@@ -96,28 +388,12 @@ _CERTIFICATE_PRIMES = 8
 def _reductions(coeffs):
     """(p, f) for the first _CERTIFICATE_PRIMES primes p that do not divide
     the leading coefficient of coeffs (ascending, degree >= 1), with f the
-    monic reduction of the polynomial modulo p, highest degree first, of
-    the same degree."""
+    monic reduction of the polynomial modulo p, ascending, of the same
+    degree."""
     lead = coeffs[-1]
     for p in islice((p for p in primes() if lead % p), _CERTIFICATE_PRIMES):
         inverse = pow(lead, -1, p)
-        yield p, [c * inverse % p for c in reversed(coeffs)]
-
-
-def _irreducible_mod(f: list, p: int) -> bool:
-    """Ben-Or's test for the monic f over GF(p), highest degree first: f of
-    degree n is irreducible unless it shares a factor with x^(p^i) - x for
-    some i <= n/2, whose irreducible factors are those of degree dividing
-    i.  A reducible f has a factor of degree at most n/2, so the test needs
-    no square-free input, and it stops at the first shared factor."""
-    x = [1, 0]
-    base = gf_frobenius_monomial_base(f, p, ZZ)
-    h = x
-    for _ in range((len(f) - 1) // 2):
-        h = gf_frobenius_map(h, f, base, p, ZZ)
-        if gf_gcd(f, gf_sub(h, x, p, ZZ), p, ZZ) != [1]:
-            return False
-    return True
+        yield p, [c * inverse % p for c in coeffs]
 
 
 def factor_int(p: IntPolynomial):
@@ -136,20 +412,23 @@ def factor_int(p: IntPolynomial):
         q = [c // unit for c in p.coeffs]
         if any(_irreducible_mod(f, prime) for prime, f in _reductions(q)):
             return unit, [(IntPolynomial.of(q), 1)]
-    unit, factors = dup_factor_list(_dense(p), ZZ)
-    return int(unit), [(_from_dense(f), m) for f, m in factors]
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+    unit, factors = dup_factor_list([ZZ.convert(c) for c in reversed(p.coeffs)], ZZ)
+    return int(unit), [(IntPolynomial.of([int(c) for c in reversed(f)]), m)
+                       for f, m in factors]
 
 
 def exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """p / q over Z; InputError unless q divides p exactly."""
-    try:
-        return _from_dense(dup_exquo(_dense(p), _dense(q), ZZ))
-    except (ExactQuotientFailed, ZeroDivisionError):
-        raise InputError("divisor does not divide the polynomial exactly") from None
+    quotient = None if q.is_zero else _exact(_coeffs(p), list(q.coeffs))
+    if quotient is None:
+        raise InputError("divisor does not divide the polynomial exactly")
+    return _poly(quotient)
 
 
 def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return _from_dense(dup_gcd(_dense(p), _dense(q), ZZ))
+    return _poly(_gcd(_coeffs(p), _coeffs(q))[0])
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
@@ -157,7 +436,7 @@ def is_squarefree(p: IntPolynomial) -> bool:
     repeated modulo a prime that does not divide the leading coefficient,
     so p square-free modulo one such prime is square-free; otherwise
     gcd(p, p') decides."""
-    if p.degree >= 1 and any(gf_sqf_p(f, prime, ZZ) for prime, f in _reductions(p.coeffs)):
+    if p.degree >= 1 and any(_squarefree_mod(f, prime) for prime, f in _reductions(p.coeffs)):
         return True
     return gcd_int(p, p.derivative()).degree == 0
 
@@ -169,15 +448,17 @@ def squarefree_parts(p: IntPolynomial) -> list:
     the parts pairwise coprime."""
     if p.degree < 1:
         raise InputError("square-free parts need degree >= 1")
-    return [(_from_dense(f), k) for f, k in dup_sqf_list(_dense(p), ZZ)[1]]
+    return [(_poly(f), k) for f, k in _squarefree_decomposition(list(p.coeffs))]
 
 
 def real_root_count(p: IntPolynomial) -> int:
     """The number of real roots of p, of degree >= 1, with multiplicity:
     the continued-fraction isolation of each of its square-free parts
     (Vincent-Collins-Akritas), with no factoring."""
-    return sum(k * len(dup_isolate_real_roots_sqf(f, ZZ))
-               for f, k in dup_sqf_list(_dense(p), ZZ)[1])
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+    return sum(k * len(dup_isolate_real_roots_sqf([ZZ.convert(c) for c in reversed(f)], ZZ))
+               for f, k in _squarefree_decomposition(list(p.coeffs)))
 
 
 def coprime_base(polys) -> list:
@@ -187,22 +468,22 @@ def coprime_base(polys) -> list:
     the product of the b whose labels hold i, so two inputs share a root
     exactly when one b carries both their labels."""
     base = []
-    for i, s in enumerate(polys):
+    for i, poly in enumerate(polys):
+        s = list(poly.coeffs)
         refined = []
         for b, labels in base:
-            g = gcd_int(s, b)
-            if g.degree == 0:
+            g, s_rest, b_rest = _gcd(s, b)
+            if len(g) == 1:
                 refined.append((b, labels))
                 continue
-            s = exact_quotient(s, g)
+            s = s_rest
             refined.append((g, labels | {i}))
-            rest = exact_quotient(b, g)
-            if rest.degree > 0:
-                refined.append((rest, labels))
+            if len(b_rest) > 1:
+                refined.append((b_rest, labels))
         base = refined
-        if s.degree > 0:
+        if len(s) > 1:
             base.append((s, {i}))
-    return base
+    return [(_poly(b), labels) for b, labels in base]
 
 
 # symmetric_galois_group's budget: it gives up after the first
@@ -231,15 +512,13 @@ def symmetric_galois_group(cp: IntPolynomial) -> bool:
     d = cp.degree
     if d < 2 or not cp.is_monic or cp.constant == 0:
         return False
-    f = _dense(cp)
-    disc = int(dup_discriminant(f, ZZ))
+    f = list(cp.coeffs)
+    disc = _discriminant(f)
     if disc == 0 or (disc > 0 and isqrt(disc) ** 2 == disc):
         return False
     transitive = primitive = transposition = False
     for p in islice((p for p in primes() if disc % p), _CYCLE_PRIMES * d):
-        # distinct-degree factorization: (product of the factors of degree k, k)
-        cycles = sorted(k for g, k in gf_ddf_zassenhaus([int(c) % p for c in f], p, ZZ)
-                        for _ in range((len(g) - 1) // k))
+        cycles = _cycle_type([c % p for c in f], p)
         transitive = transitive or cycles == [d]
         primitive = primitive or cycles == [1, d - 1]
         transposition = transposition or (
@@ -266,7 +545,8 @@ def factorization(n: int) -> dict:
     cyclotomic index, and sympy's factoring above 2^40, where trial
     division would take up to 2^19 steps."""
     if n >> 40:
-        return sympy.factorint(n)
+        from sympy import factorint
+        return factorint(n)
     factors, p = {}, 2
     while p * p <= n:
         while n % p == 0:
@@ -349,7 +629,7 @@ def cyclotomic_factors(p: IntPolynomial):
     if p.is_zero:
         raise InputError("cannot find the cyclotomic factors of the zero polynomial")
     out = []
-    q, values = _dense(p), [p(a) for a in _PROBES]
+    q, values = list(p.coeffs), [p(a) for a in _PROBES]
     limit = 2 * p.degree ** 2 + 1  # phi(m) >= sqrt(m/2)
     phi = totients(limit)
     for m in range(1, limit + 1):
@@ -358,9 +638,9 @@ def cyclotomic_factors(p: IntPolynomial):
         probes = _cyclotomic_values(m, _PROBES)
         if any(v % c for v, c in zip(values, probes)):
             continue
-        f, mult = _dense(cyclotomic(m)), 0
+        f, mult = list(cyclotomic(m).coeffs), 0
         while len(q) >= len(f):
-            quotient, remainder = dup_div(q, f, ZZ)
+            quotient, remainder = _divmod(q, f)
             if remainder:
                 break
             q, mult = quotient, mult + 1
@@ -422,6 +702,9 @@ class SmithForm:
 
 def smith_normal_form(A: BigIntMatrix) -> SmithForm:
     """sympy's smith_normal_decomp of A over ZZ, as int matrices."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import smith_normal_decomp
     D, U, V = (BigIntMatrix.from_rows([[int(x) for x in row] for row in M.to_list()])
                for M in smith_normal_decomp(DomainMatrix.from_list(A.row_lists(), ZZ)))
     rank = sum(1 for i in range(min(D.rows, D.cols)) if D.get(i, i))

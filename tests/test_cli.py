@@ -280,6 +280,7 @@ def test_growth_and_entropy_stay_off_sympys_poly_layer(monkeypatch):
     # square-free modulo one, and rescaled in integers: no Poly is built and
     # neither Zassenhaus, preprocess_roots nor nextprime runs
     import sympy
+    import sympy.polys.factortools
     import sympy.polys.polyroots
     calls = []
 
@@ -290,7 +291,7 @@ def test_growth_and_entropy_stay_off_sympys_poly_layer(monkeypatch):
     new = sympy.Poly.__new__
     monkeypatch.setattr(sympy.Poly, "__new__",
                         lambda cls, *a, **k: calls.append("Poly") or new(cls, *a, **k))
-    counting(polyalg, "dup_factor_list")
+    counting(sympy.polys.factortools, "dup_factor_list")
     counting(sympy.polys.polyroots, "preprocess_roots")
     counting(sympy, "nextprime")
     pair = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -906,3 +907,18 @@ def test_a_value_past_the_double_range_is_an_input_error(argv):
 def test_a_zero_padic_exponent_is_one_at_any_prime():
     doc = run_json(["padic", "--builtin", "z_pair:3,2", "--prime", _M1279])
     assert doc["growth_factor"] == {"prime": 2 ** 1279 - 1, "exponent": "0", "value": 1.0}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["padic", "--builtin", "torus_matrix:2,1,1,1", "--prime", "1"],
+     "error: 1 is not prime\n"),
+    (["padic", "--builtin", "torus_matrix:2,1,1,1", "--prime", "-3"],
+     "error: -3 is not prime\n"),
+    (["rseq", "--builtin", "s_integer:3/2,4"],
+     "error: 4 in prime support of section 1 is not prime; denominator 2 outside "
+     "prime support in section 1 (phi)\n"),
+])
+def test_primality_errors_keep_their_messages_and_exit_codes(argv, err):
+    # padic and validate share polyalg.is_prime; the denominator outside the
+    # support is reduced by perfect_power on that error path only
+    assert run_capture(argv) == (1, "", err)

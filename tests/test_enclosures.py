@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.polyroots import preprocess_roots
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
-from tdyn import polyalg
 from tdyn.enclosures import (
     _certified_roots,
     _crootof_box,
@@ -421,7 +420,6 @@ def test_the_real_entries_of_the_fallback_need_no_factoring_and_no_crootof(monke
         raise AssertionError("factored the polynomial or built a CRootOf")
     monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
     monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
-    monkeypatch.setattr(polyalg, "dup_factor_list", refuse)
     monkeypatch.setattr(sympy.polys.rootoftools.ComplexRootOf, "__new__", refuse)
     encl = poly_root_enclosures(p)
     real = real_entries(p)

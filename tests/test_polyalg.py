@@ -1,5 +1,6 @@
-"""factor_int, gcd_int and exact_quotient, on sympy's dense kernels, against
-the ``Poly``-level calls; the mod-p certificates of factor_int and
+"""The in-tree kernels over GF(p) and Z, and is_prime, against the sympy
+kernels they replace; factor_int, gcd_int and exact_quotient against the
+``Poly``-level calls; the mod-p certificates of factor_int and
 is_squarefree against dup_factor_list and the gcd route; factor_int of a
 rational polynomial with its denominators cleared against sympy factoring
 it over QQ; the product and ratio polynomials built from power sums against
@@ -14,7 +15,13 @@ from math import lcm
 
 import sympy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from sympy.polys import factortools
+from sympy.polys.densearith import dup_div
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_discriminant, dup_gcd, dup_inner_gcd
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_sqf_p
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from tdyn import polyalg
 from tdyn.exact_linalg import (
@@ -43,6 +50,124 @@ from tdyn.polyalg import (
 )
 
 _X = sympy.Symbol("x")
+
+
+# ---------------------------------------------------------------- the in-tree kernels
+
+def _dense(coeffs) -> list:
+    """Ascending ints as sympy's dense ZZ list, highest degree first."""
+    return [ZZ(c) for c in reversed(polyalg._strip(list(coeffs)))]
+
+
+def _ascending(f) -> list:
+    return [int(c) for c in reversed(f)]
+
+
+def _times(f: list, g: list) -> list:
+    return polyalg._coeffs(polyalg._poly(f) * polyalg._poly(g)) if f and g else []
+
+
+# degree 0-12, coefficients small or up to 2^64: zero, constant and non-monic
+kernel_lists = st.lists(st.integers(-3, 3) | st.integers(-2 ** 64, 2 ** 64),
+                        max_size=13).map(polyalg._strip)
+small_lists = st.lists(st.integers(-4, 4), max_size=5).map(polyalg._strip)
+kernel_primes = st.sampled_from([2, 3, 5, 7, 13, 101, 65537])
+
+
+def _monic_mod(f: list, p: int) -> list:
+    f = polyalg._strip([c % p for c in f])
+    return [c * pow(f[-1], -1, p) % p for c in f] if f else f
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists, small_lists, kernel_primes)
+def test_ben_or_matches_gf_irreducible_p(f, g, p):
+    # times a small factor, so that reducible reductions are common
+    for h in (f, _times(f, g)):
+        h = _monic_mod(h, p)
+        assert polyalg._irreducible_mod(h, p) == gf_irreducible_p(h[::-1], p, ZZ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists, small_lists, kernel_primes)
+def test_the_square_free_test_mod_p_matches_gf_sqf_p(f, g, p):
+    # times a small square, so that repeated factors are common; the zero
+    # reduction, which gf_sqf_p calls square-free, is never tested
+    for h in (f, _times(f, _times(g, g))):
+        h = polyalg._strip([c % p for c in h])
+        if h:
+            assert polyalg._squarefree_mod(h, p) == gf_sqf_p(h[::-1], p, ZZ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists, small_lists, kernel_primes)
+def test_the_cycle_types_match_gf_ddf_zassenhaus(f, g, p):
+    h = _monic_mod(_times(f, g) or f, p)
+    assume(len(h) > 1 and gf_sqf_p(h[::-1], p, ZZ))
+    expected = sorted(k for factor, k in gf_ddf_zassenhaus(h[::-1], p, ZZ)
+                      for _ in range((len(factor) - 1) // k))
+    assert polyalg._cycle_type(h, p) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists)
+def test_the_discriminant_matches_dup_discriminant(f):
+    assert polyalg._discriminant(f) == int(dup_discriminant(_dense(f), ZZ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists, kernel_lists, small_lists)
+def test_the_gcd_matches_dup_gcd(f, g, common):
+    # with the same sign and content, and dup_inner_gcd's cofactors; the
+    # remainder sequence behind the heuristic gcd agrees on its own
+    for a, b in ((f, g), (_times(f, common), _times(g, common))):
+        h, cff, cfg = polyalg._gcd(a, b)
+        assert h == _ascending(dup_gcd(_dense(a), _dense(b), ZZ))
+        assert (h, cff, cfg) == tuple(map(_ascending, dup_inner_gcd(_dense(a), _dense(b), ZZ)))
+        if len(a) > 1 and len(b) > 1:
+            c = h[-1] // polyalg._primitive(h)[-1]
+            primitive = [[v // c for v in a], [v // c for v in b]]
+            assert polyalg._remainder_sequence_gcd(*primitive) == (
+                polyalg._primitive(h), cff, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists, st.lists(small_lists, max_size=2))
+def test_yun_matches_dup_sqf_list(f, repeated):
+    # small factors, some squared, give repeated factors; same order and
+    # normalization
+    for g in repeated:
+        f = _times(f, _times(g, g))
+    assume(f)
+    assert polyalg._squarefree_decomposition(f) == [
+        (_ascending(part), k) for part, k in dup_sqf_list(_dense(f), ZZ)[1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_lists, kernel_lists)
+def test_division_matches_dup_div(f, g):
+    assume(g)
+    for a in (f, _times(f, g)):
+        assert polyalg._divmod(a, g) == tuple(map(_ascending, dup_div(_dense(a), _dense(g), ZZ)))
+
+
+_BOUND = polyalg._MILLER_RABIN_BOUND
+
+
+@pytest.mark.parametrize("n", [
+    0, 1, -1, -2, -7, 2, 3, 4, 41, 43, 561, 41041, 2047, 3215031751, 2 ** 61 - 1,
+    # the strong pseudoprime to the first 12 prime bases, and the bound
+    318665857834031151167461, _BOUND - 2, _BOUND - 1, _BOUND, _BOUND + 1, _BOUND + 2,
+])
+def test_is_prime_matches_sympy_isprime(n):
+    assert polyalg.is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10, 10 ** 6) | st.integers(_BOUND - 10 ** 6, _BOUND + 10 ** 6)
+       | st.integers(2, 2 ** 64).map(lambda n: n | 1))
+def test_is_prime_matches_sympy_isprime_on_random_integers(n):
+    assert polyalg.is_prime(n) == sympy.isprime(n)
 
 
 # ---------------------------------------------------------------- the dense bridge
@@ -167,8 +292,8 @@ certificate_polynomials = st.builds(
 def zassenhaus_calls(monkeypatch):
     """The polynomials factor_int hands to sympy's dup_factor_list."""
     calls = []
-    factor_list = polyalg.dup_factor_list
-    monkeypatch.setattr(polyalg, "dup_factor_list",
+    factor_list = factortools.dup_factor_list
+    monkeypatch.setattr(factortools, "dup_factor_list",
                         lambda f, K: calls.append(f) or factor_list(f, K))
     return calls
 
@@ -180,8 +305,9 @@ def test_primes_are_the_primes_in_order():
 @settings(max_examples=300, deadline=None)
 @given(certificate_polynomials)
 def test_factor_int_matches_dup_factor_list(p):
-    unit, factors = polyalg.dup_factor_list(polyalg._dense(p), polyalg.ZZ)
-    assert factor_int(p) == (int(unit), [(polyalg._from_dense(f), m) for f, m in factors])
+    unit, factors = factortools.dup_factor_list(_dense(p.coeffs), ZZ)
+    assert factor_int(p) == (int(unit), [(IntPolynomial.of(_ascending(f)), m)
+                                         for f, m in factors])
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,7 +334,9 @@ def test_a_polynomial_with_no_certificate_falls_back_to_zassenhaus(coeffs, why,
                                                                    zassenhaus_calls):
     p = IntPolynomial.of(coeffs)
     assert not any(polyalg._irreducible_mod(f, q) for q, f in polyalg._reductions(p.coeffs))
-    assert factor_int(p) == _poly_factor_int(p), why
+    expected = _poly_factor_int(p)
+    zassenhaus_calls.clear()  # the oracle's own call
+    assert factor_int(p) == expected, why
     assert len(zassenhaus_calls) == 1, why
 
 
@@ -630,7 +758,7 @@ def test_the_galois_certificate_spends_a_bounded_budget(monkeypatch):
                         lambda: (tried.append(p) or p for p in primes()))
 
     def good_primes(p):
-        disc = int(polyalg.dup_discriminant(polyalg._dense(p), polyalg.ZZ))
+        disc = int(dup_discriminant(_dense(p.coeffs), ZZ))
         return [q for q in tried if disc % q]
 
     reducible = _selmer_poly(2) * _selmer_poly(4)

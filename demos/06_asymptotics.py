@@ -3,10 +3,11 @@
 lambda is the dominant root modulus of the exponential sum.  When every
 dominant angle is a rational multiple of a full turn the normalized sequence
 is asymptotically periodic; one certified irrational angle makes the limit
-set contain an interval (Kronecker density).  Both directions are decided by
-exact polynomial arithmetic: |root|^2 via the product polynomial (roots
-r_i r_j, built from power sums), the angle via cyclotomic identification of
-the root/conjugate ratio.
+set contain an interval (Kronecker density).  The dominant roots are those
+whose |root|^2 cell separates above every other root's; a tie at the top,
+such as 2 against -2 below, is decided by exact polynomial arithmetic:
+|root|^2 via the product polynomial (roots r_i r_j, built from power sums).
+The angle comes from cyclotomic identification of the root/conjugate ratio.
 """
 
 from tdyn import (

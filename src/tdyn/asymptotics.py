@@ -1,10 +1,15 @@
 """Dominant spectral data and the limit-point trichotomy of R_n / lambda^n.
 
-lambda is the maximal root modulus of the exponential-sum polynomials.  It is
-located *exactly*: |root|^2 values are roots of the composed-product
-polynomial (roots r_i * r_j), the largest positive real one equals lambda^2,
-and its multiplicity counts the dominant roots.  Nothing is factored: the
-square-free parts of every term's product polynomial are refined into one
+lambda is the maximal root modulus of the exponential-sum polynomials.
+Separation comes first: every term is enclosed once, and when the top
+|root|^2 cell is one real root or one conjugate pair of one term, above every
+other root's cell by the precision of the reported bounds, those roots are
+the dominant ones.  Only a tied top (r and -r, v(x) against v(-x), a root
+shared by terms, a real root and a pair of one modulus) is located *exactly*:
+|root|^2 values of its terms are roots of the composed-product polynomial
+(roots r_i * r_j), the largest positive real one equals lambda^2, and its
+multiplicity counts the dominant roots.  Nothing is factored: the
+square-free parts of those product polynomials are refined into one
 pairwise coprime base by gcds, so a root's multiplicity is the exponent of
 its part, and equal roots of different terms are the same root of the same
 base element.  Periodicity of the dominant angles is likewise decided
@@ -30,6 +35,7 @@ from .enclosures import (
     box_pow,
     boxes_intersect,
     decide_order,
+    interval_sqrt,
     modulus_cell,
     poly_root_enclosures,
     precision_ladder,
@@ -55,6 +61,7 @@ __all__ = ["DominantTerm", "DominantSpectrum", "Classification",
 
 _Q_CAP = 10 ** 6  # largest period reported; a larger lcm is indeterminate
 _BOUNDS_BITS = 256  # fixed precision of the reported lambda_bounds
+_CELL_STEP = Fraction(1, 1 << 64)  # width of a settled lambda cell
 
 
 @dataclass(frozen=True)
@@ -124,10 +131,11 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
     """lambda, the number of roots on the circle |z| = lambda, and which
     roots of which terms are dominant.
 
-    An empty exponential sum (identically zero sequence) reports lambda = 0
-    with count 0.  A term with a repeated root raises InputError: the
-    product polynomial counts ordered pairs of roots, so a repeated root's
-    count is not the number of its enclosures.
+    A tied top group goes through its terms' product polynomials.  An empty
+    exponential sum (identically zero sequence) reports lambda = 0 with
+    count 0.  A term with a repeated root raises InputError: the product
+    polynomial counts ordered pairs of roots, so a repeated root's count is
+    not the number of its enclosures.
     """
     if not es.terms:
         return DominantSpectrum(lam=0.0, lam_bounds=(Fraction(0), Fraction(0)),
@@ -136,37 +144,106 @@ def dominant_spectrum(es: ExponentialSum) -> DominantSpectrum:
         if not is_squarefree(poly):
             raise InputError(f"exponential-sum polynomial {poly.coeffs} has a "
                              "repeated root")
-    per_term = []
-    all_cands = _positive_real_candidates(
-        [product_polynomial(poly) for poly, _ in es.terms])
-    for (poly, chi), cands in zip(es.terms, all_cands):
-        if not cands:
+    for poly, _ in es.terms:
+        # square-free, so a*x (or a constant) is the one term with no
+        # nonzero root, and no positive |root|^2
+        if not any(poly.coeffs[:-1]):
             raise InputError(
                 f"no positive real candidate for |root|^2 of {poly.coeffs}; "
                 "exponential-sum polynomial is degenerate")
-        per_term.append((poly, chi, _max_candidate(cands)))
-    overall = _max_candidate([c for _, _, c in per_term])
+    encls = [poly_root_enclosures(poly) for poly, _ in es.terms]
+    group = _top_group(encls)
+    tied = sorted({t for t, _ in group})
+    if _separated(group):
+        roots = sorted((e for _, e in group), key=lambda e: e.index)
+        # |root|^2 on a cell boundary (|root| = 1, say) is read off the
+        # product polynomial, whose rational roots are exact points; the
+        # unpadded cell catches it before modulus_cell asks CRootOf
+        square = roots[0].modsq(_BOUNDS_BITS)
+        if _settled((interval_sqrt(*square), square)):
+            cell = modulus_cell(lambda r: r.modsq(_BOUNDS_BITS), roots[0])
+            if _settled(cell):
+                poly, chi = es.terms[tied[0]]
+                term = DominantTerm(poly=poly, chi=chi, roots=tuple(roots),
+                                    root_indices=tuple(e.index for e in roots))
+                return DominantSpectrum(lam=_lambda(cell), lam_bounds=cell[0],
+                                        count=len(roots), dominant_terms=(term,))
+    return _coprime_spectrum([es.terms[t] for t in tied], [encls[t] for t in tied])
+
+
+def _top_group(encls) -> list:
+    """(term, enclosure) for every root whose |root|^2 is not provably below
+    the largest, refined up the precision ladder until the group is one real
+    root or one conjugate pair, or to _BOUNDS_BITS."""
+    group = [(t, e) for t, roots in enumerate(encls) for e in roots]
+    for bits in precision_ladder():
+        cells = [(t, e, e.modsq(bits)) for t, e in group]
+        floor = max(lo for _, _, (lo, _) in cells)
+        group = [(t, e) for t, e, (_, hi) in cells if hi >= floor]
+        if bits >= _BOUNDS_BITS or _separated(group):
+            return group
+
+
+def _separated(group) -> bool:
+    """Whether the group is one real root or one conjugate pair of one term,
+    told by structure: an engine pair shares its disk, and CRootOf lists
+    each pair at indices n_real + 2k and n_real + 2k + 1."""
+    if len({t for t, _ in group}) != 1:
+        return False
+    roots = [e for _, e in group]
+    if len(roots) == 1:
+        return roots[0].is_real
+    if len(roots) != 2 or roots[0].is_real or roots[1].is_real:
+        return False
+    a, b = roots
+    if a.disk is not None and a.disk is b.disk:
+        return True
+    i, j = sorted((a.index, b.index))
+    return j == i + 1 and (i - a.n_real) % 2 == 0
+
+
+def _settled(cell) -> bool:
+    """Whether a modulus_cell result is one 2^-64 step of lambda and one
+    float of lambda^2, which every narrower interval around the value gives
+    too."""
+    (lam_lo, lam_hi), (s_lo, s_hi) = cell
+    try:
+        return lam_hi - lam_lo == _CELL_STEP and float(s_lo) == float(s_hi)
+    except OverflowError:
+        return True  # _lambda reports it
+
+
+def _lambda(cell) -> float:
+    _, (s_lo, s_hi) = cell
+    return math.sqrt(finite_float("lambda", lambda: (float(s_lo) + float(s_hi)) / 2))
+
+
+def _coprime_spectrum(terms, encls) -> DominantSpectrum:
+    """dominant_spectrum of the terms, with their enclosures, through the
+    product polynomials: the largest positive real root over the coprime
+    base of their square-free parts, counted by its exponent."""
+    best = [_max_candidate(cands) for cands in _positive_real_candidates(
+        [product_polynomial(poly) for poly, _ in terms])]
+    overall = _max_candidate(best)
     dominant = []
     count = 0
-    for poly, chi, cand in per_term:
+    for (poly, chi), encl, cand in zip(terms, encls, best):
         if cand.key != overall.key:
             continue
         count += cand.multiplicity
-        roots = _dominant_roots(poly, cand)
+        roots = _dominant_roots(poly, encl, cand)
         dominant.append(DominantTerm(poly=poly, chi=chi, roots=roots,
                                      root_indices=tuple(e.index for e in roots)))
-    (lam_lo, lam_hi), (s_lo, s_hi) = modulus_cell(
-        lambda r: r.box(_BOUNDS_BITS)[:2], overall.root)
-    lam = math.sqrt(finite_float("lambda", lambda: (float(s_lo) + float(s_hi)) / 2))
-    return DominantSpectrum(lam=lam, lam_bounds=(lam_lo, lam_hi), count=count,
+    cell = modulus_cell(lambda r: r.box(_BOUNDS_BITS)[:2], overall.root)
+    return DominantSpectrum(lam=_lambda(cell), lam_bounds=cell[0], count=count,
                             dominant_terms=tuple(dominant))
 
 
-def _dominant_roots(poly: IntPolynomial, cand: _RealCandidate) -> tuple:
-    """The enclosures of the roots of poly with |root|^2 equal to the
-    dominant value, by CRootOf index: non-dominant roots separate under
-    refinement, so refine until exactly ``multiplicity`` survivors remain."""
-    encl = poly_root_enclosures(poly)
+def _dominant_roots(poly: IntPolynomial, encl, cand: _RealCandidate) -> tuple:
+    """The enclosures of the roots of poly, from its list encl, with |root|^2
+    equal to the dominant value, by CRootOf index: non-dominant roots
+    separate under refinement, so refine until exactly ``multiplicity``
+    survivors remain."""
     for bits in precision_ladder():
         s_lo, s_hi = cand.interval(bits)
         alive = [e for e in encl

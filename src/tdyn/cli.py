@@ -351,7 +351,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return exc.exit_code
     with _full_int_strings():
         if config.output_format == "json":
-            json.dump({"command": config.command, **result}, out, indent=2)
+            out.write(json.dumps({"command": config.command, **result}, indent=2))
             print(file=out)
         else:
             _render_table(config.command, result, out)

@@ -1,5 +1,6 @@
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +204,22 @@ def test_a_term_with_a_repeated_root_is_rejected_at_once():
     assert time.perf_counter() - start < 2
 
 
+def test_the_input_errors_of_dominant_spectrum_keep_their_text():
+    # a repeated root is named before anything is enclosed; a*x, which
+    # ExponentialSum itself refuses, is the one square-free term with no
+    # positive |root|^2 candidate
+    term = IntPolynomial.of([-2, 1]).pow(2)
+    with pytest.raises(InputError) as exc:
+        dominant_spectrum(es_of(([-3, 1], 1), (term.coeffs, 1)))
+    assert str(exc.value) == "exponential-sum polynomial (4, -4, 1) has a repeated root"
+    degenerate = SimpleNamespace(terms=((IntPolynomial.of([-3, 1]), 1),
+                                        (IntPolynomial.of([0, 3]), -1)))
+    with pytest.raises(InputError) as exc:
+        dominant_spectrum(degenerate)
+    assert str(exc.value) == ("no positive real candidate for |root|^2 of (0, 3); "
+                              "exponential-sum polynomial is degenerate")
+
+
 def test_classify_mixed_real_and_complex_same_modulus():
     # roots 2 and -1 +- i*sqrt(3): all of modulus 2, periods 1 and 3
     ds = dominant_spectrum(es_of(([-2, 1], 1), ([4, 2, 1], 1)))
@@ -315,29 +332,45 @@ def _factoring_ratio_order(poly, root):
     raise PrecisionError("oracle could not place the conjugate ratio")
 
 
-def _spectrum_and_class(es):
+def _coprime_route(es):
+    """dominant_spectrum through the product polynomials of every term, with
+    no separation first (the route before it)."""
+    encls = [poly_root_enclosures(poly) for poly, _ in es.terms]
+    return asymptotics._coprime_spectrum(list(es.terms), encls)
+
+
+def _spectrum_and_class(spectrum, es):
     try:
-        ds = dominant_spectrum(es)
+        ds = spectrum(es)
     except PrecisionError as exc:
         return "precision", str(exc)
     return ds, classify_limit_points(ds)
 
 
 # distinct irreducible monic factors with a nonzero constant term, so
-# pairwise coprime: rational roots, real and non-real quadratic pairs, and
-# cyclotomic factors
+# pairwise coprime: rational roots, real and non-real quadratic pairs,
+# cyclotomic factors, and ties of the top modulus: v(x) with v(-x), even
+# factors (r with -r: x^2 - 2, x^2 + 4), and a real root of the modulus of a
+# pair, within a factor (x^3 - 2) and across factors (x - 2 with x^2 + 2x + 4)
 _FACTOR_POOL = [IntPolynomial.of(c) for c in (
     [-2, 1], [2, 1], [-3, 1], [1, 1], [-1, 1], [-1, -1, 1], [2, -2, 1],
-    [4, 0, 1], [1, 1, 1], [3, -3, 1], [5, -4, 1], [-2, 0, 1], [-1, -3, 1])]
+    [4, 0, 1], [1, 1, 1], [3, -3, 1], [5, -4, 1], [-2, 0, 1], [-1, -3, 1],
+    [1, -1, 1], [3, 3, 1], [5, 4, 1], [4, 2, 1], [-2, 0, 0, 1])]
+
+
+def _mirror(poly):
+    """The monic polynomial whose roots are those of poly negated."""
+    sign = (-1) ** poly.degree
+    return IntPolynomial.of([sign * (-1) ** i * c for i, c in enumerate(poly.coeffs)])
 
 
 @st.composite
 def shared_root_sums(draw):
     """Exponential sums of 1-4 distinct terms, each a product of 1-3
     distinct factors from one small pool: reducible square-free terms, and
-    roots shared across terms.  A term with a repeated root is left out: its
-    roots never reach the dominant count, and both routes refine to the
-    precision ceiling."""
+    roots shared across terms; sometimes the mirror v(-x) of the first term
+    too.  A term with a repeated root is left out: its roots never reach the
+    dominant count, and both routes refine to the precision ceiling."""
     pool = draw(st.lists(st.sampled_from(_FACTOR_POOL), min_size=1, max_size=4,
                          unique=True))
     terms = {}
@@ -347,18 +380,24 @@ def shared_root_sums(draw):
                                unique=True)):
             poly = poly * f
         terms[poly] = draw(st.integers(-3, 3).filter(bool))
+    if draw(st.booleans()):
+        terms[_mirror(next(iter(terms)))] = draw(st.integers(-3, 3).filter(bool))
     return ExponentialSum(terms=tuple(terms.items()))
 
 
 @settings(max_examples=150, deadline=None)
 @given(shared_root_sums())
 def test_dominant_spectrum_matches_the_factoring_route(es):
-    got = _spectrum_and_class(es)
+    # separation first against the coprime base of every term's product
+    # polynomial, and that against the factoring route, which also places
+    # the conjugate ratio among the irreducible factors
+    got = _spectrum_and_class(dominant_spectrum, es)
+    assert got == _spectrum_and_class(_coprime_route, es)
     saved = (asymptotics._positive_real_candidates, asymptotics._conjugate_ratio_order)
     asymptotics._positive_real_candidates = _factoring_candidates
     asymptotics._conjugate_ratio_order = _factoring_ratio_order
     try:
-        expected = _spectrum_and_class(es)
+        expected = _spectrum_and_class(_coprime_route, es)
     finally:
         asymptotics._positive_real_candidates, asymptotics._conjugate_ratio_order = saved
     assert got == expected

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdyn import cli, errors, growth, polyalg, zeta
+from tdyn import asymptotics, cli, errors, growth, polyalg, zeta
 from tdyn.cli import COMMANDS, RunConfig, _build_parser, main
 from tdyn.exact_linalg import IntPolynomial, companion_matrix
 
@@ -794,6 +794,30 @@ def test_classify_of_x6_minus_x_minus_1_factors_nothing(monkeypatch):
     assert doc["count"] == 1
     assert doc["classification"]["kind"] == "periodic"
     assert doc["classification"]["period"] == 1
+
+
+@pytest.mark.parametrize("source, tied", [
+    (["--builtin", RANK4_TORUS], False),
+    (["--builtin", _selmer_torus(6)], False),
+    (["--input", str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+                     / "equal_modulus.json")], True),
+])
+def test_classify_builds_product_polynomials_only_for_a_tied_top(monkeypatch, source, tied):
+    # the top |root|^2 of both tori is one real root that separates from every
+    # other root's; equal_modulus's 25 ties with the pair 5(3 +- 4i), so its
+    # terms go through their product polynomials and the coprime base
+    calls = []
+    original = asymptotics.product_polynomial
+
+    def counting(v):
+        calls.append(v)
+        return original(v)
+    monkeypatch.setattr(asymptotics, "product_polynomial", counting)
+    run_json(["classify", *source])
+    if tied:
+        assert calls
+    else:
+        assert calls == []
 
 
 @pytest.mark.parametrize("command", ["zeta", "realize", "classify"])

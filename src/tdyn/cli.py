@@ -21,7 +21,6 @@ from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
 from .errors import InputError, TdynError
-from .exact_linalg import char_poly
 from .group_model import (
     NilpotentSystem,
     builtin_example,
@@ -257,12 +256,11 @@ def _cmd_padic(config, system):
         raise InputError(f"--section must be in 1..{len(system.sections)}")
     sec = system.sections[k - 1]
     out = {"section": k, "prime": config.prime}
-    polys = (char_poly(sec.phi), char_poly(sec.psi))
-    for label, f in zip(("phi", "psi"), polys):
+    for label, f in zip(("phi", "psi"), sec.char_polys):
         np_ = newton_polygon(f, config.prime)
         out[f"newton_polygon_{label}"] = [
             {"slope": str(s), "length": length} for s, length in np_.segments]
-    pf = padic_growth_factor(sec, config.prime, polys)
+    pf = padic_growth_factor(sec, config.prime)
     out["growth_factor"] = {"prime": pf.prime, "exponent": str(pf.exponent),
                             "value": pf.value}
     return out

@@ -12,8 +12,9 @@ their independent oracle, is sympy's and lives in ``polyalg``, so nothing
 here imports sympy.  Newton's identities live here once in each direction,
 in integers; ``from_power_sums`` builds every polynomial with roots r / c
 for algebraic integers r: the characteristic polynomials, from the traces
-of integer matrix powers, those of exterior powers, and polyalg's product
-and ratio polynomials.
+of integer matrix powers, those of exterior powers, and polyalg's composed
+products and ratio polynomials.  ``IntPolynomial.scaled`` is the one root
+scaling: by a leading coefficient, by t, by a zeta scale or by 1 / c.
 
 The iterated determinants det(phi^n - psi^n) have two routes, and both
 yield integer numerators over a known power of the denominators.  For
@@ -472,6 +473,16 @@ class IntPolynomial:
             return self
         return IntPolynomial.of(tuple(reversed(self.coeffs)))
 
+    def scaled(self, u: int, w: int = 1) -> "IntPolynomial":
+        """The primitive polynomial, positive leading coefficient, whose roots
+        are those of the nonzero self times u / w, for w != 0: u^d w^d
+        self(w x / u) = sum c_i u^(d-i) w^i x^i over its content, and x^d
+        for u = 0.  The one root scaling of tdyn."""
+        d = self.degree
+        cs = [c * u ** (d - i) * w ** i for i, c in enumerate(self.coeffs)]
+        content = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
+        return IntPolynomial(tuple(c // content for c in cs))
+
 
 def _rref(rows: list, pivot_cols: int) -> list:
     """Gauss-Jordan elimination of the Fraction rows in place, pivoting only
@@ -590,11 +601,8 @@ def _newton_coefficients(sums: Sequence) -> list:
 def from_power_sums(sums: Sequence, c: int = 1) -> IntPolynomial:
     """The primitive polynomial, positive leading coefficient, whose roots
     are r / c for the roots r of the monic integer polynomial with the
-    power sums sums[0], sums[1], ... (``_newton_coefficients``): x -> c x,
-    then division by the content."""
-    scaled = [ck * c ** k for k, ck in enumerate(reversed(_newton_coefficients(sums)))]
-    content = gcd(*scaled) if scaled[-1] > 0 else -gcd(*scaled)
-    return IntPolynomial(tuple(ck // content for ck in scaled))
+    power sums sums[0], sums[1], ... (``_newton_coefficients``)."""
+    return IntPolynomial(tuple(reversed(_newton_coefficients(sums)))).scaled(1, c)
 
 
 @lru_cache(maxsize=1)

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from .errors import InputError, UnsupportedPairingError
 from .exact_linalg import (
-    IntPolynomial,
     RatMatrix,
     _as_fraction,
     char_poly,
@@ -65,6 +64,11 @@ class AbelianSection:
     def form(self):
         """exact_linalg.commuting_form(phi, psi), computed once per section."""
         return commuting_form(self.phi, self.psi)
+
+    @cached_property
+    def char_polys(self) -> tuple:
+        """(char phi, char psi), computed once per section."""
+        return char_poly(self.phi), char_poly(self.psi)
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,10 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
     R(phi^n, psi^n) is infinite exactly when det(phi_k^n - psi_k^n) = 0 for
     some section k.  With a commuting_form that is a nonzero multiple of
     det(A^n - I), A = B / t, so the least such n is the least m whose
-    cyclotomic polynomial divides char(B)(t x), with A's roots: no
-    determinant is computed.  Every other section is iterated up to the
-    bound of the eigenvalue-ratio argument, or to the least closed-form zero
-    when that is smaller.  The witness is the least (n, k), and
+    cyclotomic polynomial divides the primitive part of char(B)(t x), with
+    A's roots (Gauss's lemma): no determinant is computed.  Every other
+    section is iterated up to the bound of the eigenvalue-ratio argument, or
+    to the least closed-form zero when that is smaller.  The witness is the least (n, k), and
     checked_up_to is the bound either way.  The last verdict is kept for the
     next caller with an equal system.
     """
@@ -188,8 +192,7 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
             iterated.append((k, sec))
             continue
         cp, t = sec.form[:2]
-        orders = cyclotomic_factors(IntPolynomial.of(
-            c * t ** i for i, c in enumerate(cp.coeffs)))
+        orders = cyclotomic_factors(cp.scaled(1, t))
         if orders:
             zeros.append((orders[0][0], k))
     last = min(zeros)[0] if zeros else bound
@@ -205,7 +208,7 @@ def tameness_check(system: NilpotentSystem) -> TamenessVerdict:
                            checked_up_to=bound)
 
 
-def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
+def joint_blocks(sec: AbelianSection) -> list:
     """Joint invariant blocks of a commuting pair, the one eigenvalue
     pairing of a section, shared by the archimedean place and every prime.
 
@@ -218,15 +221,15 @@ def joint_blocks(sec: AbelianSection, char_polys=None) -> list:
     characteristic polynomial g.  Raises
     UnsupportedPairingError unless phi and psi commute and both
     characteristic polynomials are square-free, because the pairing is
-    certified only for simultaneously diagonalizable maps.  char_polys,
-    when given, are char(phi) and char(psi).
+    certified only for simultaneously diagonalizable maps.  char(phi) and
+    char(psi) are the section's own (``AbelianSection.char_polys``).
     """
     phi, psi = sec.phi, sec.psi
     scalar = phi.is_scalar() or psi.is_scalar()
     if not scalar and phi.mul(psi) != psi.mul(phi):
         raise UnsupportedPairingError(
             "phi and psi do not commute; the eigenvalue pairing is not certified")
-    char_phi, char_psi = char_polys or (char_poly(phi), char_poly(psi))
+    char_phi, char_psi = sec.char_polys
     if scalar:
         return [(char_phi, None, char_psi)]
     for cp in (char_phi, char_psi):

@@ -118,16 +118,14 @@ def _product_of_terms(terms, field: str):
     return finite_float(field, lambda: math.exp(sum(_term_log(t) for t in terms))), None
 
 
-def _modulus(e):
-    """64-bit cell of |e| (enclosures.modulus_cell)."""
-    return modulus_cell(lambda r: r.modsq(_VALUE_BITS), e)[0]
-
-
-def _root_modulus_product_interval(enclosures, indices):
-    """Certified (lo, hi) for the product of |root_i| over the given indices."""
+def _root_modulus_product_interval(enclosures, indices,
+                                   modsq=lambda r: r.modsq(_VALUE_BITS)):
+    """Certified (lo, hi) for the product over the given indices of the
+    square roots of modsq(root_i), each the 64-bit cell of
+    enclosures.modulus_cell: by default the product of |root_i|."""
     lo, hi = Fraction(1), Fraction(1)
     for i in indices:
-        slo, shi = _modulus(enclosures[i])
+        slo, shi = modulus_cell(modsq, enclosures[i])[0]
         lo *= slo
         hi *= shi
     return lo, hi
@@ -216,13 +214,11 @@ def _commuting_block_terms(blocks):
                 terms.append(RationalLog(v))
         else:
             lo, hi = _root_modulus_product_interval(encl, inside)
-            for i in outside:
-                (slo, shi), _ = modulus_cell(
-                    lambda r: eta_modsq(r, _VALUE_BITS), encl[i])
-                lo *= slo
-                hi *= shi
+            eta_lo, eta_hi = _root_modulus_product_interval(
+                encl, outside, lambda r: eta_modsq(r, _VALUE_BITS))
             terms.append(AlgebraicLog(
-                note=f"mixed dominant pairing on block {f_alpha.coeffs}", lo=lo, hi=hi))
+                note=f"mixed dominant pairing on block {f_alpha.coeffs}",
+                lo=lo * eta_lo, hi=hi * eta_hi))
     return terms
 
 

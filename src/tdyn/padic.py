@@ -158,18 +158,15 @@ def _single_slope(vals) -> bool:
     return len(set(vals)) == 1
 
 
-def padic_growth_factor(sec: AbelianSection, p: int,
-                        char_polys=None) -> PadicGrowthFactor:
+def padic_growth_factor(sec: AbelianSection, p: int) -> PadicGrowthFactor:
     """p-adic factor of the growth rate for one section: the product of
     max(|xi_i|_p, |eta_i|_p) over the pairing of group_model.joint_blocks
     (with psi = identity, of max(|xi|_p, 1) over the eigenvalues of phi).
     Raises UnsupportedPairingError where joint_blocks certifies no pairing
     or a block's valuations cannot be paired (joint_block_exponent).
-    char_polys, when given, are char(phi) and char(psi), which a caller
-    that has them passes on.
     """
     _check_prime(p)
-    return PadicGrowthFactor(p, joint_block_exponent(joint_blocks(sec, char_polys), p))
+    return PadicGrowthFactor(p, joint_block_exponent(joint_blocks(sec), p))
 
 
 def joint_block_exponent(blocks, p: int) -> Fraction:

@@ -9,13 +9,13 @@ irreducible factors over Q up to constants.
 
 The kernels are in-tree, on plain int lists with ascending coefficients:
 - over GF(p): product, remainder, gcd and the Frobenius powers x^(p^k) mod
-  f, which feed Ben-Or's irreducibility test, the square-free test and the
-  distinct-degree cycle types of ``symmetric_galois_group`` (Cohen, GTM 138,
-  3.4-3.5);
+  f, which feed Ben-Or's irreducibility test and the distinct-degree cycle
+  types of ``symmetric_galois_group`` (Cohen, GTM 138, 3.4-3.5);
 - over Z: division with remainder (``exact_quotient`` and
   ``cyclotomic_factors``), the discriminant, the gcd with its cofactors (the
   heuristic gcd of Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989, with a
-  primitive remainder sequence behind it) and Yun's square-free parts;
+  primitive remainder sequence behind it), which alone decides
+  ``is_squarefree``, and Yun's square-free parts;
 - ``is_prime``: Miller-Rabin, deterministic below 3.3 * 10^24.
 
 sympy is imported only inside the fallbacks that need it: Zassenhaus
@@ -26,18 +26,19 @@ the continued-fraction isolator of ``real_root_count``, ``to_sympy`` (for
 Their results are read back through ``int``, so they are ints under any
 ``SYMPY_GROUND_TYPES``.
 
-Before Zassenhaus and the gcd, ``factor_int`` and ``is_squarefree`` try a
-certificate modulo a few small primes that do not divide the leading
-coefficient (Dedekind's reduction argument, Cohen, GTM 138, 3.5): a
-polynomial irreducible modulo such a prime is irreducible, and one
-square-free modulo it is square-free.  The primes come from ``primes``, the
-stream the S_d certificate reads too.  The product and ratio polynomials are
-built in integers from power sums with Newton's identities (Bostan,
+Only ``factor_int`` has a mod-p certificate: before Zassenhaus it tries a
+few small primes that do not divide the leading coefficient (Dedekind's
+reduction argument, Cohen, GTM 138, 3.5), since a polynomial irreducible
+modulo such a prime is irreducible.  The primes come from ``primes``, the
+stream the S_d certificate reads too.  ``composed_product``, whose roots
+are the products of the roots of two polynomials, and the ratio polynomial
+are built in integers from power sums with Newton's identities (Bostan,
 Flajolet, Salvy, Schost, "Fast computation of special resultants", JSC 41,
 2006) by ``exact_linalg.from_power_sums``, as are the characteristic and
-exterior-power polynomials.  Square-free parts are refined into a pairwise
-coprime base by gcds alone (Bach, Driscoll, Shallit, "Factor refinement",
-J. Algorithms 15, 1993).  Cyclotomic polynomials and Euler's totient are
+exterior-power polynomials; the product polynomial is one composed
+product.  Square-free parts are refined into a pairwise coprime base by
+gcds alone (Bach, Driscoll, Shallit, "Factor refinement", J. Algorithms 15,
+1993).  Cyclotomic polynomials and Euler's totient are
 computed in plain integer arithmetic, and cyclotomic factors are found by
 exact division, with no factoring.
 """
@@ -165,12 +166,6 @@ def _irreducible_mod(f: list, p: int) -> bool:
         if len(_gf_gcd(f, _minus_x(h, p), p)) > 1:
             return False
     return True
-
-
-def _squarefree_mod(f: list, p: int) -> bool:
-    """Whether the nonzero f is square-free over GF(p): gcd(f, f') = 1."""
-    derivative = _strip([i * c % p for i, c in enumerate(f)][1:])
-    return len(_gf_gcd(f, derivative, p)) == 1
 
 
 def _cycle_type(f: list, p: int) -> list:
@@ -380,8 +375,8 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------- the public helpers
 
-# factor_int and is_squarefree try their mod-p certificates modulo this many
-# primes that do not divide the leading coefficient before the route over Z
+# factor_int tries its mod-p certificate modulo this many primes that do not
+# divide the leading coefficient before Zassenhaus
 _CERTIFICATE_PRIMES = 8
 
 
@@ -432,12 +427,7 @@ def gcd_int(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
-    """Whether p has no repeated factor over Q.  A repeated factor stays
-    repeated modulo a prime that does not divide the leading coefficient,
-    so p square-free modulo one such prime is square-free; otherwise
-    gcd(p, p') decides."""
-    if p.degree >= 1 and any(_squarefree_mod(f, prime) for prime, f in _reductions(p.coeffs)):
-        return True
+    """Whether p has no repeated factor over Q: gcd(p, p') is a constant."""
     return gcd_int(p, p.derivative()).degree == 0
 
 
@@ -650,12 +640,13 @@ def cyclotomic_factors(p: IntPolynomial):
     return out
 
 
-def _monic_scaled(v: IntPolynomial) -> IntPolynomial:
-    """a^(d-1) v(x/a) for v of degree d and leading coefficient a: monic,
-    integral, with roots a r for the roots r of v."""
-    a, d = v.leading, v.degree
-    return IntPolynomial.of([c * a ** (d - 1 - i) for i, c in enumerate(v.coeffs[:-1])]
-                            + [1])
+def composed_product(f: IntPolynomial, g: IntPolynomial, c: int = 1) -> IntPolynomial:
+    """The primitive polynomial, positive leading coefficient, whose roots
+    are r r' / c over the roots r of f and r' of g, monic of degree >= 1,
+    with multiplicity: its power sums are P_k(f) P_k(g) (Bostan, Flajolet,
+    Salvy, Schost, JSC 41, 2006)."""
+    n = f.degree * g.degree
+    return from_power_sums([p * q for p, q in zip(power_sums(f, n), power_sums(g, n))], c)
 
 
 def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
@@ -671,7 +662,8 @@ def ratio_polynomial(v: IntPolynomial) -> IntPolynomial:
     d = v.degree
     n = d * (d - 1)
     ab = v.leading * v.constant
-    sums = zip(power_sums(_monic_scaled(v), n), power_sums(_monic_scaled(v.reverse()), n))
+    sums = zip(power_sums(v.scaled(v.leading), n),
+               power_sums(v.reverse().scaled(v.constant), n))
     return from_power_sums(
         [p * q - d * ab ** k for k, (p, q) in enumerate(sums, start=1)], ab)
 
@@ -683,8 +675,8 @@ def product_polynomial(v: IntPolynomial) -> IntPolynomial:
     the products times a^2 have the integer power sums P_k(a r)^2."""
     if v.degree < 1:
         raise InputError("product polynomial needs degree >= 1")
-    sums = power_sums(_monic_scaled(v), v.degree ** 2)
-    return from_power_sums([p * p for p in sums], v.leading ** 2)
+    monic = v.scaled(v.leading)
+    return composed_product(monic, monic, v.leading ** 2)
 
 
 @dataclass(frozen=True)

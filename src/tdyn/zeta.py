@@ -54,8 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     InfiniteValueError,
@@ -72,11 +71,11 @@ from .exact_linalg import (
     companion_matrix,
     diagonal_blocks,
     exterior_power_polynomials,
-    from_power_sums,
     power_sums,
     rat_solve,
 )
 from .polyalg import (
+    composed_product,
     factor_int,
     gcd_int,
     is_squarefree,
@@ -313,21 +312,18 @@ def _berlekamp_massey_rational(seq: Sequence) -> list:
     return C[:L + 1]
 
 
-def minimal_recurrence(seq: SequenceLike, max_order: Optional[int] = None):
+def minimal_recurrence(seq: SequenceLike):
     """Shortest linear recurrence denominator v(z), integer coefficients,
-    v(0) = 1; None when no recurrence of order <= max_order fits the window.
-
-    Default max_order is len(seq)//2, the identifiability threshold; callers
-    that need the worst-case guarantee should supply windows of length
+    v(0) = 1; None when no recurrence of order <= len(seq)//2, the
+    identifiability threshold, fits the window.  Callers that need the
+    worst-case guarantee should supply windows of length
     2*expected_order + 4.
     """
     values = _finite_values(seq)
     if len(values) < 2:
         raise InputError("need at least two sequence values")
-    if max_order is None:
-        max_order = len(values) // 2
     C = berlekamp_massey(values)
-    if len(C) - 1 > max_order:
+    if len(C) - 1 > len(values) // 2:
         return None
     if any(c.denominator != 1 for c in C):
         # integer exponential sums have integer Fatou-normalized denominators;
@@ -440,12 +436,6 @@ def zeta_from_sequence(seq: SequenceLike):
     return _verified_zeta(residue_exponents(u_shifted, v), values)
 
 
-def _scaled(f: IntPolynomial, t) -> IntPolynomial:
-    """t^deg f(x / t), integral: the roots of f times t; x^deg f for t = 0."""
-    d = f.degree
-    return IntPolynomial.of(a * t ** (d - i) for i, a in enumerate(f.coeffs))
-
-
 def _section_terms(cp: IntPolynomial, t: int, scale: Fraction) -> Counter:
     """scale^n det(I - A^n) as {monic irreducible v: chi}, for A = B / t and
     cp = char B: the factors of each W_k = char wedge^k B, their roots
@@ -456,7 +446,7 @@ def _section_terms(cp: IntPolynomial, t: int, scale: Fraction) -> Counter:
     for k, w in enumerate(exterior_power_polynomials(cp)):
         factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
         for f, m in factors:
-            chis[_scaled(f, Fraction(scale, t ** k))] += (-1) ** k * m
+            chis[f.scaled(*Fraction(scale, t ** k).as_integer_ratio())] += (-1) ** k * m
     return Counter({f: chi for f, chi in chis.items() if chi and f.constant})
 
 
@@ -468,11 +458,9 @@ def _composed_products(left: Counter, right: Counter) -> Counter:
         for g, b in right.items():
             if f.degree == 1 or g.degree == 1:
                 line, other = (f, g) if f.degree == 1 else (g, f)
-                factors = [(_scaled(other, -line.constant), 1)]
+                factors = [(other.scaled(-line.constant), 1)]
             else:
-                n = f.degree * g.degree
-                sums = map(mul, power_sums(f, n), power_sums(g, n))
-                factors = factor_int(from_power_sums(list(sums)))[1]
+                factors = factor_int(composed_product(f, g))[1]
             for h, m in factors:
                 chis[h] += a * b * m
     return Counter({h: chi for h, chi in chis.items() if chi})

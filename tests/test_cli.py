@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tdyn import asymptotics, cli, errors, growth, polyalg, zeta
 from tdyn.cli import COMMANDS, RunConfig, _build_parser, main
 from tdyn.exact_linalg import IntPolynomial, companion_matrix
+from tdyn.group_model import system_from_json
 
 
 def run_capture(argv):
@@ -399,13 +400,16 @@ def test_padic_builds_each_characteristic_polynomial_once(char_poly_calls):
 
 
 def test_padic_of_a_commuting_pair_passes_its_polynomials_to_the_joint_blocks(
-        char_poly_calls, tmp_path):
-    # char phi and char psi once each, and char psi on the one joint block
-    path = tmp_path / "commuting_pair.json"
-    path.write_text(json.dumps({"name": "commuting_pair", "sections": [
-        {"rank": 2, "phi": [["2", "1"], ["1", "1"]], "psi": [["1", "1"], ["1", "0"]]}]}))
+        char_poly_calls):
+    # the Newton polygons and the joint blocks read the section's one
+    # char phi and char psi; the only other char_poly is psi's on the one
+    # joint block
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "commuting_pair.json"
+    sec = system_from_json(path.read_text()).sections[0]
     doc = run_json(["padic", "--input", str(path), "--prime", "2"])
     assert doc["growth_factor"]["exponent"] == "0"
+    assert [m for m in char_poly_calls if m == sec.phi] == [sec.phi]
+    assert [m for m in char_poly_calls if m == sec.psi] == [sec.psi]
     assert len(char_poly_calls) == 3
 
 

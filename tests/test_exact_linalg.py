@@ -278,6 +278,36 @@ def test_power_sums_round_trip(lower):
     assert from_power_sums(power_sums(m, d), c) == primitive(lower + [1])
 
 
+# nonzero integer polynomials of degree 0-6, monic or not, with a root 0
+# or a negative leading coefficient among them, and the factors u / w
+scalable_polynomials = st.lists(st.integers(-9, 9), min_size=1, max_size=7).filter(
+    lambda cs: cs[-1] != 0).map(IntPolynomial.of)
+scale_numerators = st.sampled_from([1, -1, 2, -3, 6, 2 ** 40])
+scale_denominators = st.sampled_from([1, -1, 2, -5, 12])
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalable_polynomials, scale_numerators, scale_denominators)
+def test_scaled_multiplies_the_roots_by_u_over_w(p, u, w):
+    q = p.scaled(u, w)
+    assert q.degree == p.degree and q == primitive(q.coeffs)
+    # scaling back by w / u gives p over its content, positive leading
+    assert q.scaled(w, u) == primitive(p.coeffs)
+    if p.is_monic and q.is_monic and p.degree >= 1:
+        n = 2 * p.degree
+        assert power_sums(q, n) == [Fraction(u, w) ** k * s
+                                    for k, s in enumerate(power_sums(p, n), start=1)]
+
+
+def test_scaled_by_zero_and_by_a_negative_denominator():
+    p = IntPolynomial.of([2, -3, 1])  # (x - 1)(x - 2)
+    assert p.scaled(0) == p.scaled(0, -7) == IntPolynomial.of([0, 0, 1])
+    # roots -3/2 and -3: (2x + 3)(x + 3)
+    assert p.scaled(3, -2) == IntPolynomial.of([9, 9, 2])
+    assert IntPolynomial.of([-2, 1]).scaled(1, -1) == IntPolynomial.of([2, 1])
+    assert IntPolynomial.of([-4]).scaled(5, 3) == IntPolynomial.of([1])
+
+
 def _from_power_sums_over_q(sums):
     """Newton's identities with every coefficient a Fraction (oracle),
     ascending."""

@@ -1,13 +1,14 @@
 """The in-tree kernels over GF(p) and Z, and is_prime, against the sympy
 kernels they replace; factor_int, gcd_int and exact_quotient against the
-``Poly``-level calls; the mod-p certificates of factor_int and
-is_squarefree against dup_factor_list and the gcd route; factor_int of a
+``Poly``-level calls; the mod-p certificate of factor_int against
+dup_factor_list; is_squarefree against ``Poly.is_sqf``; factor_int of a
 rational polynomial with its denominators cleared against sympy factoring
-it over QQ; the product and ratio polynomials built from power sums against
-bivariate resultants and against Newton's identities over Q as oracles; the integer
-cyclotomic polynomials and their identification against sympy's
-``cyclotomic_poly`` and ``totient``; the exterior-power polynomials against
-the characteristic polynomial of the explicit matrix of minors."""
+it over QQ; the composed products and the product and ratio polynomials
+built from power sums against bivariate resultants and against Newton's
+identities over Q as oracles; the integer cyclotomic polynomials and their
+identification against sympy's ``cyclotomic_poly`` and ``totient``; the
+exterior-power polynomials against the characteristic polynomial of the
+explicit matrix of minors."""
 
 from fractions import Fraction
 from itertools import combinations, islice
@@ -15,7 +16,7 @@ from math import lcm
 
 import sympy
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys import factortools
 from sympy.polys.densearith import dup_div
 from sympy.polys.domains import ZZ
@@ -33,6 +34,7 @@ from tdyn.exact_linalg import (
 )
 from tdyn.errors import InputError
 from tdyn.polyalg import (
+    composed_product,
     coprime_base,
     cyclotomic,
     cyclotomic_factors,
@@ -86,17 +88,6 @@ def test_ben_or_matches_gf_irreducible_p(f, g, p):
     for h in (f, _times(f, g)):
         h = _monic_mod(h, p)
         assert polyalg._irreducible_mod(h, p) == gf_irreducible_p(h[::-1], p, ZZ)
-
-
-@settings(max_examples=300, deadline=None)
-@given(kernel_lists, small_lists, kernel_primes)
-def test_the_square_free_test_mod_p_matches_gf_sqf_p(f, g, p):
-    # times a small square, so that repeated factors are common; the zero
-    # reduction, which gf_sqf_p calls square-free, is never tested
-    for h in (f, _times(f, _times(g, g))):
-        h = polyalg._strip([c % p for c in h])
-        if h:
-            assert polyalg._squarefree_mod(h, p) == gf_sqf_p(h[::-1], p, ZZ)
 
 
 @settings(max_examples=300, deadline=None)
@@ -263,7 +254,7 @@ def test_the_dense_bridge_builds_no_poly(monkeypatch):
     assert built == []
 
 
-# ---------------------------------------------------------------- the mod-p certificates
+# ---------------------------------------------------------------- the mod-p certificate
 
 # products of one to three pieces, each a small polynomial, a cyclotomic
 # polynomial or x, some squared, times a content and a sign: irreducible,
@@ -312,8 +303,14 @@ def test_factor_int_matches_dup_factor_list(p):
 
 @settings(max_examples=300, deadline=None)
 @given(certificate_polynomials)
-def test_is_squarefree_matches_the_gcd_route(p):
-    assert is_squarefree(p) == (gcd_int(p, p.derivative()).degree == 0)
+# the discriminant of x (x - 9699690) is 9699690^2, the product of the
+# primes up to 19 squared, so it is x^2 modulo each of them; and a product
+# of two distinct irreducible polynomials
+@example(IntPolynomial.of([0, -9699690, 1]))
+@example(IntPolynomial.of([-1, 1]).pow(2) * IntPolynomial.of([0, -9699690, 1]))
+@example(IntPolynomial.of([-1, -1, 0, 0, 0, 0, 0, 1]) * IntPolynomial.of([-1, -1, 0, 0, 0, 1]))
+def test_is_squarefree_matches_sympy_is_sqf(p):
+    assert is_squarefree(p) == to_sympy(p).is_sqf
 
 
 @pytest.mark.parametrize("r", range(2, 13))
@@ -338,20 +335,6 @@ def test_a_polynomial_with_no_certificate_falls_back_to_zassenhaus(coeffs, why,
     zassenhaus_calls.clear()  # the oracle's own call
     assert factor_int(p) == expected, why
     assert len(zassenhaus_calls) == 1, why
-
-
-def test_a_square_free_polynomial_with_no_certificate_takes_the_gcd_route(monkeypatch):
-    # the discriminant of x (x - 9699690) is 9699690^2, and 9699690 is the
-    # product of the primes up to 19: modulo each it is x^2
-    p = IntPolynomial.of([0, -9699690, 1])
-    assert [q for q, _ in polyalg._reductions(p.coeffs)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    gcds = []
-    monkeypatch.setattr(polyalg, "gcd_int", lambda a, b: gcds.append(a) or gcd_int(a, b))
-    assert is_squarefree(p) and gcds == [p]
-    gcds.clear()
-    assert not is_squarefree(IntPolynomial.of([-1, 1]).pow(2) * p) and len(gcds) == 1
-    gcds.clear()
-    assert is_squarefree(_selmer_poly(7) * _selmer_poly(5)) and gcds == []
 
 
 def _sympy_monic_factors(p: list):
@@ -425,6 +408,26 @@ def _ratio_by_resultant(v: IntPolynomial) -> IntPolynomial:
     quo, rem = sympy.div(res, sympy.Poly((_X - 1) ** v.degree, _X))
     assert rem.is_zero
     return _from_resultant(quo)
+
+
+def _composed_by_resultant(f: IntPolynomial, g: IntPolynomial, c: int) -> IntPolynomial:
+    """Res_y(f(y), y^m g(x/y)) at c x, m = deg g: roots r r' / c (oracle)."""
+    m = g.degree
+    fy = sum(a * _Y ** i for i, a in enumerate(f.coeffs))
+    gxy = sum(a * _X ** i * _Y ** (m - i) for i, a in enumerate(g.coeffs))
+    res = sympy.resultant(fy, sympy.expand(gxy), _Y).subs(_X, c * _X)
+    oracle = _from_resultant(sympy.expand(res))
+    return oracle if oracle.leading > 0 else -oracle
+
+
+monic_polynomials = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+    lambda cs: cs[0] != 0).map(lambda cs: IntPolynomial.of(cs + [1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_polynomials, monic_polynomials, st.sampled_from([1, 2, -3]))
+def test_composed_product_matches_resultant(f, g, c):
+    assert composed_product(f, g, c) == _composed_by_resultant(f, g, c)
 
 
 @st.composite

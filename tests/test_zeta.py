@@ -172,11 +172,6 @@ def test_minimal_recurrence_matches_brute_force():
         assert list(v.coeffs) == [int(c) for c in oracle]
 
 
-def test_minimal_recurrence_order_bound():
-    seq = [2 ** n - 1 for n in range(1, 13)]
-    assert minimal_recurrence(seq, max_order=1) is None
-
-
 def test_minimal_recurrence_rejects_infinite():
     with pytest.raises(InfiniteValueError):
         minimal_recurrence(coincidence_sequence(z_times_d(1), 6))

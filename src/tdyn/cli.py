@@ -93,6 +93,11 @@ def _load_system(config: RunConfig) -> NilpotentSystem:
 
 
 def _window_length(system: NilpotentSystem, n: int) -> int:
+    """The zeta's window: at least n terms, and 2 * prod 2^rank + 4, twice
+    the recurrence order bound of a system whose every section has a
+    commuting form (a product of its sections' 2^d exterior-power terms),
+    plus a margin.  It pins the recurrence only then: det(phi^n - psi^n) of
+    a rank-d pair without a form has order up to C(2d, d)."""
     order_bound = 1
     for sec in system.sections:
         order_bound *= 2 ** sec.rank

@@ -158,7 +158,12 @@ def _tameness_bound(max_rank: int) -> int:
 
     If det(phi^n - psi^n) = 0 for some n then some eigenvalue ratio is a root
     of unity whose order m satisfies totient(m) <= max_rank**2, so checking
-    n = 1 .. 2*max{such m} is enough (the factor 2 is lcm safety).
+    n = 1 .. 2*max{such m} is enough (the factor 2 is lcm safety).  The
+    lemma needs phi and psi simultaneously triangularizable, as commuting
+    pairs are: then phi^n - psi^n is triangular with diagonal xi^n - eta^n
+    over paired eigenvalues.  For a pair that is not, a zero needs no root
+    of unity ([[1,1],[1,2]] and [[1,1],[0,3]] vanish at n = 1), and the
+    bound is how far the iteration checks, not a proof.
     """
     budget = max_rank * max_rank
     # totient(m) >= sqrt(m) for every m but 2 and 6, so m <= max(budget^2, 6)

@@ -42,10 +42,10 @@ reads off with no recurrence to find.  When the Galois group of char B is
 certified to be the full symmetric group (polyalg.symmetric_galois_group),
 which is transitive on k-subsets of roots, a square-free W_k is
 irreducible and is not factored; scaling keeps irreducibility.
-Berlekamp-Massey (zeta_from_sequence) serves only pairs with no form and
-S-integer sections with a p-adic unit ratio, whose errors it raises, and is
-the closed form's test oracle; its exponents come from one factorization
-of the recurrence denominator and one linear solve.
+Berlekamp-Massey (zeta_from_sequence), one Fraction loop, serves only pairs
+with no form and S-integer sections with a p-adic unit ratio, whose errors
+it raises, and is the closed form's test oracle; its exponents come from
+one factorization of the recurrence denominator and one linear solve.
 """
 
 from __future__ import annotations
@@ -198,84 +198,6 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
     return total
 
 
-# the primes of the modular pass, tried in turn: 2^61 - 1 is near the word
-# size, and the lift mod 2^127 - 1 holds connection coefficients of up to
-# 126 bits, as the oracle's window of the companion of x^6 - x - 1 with
-# psi = phi^2 + I needs (132 terms, order 64, 84 bits).  The CLI runs it only
-# on pairs with no form and S-integer sections with a unit ratio.  Wider
-# fits take the Fraction loop; add a larger prime for a window that needs it.
-_BM_PRIMES = ((1 << 61) - 1, (1 << 127) - 1)
-
-
-def berlekamp_massey(seq: Sequence) -> list:
-    """Minimal connection polynomial over Q: returns C (ascending Fractions,
-    C[0] = 1, length L+1) with sum_j C[j] * seq[n-j] = 0 for L <= n < len.
-
-    An integer window is first run modulo a prime p (Massey, IEEE Trans.
-    IT 15, 1969), for p in _BM_PRIMES in turn, and the result lifted to
-    symmetric residues C, of length L = L_p.  The first lift with
-    2L <= N = len(seq) for which the recurrence holds over Z on the whole
-    window is returned; it then equals what the Fraction loop returns,
-    whatever p is:
-
-    * the exact check gives L_Q <= L_p, so 2 L_Q <= N as well, and a
-      connection polynomial of length at most N/2 is unique (Massey);
-    * C has integer coefficients and C[0] = 1, so it extends the window to
-      an integer sequence t.  The Q-minimal polynomial C_Q also generates t,
-      because two recurrences of lengths L_Q + L_p <= N that agree on N
-      terms agree forever.  So C_Q is the minimal polynomial of the integer
-      sequence t, which is integral by Fatou's lemma;
-    * reduced mod p, C_Q generates the window mod p, so L_p <= L_Q.  Hence
-      L_p = L_Q, and by uniqueness C = C_Q.
-
-    A lift fails when a coefficient of C_Q exceeds p/2 or the window
-    vanishes mod p, and it never holds for rational entries or 2 L_Q > N;
-    when no prime's lift holds the Fraction loop runs.  A pass with
-    2 L_p > N goes to it at once: if C_Q is integral, it is p-integral for
-    every p, so L_p <= L_Q and 2 L_Q > N; if not, no lift holds.
-    """
-    s = [Fraction(v) for v in seq]
-    if all(x.denominator == 1 for x in s):
-        ints = [x.numerator for x in s]
-        for p in _BM_PRIMES:
-            C = _berlekamp_massey_mod(ints, p)
-            if 2 * (len(C) - 1) > len(ints):
-                break
-            if _generates(C, ints):
-                return [Fraction(c) for c in C]
-    return _berlekamp_massey_rational(s)
-
-
-def _berlekamp_massey_mod(seq: Sequence[int], p: int) -> list:
-    """Minimal connection polynomial of seq mod p, lifted to symmetric
-    residues; ascending ints, C[0] = 1, length L_p + 1."""
-    s = [v % p for v in seq]
-    C = [1]
-    B = [1]
-    L, m, b = 0, 1, 1
-    for n in range(len(s)):
-        d = s[n]
-        for i in range(1, min(L, len(C) - 1) + 1):
-            d += C[i] * s[n - i]
-        d %= p
-        if d == 0:
-            m += 1
-            continue
-        coef = d * pow(b, -1, p) % p
-        T = C[:] if 2 * L <= n else None
-        if len(C) < len(B) + m:
-            C = C + [0] * (len(B) + m - len(C))
-        for i in range(len(B)):
-            C[i + m] = (C[i + m] - coef * B[i]) % p
-        if T is not None:
-            L, B, b, m = n + 1 - L, T, d, 1
-        else:
-            m += 1
-    C = (C + [0] * (L + 1 - len(C)))[:L + 1]
-    half = p // 2
-    return [c - p if c > half else c for c in C]
-
-
 def _generates(C: Sequence[int], seq: Sequence[int]) -> bool:
     """sum_j C[j] * seq[n-j] == 0 over Z for every len(C)-1 <= n < len(seq)."""
     taps = [(j, c) for j, c in enumerate(C) if c]
@@ -283,9 +205,10 @@ def _generates(C: Sequence[int], seq: Sequence[int]) -> bool:
                for n in range(len(C) - 1, len(seq)))
 
 
-def _berlekamp_massey_rational(seq: Sequence) -> list:
-    """berlekamp_massey over Fraction: the fallback of the modular pass and
-    its test oracle."""
+def berlekamp_massey(seq: Sequence) -> list:
+    """Minimal connection polynomial over Q (Massey, IEEE Trans. IT 15,
+    1969): returns C (ascending Fractions, C[0] = 1, length L+1) with
+    sum_j C[j] * seq[n-j] = 0 for L <= n < len(seq)."""
     s = [Fraction(v) for v in seq]
     C = [Fraction(1)]
     B = [Fraction(1)]

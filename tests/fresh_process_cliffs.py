@@ -8,9 +8,10 @@ Run from anywhere, with the python that has sympy:
 
 Each row runs ``python -m tdyn.cli <argv> --format json`` with
 PYTHONHASHSEED=0 and this checkout's ``src`` first on PYTHONPATH, prints its
-wall time, and the script exits 1 if any row times out, exits nonzero or
-fails its check.  The name does not start with ``test_``, so pytest does not
-collect it.
+wall time, and the script exits 1 if any row times out, exits with another
+code than its check expects (0 unless the check is a ``refusal``) or fails
+its check, which reads stdout, or stderr for a refusal.  The name does not
+start with ``test_``, so pytest does not collect it.
 """
 
 import hashlib
@@ -59,6 +60,11 @@ def by_three(r: int) -> dict:
             "sections": [{"rank": r, "phi": _strs(companion(r))}, {"rank": 1, "phi": [["3"]]}]}
 
 
+def over_z_half(r: int) -> dict:
+    return {"name": f"c{r}-z-half",
+            "sections": [{"rank": r, "phi": _strs(companion(r)), "primes": [2]}]}
+
+
 def halved(r: int) -> dict:
     return {"name": f"c{r}-half", "sections": [
         {"rank": r, "phi": [[f"{x}/2" for x in row] for row in companion(r)], "primes": [2]}]}
@@ -75,6 +81,14 @@ def md5(expected: str):
 
 def field(name: str, value):
     return lambda out: json.loads(out)[name] == value
+
+
+def refusal(code: int, message: str):
+    """A row that must exit with code and print exactly message on stderr."""
+    def check(err: str) -> bool:
+        return err == message
+    check.exit_code = code
+    return check
 
 
 def periodic_single(out: str) -> bool:
@@ -137,6 +151,12 @@ ROWS = [
     # took about 97 s through Berlekamp-Massey and now well under a second;
     # its R_n are those of x^7 - x - 1 with psi = 2I, so the md5 is theirs
     ("zeta", halved(7), [], 20, md5("66b7968990ec9d3335b2c1451b4cb67f")),
+    # the eigenvalues of the companion of x^6 - x - 1 are units, so with
+    # psi = I over Z[1/2] each ratio is a 2-adic unit and the section has
+    # no zeta scale: Berlekamp-Massey, one Fraction loop, refuses the
+    # 132-term window in about 0.4 s
+    ("zeta", over_z_half(6), [], 20,
+     refusal(1, "error: no recurrence of admissible order fits the 132-term window\n")),
     # validate factored every denominator, which took longer than any
     # timeout on a 59-digit semiprime; it now divides out the primes of S
     ("validate", f"s_integer:1/{N},2", [], 20, field(
@@ -165,7 +185,8 @@ def main() -> int:
             try:
                 run = subprocess.run([sys.executable, "-m", "tdyn.cli", *argv], env=env,
                                      capture_output=True, text=True, timeout=timeout)
-                ok = run.returncode == 0 and check(run.stdout)
+                code = getattr(check, "exit_code", 0)
+                ok = run.returncode == code and check(run.stderr if code else run.stdout)
             except subprocess.TimeoutExpired:
                 ok = False
             seconds = time.perf_counter() - start

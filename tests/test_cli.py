@@ -99,6 +99,21 @@ def test_jordan_commuting_pair_is_tame_but_has_no_certified_pairing(tmp_path):
     assert run_capture(["padic", "--input", str(path), "--prime", "2"])[0] == 3
 
 
+def test_a_zero_of_a_pair_that_does_not_commute_needs_no_root_of_unity(tmp_path):
+    # det(phi - psi) = 0, but no eigenvalue ratio (about 0.382, 0.127,
+    # 2.618, 0.873) is a root of unity: the lemma behind checked_up_to holds
+    # for simultaneously triangularizable pairs only, and iterating finds
+    # this zero at n = 1
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps({"name": "noncommuting", "sections": [
+        {"rank": 2, "phi": [["1", "1"], ["1", "2"]], "psi": [["1", "1"], ["0", "3"]]}]}))
+    assert run_json(["tame", "--input", str(path)]) == {
+        "command": "tame", "tame": False, "witness_n": 1, "witness_section": 1,
+        "checked_up_to": 24}
+    assert run_json(["rseq", "--input", str(path), "--n", "6"])["sequence"] == [
+        "infinity", "1", "16", "165", "1452", "11968"]
+
+
 def test_classify_json():
     doc = run_json(["classify", "--builtin", "z_times_d:2", "--n", "12"])
     assert doc["classification"]["kind"] == "periodic"

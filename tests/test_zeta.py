@@ -56,7 +56,6 @@ from tdyn.zeta import (
     residue_exponents,
     zeta_from_sequence,
 )
-from tdyn.zeta import _berlekamp_massey_rational
 
 
 # ---------------------------------------------------------------- oracles
@@ -485,19 +484,11 @@ def test_berlekamp_massey_rational_sequences():
     assert C == [Fraction(1), Fraction(-1, 2)]
 
 
-# ---------------------------------------------------------------- modular BM
-
-P61 = 2 ** 61 - 1
-
 # monic integer polynomials with nonzero constant term, ascending coefficients
 root_polys = st.integers(1, 3).flatmap(lambda d: st.tuples(
     st.lists(st.integers(-4, 4), min_size=d - 1, max_size=d - 1),
     st.integers(-4, 4).filter(bool),
 )).map(lambda t: IntPolynomial.of([t[1]] + t[0] + [1]))
-
-exponential_sums = st.lists(
-    st.tuples(root_polys, st.integers(-3, 3).filter(bool)),
-    min_size=1, max_size=4)
 
 
 def exponential_sum_values(terms, N):
@@ -505,24 +496,39 @@ def exponential_sum_values(terms, N):
     return [sum(chi * ps[n] for chi, ps in sums) for n in range(N)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(exponential_sums, st.integers(-4, 6))
-def test_berlekamp_massey_matches_fraction_loop_on_exponential_sums(terms, extra):
-    order = sum(poly.degree for poly, _ in terms)
-    seq = exponential_sum_values(terms, max(1, 2 * order + extra))
-    assert berlekamp_massey(seq) == _berlekamp_massey_rational(seq)
+def _inconsistent(seq, order):
+    """No recurrence of this order fits seq: the system that
+    brute_force_recurrence solves has no solution."""
+    if order == 0:
+        return any(seq)
+    rows = range(order, len(seq))
+    A = sympy.Matrix([[Fraction(seq[m - i]) for i in range(1, order + 1)] for m in rows])
+    b = sympy.Matrix([[-Fraction(seq[m])] for m in rows])
+    try:
+        A.gauss_jordan_solve(b)
+    except ValueError:
+        return True
+    return False
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-6, 6) | st.integers(-2 ** 70, 2 ** 70), max_size=12))
-def test_berlekamp_massey_matches_fraction_loop_on_short_lists(seq):
-    assert berlekamp_massey(seq) == _berlekamp_massey_rational(seq)
+@given(st.lists(st.integers(-6, 6) | st.integers(-2 ** 70, 2 ** 70)
+                | st.fractions(-6, 6, max_denominator=7), max_size=12))
+def test_berlekamp_massey_is_minimal_on_short_lists(seq):
+    C = berlekamp_massey(seq)
+    L = len(C) - 1
+    assert C[0] == 1
+    assert zeta._generates(C, seq)
+    assert L == 0 or _inconsistent(seq, L - 1)
+    if 2 * L <= len(seq):
+        # a connection polynomial of length at most N/2 is unique (Massey)
+        assert C == brute_force_recurrence(seq, L)
 
 
-@pytest.mark.parametrize("seq, expected, falls_back", [
-    # every term a multiple of p: zero mod p, so the lift has length 0
-    ([P61 * 2 ** n for n in range(8)], [1, -2], True),
-    # connection coefficients above 2^60: their symmetric residues are wrong
+@pytest.mark.parametrize("seq, expected, past_a_word", [
+    # entries past 60 bits: every term a multiple of 2^61 - 1, and
+    # connection coefficients above 2^60
+    ([(2 ** 61 - 1) * 2 ** n for n in range(8)], [1, -2], True),
     ([(2 ** 60 + 3) ** n for n in range(6)], [1, -(2 ** 60 + 3)], True),
     ([(2 ** 62) ** n + (-3) ** n for n in range(8)],
      [1, 3 - 2 ** 62, -3 * 2 ** 62], True),
@@ -532,63 +538,36 @@ def test_berlekamp_massey_matches_fraction_loop_on_short_lists(seq):
     ([1, 3, 2, 7, 1], [1, Fraction(1, 7), Fraction(-139, 49), Fraction(60, 49)], True),
     # a fractional fit of an integer window
     ([4, 2, 1], [1, Fraction(-1, 2)], True),
-    # 2^n + 1 is proved by the modular pass alone
+    # 2^n + 1: small entries and an integral fit with 2L <= N
     ([2, 3, 5, 9, 17, 33], [1, -3, 2], False),
 ])
-def test_berlekamp_massey_fallback_cases(monkeypatch, seq, expected, falls_back):
-    # falls_back: whether the Fraction loop runs when 2^61 - 1 is the only
-    # prime.  2^127 - 1 lifts every integral fit with 2L <= N here, so with
-    # both primes only rational fits and 2L > N fall back, and a window
-    # with 2L > N after a single modular pass.
-    oracle = _berlekamp_massey_rational(seq)
-    calls = []
-    passes = []
-
-    def counting(s):
-        calls.append(len(s))
-        return _berlekamp_massey_rational(s)
-
-    def counting_mod(s, p, mod=zeta._berlekamp_massey_mod):
-        passes.append(p)
-        return mod(s, p)
-
-    monkeypatch.setattr(zeta, "_berlekamp_massey_rational", counting)
-    monkeypatch.setattr(zeta, "_berlekamp_massey_mod", counting_mod)
-    assert berlekamp_massey(seq) == oracle == [Fraction(c) for c in expected]
-    too_long = 2 * (len(oracle) - 1) > len(seq)
-    needs_fractions = any(c.denominator != 1 for c in oracle) or too_long
-    assert calls == ([len(seq)] if needs_fractions else [])
-    if too_long:
-        assert passes == [P61]
-    calls.clear()
-    monkeypatch.setattr(zeta, "_BM_PRIMES", (P61,))
-    assert berlekamp_massey(seq) == oracle
-    assert calls == ([len(seq)] if falls_back else [])
+def test_berlekamp_massey_fallback_cases(seq, expected, past_a_word):
+    # past_a_word marks the windows that a word-size modular pass cannot
+    # settle: an entry past 60 bits, a fractional fit or 2L > N
+    C = berlekamp_massey(seq)
+    assert C == [Fraction(c) for c in expected]
+    integral_fit = all(c.denominator == 1 for c in C) and 2 * (len(C) - 1) <= len(seq)
+    assert past_a_word == (max(map(abs, seq)).bit_length() > 60 or not integral_fit)
 
 
 # exponential sums sum chi_i a_i^n with a_i of 20-40 bits: the coefficients
-# of prod (1 - a_i z) reach 40 k bits, past what 2^61 - 1 lifts
+# of prod (1 - a_i z) reach 40 k bits
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.integers(2 ** 20, 2 ** 40) | st.integers(-2 ** 40, -2 ** 20),
                        st.integers(-3, 3).filter(bool), min_size=1, max_size=6),
        st.integers(0, 3))
-# a connection coefficient of 159 bits, past 2^127 - 1: the Fraction loop
+# four 40-bit bases: a connection coefficient of 159 bits
 @example({2 ** 40 - 87: 1, 2 ** 40 - 59: -1, 2 ** 39 + 7: 2, 3 - 2 ** 40: 1}, 0)
-# three 40-bit bases: coefficients of up to 120 bits, which 2^127 - 1 lifts
+# three 40-bit bases: coefficients of up to 120 bits
 @example({2 ** 40 - 87: 1, 2 ** 40 - 59: -1, 3 - 2 ** 40: 2}, 0)
 def test_berlekamp_massey_lifts_wide_coefficients(terms, extra):
-    # a fit is integral here, so the Fraction loop runs exactly when a
-    # coefficient is too wide for the symmetric lift mod 2^127 - 1
+    # distinct bases with nonzero exponents and 2L <= N: the minimal
+    # connection polynomial is prod (1 - a z)
     seq = [sum(chi * a ** n for a, chi in terms.items())
            for n in range(1, 2 * len(terms) + extra + 1)]
-    oracle = _berlekamp_massey_rational(seq)
-    calls = []
-    with patch.object(zeta, "_berlekamp_massey_rational",
-                      lambda s: calls.append(1) or _berlekamp_massey_rational(s)):
-        assert berlekamp_massey(seq) == oracle
-    assert len(oracle) == len(terms) + 1
-    wide = max(abs(c.numerator) for c in oracle) > zeta._BM_PRIMES[-1] // 2
-    assert calls == ([1] if wide else [])
+    expected = math.prod((IntPolynomial.of([1, -a]) for a in terms),
+                         start=IntPolynomial.of([1]))
+    assert berlekamp_massey(seq) == [Fraction(c) for c in expected.coeffs]
 
 
 # ---------------------------------------------------------------- exponents
@@ -846,17 +825,6 @@ def test_the_zeta_of_x_r_minus_x_minus_1_factors_nothing(monkeypatch, clear_memo
         assert calls
 
 
-def test_the_rank10_window_needs_no_fraction_loop(monkeypatch):
-    # order 1,024 with coefficients of up to 60 bits: 2^61 - 1 does not lift
-    # it, 2^127 - 1 does
-    seq = coincidence_sequence(torus_matrix(_selmer(10)), 2 * 2 ** 10 + 4).values
-    calls = []
-    monkeypatch.setattr(zeta, "_berlekamp_massey_rational", lambda s: calls.append(1))
-    C = berlekamp_massey(seq)
-    assert len(C) == 1025 and calls == []
-    assert max(abs(c.numerator) for c in C).bit_length() > 60
-
-
 # ---------------------------------------------------------------- commuting pairs
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -1066,27 +1034,3 @@ def test_pairs_without_a_commuting_form_keep_berlekamp_massey(
     assert calls
     assert (code, json.loads(out.getvalue()) if out.getvalue() else None,
             err.getvalue()) == expected
-
-
-def test_the_c6_window_with_psi_phi_squared_plus_one_needs_the_second_prime(
-        monkeypatch, tmp_path):
-    # the measured window of the 2^127 - 1 lift: 132 terms, order 64 and
-    # connection coefficients of 84 bits, which 2^61 - 1 does not lift.  The
-    # CLI reads this zeta off the exterior powers and runs no
-    # Berlekamp-Massey on it (test_scalar_psi_runs_no_berlekamp_massey)
-    system = NilpotentSystem(name="c6-phi2+1", sections=(_phi2_plus_1_section(6),))
-    seq = coincidence_sequence(system, 132).values
-    C = berlekamp_massey(seq)
-    assert len(C) == 65
-    assert max(abs(c.numerator) for c in C).bit_length() == 84
-    assert not zeta._generates(zeta._berlekamp_massey_mod(seq, zeta._BM_PRIMES[0]), seq)
-
-    def fraction_loop(s):
-        raise AssertionError("the Fraction loop ran")
-    monkeypatch.setattr(zeta, "_berlekamp_massey_rational", fraction_loop)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["zeta", "--input", _write_system(system, tmp_path),
-                     "--format", "json"]) == 0
-    doc = json.loads(out.getvalue())
-    assert doc["window"] == 132 and doc["roundtrip_verified"] is True

@@ -70,6 +70,14 @@ def halved(r: int) -> dict:
         {"rank": r, "phi": [[f"{x}/2" for x in row] for row in companion(r)], "primes": [2]}]}
 
 
+def beside_both_singular(r: int) -> dict:
+    """The companion of x^r - x - 1 beside phi = diag(1, 0), psi = diag(0, 1),
+    a commuting pair with both sides singular and so no commuting form."""
+    return {"name": f"c{r}-beside-both-singular", "sections": [
+        {"rank": r, "phi": _strs(companion(r))},
+        {"rank": 2, "phi": [["1", "0"], ["0", "0"]], "psi": [["0", "0"], ["0", "1"]]}]}
+
+
 def semiprime() -> int:
     from sympy import nextprime
     return nextprime(10 ** 29) * nextprime(3 * 10 ** 29)
@@ -157,6 +165,13 @@ ROWS = [
     # 132-term window in about 0.4 s
     ("zeta", over_z_half(6), [], 20,
      refusal(1, "error: no recurrence of admissible order fits the 132-term window\n")),
+    # one section with no commuting form sends the whole system to
+    # Berlekamp-Massey: beside the companion of x^7 - x - 1 the window has
+    # 1,028 integer terms and an order-126 recurrence, which the Fraction
+    # loop fits in about 1.1 s in-process (30 ms through the deleted
+    # 2^127 - 1 lift); the command takes about 3.4 s, 2.2 s with the lift,
+    # and the md5 is that of either route
+    ("zeta", beside_both_singular(7), [], 30, md5("e2a48176b56ecfdbe5e9338f352a4115")),
     # validate factored every denominator, which took longer than any
     # timeout on a 59-digit semiprime; it now divides out the primes of S
     ("validate", f"s_integer:1/{N},2", [], 20, field(

@@ -525,29 +525,26 @@ def test_berlekamp_massey_is_minimal_on_short_lists(seq):
         assert C == brute_force_recurrence(seq, L)
 
 
-@pytest.mark.parametrize("seq, expected, past_a_word", [
+@pytest.mark.parametrize("seq, expected", [
     # entries past 60 bits: every term a multiple of 2^61 - 1, and
     # connection coefficients above 2^60
-    ([(2 ** 61 - 1) * 2 ** n for n in range(8)], [1, -2], True),
-    ([(2 ** 60 + 3) ** n for n in range(6)], [1, -(2 ** 60 + 3)], True),
+    ([(2 ** 61 - 1) * 2 ** n for n in range(8)], [1, -2]),
+    ([(2 ** 60 + 3) ** n for n in range(6)], [1, -(2 ** 60 + 3)]),
     ([(2 ** 62) ** n + (-3) ** n for n in range(8)],
-     [1, 3 - 2 ** 62, -3 * 2 ** 62], True),
+     [1, 3 - 2 ** 62, -3 * 2 ** 62]),
     # windows with 2L > N
-    ([0, 0, 0, 1], [1, 0, 0, 0, -1], True),
-    ([1, 2, 4, 9, 20], [1, -2, 0, -1], True),
-    ([1, 3, 2, 7, 1], [1, Fraction(1, 7), Fraction(-139, 49), Fraction(60, 49)], True),
+    ([0, 0, 0, 1], [1, 0, 0, 0, -1]),
+    ([1, 2, 4, 9, 20], [1, -2, 0, -1]),
+    ([1, 3, 2, 7, 1], [1, Fraction(1, 7), Fraction(-139, 49), Fraction(60, 49)]),
     # a fractional fit of an integer window
-    ([4, 2, 1], [1, Fraction(-1, 2)], True),
+    ([4, 2, 1], [1, Fraction(-1, 2)]),
     # 2^n + 1: small entries and an integral fit with 2L <= N
-    ([2, 3, 5, 9, 17, 33], [1, -3, 2], False),
-])
-def test_berlekamp_massey_fallback_cases(seq, expected, past_a_word):
-    # past_a_word marks the windows that a word-size modular pass cannot
-    # settle: an entry past 60 bits, a fractional fit or 2L > N
-    C = berlekamp_massey(seq)
-    assert C == [Fraction(c) for c in expected]
-    integral_fit = all(c.denominator == 1 for c in C) and 2 * (len(C) - 1) <= len(seq)
-    assert past_a_word == (max(map(abs, seq)).bit_length() > 60 or not integral_fit)
+    ([2, 3, 5, 9, 17, 33], [1, -3, 2]),
+# the ids stay those of a dropped third column, which marked the first seven
+# rows as windows that a word-size modular pass could not settle
+], ids=[f"seq{i}-expected{i}-{i < 7}" for i in range(8)])
+def test_berlekamp_massey_fallback_cases(seq, expected):
+    assert berlekamp_massey(seq) == [Fraction(c) for c in expected]
 
 
 # exponential sums sum chi_i a_i^n with a_i of 20-40 bits: the coefficients

@@ -29,7 +29,7 @@ from .group_model import (
     validate,
 )
 from .padic import newton_polygon, padic_growth_factor, zeta_scale
-from .reidemeister import is_infinite
+from .reidemeister import ReidemeisterSequence, is_infinite
 
 # the commands, in the order --help lists them, with their help lines
 _COMMAND_HELP = {
@@ -96,8 +96,8 @@ def _window_length(system: NilpotentSystem, n: int) -> int:
     """The zeta's window: at least n terms, and 2 * prod 2^rank + 4, twice
     the recurrence order bound of a system whose every section has a
     commuting form (a product of its sections' 2^d exterior-power terms),
-    plus a margin.  It pins the recurrence only then: det(phi^n - psi^n) of
-    a rank-d pair without a form has order up to C(2d, d)."""
+    plus a margin.  A section's own Berlekamp-Massey runs on it too, which
+    does not pin every rank-d pair without a form: order up to C(2d, d)."""
     order_bound = 1
     for sec in system.sections:
         order_bound *= 2 ** sec.rank
@@ -127,17 +127,21 @@ def _zeta_payload(config: RunConfig, system: NilpotentSystem):
 def _zeta_of(nielsen: bool, system: NilpotentSystem, window: int):
     """The sequence window and its zeta, which raises unless the zeta
     reproduces the whole window; the last one is kept for zeta, realize and
-    classify.  When every section has a commuting_form with a zeta scale
-    (padic.zeta_scale), the zeta is read off its exterior powers
-    (zeta.exterior_zeta); every other system's, by Berlekamp-Massey."""
+    classify: the fold (zeta.exterior_zeta) of a triple per section with a
+    zeta scale (padic.zeta_scale), and of its own window per other section,
+    the system's if it is the only one."""
     seq = _seq_of(nielsen, system, window)
-    scales = [s.form and zeta_scale(s.form, s.prime_support) for s in system.sections]
-    if all(scales):
-        rf, es = zeta.exterior_zeta([(s.form[0], s.form[1], scale) for s, scale
-                                     in zip(system.sections, scales)], seq)
-    else:
-        rf, es = zeta.zeta_from_sequence(seq)
-    return seq, rf, es
+
+    def part(sec):
+        scale = sec.form and zeta_scale(sec.form, sec.prime_support)
+        if scale:
+            return sec.form[0], sec.form[1], scale
+        if len(system.sections) == 1:
+            return seq
+        return reidemeister.extend_sequence(NilpotentSystem(system.name, (sec,)),
+                                            ReidemeisterSequence((), seq.kind), window)
+
+    return (seq, *zeta.exterior_zeta(map(part, system.sections), seq))
 
 
 # ---------------------------------------------------------------- commands

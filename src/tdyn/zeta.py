@@ -21,31 +21,28 @@ The generating function passed to residue_exponents follows the same
 indexing: sum_{n >= 1} a_n z^n agrees with the series of u/v (the constant
 term of u/v is the model value sum_alpha chi_alpha * deg v_alpha).
 
-The zeta function of a system of commuting sections
----------------------------------------------------
-A section with an exact_linalg.commuting_form (char B, t, det q, sign) and
-a zeta scale c (padic.zeta_scale) has A = q^-1 p = B / t, R_n = |c^n
-det(I - A^n)| and c^n det(I - A^n) = sum_k (-1)^k c^n tr wedge^k A^n: an
+The zeta function of a system: one fold over its sections
+---------------------------------------------------------
+R_n (and N_n) is the product of the sections' values, so exterior_zeta
+folds their exponential sums by composed products, roots r r' and power
+sums p_n(v) p_n(w) (Bostan, Flajolet, Salvy and Schost, JSC 41, 2006).  A
+section with an exact_linalg.commuting_form (char B, t, det q, sign) and a
+zeta scale c (padic.zeta_scale) has A = q^-1 p = B / t, R_n = |c^n det(I -
+A^n)| and c^n det(I - A^n) = sum_k (-1)^k c^n tr wedge^k A^n: an
 exponential sum over the characteristic polynomials W_k of wedge^k B with
-their roots scaled by c / t^k, algebraic integers (prod_S xi prod_(not S)
-eta over k-subsets S of paired eigenvalues on a lattice, where c = det q).
-The product over the sections is the sum over tuples of terms of their
-composed products, with roots r r' and power sums p_n(v) p_n(w) (Bostan,
-Flajolet, Salvy and Schost, JSC 41, 2006).  A real eigenvalue alpha of A gives the factor 1 - alpha^n, of
-fixed sign, or sign (-1)^(n+1), or 0 for every n or every even n, a complex
-pair |1 - alpha^n|^2 >= 0, and c^n the sign of c to the n.  So a
-nonzero product has the sign e * s^n for fixed e, s in {1, -1}, and R_n
-(and N_n, 0 exactly where the product is) is e s^n times it: the zeta
-function is an alternating product over the irreducible factors of the
-composed products (Fel'shtyn, Mem. AMS 699, 2000), which exterior_zeta
-reads off with no recurrence to find.  When the Galois group of char B is
-certified to be the full symmetric group (polyalg.symmetric_galois_group),
-which is transitive on k-subsets of roots, a square-free W_k is
-irreducible and is not factored; scaling keeps irreducibility.
-Berlekamp-Massey (zeta_from_sequence), one Fraction loop, serves only pairs
-with no form and S-integer sections with a p-adic unit ratio, whose errors
-it raises, and is the closed form's test oracle; its exponents come from
-one factorization of the recurrence denominator and one linear solve.
+roots scaled by c / t^k, algebraic integers (prod_S xi prod_(not S) eta
+over k-subsets S of paired eigenvalues on a lattice, where c = det q).  A
+real eigenvalue alpha of A gives the factor 1 - alpha^n, of fixed sign, or
+sign (-1)^(n+1), or 0 for every n or every even n, a complex pair |1 -
+alpha^n|^2 >= 0, and c^n the sign of c to the n, so R_n = e (s c)^n det(I -
+A^n) for fixed e, s in {1, -1}, with no recurrence to find (Fel'shtyn, Mem.
+AMS 699, 2000).  When the Galois group of char B is certified to be the
+full symmetric group (polyalg.symmetric_galois_group), which is transitive
+on k-subsets of roots, a square-free W_k is irreducible and is not
+factored; scaling keeps irreducibility.  Any other section's terms come
+from Berlekamp-Massey, one Fraction loop, on its own window, one
+factorization and one linear solve, in Fractions until the fold ends;
+zeta_from_sequence, its fold alone, is the test oracle.
 """
 
 from __future__ import annotations
@@ -53,8 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     InfiniteValueError,
@@ -298,6 +294,11 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
     the rational-zeta normal form), deg u > deg v, and non-integer or
     inconsistent exponents.
     """
+    return _exponential_sum(_residue_terms(u, v))
+
+
+def _residue_terms(u: IntPolynomial, v: IntPolynomial) -> dict:
+    """residue_exponents' {v_alpha: Fraction chi_alpha}, not yet integral."""
     if v.constant != 1:
         raise InputError("recurrence denominator must have constant term 1")
     if gcd_int(u, v).degree != 0:
@@ -317,7 +318,7 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
             raise InputError("factor of v(0)=1 polynomial must have unit constant")
         polys.append(w.reverse())
     if not polys:
-        return ExponentialSum(terms=())
+        return {}
     # r = deg v rows suffice, as the power sums of distinct nonzero roots
     # form a Vandermonde system
     r = v.degree
@@ -330,46 +331,55 @@ def residue_exponents(u: IntPolynomial, v: IntPolynomial) -> ExponentialSum:
         raise NonIntegerResidueError(
             "no Galois-constant exponents reproduce the sequence; it is not "
             "an integer exponential sum")
-    for x in sol:
+    if any(x == 0 for x in sol):
+        raise NonIntegerResidueError("zero exponent contradicts minimality of v")
+    return dict(zip(polys, sol))
+
+
+def _exponential_sum(chis: dict) -> ExponentialSum:
+    """chis in factor_int's order of the factors +-v.reverse() of a recurrence
+    denominator (by degree, then +-v from the constant), all integers."""
+    terms = sorted(chis.items(), key=lambda term: (
+        term[0].degree, [c if term[0].constant > 0 else -c for c in term[0].coeffs]))
+    for _, x in terms:
         if x.denominator != 1:
             raise NonIntegerResidueError(
                 f"factor exponent {x} is not an integer; refusing to round")
-    if any(x == 0 for x in sol):
-        raise NonIntegerResidueError("zero exponent contradicts minimality of v")
-    return ExponentialSum(terms=tuple(zip(polys, map(int, sol))))
+    return ExponentialSum(terms=tuple((f, int(x)) for f, x in terms))
 
 
 def zeta_from_sequence(seq: SequenceLike):
     """Reconstruct (zeta as RationalFunction, ExponentialSum) from an exact
-    sequence by Berlekamp-Massey; verifies the roundtrip over the full
-    window before returning."""
-    values = _finite_values(seq)
+    sequence by Berlekamp-Massey: exterior_zeta with seq as its one part."""
+    return exterior_zeta([_finite_values(seq)], seq)
+
+
+def _recurrence_terms(values: list) -> dict:
+    """values' terms {v: Fraction chi}, found by Berlekamp-Massey."""
     v = minimal_recurrence(values)
     if v is None:
         raise NoRecurrenceError(
             f"no recurrence of admissible order fits the {len(values)}-term window")
-    # u_A with S_A(z) = sum a_{n+1} z^n = u_A / v, then shift once for the
-    # n-indexed convention of residue_exponents
-    L = v.degree
-    u_coeffs = []
-    for j in range(L):
-        c = sum(v.coeffs[i] * values[j - i] for i in range(0, j + 1))
-        u_coeffs.append(c)
-    u_shifted = IntPolynomial.of([0] + u_coeffs)
-    return _verified_zeta(residue_exponents(u_shifted, v), values)
+    # u_A / v = sum a_{n+1} z^n, shifted once to residue_exponents' indexing
+    u_coeffs = [sum(v.coeffs[i] * values[j - i] for i in range(j + 1))
+                for j in range(v.degree)]
+    return _residue_terms(IntPolynomial.of([0] + u_coeffs), v)
 
 
-def _section_terms(cp: IntPolynomial, t: int, scale: Fraction) -> Counter:
-    """scale^n det(I - A^n) as {monic irreducible v: chi}, for A = B / t and
-    cp = char B: the factors of each W_k = char wedge^k B, their roots
-    scaled by scale / t^k, with exponent (-1)^k times their multiplicity.
+def _section_terms(cp: IntPolynomial, t: int, c: Fraction) -> Counter:
+    """R_n = e (s c)^n det(I - A^n) as {monic irreducible v: chi}, A = B / t,
+    cp = char B: the factors of each W_k = char wedge^k B, roots scaled by
+    s c / t^k, exponent e (-1)^k times their multiplicity; e s and e are the
+    signs of c^n det(I - A^n) at n = 1, 2 (t > 0), 1 where that parity is 0.
     Roots 0 add nothing for n >= 1 and are left out."""
+    es = -1 if c * cp(t) < 0 else 1
+    e = -1 if c * c * (-1) ** cp.degree * cp(t) * cp(-t) < 0 else 1
     symmetric = symmetric_galois_group(cp)
     chis = Counter()
     for k, w in enumerate(exterior_power_polynomials(cp)):
         factors = [(w, 1)] if symmetric and is_squarefree(w) else factor_int(w)[1]
         for f, m in factors:
-            chis[f.scaled(*Fraction(scale, t ** k).as_integer_ratio())] += (-1) ** k * m
+            chis[f.scaled(*Fraction(es * e * c, t ** k).as_integer_ratio())] += e * (-1) ** k * m
     return Counter({f: chi for f, chi in chis.items() if chi and f.constant})
 
 
@@ -389,34 +399,20 @@ def _composed_products(left: Counter, right: Counter) -> Counter:
     return Counter({h: chi for h, chi in chis.items() if chi})
 
 
-def exterior_zeta(sections: Sequence[tuple], seq: SequenceLike):
-    """(zeta, ExponentialSum) of the Reidemeister or Nielsen sequence seq of
-    a system, given the triples (char B, t, c) of its sections'
-    commuting_form and zeta scale c (padic.zeta_scale), read off the
-    exterior powers of each B (see the module docstring); verifies the
-    roundtrip over the full window before returning, as zeta_from_sequence does.
-
-    e * s and e are the signs of a_1 and a_2 against the products of
-    c cp(t) and c^2 (-1)^d cp(t) cp(-t), the signs of det(q - p) and
-    det(q^2 - p^2); where one is 0, every term of that parity is 0 and its
-    sign is taken as 1.  The sign is the first term, x - s with exponent e.
-    """
+def exterior_zeta(sections: Iterable, seq: SequenceLike):
+    """(zeta, ExponentialSum) of the sequence seq of a system, the fold of
+    its sections' sums (module docstring): each the triple (char B, t, c) of
+    its commuting_form and zeta scale (_section_terms), or else its own
+    window, a list or ReidemeisterSequence, for Berlekamp-Massey.  An
+    all-zero seq is the empty sum, with no section read."""
     values = _finite_values(seq)
     if len(values) < 2:
         raise InputError("need at least two sequence values")
-    det1 = prod(c * cp(t) for cp, t, c in sections)
-    det2 = det1 * prod(c * (-1) ** cp.degree * cp(-t) for cp, t, c in sections)
-    es = -1 if values[0] * det1 < 0 else 1
-    e = -1 if values[1] * det2 < 0 else 1
-    chis = Counter({IntPolynomial.of([-es * e, 1]): e})
-    for cp, t, c in sections:
-        chis = _composed_products(chis, _section_terms(cp, t, c))
-    # zeta_from_sequence's order, factor_int's of the factors +-v.reverse()
-    # of the recurrence denominator: by degree, then by the coefficients
-    # from the leading one, which are those of +-v from the constant
-    terms = sorted(chis.items(), key=lambda term: (
-        term[0].degree, [c if term[0].constant > 0 else -c for c in term[0].coeffs]))
-    return _verified_zeta(ExponentialSum(terms=tuple(terms)), values)
+    chis = Counter({IntPolynomial.of([-1, 1]): 1}) if any(values) else Counter()
+    for part in sections if chis else ():
+        chis = _composed_products(chis, _section_terms(*part) if isinstance(part, tuple)
+                                  else _recurrence_terms(_finite_values(part)))
+    return _verified_zeta(_exponential_sum(chis), values)
 
 
 def _verified_zeta(es: ExponentialSum, values: list):

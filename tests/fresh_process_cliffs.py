@@ -165,13 +165,18 @@ ROWS = [
     # 132-term window in about 0.4 s
     ("zeta", over_z_half(6), [], 20,
      refusal(1, "error: no recurrence of admissible order fits the 132-term window\n")),
-    # one section with no commuting form sends the whole system to
+    # one section with no commuting form sent the whole system to
     # Berlekamp-Massey: beside the companion of x^7 - x - 1 the window has
     # 1,028 integer terms and an order-126 recurrence, which the Fraction
-    # loop fits in about 1.1 s in-process (30 ms through the deleted
-    # 2^127 - 1 lift); the command takes about 3.4 s, 2.2 s with the lift,
-    # and the md5 is that of either route
+    # loop fit in about 1.1 s in-process and the command in about 3.4 s;
+    # the zeta is now the fold of the torus's exterior powers with that
+    # section's own Berlekamp-Massey sum (R_n = 1), and the command takes
+    # about 0.2 s.  The md5 is that of either route.  Beside x^8 - x - 1
+    # (2,052 terms, order 254) the whole-window route ran past 900 s; the
+    # fold's command takes about 0.3 s, and its zeta and exponential sum
+    # are those of zeta on the x^8 - x - 1 torus alone
     ("zeta", beside_both_singular(7), [], 30, md5("e2a48176b56ecfdbe5e9338f352a4115")),
+    ("zeta", beside_both_singular(8), [], 20, md5("ed091cb08659ed4bae107019e4226f3e")),
     # validate factored every denominator, which took longer than any
     # timeout on a 59-digit semiprime; it now divides out the primes of S
     ("validate", f"s_integer:1/{N},2", [], 20, field(

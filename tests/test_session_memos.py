@@ -120,21 +120,24 @@ def test_a_session_prints_what_fresh_state_prints(clear_memos, system, steps):
 
 # the fixed systems of the benchmark's session_warm workload and one of its
 # seeded non-real rank-2 tori, with the prime each passes to padic; the last
-# three are given as JSON descriptors
+# three, and a torus beside a section with no commuting form, whose zeta
+# folds a Berlekamp-Massey part, are given as JSON descriptors
 _FIXED_KEYS = ("z_times_d:2", "torus_matrix:2,1,1,1", "torus_matrix:1,-2,1,1",
                RANK4_TORUS, "heisenberg:2,1,1,3", "heisenberg:2,1,1,1",
                "z_pair:2,-2", "s_integer:3/2,2", "torus_matrix:0,-4,1,-2")
 _FIXED_FILES = {
-    "commuting_pair": ([[2, 1], [1, 1]], [[1, 1], [1, 0]], 2),
-    "noncommuting_pair": ([[2, 1], [1, 1]], [[1, 2], [0, 1]], 2),
-    "equal_modulus": ([[0, -25], [1, 6]], [[5, 0], [0, 5]], 5),
+    "commuting_pair": ([([[2, 1], [1, 1]], [[1, 1], [1, 0]])], 2),
+    "noncommuting_pair": ([([[2, 1], [1, 1]], [[1, 2], [0, 1]])], 2),
+    "equal_modulus": ([([[0, -25], [1, 6]], [[5, 0], [0, 5]])], 5),
+    "beside_both_singular": ([([[2, 1], [1, 1]], [[1, 0], [0, 1]]),
+                              ([[1, 0], [0, 0]], [[0, 0], [0, 1]])], 2),
 }
 
 
 def _fixed_sources(tmp_path):
     sources = [(("--builtin", key), 2) for key in _FIXED_KEYS]
-    for name, (phi, psi, prime) in _FIXED_FILES.items():
-        sources.append((_write_system(str(tmp_path), name, [(phi, psi)]), prime))
+    for name, (sections, prime) in _FIXED_FILES.items():
+        sources.append((_write_system(str(tmp_path), name, sections), prime))
     return sources
 
 
@@ -146,6 +149,20 @@ def test_fixed_sessions_in_either_order_print_what_fresh_state_prints(tmp_path,
             argvs = [_argv(command, source, prime=prime) for command in order]
             codes |= _against_fresh_state(argvs, clear_memos)
     assert codes == {0, 1, 2, 3, 4}  # the typed errors are in the sessions too
+
+
+def test_zeta_keeps_the_system_sequence_beside_a_section_sequence(tmp_path):
+    # the fold reads the form-less section's own sequence over the window,
+    # and the kept sequence is still the whole system's
+    source = _write_system(str(tmp_path), "beside_both_singular",
+                           _FIXED_FILES["beside_both_singular"][0])
+    assert run_capture(_argv("zeta", source))[0] == 0
+    with open(source[1], encoding="utf-8") as fh:
+        system = group_model.system_from_json(json.load(fh))
+    kept, seq = reidemeister._last_sequence
+    assert kept == system and len(seq) == cli._window_length(system, 40)
+    assert seq == reidemeister.extend_sequence(
+        system, reidemeister.ReidemeisterSequence((), "reidemeister"), len(seq))
 
 
 # ------------------------------------------------------------- reuse and bounds

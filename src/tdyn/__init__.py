@@ -21,6 +21,7 @@ from .congruence import (
     dold_check_realization,
     euler_check,
     gauss_check,
+    gauss_checks,
     mobius,
 )
 from .errors import (

@@ -195,11 +195,9 @@ def _cmd_realize(config, system):
 def _cmd_congruence(config, system):
     seq = _seq_of(config.nielsen, system, config.n)
     moduli = config.moduli or tuple(range(1, config.n + 1))
-    reports = []
-    for n in moduli:
-        rep = congruence.gauss_check(seq, n)
-        reports.append({"n": rep.n, "combination": str(rep.combination),
-                        "residue": str(rep.residue), "passed": rep.passed})
+    reports = [{"n": rep.n, "combination": str(rep.combination),
+                "residue": str(rep.residue), "passed": rep.passed}
+               for rep in congruence.gauss_checks(seq, moduli)]
     return {"congruences": reports, "all_passed": all(r["passed"] for r in reports)}
 
 

@@ -7,6 +7,7 @@ realizable by integer-matrix traces), so it must be debuggable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InfiniteValueError, InputError
@@ -15,8 +16,8 @@ from .polyalg import mobius_divisors
 from .reidemeister import ReidemeisterSequence, is_infinite
 from .zeta import BouquetRealization
 
-__all__ = ["CongruenceReport", "mobius", "gauss_check", "euler_check",
-           "dold_check_realization"]
+__all__ = ["CongruenceReport", "mobius", "gauss_check", "gauss_checks",
+           "euler_check", "dold_check_realization"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,45 @@ def gauss_check(seq: ReidemeisterSequence, n: int) -> CongruenceReport:
         raise InputError("modulus must be >= 1")
     _check_length(seq, n, "n")
     return _mobius_report(n, lambda d: _value_at(seq, d))
+
+
+def _mobius_table(top: int) -> list:
+    """[mu(0) = 0, mu(1), ..., mu(top)] by one sieve of Eratosthenes: each
+    prime p flips the sign of its multiples and zeroes those of p^2."""
+    mu = [0] + [1] * top
+    composite = bytearray(top + 1)
+    for p in range(2, top + 1):
+        if not composite[p]:
+            for m in range(p, top + 1, p):
+                composite[m] = 1
+                mu[m] = -mu[m]
+            for m in range(p * p, top + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+def gauss_checks(seq: ReidemeisterSequence, moduli) -> list:
+    """[gauss_check(seq, n) for n in moduli], as one Dirichlet convolution
+    mu * a: after one Möbius sieve up to the largest modulus the sequence
+    covers, each a_d is added with sign mu(k) at k*d for the square-free k.
+    A modulus below 1, past the sequence or with an infinite a_d at some d
+    with mu(n/d) != 0 goes through gauss_check, so the first of them in
+    moduli order raises as that loop would."""
+    moduli = list(moduli)
+    top = max((n for n in moduli if 1 <= n <= len(seq.values)), default=0)
+    mu = _mobius_table(top)
+    square_free = [k for k in range(1, top + 1) if mu[k]]
+    combination = [0] * (top + 1)
+    infinite = set()
+    for d, v in enumerate(seq.values[:top], 1):
+        ks = square_free[:bisect_right(square_free, top // d)]
+        if is_infinite(v):
+            infinite.update(k * d for k in ks)
+        else:
+            for k in ks:
+                combination[k * d] += mu[k] * v
+    return [_report(n, combination[n]) if 1 <= n <= top and n not in infinite
+            else gauss_check(seq, n) for n in moduli]
 
 
 def euler_check(seq: ReidemeisterSequence, p: int, r: int) -> CongruenceReport:

@@ -11,10 +11,13 @@ Determinants use fraction-free Bareiss elimination; the Smith normal form,
 their independent oracle, is sympy's and lives in ``polyalg``, so nothing
 here imports sympy.  Newton's identities live here once in each direction,
 in integers; ``from_power_sums`` builds every polynomial with roots r / c
-for algebraic integers r: the characteristic polynomials, from the traces
-of integer matrix powers, those of exterior powers, and polyalg's composed
-products and ratio polynomials.  ``IntPolynomial.scaled`` is the one root
-scaling: by a leading coefficient, by t, by a zeta scale or by 1 / c.
+for algebraic integers r: the characteristic polynomials of matrices that
+are not upper Hessenberg, from the traces of integer matrix powers, those
+of exterior powers, and polyalg's composed products and ratio polynomials.
+An upper Hessenberg matrix, such as a companion block, takes the Hessenberg
+recurrence instead, with no division and no matrix power.
+``IntPolynomial.scaled`` is the one root scaling: by a leading
+coefficient, by t, by a zeta scale or by 1 / c.
 
 The iterated determinants det(phi^n - psi^n) have two routes, and both
 yield integer numerators over a known power of the denominators.  For
@@ -634,12 +637,48 @@ def exterior_power_polynomials(cp: IntPolynomial) -> list:
 def char_poly(A: Matrix) -> IntPolynomial:
     """The primitive polynomial, positive leading coefficient, with the
     eigenvalues of A as roots: det(X*I - A) for an integer A, and for A =
-    B/L with B integral, L^d det(X*I - A) over its content, from the traces
-    of the powers of B (``from_power_sums`` with c = L)."""
+    B/L with B integral, L^d det(X*I - A) over its content.  det(X*I - B)
+    comes from the Hessenberg recurrence when B is upper Hessenberg, as
+    every companion block is, and otherwise from the traces of the powers
+    of B (``from_power_sums`` with c = L), the oracle of the first route."""
     if not A.is_square:
         raise InputError("characteristic polynomial of a non-square matrix")
     B, L = (A, 1) if isinstance(A, BigIntMatrix) else A.scaled_integer()
+    if _is_upper_hessenberg(B):
+        return IntPolynomial(tuple(_hessenberg_char_poly(B))).scaled(1, L)
     return from_power_sums([Bk.trace() for Bk in islice(powers(B), A.rows)], L)
+
+
+def _is_upper_hessenberg(B: BigIntMatrix) -> bool:
+    """Whether every entry below the subdiagonal of the square B is zero."""
+    n, h = B.rows, B.entries
+    return not any(chain.from_iterable(h[i * n:i * n + i - 1] for i in range(2, n)))
+
+
+def _hessenberg_char_poly(B: BigIntMatrix) -> list:
+    """Ascending coefficients of det(X*I - B) for an upper Hessenberg integer
+    B, with no division and no matrix power (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9): p_0 = 1 and, for
+    the leading m x m blocks, p_m = (X - h_mm) p_(m-1) - sum_(i<m) h_im
+    h_(i+1,i) ... h_(m,m-1) p_(i-1)."""
+    n, h = B.rows, B.entries
+    ps = [[1]]  # ps[m] = p_m
+    for m in range(n):
+        prev = ps[m]
+        p = [0] + prev
+        diag = h[m * n + m]
+        for k, c in enumerate(prev):
+            p[k] -= diag * c
+        chain_product = 1  # h_(i+1,i) ... h_(m,m-1), 0-based
+        for i in range(m - 1, -1, -1):
+            chain_product *= h[(i + 1) * n + i]
+            if not chain_product:
+                break
+            if t := h[i * n + m] * chain_product:
+                for k, c in enumerate(ps[i]):
+                    p[k] -= t * c
+        ps.append(p)
+    return ps[n]
 
 
 def diagonal_blocks(A: Matrix) -> list:

@@ -184,9 +184,11 @@ def _trace_sums(A: BigIntMatrix, N: int) -> list:
     traces satisfy that polynomial's recurrence).  A block-diagonal A has
     the eigenvalues of its diagonal blocks, which diagonal_blocks reads off
     the emitted matrix, so the traces are the sums of the blocks' power
-    sums.  Each distinct b x b block costs the b - 1 products char_poly
-    takes for its first b powers, and the values still check the matrix
-    itself."""
+    sums.  Each distinct block that realize_bouquet emits is a companion
+    block, upper Hessenberg, so char_poly reads its polynomial off every
+    entry of the block by the Hessenberg recurrence, with no matrix power,
+    and the values still check the matrix itself, not the polynomials it
+    was built from."""
     total = [0] * N
     for block, count in Counter(diagonal_blocks(A)).items():
         sums = power_sums(char_poly(block), N)

@@ -137,7 +137,12 @@ ROWS = [
     ("classify", psi_two(6), [], 20, md5("68bc1199ffe9c91066fbe08ba4c1da7a")),
     # the realization of x^9 - x - 1 took 11.7 s when its trace check took
     # char_poly of the whole 255 x 255 matrices, and 2.1-2.4 s block by block
-    ("realize", torus_key(9), [], 120, field("trace_check_passed", True)),
+    # through the powers of each companion block; that of x^10 - x - 1 took
+    # 8-12 s so.  The Hessenberg recurrence reads each block's
+    # characteristic polynomial off its entries with no matrix power, and
+    # x^10 - x - 1 takes about 1-2 s; its md5 is that of the powers route
+    ("realize", torus_key(9), [], 20, field("trace_check_passed", True)),
+    ("realize", torus_key(10), [], 20, md5("c5ceb39c24d5f5370dd12ede9e0a167d")),
     # systems whose sections all have psi = c I read their zeta off the
     # exterior powers with no recurrence: the class-2 system (the companion
     # of x^6 - x - 1 over multiplication by 3) took about 1.3 s through the

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from tdyn.congruence import (
     _mobius_report,
+    _mobius_table,
     dold_check_realization,
     euler_check,
     gauss_check,
+    gauss_checks,
     mobius,
 )
 from tdyn.errors import InfiniteValueError, InputError
 from tdyn.exact_linalg import BigIntMatrix
 from tdyn.group_model import z_pair, z_times_d
 from tdyn.polyalg import factorization, mobius_divisors
-from tdyn.reidemeister import coincidence_sequence, nielsen_sequence
+from tdyn.reidemeister import INFINITY, coincidence_sequence, nielsen_sequence
 from tdyn.zeta import BouquetRealization
 
 
@@ -50,6 +52,73 @@ def test_mobius_report_matches_the_divisor_sum():
         report = _mobius_report(n, values.__getitem__)
         assert report.combination == direct, n
         assert report.residue == direct % n
+
+
+def test_mobius_sieve_matches_mobius():
+    assert _mobius_table(0) == [0]
+    assert _mobius_table(1000) == [0] + [mobius(n) for n in range(1, 1001)]
+
+
+def _loop(seq, moduli):
+    """The single-modulus loop gauss_checks replaces: its reports, or the
+    class and text of its first error."""
+    try:
+        return [gauss_check(seq, n) for n in moduli]
+    except (InputError, InfiniteValueError) as e:
+        return type(e), str(e)
+
+
+def _sieve(seq, moduli):
+    try:
+        return gauss_checks(seq, moduli)
+    except (InputError, InfiniteValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("system", [z_times_d(2), z_pair(2, 1), z_pair(3, -2),
+                                    z_pair(2, -2), z_pair(-2, 2), z_pair(3, -3)],
+                         ids=lambda s: s.name)
+def test_the_sieve_gives_the_reports_of_the_single_modulus_loop(system):
+    # Reidemeister sequences with INFINITY entries and Nielsen ones with
+    # zeros, on unsorted and repeated moduli, and on moduli the loop
+    # refuses: below 1, past the sequence (10^5000 too) and with an infinite
+    # a_d at some d with mu(n/d) != 0; where the loop raises, the sieve
+    # raises its first error
+    rng = random.Random(system.name)
+    for seq in (coincidence_sequence(system, 60), nielsen_sequence(system, 60)):
+        assert _sieve(seq, range(1, 61)) == _loop(seq, range(1, 61))
+        for _ in range(40):
+            moduli = [rng.randint(1, 60) for _ in range(rng.randint(0, 12))]
+            moduli += rng.sample(moduli, len(moduli) // 3)
+            rng.shuffle(moduli)
+            assert _sieve(seq, moduli) == _loop(seq, moduli), moduli
+            bad = moduli + [rng.choice((0, -3, 61, 10 ** 5000))]
+            rng.shuffle(bad)
+            assert _sieve(seq, bad) == _loop(seq, bad), bad
+    assert gauss_checks(seq, []) == []
+
+
+def test_the_sieve_raises_at_the_first_refused_modulus():
+    seq = coincidence_sequence(z_pair(2, -2), 12)  # infinite at even n
+    assert seq.values[1] is INFINITY
+    for moduli, error, text in [
+            ([3, 4, 0], InfiniteValueError, "R at iterate 4 is infinite"),
+            ([3, 0, 4], InputError, "modulus must be >= 1"),
+            ([5, 10 ** 5000, 2], InputError, "fewer than the modulus n"),
+            ([9, 3, 1, 6], InfiniteValueError, "R at iterate 6 is infinite")]:
+        with pytest.raises(error, match=text):
+            gauss_checks(seq, moduli)
+    # a modulus whose infinite divisors all have mu(n/d) = 0 passes: 9 reads
+    # a_9 and a_3 only
+    assert [r.n for r in gauss_checks(seq, [9, 3, 1])] == [9, 3, 1]
+
+
+def test_a_modulus_too_large_to_print_fails_the_sieve_at_once():
+    seq = coincidence_sequence(z_times_d(2), 10)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="fewer than the modulus"):
+        gauss_checks(seq, [3, 10 ** 5000])
+    assert time.perf_counter() - start < 1
 
 
 def test_trial_division_factors_as_sympy_does():

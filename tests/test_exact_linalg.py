@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from tdyn import exact_linalg
 from tdyn.errors import InputError
 from tdyn.exact_linalg import (
     BigIntMatrix,
@@ -249,6 +251,53 @@ def test_char_poly_matches_symbolic_oracle():
                     for row in random_int_matrix(rng, d)]
             expected = primitive(char_poly_symbolic(rows))
             assert char_poly(RatMatrix.from_rows(rows)) == expected
+
+
+def _powers_route(B: BigIntMatrix, L: int) -> IntPolynomial:
+    """char_poly's oracle: the traces of the first powers of B through
+    Newton's identities, with the roots divided by L."""
+    return from_power_sums([Bk.trace() for Bk in islice(powers(B), B.rows)], L)
+
+
+# upper Hessenberg matrices of size 1-8 with entries -3..3, zero subdiagonal
+# entries among them, and a denominator 1-4 per entry for the rational ones
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(1, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n))), st.booleans())
+def test_hessenberg_char_poly_equals_the_powers_route(draw, rational):
+    values, dens, cut = draw
+    n = len(values)
+    rows = [[values[i][j] if i <= j + 1 and not (i == j + 1 and cut[i]) else 0
+             for j in range(n)] for i in range(n)]
+    if rational:
+        A = RatMatrix.from_rows([[Fraction(x, d) for x, d in zip(row, ds)]
+                                 for row, ds in zip(rows, dens)])
+        B, L = A.scaled_integer()
+    else:
+        A = B = BigIntMatrix.from_rows(rows)
+        L = 1
+    assert exact_linalg._is_upper_hessenberg(B)
+    assert char_poly(A) == _powers_route(B, L)
+
+
+def test_a_dense_matrix_takes_the_powers_route(monkeypatch):
+    def refuse(B):
+        raise AssertionError("a matrix with an entry below the subdiagonal")
+    monkeypatch.setattr(exact_linalg, "_hessenberg_char_poly", refuse)
+    rng = random.Random(5)
+    for n in range(3, 7):
+        rows = random_int_matrix(rng, n)
+        rows[n - 1][0] = rng.choice((-2, -1, 1, 2))
+        A = BigIntMatrix.from_rows(rows)
+        assert char_poly(A) == _powers_route(A, 1)
+        assert list(char_poly(A).coeffs) == char_poly_symbolic(rows)
+    # a companion block takes the recurrence
+    monkeypatch.undo()
+    p = IntPolynomial.of([-1, -1] + [0] * 8 + [1])
+    assert exact_linalg._is_upper_hessenberg(companion_matrix(p))
+    assert char_poly(companion_matrix(p)) == p
 
 
 def test_char_poly_cayley_hamilton():

@@ -4,19 +4,28 @@ Results go to stdout, diagnostics to stderr.  Exit codes are stable: 0
 success, 1 an argument error, otherwise the ``exit_code`` that the class of
 the TdynError raised carries (tdyn.errors: 1 input error, 2 non-tame input
 where tameness is required, 3 unsupported p-adic pairing, 4 numeric
-indeterminacy at the precision ceiling).  All big integers are serialized
-as decimal strings in JSON output, in full: Python's limit on int-to-str
-digits is lifted while a command builds and prints its result.
+indeterminacy at the precision ceiling); a reader that closes stdout early
+gets exit 1 and nothing on stderr.  All big integers are serialized as
+decimal strings in JSON output, in full: Python's limit on int-to-str
+digits is lifted while a command builds and prints its result.  The JSON
+output is json.dumps(indent=2) byte for byte.
+
+A process keeps the last system it loaded, keyed by the catalog key or by
+the descriptor's text, so the commands of a session on one system share
+one object and its sections' cached results.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import sys
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Optional
 
 from . import asymptotics, congruence, growth, reidemeister, zeta
@@ -80,16 +89,30 @@ def _load_system(config: RunConfig) -> NilpotentSystem:
     if (config.builtin is None) == (config.input_path is None):
         raise InputError("give exactly one of --builtin KEY or --input FILE")
     if config.builtin is not None:
-        return builtin_example(config.builtin)
+        return _system_of(config.builtin, None)
     try:
         with open(config.input_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {config.input_path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # also bad UTF-8, too long an integer literal and too deep nesting
+    except ValueError as exc:  # bad UTF-8
         raise InputError(f"bad JSON in {config.input_path}: {exc}") from exc
-    return system_from_json(doc)
+    try:
+        return _system_of(None, text)
+    except (ValueError, RecursionError) as exc:
+        # also too long an integer literal and too deep nesting
+        raise InputError(f"bad JSON in {config.input_path}: {exc}") from exc
+
+
+@lru_cache(maxsize=1)
+def _system_of(builtin: Optional[str], text: Optional[str]) -> NilpotentSystem:
+    """The system of a catalog key, or of a descriptor's text (not its path,
+    so a rewritten file is read again); the last one is kept, so that the
+    commands of a session share one object and each section's cached form
+    and characteristic polynomials."""
+    if builtin is not None:
+        return builtin_example(builtin)
+    return system_from_json(json.loads(text))
 
 
 def _window_length(system: NilpotentSystem, n: int) -> int:
@@ -326,6 +349,48 @@ def _render_generic(result, out, indent=0) -> None:
             print(f"{pad}{key}: {value}", file=out)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool, None and float; TypeError for any other
+    value or key.  json.dumps takes its pure-Python encoder whenever indent
+    is set; here every string goes through json's C string encoder, and a
+    list of strings is quoted in one comprehension."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            items = [_quoted(v) for v in value]
+        except TypeError:  # not all strings
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quoted raises TypeError for a key that is not a str
+        items = [_quoted(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @contextmanager
 def _full_int_strings():
     """Lift Python's int-to-str digit limit, restoring the caller's on exit."""
@@ -356,7 +421,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return exc.exit_code
     with _full_int_strings():
         if config.output_format == "json":
-            out.write(json.dumps({"command": config.command, **result}, indent=2))
+            out.write(_json_text({"command": config.command, **result}))
             print(file=out)
         else:
             _render_table(config.command, result, out)
@@ -463,7 +528,17 @@ def main(argv=None) -> int:
     except TdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, and point fd 1 at devnull
+        # so that Python's flush at exit does not raise again
+        with suppress(AttributeError, ValueError, OSError):  # no real file descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

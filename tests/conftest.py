@@ -6,7 +6,7 @@ from tdyn import cli, exact_linalg, group_model, growth, padic, reidemeister
 def _clear_memos():
     """Forget every per-system result the library keeps between calls."""
     for memo in (exact_linalg.exterior_power_polynomials, group_model.tameness_check,
-                 growth.growth_rate, cli._zeta_of):
+                 growth.growth_rate, cli._zeta_of, cli._system_of):
         memo.cache_clear()
     reidemeister._last_sequence = (None, None)
 

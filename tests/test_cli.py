@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
@@ -354,6 +356,56 @@ def test_json_output_reparses_exactly():
     num = [int(s) for s in zdoc["zeta"]["num"]]
     den = [int(s) for s in zdoc["zeta"]["den"]]
     assert (num, den) == ([1, -1], [1, -2])
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+                 | st.integers(4301, 4400).flatmap(
+                     lambda d: st.sampled_from([10 ** d - 1, 1 - 10 ** d]))
+                 # every code point: control characters, non-ASCII text and lone surrogates
+                 | st.text(st.characters(blacklist_categories=()), max_size=8))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.lists(st.text(max_size=4), max_size=4)
+                      | st.dictionaries(st.text(st.characters(blacklist_categories=()),
+                                                max_size=4), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    with cli._full_int_strings():  # ints past the int-to-str digit limit
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": [1, Fraction(1, 2)]},  # json.dumps raises on the value too
+    {"a": {1: "b"}},  # json.dumps would write the key as "1"
+    {("a",): 1},
+])
+def test_json_text_refuses_other_values_and_keys(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
+    # the reader takes one byte of a 218 kB answer and closes the pipe
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    err_path = tmp_path / "stderr"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tdyn.cli", "rseq", "--builtin", "torus_matrix:2,1,1,1",
+             "--n", "1000", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert err_path.read_bytes() == b""
 
 
 def test_run_config_validation():

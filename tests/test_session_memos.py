@@ -2,8 +2,9 @@
 
 ``coincidence_sequence`` keeps the last system's longest sequence,
 ``tameness_check`` and ``growth_rate`` their last result, and the CLI its
-last zeta payload, each keyed by the system's value.  The oracle for every
-command of a session is the same command run with every memo cleared.
+last zeta payload, each keyed by the system's value, and its last loaded
+system, keyed by the catalog key or the descriptor's text.  The oracle for
+every command of a session is the same command run with every memo cleared.
 """
 
 import contextlib
@@ -193,7 +194,7 @@ def test_each_memo_holds_one_system():
         for command in ("tame", "zeta", "growth", "rseq"):
             assert run_capture(_argv(command, ("--builtin", key)))[0] == 0
     for memo in (group_model.tameness_check, growth.growth_rate, cli._zeta_of,
-                 exact_linalg.exterior_power_polynomials):
+                 exact_linalg.exterior_power_polynomials, cli._system_of):
         assert memo.cache_info().currsize <= 1, memo
     kept, seq = reidemeister._last_sequence
     assert kept == group_model.builtin_example(keys[-1]) and len(seq) == 40
@@ -215,3 +216,61 @@ def test_an_error_is_not_kept():
     assert reidemeister._last_sequence[0] == valid
     assert group_model.tameness_check.cache_info().currsize == 1  # z_times_d:1's
     assert reidemeister.coincidence_sequence(valid, 3).values == (1, 3, 7)
+
+
+# the session's char_poly calls: the torus's form (char phi, psi = I), its
+# char_polys (phi and psi) and entropy's own char phi; the commuting pair's
+# form, char_polys, growth's psi on its one joint block and padic's
+@pytest.mark.parametrize("source, char_polys", [
+    (("--builtin", RANK4_TORUS), 4),
+    (("--input", os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                              "inputs", "commuting_pair.json")), 5),
+], ids=["rank4_torus", "commuting_pair"])
+def test_a_session_loads_its_system_once(monkeypatch, char_poly_calls, source,
+                                         char_polys):
+    forms = []
+    original = group_model.commuting_form
+
+    def recording(phi, psi):
+        forms.append((phi, psi))
+        return original(phi, psi)
+
+    monkeypatch.setattr(group_model, "commuting_form", recording)
+    for command in COMMANDS:
+        assert run_capture(_argv(command, source))[0] in (0, 1), command
+    info = cli._system_of.cache_info()
+    assert (info.misses, info.hits) == (1, len(COMMANDS) - 1)
+    system = cli._load_system(cli._parse(_argv("rseq", source)))
+    assert forms == [(sec.phi, sec.psi) for sec in system.sections]
+    assert len(char_poly_calls) == char_polys
+
+
+def test_a_rewritten_descriptor_is_read_again(tmp_path, clear_memos):
+    identity = [[1, 0], [0, 1]]
+    source = _write_system(str(tmp_path), "rewritten", [([[2, 1], [1, 1]], identity)])
+    argv = _argv("rseq", source, n=6)
+    first = run_capture(argv)
+    _write_system(str(tmp_path), "rewritten", [([[3, 1], [1, 1]], identity)])
+    second = run_capture(argv)
+    clear_memos()
+    assert run_capture(argv) == second != first
+
+
+def test_an_undecodable_descriptor_in_a_session_is_an_input_error(tmp_path):
+    # the file at one path: a system, then bad UTF-8, then bad JSON, then the
+    # system again; each error names the path, and none is kept
+    source = _write_system(str(tmp_path), "changing", [([[2, 1], [1, 1]], [[1, 0], [0, 1]])])
+    path = source[1]
+    with open(path, "rb") as fh:
+        good = fh.read()
+    argv = _argv("rseq", source, n=6)
+    kept = run_capture(argv)
+    for content in (b"\xff\xfe\x00", good[:-1]):
+        with open(path, "wb") as fh:
+            fh.write(content)
+        code, out, err = run_capture(argv)
+        assert (code, out) == (1, "") and err.startswith(f"error: bad JSON in {path}: ")
+    with open(path, "wb") as fh:
+        fh.write(good)
+    assert run_capture(argv) == kept
+    assert cli._system_of.cache_info().currsize == 1
